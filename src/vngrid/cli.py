@@ -198,6 +198,13 @@ def write_heatmap_csv(path, lattices, cells, coeffs):
                      + "," + _fmt(amp.get(combo, 0.0)) + "\n")
 
 
+def _add_sop_meta(meta, model):
+    fit = model.sop_fit
+    if fit is not None:
+        meta["sop"] = {"rank": fit.rank, "max_abs_error": fit.max_abs_error,
+                       "rank_over_N": fit.rank / min(g.N for g in model.grids)}
+
+
 def _write_meta(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=repr)
@@ -253,9 +260,7 @@ def cmd_tise(args) -> int:
         "cache": res.hamiltonian.cache_stats(),
         "timings": {"build_s": t_build, "solve_s": t_solve},
     }
-    if model.sop_fit is not None:
-        meta["sop"] = {"rank": model.sop_fit.rank,
-                       "max_abs_error": model.sop_fit.max_abs_error}
+    _add_sop_meta(meta, model)
     _write_meta(os.path.join(out_dir, "run_meta.json"), meta)
     print(f"converged in {res.iterations} iterations, "
           f"{len(res.final_cells)} active cells -> {out_dir}")
@@ -267,6 +272,7 @@ def cmd_tdse(args) -> int:
 
     from .dynamics import PropagationConfig, tdse_adaptive
     from .errors import ConvergenceError, TimestepUnderflowError
+    from .hamiltonian import cache_totals
     from .solvers import TiseConfig, tise_adaptive
 
     cfg = load_config(args.config)
@@ -340,8 +346,10 @@ def cmd_tdse(args) -> int:
         "ground_state": {"energy": float(ground.eigenvalues[0]),
                          "n_cells": len(ground.final_cells),
                          "iterations": ground.iterations},
+        "cache": cache_totals(ground.hamiltonian, traj.hamiltonian),
         "timings": {"build_s": t_build, "ground_s": t_ground, "prop_s": t_prop},
     }
+    _add_sop_meta(meta, model)
     _write_meta(os.path.join(out_dir, "run_meta.json"), meta)
     print(f"propagated {traj.n_steps} steps to t={meta['t_final']:.4g}, "
           f"max {meta['n_max']} of {n_total} cells -> {out_dir}")
@@ -395,11 +403,13 @@ def cmd_bench(args) -> int:
     dev = np.abs(direct - ham.Hbb).max()
     reuse = (stats["hits"] + stats["misses"]) / max(1, stats["misses"])
     print(f"  cached assembly  : {t_cached * 1e3:8.2f} ms "
-          f"(hits {stats['hits']}, misses {stats['misses']})")
+          f"(table entries served beyond fills {stats['hits']}, canonical "
+          f"values computed {stats['misses']})")
     print(f"  dense no-reuse   : {t_direct * 1e3:8.2f} ms, "
           f"max deviation {dev:.2e}")
-    print(f"  symmetry reuse   : x{reuse:.1f} element requests per canonical "
-          f"value; wall-clock speedup x{t_direct / t_cached:.2f} at this size")
+    print(f"  symmetry reuse   : x{reuse:.1f} table entries per canonical "
+          f"value computed; wall-clock speedup x{t_direct / t_cached:.2f} at "
+          f"this size")
 
     n, m = 400, 8
     a = rng.normal(size=(n + m, n + m))

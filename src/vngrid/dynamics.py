@@ -234,6 +234,7 @@ class Trajectory:
     snapshots: list
     final_cells: CellSet
     final_coefficients: np.ndarray
+    hamiltonian: ReducedHamiltonian
 
     @property
     def n_steps(self):
@@ -346,7 +347,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
                       norms=np.asarray(norms), taus=np.asarray(taus),
                       discarded=np.asarray(discarded), events=events,
                       snapshots=snapshots, final_cells=cells,
-                      final_coefficients=psi)
+                      final_coefficients=psi, hamiltonian=ham)
 
 
 def _shrink(tau, cfg, events, t, reason):

@@ -28,9 +28,20 @@ on the position offset ``(a - c) mod Nx`` and the individual momenta,
         sum_n conj(u_beta[n]) T(k_n) u_delta[n] exp(i*k_n*dxlat*(a - c)),
 
 with ``u_beta`` the spectral coefficients of the zero-shift columns.
-Hermitian symmetry halves both tables.  Every stored value is addressed by
-a single-integer canonical key; an audit recomputes sampled entries by
-direct quadrature.
+Hermitian symmetry halves both tables.  Every cached value has a
+single-integer canonical address (:func:`canonical_key`); an audit
+recomputes sampled entries by direct quadrature.
+
+Assembly
+--------
+Each registered diagonal is expanded once, from the cached planes, into a
+dense ``(n x n)`` element table over every cell of its axis.  An operator
+is then a rank expansion ``sum_r prod_k F_r^(k)`` of such tables: the
+one-axis terms of axis ``d`` summed into one table and lifted by the other
+axes' dual overlaps ``Sinv``, plus one factor product per sum-of-products
+term.  A reduced block is one contraction over the rank: per row, a GEMM
+of the axis-0 factors against the other axes' factors over the distinct
+column indices of each axis, from which the block's columns are gathered.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ from .reduced_space import CellSet, ProductBasis
 from .vn_basis import BasisPair
 
 _SIZE_LIMIT = 4096  # dense full-grid constructions refuse beyond this
+_CHUNK_ENTRIES = 1 << 16  # per-chunk pair-table entries in block contraction
 
 
 def _hermitize(m):
@@ -365,7 +377,7 @@ def canonical_key(lattice, cell_i: int, cell_j: int, slot: int,
 
 
 class _Geometry:
-    """Per-axis index meshes shared by all term lookups of one block."""
+    """Per-axis index meshes and phases of one batch of element lookups."""
 
     __slots__ = ("a1", "b1", "a2", "b2", "dk_idx", "da", "phase", "size",
                  "shape")
@@ -396,10 +408,18 @@ class _Geometry:
 class ElementCache:
     """Symmetry cache of one-axis matrix elements for one basis pair.
 
-    ``values`` maps canonical keys to complex element cores; hit/miss
-    counters track element requests.  Tables are filled lazily, one
-    momentum-offset plane (potential) or momentum pair (kinetic) at a time,
-    by small dense products with the zero-momentum / zero-shift columns.
+    Cached values live in stacked arrays per registered slot: one
+    ``(Nx x Nx)`` core per momentum offset (potential) and one ``Nx``-vector
+    of position offsets per momentum pair (kinetic).  They are filled lazily,
+    one momentum-offset plane or momentum pair at a time, by small dense
+    products with the zero-momentum / zero-shift columns, and each fill also
+    sets its Hermitian partner.  :meth:`table` expands a slot once into the
+    dense element table over every lattice cell; reduced blocks are
+    contracted from those tables.
+
+    Accounting happens at fill time: ``misses`` counts the canonical values
+    computed by plane and pair fills, ``hits`` the element requests served
+    beyond those.
     """
 
     def __init__(self, pair: BasisPair):
@@ -408,14 +428,10 @@ class ElementCache:
         self.pair = pair
         self.lattice = lat
         self.Nx, self.Np = lat.Nx, lat.Np
-        self.values = {}
         self.hits = 0
         self.misses = 0
         cols0 = np.arange(lat.Nx) * lat.Np + lat.p_zero_index
         self._B0 = pair.B[:, cols0]
-        self._x = grid.sample_points
-        self._xbar = lat.x_centers
-        self._klat = lat.p_centers / HBAR
         self._dk_step = lat.dp_lat / HBAR
         self._spec_cols = np.fft.fft(pair.B[:, :lat.Np], axis=0) / np.sqrt(grid.N)
         # k_n dxlat da = 2 pi n Np da / N: integer-reduced for exact phases
@@ -430,7 +446,7 @@ class ElementCache:
         self._pot_built = {}        # slot -> bool (2Np-1,)
         self._kin_stack = {}        # slot -> (Np, Np, Nx)
         self._kin_built = {}        # slot -> bool (Np, Np)
-        self._cap = _geom_cap(lat.Nx, lat.Np)
+        self._tables = {}           # slot -> (n_cells, n_cells)
 
     # -- registration ------------------------------------------------------
 
@@ -462,52 +478,52 @@ class ElementCache:
 
     def potential_values(self, slot: int, geom: _Geometry) -> np.ndarray:
         built = self._pot_built[slot]
-        missing = ~np.broadcast_to(built[geom.dk_idx], geom.shape)
-        n_miss = 0
-        if np.any(missing):
-            # one miss per distinct canonical value computed fresh; repeats of
-            # the same value within the batch count as hits
-            a1 = np.broadcast_to(geom.a1, geom.shape)[missing]
-            a2 = np.broadcast_to(geom.a2, geom.shape)[missing]
-            dk = geom.dk_idx[missing]
-            swap = a1 > a2
-            lo = np.where(swap, a2, a1)
-            hi = np.where(swap, a1, a2)
-            dkc = np.where(swap & (a1 != a2), 2 * (self.Np - 1) - dk, dk)
-            dkc = np.where((a1 == a2) & (dk < self.Np - 1),
-                           2 * (self.Np - 1) - dk, dkc)
-            ids = (lo * self.Nx + hi) * (2 * self.Np - 1) + dkc
-            n_miss = int(np.unique(ids).size)
-            for dk_idx in np.unique(dk):
-                self._fill_potential_plane(slot, int(dk_idx))
-        self.misses += n_miss
-        self.hits += geom.size - n_miss
+        fresh = 0
+        for dk_idx in np.unique(geom.dk_idx):
+            if not built[dk_idx]:
+                fresh += self._fill_potential_plane(slot, int(dk_idx))
+        self._count(geom.size, fresh)
         core = self._pot_stack[slot][geom.dk_idx, geom.a1, geom.a2]
         return geom.phase * core
 
     def kinetic_values(self, slot: int, geom: _Geometry) -> np.ndarray:
         built = self._kin_built[slot]
-        missing = ~np.broadcast_to(built[geom.b1, geom.b2], geom.shape)
-        n_miss = 0
-        if np.any(missing):
-            b1 = np.broadcast_to(geom.b1, geom.shape)[missing]
-            b2 = np.broadcast_to(geom.b2, geom.shape)[missing]
-            da = np.broadcast_to(geom.da, geom.shape)[missing]
-            da_m = np.mod(-da, self.Nx)
-            swap = ((da_m < da)
-                    | ((da_m == da) & (b2 < b1)))
-            dac = np.where(swap, da_m, da)
-            p = np.where(swap, b2, b1)
-            q = np.where(swap, b1, b2)
-            ids = (dac * self.Np + p) * self.Np + q
-            n_miss = int(np.unique(ids).size)
-            for flat in np.unique(b1 * self.Np + b2):
-                pp, qq = divmod(int(flat), self.Np)
-                if not built[pp, qq]:
-                    self._fill_kinetic_pair(slot, pp, qq)
-        self.misses += n_miss
-        self.hits += geom.size - n_miss
+        fresh = 0
+        for flat in np.unique(geom.b1 * self.Np + geom.b2):
+            p, q = divmod(int(flat), self.Np)
+            if not built[p, q]:
+                fresh += self._fill_kinetic_pair(slot, p, q)
+        self._count(geom.size, fresh)
         return self._kin_stack[slot][geom.b1, geom.b2, geom.da]
+
+    def _count(self, served: int, fresh: int):
+        self.misses += fresh
+        self.hits += max(served - fresh, 0)
+
+    def table(self, slot: int) -> np.ndarray:
+        """Dense element table of ``slot`` over every lattice cell.
+
+        Filled once per slot from the cached planes, through the lookups.
+        """
+        tab = self._tables.get(slot)
+        if tab is None:
+            cells = np.arange(self.lattice.n_cells)
+            geom = self.geometry(cells, cells)
+            if self._slots[slot][0] == "potential":
+                tab = self.potential_values(slot, geom)
+            else:
+                tab = self.kinetic_values(slot, geom)
+            self._tables[slot] = tab
+        return tab
+
+    def _plane_values(self, dk_idx: int) -> int:
+        """Canonical values held by a potential plane and its partner."""
+        nx = self.Nx
+        return nx * (nx + 1) // 2 if dk_idx == self.Np - 1 else nx * nx
+
+    def _pair_values(self, p: int, q: int) -> int:
+        """Canonical values held by a kinetic momentum pair and its mirror."""
+        return self.Nx // 2 + 1 if p == q else self.Nx
 
     # -- fills -------------------------------------------------------------
 
@@ -533,20 +549,10 @@ class ElementCache:
             core = _hermitize(core)
         self._pot_stack[slot][dk_idx] = core
         self._pot_built[slot][dk_idx] = True
-        self._store_potential_keys(slot, dk_idx, core)
         if partner != dk_idx:
             self._pot_stack[slot][partner] = core.conj().T
             self._pot_built[slot][partner] = True
-            self._store_potential_keys(slot, partner, core.conj().T)
-
-    def _store_potential_keys(self, slot, dk_idx, core):
-        nx, np_ = self.Nx, self.Np
-        base = (slot * 2 + 0) * self._cap
-        for a1 in range(nx):
-            a2_lo = a1 if dk_idx >= np_ - 1 else a1 + 1
-            for a2 in range(a2_lo, nx):
-                key = base + (a1 * nx + a2) * (2 * np_ - 1) + dk_idx
-                self.values[key] = complex(core[a1, a2])
+        return self._plane_values(dk_idx)
 
     def _fill_kinetic_pair(self, slot: int, p: int, q: int):
         _, tk = self._slots[slot]
@@ -559,19 +565,10 @@ class ElementCache:
             mirror = np.roll(tv[::-1], 1).conj()
         self._kin_stack[slot][p, q] = tv
         self._kin_built[slot][p, q] = True
-        self._store_kinetic_keys(slot, p, q, tv)
         if p != q:
             self._kin_stack[slot][q, p] = mirror
             self._kin_built[slot][q, p] = True
-            self._store_kinetic_keys(slot, q, p, mirror)
-
-    def _store_kinetic_keys(self, slot, p, q, tv):
-        nx, np_ = self.Nx, self.Np
-        base = (slot * 2 + 1) * self._cap
-        for da in range(nx):
-            if ((nx - da) % nx, q, p) < (da, p, q):
-                continue  # not the canonical orientation
-            self.values[base + (da * np_ + p) * np_ + q] = complex(tv[da])
+        return self._pair_values(p, q)
 
     # -- verification ------------------------------------------------------
 
@@ -613,8 +610,15 @@ class ElementCache:
 
     @property
     def stats(self):
-        return {"hits": self.hits, "misses": self.misses,
-                "stored": len(self.values)}
+        stored = 0
+        for built in self._pot_built.values():
+            stored += sum(self._plane_values(dk_idx)
+                          for dk_idx in np.flatnonzero(built[self.Np - 1:])
+                          + self.Np - 1)
+        for built in self._kin_built.values():
+            stored += sum(self._pair_values(p, q)
+                          for p, q in zip(*np.nonzero(np.triu(built))))
+        return {"hits": self.hits, "misses": self.misses, "stored": stored}
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +633,13 @@ class ReducedHamiltonian:
     ``Stilde @ (Hbb @ psi)`` (two matrix-vector products, never a
     matrix-matrix product).
 
-    Axes backed by the same :class:`~vngrid.vn_basis.BasisPair` object share
-    one element cache, so exchange-symmetric terms reuse cached values.
+    Every operator is held as a rank expansion ``sum_r prod_k F_r^(k)`` of
+    per-axis element tables over the whole lattice: the one-axis terms of
+    axis ``d`` summed into ``H_d`` and lifted by the other axes' ``Sinv``,
+    plus one coefficient-scaled factor product per sum-of-products term.
+    A block is then one contraction over the rank.  Axes backed by the same
+    :class:`~vngrid.vn_basis.BasisPair` object share one element cache, so
+    exchange-symmetric terms reuse cached values and tables.
     """
 
     def __init__(self, spec: OperatorSpec, product: ProductBasis,
@@ -649,56 +658,81 @@ class ReducedHamiltonian:
                     by_pair[id(pair)] = ElementCache(pair)
                 caches.append(by_pair[id(pair)])
         self.caches = tuple(caches)
-        self._drift = self._register_terms(spec)
-        self._controls = tuple(self._register_terms(c) for c in spec.control_terms)
+        self._drift = self._factors(spec)
+        self._controls = tuple(self._factors(c) for c in spec.control_terms)
         self.cells = cells
         self.Hbb = self._block(cells, cells, self._drift)
-        self.Hbb_controls = tuple(self._block(cells, cells, t)
-                                  for t in self._controls)
+        self.Hbb_controls = tuple(self._block(cells, cells, f)
+                                  for f in self._controls)
 
-    # -- term registration ---------------------------------------------------
+    # -- rank expansion ------------------------------------------------------
 
-    def _register_terms(self, spec: OperatorSpec):
-        terms = []
-        for dof in range(spec.ndof):
-            tk = spec.kinetic[dof]
-            if tk is not None and np.any(tk):
-                terms.append(("kin", dof, self.caches[dof].register("kinetic", tk)))
-            v = spec.potentials[dof]
-            if v is not None and np.any(v):
-                terms.append(("pot", dof, self.caches[dof].register("potential", v)))
+    def _table(self, dof: int, kind: str, payload) -> np.ndarray:
+        cache = self.caches[dof]
+        return cache.table(cache.register(kind, payload))
+
+    def _factors(self, spec: OperatorSpec):
+        """Per-axis ``(n_k, n_k, rank)`` factor stacks of ``spec``.
+
+        With one axis the rank is summed out into a single ``(n, n)`` table;
+        an operator without terms gives None.
+        """
+        d = spec.ndof
+        factors = [[] for _ in range(d)]
+        for dof in range(d):
+            h_d = None
+            for kind, diag in (("kinetic", spec.kinetic[dof]),
+                               ("potential", spec.potentials[dof])):
+                if diag is not None and np.any(diag):
+                    tab = self._table(dof, kind, diag)
+                    h_d = tab if h_d is None else h_d + tab
+            if h_d is not None:
+                for k in range(d):
+                    factors[k].append(h_d if k == dof
+                                      else self.product.pairs[k].Sinv)
         for t in spec.sop_terms:
-            facs = tuple(
-                (dof, self.caches[dof].register("potential", t.factors[dof]))
-                for dof in range(spec.ndof))
-            terms.append(("sop", t.coefficient, facs))
-        return terms
+            for k in range(d):
+                tab = self._table(k, "potential", t.factors[k])
+                factors[k].append(t.coefficient * tab if k == 0 else tab)
+        if not factors[0]:
+            return None
+        if d == 1:
+            return [sum(factors[0][1:], factors[0][0])]
+        return [np.stack(f, axis=-1) for f in factors]
 
     # -- block assembly -------------------------------------------------------
 
-    def _block(self, rows: CellSet, cols: CellSet, terms) -> np.ndarray:
-        d = self.product.ndof
-        geoms = [self.caches[k].geometry(rows.indices[:, k], cols.indices[:, k])
-                 for k in range(d)]
-        overlaps = [self.product.pairs[k].Sinv[
-            np.ix_(rows.indices[:, k], cols.indices[:, k])] for k in range(d)]
-        out = np.zeros((len(rows), len(cols)), dtype=complex)
-        for term in terms:
-            if term[0] == "sop":
-                _, coeff, facs = term
-                acc = np.full(out.shape, coeff, dtype=complex)
-                for dof, slot in facs:
-                    acc *= self.caches[dof].potential_values(slot, geoms[dof])
-            else:
-                kind, dof, slot = term
-                if kind == "kin":
-                    acc = self.caches[dof].kinetic_values(slot, geoms[dof])
-                else:
-                    acc = self.caches[dof].potential_values(slot, geoms[dof])
-                for other in range(d):
-                    if other != dof:
-                        acc = acc * overlaps[other]
-            out += acc
+    def _block(self, rows: CellSet, cols: CellSet, factors) -> np.ndarray:
+        """``out[i, j] = sum_r prod_k F_r^(k)[rows_k[i], cols_k[j]]``.
+
+        Rows are taken in chunks; per row, the axis-0 factor over the
+        distinct axis-0 columns multiplies (one batched GEMM over the rank)
+        the product of the other axes' factors over their distinct columns,
+        and the block's columns are gathered from that small product table.
+        """
+        if factors is None or not len(rows) or not len(cols):
+            return np.zeros((len(rows), len(cols)), dtype=complex)
+        ri, ci = rows.indices, cols.indices
+        if len(factors) == 1:
+            return factors[0][np.ix_(ri[:, 0], ci[:, 0])]
+        out = np.empty((len(rows), len(cols)), dtype=complex)
+        distinct, inverse = zip(*(np.unique(ci[:, k], return_inverse=True)
+                                  for k in range(len(factors))))
+        widths = [len(u) for u in distinct]
+        n_rest = int(np.prod(widths[1:]))
+        gather = inverse[0] * n_rest + np.ravel_multi_index(inverse[1:],
+                                                            widths[1:])
+        step = max(1, _CHUNK_ENTRIES // (widths[0] * n_rest))
+        for lo in range(0, len(rows), step):
+            chunk = ri[lo:lo + step]
+            left, right, *more = (f[chunk[:, k, None], u]
+                                  for k, (f, u) in enumerate(zip(factors,
+                                                                 distinct)))
+            for g in more:
+                right = (right[:, :, None, :] * g[:, None, :, :]).reshape(
+                    len(chunk), -1, g.shape[-1])
+            pairs = left @ right.transpose(0, 2, 1)
+            out[lo:lo + step] = pairs.reshape(len(chunk), -1)[:, gather]
         return out
 
     def element(self, cell_i, cell_j) -> complex:
@@ -724,14 +758,14 @@ class ReducedHamiltonian:
         added_rows_new = np.where(~keep_new)[0]
         added = CellSet(new_cells.indices[added_rows_new], ndof=new_cells.ndof)
         mats = []
-        for old_mat, terms in zip((self.Hbb, *self.Hbb_controls),
-                                  (self._drift, *self._controls)):
+        for old_mat, factors in zip((self.Hbb, *self.Hbb_controls),
+                                    (self._drift, *self._controls)):
             n = len(new_cells)
             new_mat = np.zeros((n, n), dtype=complex)
             new_mat[np.ix_(kept_rows_new, kept_rows_new)] = \
                 old_mat[np.ix_(old_rows, old_rows)]
             if len(added):
-                blk = self._block(added, new_cells, terms)
+                blk = self._block(added, new_cells, factors)
                 new_mat[added_rows_new, :] = blk
                 new_mat[:, added_rows_new] = blk.conj().T
             mats.append(new_mat)
@@ -751,14 +785,20 @@ class ReducedHamiltonian:
         return h
 
     def cache_stats(self):
-        seen = {}
-        for c in self.caches:
+        return cache_totals(self)
+
+
+def cache_totals(*hamiltonians) -> dict:
+    """Element-cache counters summed over the distinct caches in use."""
+    seen = {}
+    for ham in hamiltonians:
+        for c in ham.caches:
             seen[id(c)] = c.stats
-        out = {"hits": 0, "misses": 0, "stored": 0}
-        for s in seen.values():
-            for k in out:
-                out[k] += s[k]
-        return out
+    out = {"hits": 0, "misses": 0, "stored": 0}
+    for s in seen.values():
+        for k in out:
+            out[k] += s[k]
+    return out
 
 
 def apply_reduced(stilde: np.ndarray, hbb: np.ndarray, psi: np.ndarray) -> np.ndarray:

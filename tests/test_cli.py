@@ -147,6 +147,31 @@ def test_tise_double_well_config(tmp_path):
     assert meta["converged"] and meta["n_final"] < 160
 
 
+def _assert_cache_and_sop(meta, n_grid):
+    # fill-time accounting: misses are canonical values computed by plane and
+    # pair fills, stored is derived from the filled planes
+    cache = meta["cache"]
+    assert cache["hits"] > 0 and cache["misses"] > 0
+    assert cache["stored"] == cache["misses"]
+    sop = meta["sop"]
+    assert sop["rank"] >= 1 and sop["max_abs_error"] <= 1e-6
+    assert sop["rank_over_N"] == sop["rank"] / n_grid
+
+
+def test_tise_helium_meta_reports_cache_and_sop(tmp_path):
+    out = str(tmp_path / "run")
+    cfg = {
+        "grid": [{"L": 15.0, "N": 60}, {"L": 15.0, "N": 60}],
+        "lattice": [{"Nx": 5, "Np": 12}, {"Nx": 5, "Np": 12}],
+        "model": {"name": "helium1d"},
+        "solver": {"tise": {"zeta": 1e-2, "n_modes": 1}},
+        "output": {"directory": out},
+    }
+    assert main(["tise", _write(tmp_path, "he.json", cfg)]) == EXIT_OK
+    meta = json.load(open(os.path.join(out, "run_meta.json")))
+    _assert_cache_and_sop(meta, 60)
+
+
 def test_tdse_helium_desk_scale(tmp_path):
     # two-axis driven run: completes, reduction ratio reported below 0.5
     out = str(tmp_path / "run")
@@ -169,6 +194,7 @@ def test_tdse_helium_desk_scale(tmp_path):
     assert meta["completed"] is True
     assert meta["reduction_ratio"] < 0.5
     assert abs(meta["norm_final"] - 1.0) < 1e-6
+    _assert_cache_and_sop(meta, 60)
 
 
 def test_bench_runs(capsys):

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from vngrid import models
 from vngrid.fourier_grid import build_grid
-from vngrid.hamiltonian import (OperatorSpec, ReducedHamiltonian, apply_H_grid,
-                                apply_reduced, canonical_key,
+from vngrid.hamiltonian import (OperatorSpec, ReducedHamiltonian, SopTerm,
+                                apply_H_grid, apply_reduced, canonical_key,
                                 dense_grid_hamiltonian, kinetic_matrix,
                                 potfit2, reduced_via_gaussians, sop_table)
 from vngrid.reduced_space import CellSet, ProductBasis, ReducedBasis
@@ -261,6 +264,8 @@ def test_h1_eigenvalues_real_and_match_generalized(dw_reduced):
 
 
 def test_cache_hit_rate_positive_on_large_assembly(dw_model):
+    """Fill-time accounting: ``misses`` counts the canonical values computed
+    by plane and pair fills, ``hits`` the table entries served beyond them."""
     rng = np.random.default_rng(3)
     cells = CellSet(np.sort(rng.choice(dw_model.pairs[0].n, size=110,
                                        replace=False))[:, None])
@@ -276,3 +281,82 @@ def test_helium_sop_reconstruction(he_model):
     xc = g.centered_points
     exact = 1.0 / np.sqrt((xc[:, None] - xc[None, :]) ** 2 + HELIUM_A0 ** 2)
     assert np.abs(v - exact).max() <= 1e-6
+
+
+# -- multi-axis assembly against the dense grid --------------------------------------
+
+def _product_columns(pairs, cells):
+    """Columns ``(B_0 x B_1 x ...)[:, cells]`` of the product dual basis."""
+    cols = np.ones((1, len(cells)), dtype=complex)
+    for k, pair in enumerate(pairs):
+        b = pair.B[:, cells.indices[:, k]]
+        cols = (cols[:, None, :] * b[None, :, :]).reshape(-1, len(cells))
+    return cols
+
+
+def _dense_block(spec, pairs, cells):
+    cols = _product_columns(pairs, cells)
+    return cols.conj().T @ (dense_grid_hamiltonian(spec) @ cols)
+
+
+def _helium_with_position(he_model):
+    return dataclasses.replace(
+        he_model.spec,
+        control_terms=(models.position_coupling(he_model.grids),))
+
+
+def test_helium_blocks_match_dense_sandwich(he_model):
+    # desk-scale helium (3600 points): drift and position control over a few
+    # hundred cells, exchange-swapped pairs included
+    rng = np.random.default_rng(11)
+    n = he_model.pairs[0].n
+    pairs = rng.choice(n, size=(130, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    diag = rng.choice(n, size=20, replace=False)
+    cells = CellSet(np.vstack([pairs, pairs[:, ::-1],
+                               np.column_stack([diag, diag])]), ndof=2)
+    assert len(cells) >= 250
+    spec = _helium_with_position(he_model)
+    ham = ReducedHamiltonian(spec, he_model.product, cells)
+    ref = _dense_block(spec, he_model.pairs, cells)
+    assert np.abs(ham.Hbb - ref).max() <= 1e-11
+    ref_c = _dense_block(spec.control_terms[0], he_model.pairs, cells)
+    assert np.abs(ham.Hbb_controls[0] - ref_c).max() <= 1e-11
+
+
+def test_two_axis_update_equals_scratch(he_model):
+    rng = np.random.default_rng(5)
+    n = he_model.pairs[0].n
+    spec = _helium_with_position(he_model)
+    start = CellSet(rng.choice(n, size=(160, 2)), ndof=2)
+    ham = ReducedHamiltonian(spec, he_model.product, start)
+    kept = start.indices[rng.random(len(start)) < 0.8]        # prune
+    fresh = rng.choice(n, size=(40, 2))                        # grow
+    target = CellSet(np.vstack([kept, fresh]), ndof=2)
+    added = ham.update(target)
+    assert len(added) > 0 and len(target) < len(start) + len(added)
+    scratch = ReducedHamiltonian(spec, he_model.product, target)
+    assert np.abs(ham.Hbb - scratch.Hbb).max() <= 1e-12
+    assert np.abs(ham.Hbb_controls[0] - scratch.Hbb_controls[0]).max() <= 1e-12
+
+
+def test_three_axis_assembly_matches_dense():
+    # two axes share one basis pair (and cache), the third has its own shape
+    shared = build_basis_pair(build_lattice(build_grid(6.0, 12), 3, 4))
+    other = build_basis_pair(build_lattice(build_grid(5.0, 10), 5, 2))
+    pairs = (shared, other, shared)
+    grids = tuple(p.grid for p in pairs)
+    xcs = [g.centered_points for g in grids]
+    bumps = [np.exp(-xc ** 2) for xc in xcs]
+    norms = [np.linalg.norm(f) for f in bumps]
+    coupling = SopTerm(0.3 * np.prod(norms),
+                       tuple(f / nrm for f, nrm in zip(bumps, norms)))
+    spec = OperatorSpec.build(grids, masses=(1.0, 0.7, 1.3),
+                              potentials=tuple(0.4 * xc ** 2 for xc in xcs),
+                              sop_terms=(coupling,))
+    rng = np.random.default_rng(2)
+    cells = CellSet(np.column_stack([rng.integers(p.n, size=90) for p in pairs]),
+                    ndof=3)
+    ham = ReducedHamiltonian(spec, ProductBasis(pairs), cells)
+    assert ham.caches[0] is ham.caches[2]
+    assert np.abs(ham.Hbb - _dense_block(spec, pairs, cells)).max() <= 1e-11
