@@ -14,7 +14,8 @@ float formatting and canonical orderings, so identical configs reproduce
 byte-identical tables.
 
 Exit codes: 0 success, 2 configuration error, 3 no convergence,
-4 time-step underflow, 1 anything else.
+4 time-step underflow, 5 degenerate basis, 1 anything else (``--debug``
+re-raises it with a traceback instead).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_OTHER = 1
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_TAU_UNDERFLOW = 4
+EXIT_DEGENERATE_BASIS = 5
 
 _MODEL_DEFAULTS = {
     "harmonic": {"m": 1.0, "omega": 1.0},
@@ -136,10 +138,15 @@ def build_model(cfg: dict, controls=()):
 
 
 def _build_pulses(cfg_pulses, grids):
+    """Pulses and their couplings, positionally matched.
+
+    Pulses with the same ``(coupling, scale)`` get the same coupling object,
+    so the reduced Hamiltonian holds one block for them.
+    """
     from . import models
     from .dynamics import ControlPulse
 
-    pulses, couplings = [], []
+    pulses, couplings, made = [], [], {}
     for p in cfg_pulses:
         if p["kind"] == "nir":
             pulses.append(ControlPulse.nir(p["amplitude"], p["period"],
@@ -149,11 +156,12 @@ def _build_pulses(cfg_pulses, grids):
                                            p["sigma"], p.get("t_on", 0.0)))
         else:
             pulses.append(ControlPulse.table(p["times"], p["samples"]))
-        scale = p.get("scale", 1.0)
-        if p["coupling"] == "position":
-            couplings.append(models.position_coupling(grids, scale))
-        else:
-            couplings.append(models.momentum_coupling(grids, scale))
+        key = (p["coupling"], p.get("scale", 1.0))
+        if key not in made:
+            build = (models.position_coupling if key[0] == "position"
+                     else models.momentum_coupling)
+            made[key] = build(grids, key[1])
+        couplings.append(made[key])
     return pulses, couplings
 
 
@@ -211,33 +219,42 @@ def _write_meta(path, payload):
         fh.write("\n")
 
 
+def _fail(out_dir, payload, exc, code) -> int:
+    """Partial ``run_meta.json`` with the error text, then the exit code."""
+    _write_meta(os.path.join(out_dir, "run_meta.json"),
+                dict(payload, error=str(exc)))
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_tise(args) -> int:
-    from .errors import ConvergenceError
+    from .errors import (ConvergenceError, DegenerateUpdateError,
+                         IllConditionedBasisError)
     from .solvers import TiseConfig, tise_adaptive
 
     cfg = load_config(args.config)
     out_dir = args.out or cfg["output"]["directory"]
     os.makedirs(out_dir, exist_ok=True)
-    t_start = time.perf_counter()
-    model = build_model(cfg)
-    t_build = time.perf_counter() - t_start
     sc = cfg["solver"]["tise"]
     tise_cfg = TiseConfig(zeta=sc["zeta"], radius=sc["radius"],
                           n_modes=sc["n_modes"],
                           max_iterations=sc["max_iterations"])
-    t_start = time.perf_counter()
+    failed = {"config": cfg, "converged": False}
     try:
+        t_start = time.perf_counter()
+        model = build_model(cfg)
+        t_build = time.perf_counter() - t_start
+        t_start = time.perf_counter()
         res = tise_adaptive(model.spec, model.product, tise_cfg)
     except ConvergenceError as exc:
-        _write_meta(os.path.join(out_dir, "run_meta.json"),
-                    {"config": cfg, "converged": False, "error": str(exc),
-                     "n_history": [list(h) for h in exc.history]})
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return _fail(out_dir, dict(failed, n_history=[list(h) for h in exc.history]),
+                     exc, EXIT_NO_CONVERGENCE)
+    except (DegenerateUpdateError, IllConditionedBasisError) as exc:
+        return _fail(out_dir, failed, exc, EXIT_DEGENERATE_BASIS)
     t_solve = time.perf_counter() - t_start
 
     with open(os.path.join(out_dir, "eigenvalues.csv"), "w") as fh:
@@ -271,50 +288,54 @@ def cmd_tdse(args) -> int:
     import numpy as np
 
     from .dynamics import PropagationConfig, tdse_adaptive
-    from .errors import ConvergenceError, TimestepUnderflowError
-    from .hamiltonian import cache_totals
+    from .errors import (ConvergenceError, DegenerateUpdateError,
+                         IllConditionedBasisError, TimestepUnderflowError)
     from .solvers import TiseConfig, tise_adaptive
 
     cfg = load_config(args.config)
     out_dir = args.out or cfg["output"]["directory"]
     os.makedirs(out_dir, exist_ok=True)
     sc = cfg["solver"]["tdse"]
-    t_start = time.perf_counter()
-    model = build_model(cfg)
-    pulses, couplings = _build_pulses(sc["pulses"], model.grids)
-    if couplings:
-        model.spec = dataclasses.replace(model.spec,
-                                         control_terms=tuple(couplings))
-    t_build = time.perf_counter() - t_start
-
-    # initial state: adaptive ground state at the configured cutoff
-    t_start = time.perf_counter()
-    try:
-        ground = tise_adaptive(model.spec, model.product,
-                               TiseConfig(zeta=sc["initial_zeta"],
-                                          radius=sc["radius"], n_modes=1))
-    except ConvergenceError as exc:
-        print(f"error: ground-state preparation failed: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    t_ground = time.perf_counter() - t_start
-
     prop_cfg = PropagationConfig(
         zeta=sc["zeta"], radius=sc["radius"], tau0=sc["tau0"],
         max_taylor_terms=sc["max_taylor_terms"], taylor_eps=sc["taylor_eps"],
         growth_patience=sc["growth_patience"],
         snapshot_every=cfg["output"]["snapshot_every"])
-    t_start = time.perf_counter()
+    failed = {"config": cfg, "completed": False}
     try:
+        t_start = time.perf_counter()
+        model = build_model(cfg)
+        pulses, couplings = _build_pulses(sc["pulses"], model.grids)
+        if couplings:
+            model.spec = dataclasses.replace(model.spec,
+                                             control_terms=tuple(couplings))
+        t_build = time.perf_counter() - t_start
+
+        # initial state: adaptive ground state at the configured cutoff; its
+        # reduced basis and Hamiltonian (controls included) carry on into
+        # the propagation
+        t_start = time.perf_counter()
+        ground = tise_adaptive(model.spec, model.product,
+                               TiseConfig(zeta=sc["initial_zeta"],
+                                          radius=sc["radius"], n_modes=1))
+        t_ground = time.perf_counter() - t_start
+
+        t_start = time.perf_counter()
         traj = tdse_adaptive(model.spec, model.product,
                              ground.eigenvectors[:, 0], ground.final_cells,
                              tuple(sc["t_span"]), pulses=pulses, cfg=prop_cfg,
-                             max_steps=sc["max_steps"])
+                             max_steps=sc["max_steps"],
+                             basis=ground.reduced_basis,
+                             hamiltonian=ground.hamiltonian)
+    except ConvergenceError as exc:
+        print(f"error: ground-state preparation failed: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except TimestepUnderflowError as exc:
-        _write_meta(os.path.join(out_dir, "run_meta.json"),
-                    {"config": cfg, "completed": False, "error": str(exc),
-                     "events": [list(e) for e in exc.events]})
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TAU_UNDERFLOW
+        return _fail(out_dir, dict(failed, events=[list(e) for e in exc.events]),
+                     exc, EXIT_TAU_UNDERFLOW)
+    except (DegenerateUpdateError, IllConditionedBasisError) as exc:
+        return _fail(out_dir, dict(failed, events=[list(e) for e in exc.events]),
+                     exc, EXIT_DEGENERATE_BASIS)
     t_prop = time.perf_counter() - t_start
 
     with open(os.path.join(out_dir, "trajectory.csv"), "w") as fh:
@@ -346,7 +367,7 @@ def cmd_tdse(args) -> int:
         "ground_state": {"energy": float(ground.eigenvalues[0]),
                          "n_cells": len(ground.final_cells),
                          "iterations": ground.iterations},
-        "cache": cache_totals(ground.hamiltonian, traj.hamiltonian),
+        "cache": traj.hamiltonian.cache_stats(),
         "timings": {"build_s": t_build, "ground_s": t_ground, "prop_s": t_prop},
     }
     _add_sop_meta(meta, model)
@@ -436,6 +457,8 @@ def cmd_bench(args) -> int:
 def _parser():
     ap = argparse.ArgumentParser(prog="vngrid",
                                  description="adaptive phase-space quantum dynamics")
+    ap.add_argument("--debug", action="store_true",
+                    help="re-raise unexpected errors with a traceback")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, fn, needs_config in (("tise", cmd_tise, True),
                                    ("tdse", cmd_tdse, True),
@@ -473,7 +496,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # pragma: no cover - unexpected failure path
+    except Exception as exc:
+        if args.debug:
+            raise
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_OTHER
 

@@ -33,7 +33,8 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .errors import TimestepUnderflowError
+from .errors import (DegenerateUpdateError, IllConditionedBasisError,
+                     TimestepUnderflowError)
 from .hamiltonian import OperatorSpec, ReducedHamiltonian
 from .reduced_space import (CellSet, DEFAULT_RADIUS, ProductBasis, ReducedBasis,
                             boundary_mask, embed_coefficients, expand_cells,
@@ -244,25 +245,44 @@ class Trajectory:
 def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
                   cells0: CellSet, t_span, pulses=(),
                   cfg: PropagationConfig = PropagationConfig(),
-                  max_steps: int | None = None) -> Trajectory:
+                  max_steps: int | None = None,
+                  basis: ReducedBasis | None = None,
+                  hamiltonian: ReducedHamiltonian | None = None) -> Trajectory:
     """Propagate a reduced state over ``t_span`` with on-the-fly adaptation.
 
     ``psi0`` must have unit physical norm over ``cells0``.  ``pulses`` are
-    matched positionally to the control couplings of ``spec``.  Raises
-    :class:`~vngrid.errors.TimestepUnderflowError` if step halving hits the
-    floor; the event log rides on the exception.
+    matched positionally to the control couplings of ``spec``.
+
+    ``basis`` and ``hamiltonian`` hand over a reduced basis and Hamiltonian
+    that already cover ``cells0`` (for example those an eigenmode search
+    leaves behind), instead of building both from scratch.  The propagator
+    takes ownership: it updates them in place as the basis adapts, and the
+    Hamiltonian comes back as ``Trajectory.hamiltonian``.  Both must cover
+    exactly ``cells0``, and the Hamiltonian must have been built for
+    ``spec``; otherwise :class:`ValueError` is raised.
+
+    Raises :class:`~vngrid.errors.TimestepUnderflowError` if step halving
+    hits the floor, and :class:`~vngrid.errors.DegenerateUpdateError` or
+    :class:`~vngrid.errors.IllConditionedBasisError` if a basis change
+    breaks the maintained inverse; the event log rides on the exception.
     """
     if not isinstance(product, ProductBasis):
         product = ProductBasis(product)
     if len(pulses) != len(spec.control_terms):
         raise ValueError("one pulse per control coupling required")
+    if basis is not None and basis.cells != cells0:
+        raise ValueError("handed-over basis does not cover cells0")
+    if hamiltonian is not None and (hamiltonian.cells != cells0
+                                    or hamiltonian.spec is not spec):
+        raise ValueError("handed-over Hamiltonian does not match cells0 and spec")
     t0, t_end = float(t_span[0]), float(t_span[1])
-    rb = ReducedBasis.create(product, cells0)
+    rb = basis if basis is not None else ReducedBasis.create(product, cells0)
     psi = np.asarray(psi0, dtype=complex).copy()
     norm0 = rb.physical_norm(psi)
     if abs(norm0 - 1.0) > 1e-8:
         raise ValueError(f"initial state norm {norm0} is not 1")
-    ham = ReducedHamiltonian(spec, product, cells0)
+    ham = (hamiltonian if hamiltonian is not None
+           else ReducedHamiltonian(spec, product, cells0))
     lattices = product.lattices
 
     tau_cap = cfg.t_max_cap
@@ -319,7 +339,11 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
             new_cells = expand_cells(kept, lattices, cfg.radius)
             norm_before = rb.physical_norm(psi)
             new_psi, _ = embed_coefficients(psi, cells, new_cells)
-            added, removed = rb.update(new_cells)
+            try:
+                added, removed = rb.update(new_cells)
+            except (DegenerateUpdateError, IllConditionedBasisError) as exc:
+                exc.events = events
+                raise
             ham.update(new_cells)
             norm_after = rb.physical_norm(new_psi)
             lost += abs(norm_before ** 2 - norm_after ** 2)

@@ -10,8 +10,11 @@ class IllConditionedBasisError(VngridError):
 
     Raised when a lattice/width combination produces a (near-)singular
     Gaussian overlap matrix, e.g. a critically sampled lattice whose
-    dimensions are both even.
+    dimensions are both even, or when a reduced overlap loses conditioning.
+    Raised mid-propagation, it carries the propagator's ``events`` so far.
     """
+
+    events = ()
 
     def __init__(self, message, cond=None, size=None):
         super().__init__(message)
@@ -20,7 +23,12 @@ class IllConditionedBasisError(VngridError):
 
 
 class DegenerateUpdateError(VngridError):
-    """Schur complement of a block-inverse update is not positive definite."""
+    """Schur complement of a block-inverse update is not positive definite.
+
+    Raised mid-propagation, it carries the propagator's ``events`` so far.
+    """
+
+    events = ()
 
 
 class ConvergenceError(VngridError):

@@ -639,7 +639,9 @@ class ReducedHamiltonian:
     plus one coefficient-scaled factor product per sum-of-products term.
     A block is then one contraction over the rank.  Axes backed by the same
     :class:`~vngrid.vn_basis.BasisPair` object share one element cache, so
-    exchange-symmetric terms reuse cached values and tables.
+    exchange-symmetric terms reuse cached values and tables.  Control terms
+    that are the same object (several pulses through one coupling) share one
+    block, assembled and updated once.
     """
 
     def __init__(self, spec: OperatorSpec, product: ProductBasis,
@@ -659,11 +661,15 @@ class ReducedHamiltonian:
                 caches.append(by_pair[id(pair)])
         self.caches = tuple(caches)
         self._drift = self._factors(spec)
-        self._controls = tuple(self._factors(c) for c in spec.control_terms)
+        distinct = {id(c): c for c in spec.control_terms}
+        group = {key: g for g, key in enumerate(distinct)}
+        self._group_of = tuple(group[id(c)] for c in spec.control_terms)
+        self._controls = tuple(self._factors(c) for c in distinct.values())
         self.cells = cells
         self.Hbb = self._block(cells, cells, self._drift)
-        self.Hbb_controls = tuple(self._block(cells, cells, f)
-                                  for f in self._controls)
+        self._control_blocks = tuple(self._block(cells, cells, f)
+                                     for f in self._controls)
+        self._buffer = None
 
     # -- rank expansion ------------------------------------------------------
 
@@ -758,7 +764,7 @@ class ReducedHamiltonian:
         added_rows_new = np.where(~keep_new)[0]
         added = CellSet(new_cells.indices[added_rows_new], ndof=new_cells.ndof)
         mats = []
-        for old_mat, factors in zip((self.Hbb, *self.Hbb_controls),
+        for old_mat, factors in zip((self.Hbb, *self._control_blocks),
                                     (self._drift, *self._controls)):
             n = len(new_cells)
             new_mat = np.zeros((n, n), dtype=complex)
@@ -771,34 +777,48 @@ class ReducedHamiltonian:
             mats.append(new_mat)
         self.cells = new_cells
         self.Hbb = mats[0]
-        self.Hbb_controls = tuple(mats[1:])
+        self._control_blocks = tuple(mats[1:])
         return added
 
     # -- application ------------------------------------------------------------
 
+    @property
+    def Hbb_controls(self):
+        """One block per control term; terms sharing a block share the array."""
+        return tuple(self._control_blocks[g] for g in self._group_of)
+
     def combined(self, controls=()) -> np.ndarray:
-        """Drift plus signal-scaled control matrices."""
-        h = self.Hbb
-        for u, hc in zip(controls, self.Hbb_controls):
-            if u:
-                h = h + u * hc
+        """Drift plus signal-scaled control matrices, ``Hbb + sum_g u_g H_g``.
+
+        ``controls`` holds one signal per control term; the signals of terms
+        that share a block are summed first.  With every signal zero this
+        returns ``Hbb`` itself.  Otherwise the result is written into one
+        buffer owned by this object and reused: it is valid until the next
+        call, and must not be modified.
+        """
+        weights = [0.0] * len(self._control_blocks)
+        for u, g in zip(controls, self._group_of):
+            weights[g] += u
+        terms = [(w, hc) for w, hc in zip(weights, self._control_blocks) if w]
+        if not terms:
+            return self.Hbb
+        if self._buffer is None or self._buffer.shape != self.Hbb.shape:
+            self._buffer = np.empty_like(self.Hbb)
+        h = self._buffer
+        (w, hc), *rest = terms
+        np.multiply(hc, w, out=h)
+        h += self.Hbb
+        for w, hc in rest:
+            h += w * hc
         return h
 
     def cache_stats(self):
-        return cache_totals(self)
-
-
-def cache_totals(*hamiltonians) -> dict:
-    """Element-cache counters summed over the distinct caches in use."""
-    seen = {}
-    for ham in hamiltonians:
-        for c in ham.caches:
-            seen[id(c)] = c.stats
-    out = {"hits": 0, "misses": 0, "stored": 0}
-    for s in seen.values():
-        for k in out:
-            out[k] += s[k]
-    return out
+        """Element-cache counters summed over the distinct caches in use."""
+        out = {"hits": 0, "misses": 0, "stored": 0}
+        for c in {id(c): c for c in self.caches}.values():
+            for k, v in c.stats.items():
+                out[k] += v
+        return out
 
 
 def apply_reduced(stilde: np.ndarray, hbb: np.ndarray, psi: np.ndarray) -> np.ndarray:

@@ -476,13 +476,27 @@ class ReducedBasis:
 
 
 def _fresh_inverse(sinv: np.ndarray, n: int, cond_limit: float = 1e12) -> np.ndarray:
-    cond = float(np.linalg.cond(sinv)) if n else 1.0
+    """Inverse of the reduced overlap by Cholesky, with a conditioning check.
+
+    The check uses the 1-norm condition number ``||S||_1 ||S^-1||_1``, read
+    off the overlap and its inverse in O(n^2).  For a Hermitian matrix the
+    1-norm bounds the 2-norm from above, so this never passes a matrix whose
+    2-norm condition number exceeds ``cond_limit``.  A failed factorization
+    (not positive definite) counts as infinitely ill-conditioned.
+    """
+    try:
+        cho = scipy.linalg.cho_factor(sinv)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedBasisError(
+            f"reduced overlap of {n} cells is not positive definite",
+            cond=math.inf, size=n) from exc
+    inv = _hermitize(scipy.linalg.cho_solve(cho, np.eye(n, dtype=complex)))
+    cond = float(np.linalg.norm(sinv, 1) * np.linalg.norm(inv, 1))
     if not np.isfinite(cond) or cond > cond_limit:
         raise IllConditionedBasisError(
             f"reduced overlap of {n} cells is ill-conditioned (cond ~ {cond:.2e})",
             cond=cond, size=n)
-    cho = scipy.linalg.cho_factor(sinv)
-    return _hermitize(scipy.linalg.cho_solve(cho, np.eye(n, dtype=complex)))
+    return inv
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from vngrid.cli import EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK, main
+from vngrid.cli import (EXIT_CONFIG, EXIT_DEGENERATE_BASIS, EXIT_NO_CONVERGENCE,
+                        EXIT_OK, EXIT_OTHER, main)
 
 
 def _write(tmp_path, name, payload):
@@ -172,10 +173,8 @@ def test_tise_helium_meta_reports_cache_and_sop(tmp_path):
     _assert_cache_and_sop(meta, 60)
 
 
-def test_tdse_helium_desk_scale(tmp_path):
-    # two-axis driven run: completes, reduction ratio reported below 0.5
-    out = str(tmp_path / "run")
-    cfg = {
+def _helium_tdse_cfg(out):
+    return {
         "grid": [{"L": 15.0, "N": 60}, {"L": 15.0, "N": 60}],
         "lattice": [{"Nx": 5, "Np": 12}, {"Nx": 5, "Np": 12}],
         "model": {"name": "helium1d"},
@@ -189,15 +188,125 @@ def test_tdse_helium_desk_scale(tmp_path):
             ]}},
         "output": {"directory": out, "snapshot_every": 100},
     }
-    assert main(["tdse", _write(tmp_path, "he.json", cfg)]) == EXIT_OK
-    meta = json.load(open(os.path.join(out, "run_meta.json")))
+
+
+@pytest.fixture(scope="module")
+def he_tdse_run(tmp_path_factory):
+    """Output directory of one driven helium ``tdse`` run."""
+    tmp = tmp_path_factory.mktemp("he_tdse")
+    out = str(tmp / "run")
+    assert main(["tdse", _write(tmp, "he.json", _helium_tdse_cfg(out))]) == EXIT_OK
+    return out
+
+
+def test_tdse_helium_desk_scale(he_tdse_run):
+    # two-axis driven run: completes, reduction ratio reported below 0.5
+    meta = json.load(open(os.path.join(he_tdse_run, "run_meta.json")))
     assert meta["completed"] is True
     assert meta["reduction_ratio"] < 0.5
     assert abs(meta["norm_final"] - 1.0) < 1e-6
     _assert_cache_and_sop(meta, 60)
 
 
+def test_tdse_propagates_in_the_ground_state_objects(tmp_path, monkeypatch):
+    # the propagator takes over the eigenmode search's basis and blocks
+    import vngrid.dynamics as dynamics
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("tdse rebuilt the reduced Hamiltonian")
+
+    monkeypatch.setattr(dynamics, "ReducedHamiltonian", no_rebuild)
+    out = str(tmp_path / "run")
+    cfg = _harmonic_cfg(out, tdse={"t_span": [0.0, 0.5], "zeta": 1e-6})
+    assert main(["--debug", "tdse", _write(tmp_path, "cfg.json", cfg)]) == EXIT_OK
+
+
 def test_bench_runs(capsys):
     assert main(["bench", "--seed", "7"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "speedup" in out and "block inverse" in out
+
+
+def _meta_without_timings(path):
+    meta = json.load(open(path))
+    meta.pop("timings")
+    return meta
+
+
+def test_tdse_outputs_byte_identical_across_runs(he_tdse_run, tmp_path):
+    # the driven run reuses one buffer for its generator; repeated runs of
+    # one config must still write the same bytes (run_meta: all but timings)
+    out = str(tmp_path / "again")
+    path = _write(tmp_path, "he.json", _helium_tdse_cfg(he_tdse_run))
+    assert main(["tdse", path, "--out", out]) == EXIT_OK
+    names = sorted(os.listdir(he_tdse_run))
+    assert names == sorted(os.listdir(out))
+    assert "pulse.csv" in names and "snapshot_001.csv" in names
+    for name in names:
+        a, b = os.path.join(he_tdse_run, name), os.path.join(out, name)
+        if name == "run_meta.json":
+            assert _meta_without_timings(a) == _meta_without_timings(b)
+        else:
+            assert open(a, "rb").read() == open(b, "rb").read(), name
+
+
+def test_even_by_even_lattice_exits_degenerate_basis(tmp_path):
+    # a critical 6 x 10 lattice has an exactly singular Gaussian overlap
+    for command, solver, flag in (("tise", {}, "converged"),
+                                  ("tdse", {"t_span": [0.0, 0.1]}, "completed")):
+        out = str(tmp_path / command)
+        cfg = _harmonic_cfg(out, **{command: solver})
+        cfg["lattice"] = [{"Nx": 6, "Np": 10}]
+        path = _write(tmp_path, "even.json", cfg)
+        assert main([command, path]) == EXIT_DEGENERATE_BASIS
+        meta = json.load(open(os.path.join(out, "run_meta.json")))
+        assert meta[flag] is False
+        assert "ill-conditioned" in meta["error"]
+
+
+def test_mid_propagation_update_failure_exits_degenerate_basis(tmp_path,
+                                                               monkeypatch):
+    # the ground state is prepared at a coarser cutoff, so propagation grows
+    # the basis at once; the second growth fails
+    import vngrid.reduced_space as reduced_space
+    import vngrid.solvers as solvers
+    from vngrid.errors import DegenerateUpdateError
+
+    real_grow = reduced_space.grow_inverse
+    calls = []
+
+    def failing_grow(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise DegenerateUpdateError("injected Schur failure")
+        return real_grow(*args)
+
+    real_tise = solvers.tise_adaptive
+
+    def tise_then_fail(*args, **kwargs):
+        res = real_tise(*args, **kwargs)
+        monkeypatch.setattr(reduced_space, "grow_inverse", failing_grow)
+        return res
+
+    monkeypatch.setattr(solvers, "tise_adaptive", tise_then_fail)
+    out = str(tmp_path / "run")
+    cfg = _harmonic_cfg(out, tdse={"t_span": [0.0, 1.0], "tau0": 0.05,
+                                   "zeta": 1e-6, "initial_zeta": 1e-2})
+    assert main(["tdse", _write(tmp_path, "cfg.json", cfg)]) == \
+        EXIT_DEGENERATE_BASIS
+    meta = json.load(open(os.path.join(out, "run_meta.json")))
+    assert meta["completed"] is False
+    assert meta["error"] == "injected Schur failure"
+    assert meta["events"][0][1:] == ["basis", "+10 -0 cells"]
+
+
+def test_debug_reraises_unexpected_errors(monkeypatch):
+    import vngrid.cli as cli
+
+    def broken(args):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    assert main(["validate"]) == EXIT_OTHER
+    with pytest.raises(RuntimeError, match="unexpected"):
+        main(["--debug", "validate"])

@@ -260,3 +260,68 @@ def test_fixed_basis_norm_conservation(dw_model, rng):
     for _ in range(100):
         psi = taylor_step(h1, psi, 0.05, cfg).psi
     assert abs(rb.physical_norm(psi) - 1.0) <= 100 * 1e-10
+
+
+# -- handing over the ground state's basis and Hamiltonian -------------------------
+
+def _driven_helium(he_model):
+    from vngrid import models
+
+    pos = models.position_coupling(he_model.grids)
+    spec = dataclasses.replace(
+        he_model.spec,
+        control_terms=(pos, pos, momentum_coupling(he_model.grids)))
+    pulses = (ControlPulse.table([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]),
+              ControlPulse.xuv(0.5, 0.5, 0.2),
+              ControlPulse.table([0.0, 0.3, 0.6, 1.0], [0.0, 1.0, 0.0, 0.0]))
+    ground = tise_adaptive(spec, he_model.product,
+                           TiseConfig(zeta=1e-2, n_modes=1))
+    return spec, pulses, ground
+
+
+def test_handoff_matches_fresh_build(he_model, monkeypatch):
+    # two axes, two pulses sharing one coupling, and basis changes on the way
+    import vngrid.dynamics as dynamics
+
+    spec, pulses, ground = _driven_helium(he_model)
+    cfg = PropagationConfig(zeta=1e-2, tau0=0.02, snapshot_every=0)
+    args = (spec, he_model.product, ground.eigenvectors[:, 0],
+            ground.final_cells, (0.0, 1.0))
+    fresh = tdse_adaptive(*args, pulses=pulses, cfg=cfg)
+    assert sum(kind == "basis" for _, kind, _ in fresh.events) > 0
+
+    def no_rebuild(*a, **k):
+        raise AssertionError("handed-over objects must not be rebuilt")
+
+    monkeypatch.setattr(dynamics, "ReducedHamiltonian", no_rebuild)
+    monkeypatch.setattr(dynamics.ReducedBasis, "create", no_rebuild)
+    handed = tdse_adaptive(*args, pulses=pulses, cfg=cfg,
+                           basis=ground.reduced_basis,
+                           hamiltonian=ground.hamiltonian)
+    assert handed.hamiltonian is ground.hamiltonian
+    assert ground.reduced_basis.cells == handed.final_cells
+    np.testing.assert_array_equal(handed.times, fresh.times)
+    np.testing.assert_array_equal(handed.n_active, fresh.n_active)
+    assert handed.final_cells == fresh.final_cells
+    assert np.abs(handed.norms - fresh.norms).max() <= 1e-12
+    assert np.abs(handed.final_coefficients
+                  - fresh.final_coefficients).max() <= 1e-12
+
+
+def test_handoff_mismatch_rejected(dw_model):
+    res = tise_adaptive(dw_model.spec, dw_model.product,
+                        TiseConfig(zeta=1e-6, n_modes=1))
+    psi = res.eigenvectors[:, 0]
+    other = CellSet(res.final_cells.indices[1:])
+    with pytest.raises(ValueError, match="handed-over basis"):
+        tdse_adaptive(dw_model.spec, dw_model.product, psi, other,
+                      (0.0, 0.1), basis=res.reduced_basis)
+    with pytest.raises(ValueError, match="handed-over Hamiltonian"):
+        tdse_adaptive(dw_model.spec, dw_model.product, psi, other,
+                      (0.0, 0.1), hamiltonian=res.hamiltonian)
+    driven = dataclasses.replace(
+        dw_model.spec, control_terms=(momentum_coupling(dw_model.grids),))
+    with pytest.raises(ValueError, match="handed-over Hamiltonian"):
+        tdse_adaptive(driven, dw_model.product, psi, res.final_cells,
+                      (0.0, 0.1), pulses=(ControlPulse.nir(0.1, 1.0),),
+                      hamiltonian=res.hamiltonian)

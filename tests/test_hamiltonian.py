@@ -360,3 +360,56 @@ def test_three_axis_assembly_matches_dense():
     ham = ReducedHamiltonian(spec, ProductBasis(pairs), cells)
     assert ham.caches[0] is ham.caches[2]
     assert np.abs(ham.Hbb - _dense_block(spec, pairs, cells)).max() <= 1e-11
+
+
+# -- control blocks shared between pulses -------------------------------------------
+
+def _two_position_pulses(model):
+    from vngrid.cli import _build_pulses
+
+    _, couplings = _build_pulses(
+        [{"kind": "nir", "amplitude": 0.1, "period": 2.0, "coupling": "position"},
+         {"kind": "xuv", "amplitude": 0.1, "period": 2.0, "sigma": 1.0,
+          "coupling": "position"},
+         {"kind": "nir", "amplitude": 0.1, "period": 2.0, "coupling": "position",
+          "scale": 2.0}],
+        model.grids)
+    return dataclasses.replace(model.spec, control_terms=tuple(couplings))
+
+
+def test_pulses_sharing_a_coupling_share_one_block(dw_model):
+    spec = _two_position_pulses(dw_model)
+    c = spec.control_terms
+    assert c[0] is c[1] and c[2] is not c[0]
+    rng = np.random.default_rng(4)
+    n = dw_model.pairs[0].n
+    cells = CellSet(np.sort(rng.choice(n, size=50, replace=False))[:, None])
+    ham = ReducedHamiltonian(spec, dw_model.product, cells)
+    blocks = ham.Hbb_controls
+    assert len(blocks) == 3 and blocks[0] is blocks[1]
+    np.testing.assert_allclose(blocks[2], 2.0 * blocks[0], rtol=0, atol=1e-12)
+    target = CellSet(np.sort(rng.choice(n, size=60, replace=False))[:, None])
+    ham.update(target)
+    assert ham.Hbb_controls[0] is ham.Hbb_controls[1]
+    scratch = ReducedHamiltonian(spec, dw_model.product, target)
+    assert np.abs(ham.Hbb_controls[0] - scratch.Hbb_controls[0]).max() <= 1e-12
+
+
+def test_combined_sums_shared_signals_in_a_reused_buffer(dw_model):
+    spec = _two_position_pulses(dw_model)
+    spec = dataclasses.replace(spec, control_terms=spec.control_terms[:2])
+    cells = CellSet(np.arange(0, dw_model.pairs[0].n, 3)[:, None])
+    ham = ReducedHamiltonian(spec, dw_model.product, cells)
+    hbb = ham.Hbb.copy()
+    hc = ham.Hbb_controls[0]
+    u1, u2 = 0.37, -0.81
+    h = ham.combined((u1, u2))
+    # equal up to the rounding of entries as large as Hbb's
+    ref = hbb + u1 * hc + u2 * hc
+    assert np.abs(h - ref).max() <= 1e-14 * np.abs(hbb).max()
+    assert np.array_equal(ham.Hbb, hbb)
+    # one signal: exactly the drift plus the scaled block
+    assert np.array_equal(ham.combined((u1, 0.0)), hbb + u1 * hc)
+    assert ham.combined((u2, 0.0)) is h            # the buffer is reused
+    assert ham.combined((0.0, 0.0)) is ham.Hbb
+    assert ham.combined() is ham.Hbb

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from vngrid.errors import DegenerateUpdateError
+from vngrid.errors import DegenerateUpdateError, IllConditionedBasisError
 from vngrid.fourier_grid import build_grid
 from vngrid.reduced_space import (CellSet, ProductBasis, ReducedBasis,
-                                  boundary_cells, coefficient_projector,
+                                  _fresh_inverse, boundary_cells, coefficient_projector,
                                   complementary_basis, embed_coefficients,
                                   expand_cells, grow_inverse, prune_cells,
                                   reduced_gaussians, restrict_basis,
@@ -136,6 +136,24 @@ def test_grow_inverse_rejects_degenerate(rng):
     d = a[:2, :2]
     with pytest.raises(DegenerateUpdateError):
         grow_inverse(ainv, c, d)
+
+
+def test_fresh_inverse_conditioning_check(rng):
+    a = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+    s = a @ a.conj().T + 30 * np.eye(30)
+    np.testing.assert_allclose(_fresh_inverse(s, 30) @ s, np.eye(30),
+                               atol=1e-12)
+    # the 1-norm condition number bounds the 2-norm one from above, so a
+    # matrix beyond the limit in the 2-norm is always rejected
+    q, _ = np.linalg.qr(a)
+    near = (q * np.logspace(0, -12.5, 30)) @ q.conj().T
+    with pytest.raises(IllConditionedBasisError) as err:
+        _fresh_inverse(0.5 * (near + near.conj().T), 30)
+    assert err.value.cond >= 10 ** 12.5 * (1 - 1e-6)
+    # not positive definite: the Cholesky factorization fails
+    with pytest.raises(IllConditionedBasisError) as err:
+        _fresh_inverse(np.diag([1.0, -1.0]).astype(complex), 2)
+    assert err.value.cond == np.inf
 
 
 def test_shrink_inverse_against_dense_oracle(rng):
