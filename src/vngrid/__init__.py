@@ -22,15 +22,14 @@ from .reduced_space import (CellSet, ProductBasis, ReducedBasis, boundary_cells,
                             prune_cells, reduced_gaussians, restrict_basis,
                             shrink_inverse)
 from .hamiltonian import (ElementCache, OperatorSpec, ReducedHamiltonian,
-                          SopFit, SopTerm, apply_H_grid, apply_reduced,
-                          assemble_reduced_hamiltonian, canonical_key,
+                          SopFit, SopTerm, apply_H_grid, canonical_key,
                           dense_grid_hamiltonian, potfit2, reduced_via_gaussians)
 from .solvers import (EigenResult, TiseConfig, lattice_potential,
                       reference_full_eig, seed_cells, solve_reduced_eig,
                       tise_adaptive)
 from .dynamics import (ControlPulse, PropagationConfig, Trajectory,
-                       expm_propagate, max_timestep, project_state, pulse_value,
-                       taylor_step, tdse_adaptive)
+                       expm_propagate, max_timestep, project_state, taylor_step,
+                       tdse_adaptive)
 from . import models
 
 __version__ = "0.1.0"

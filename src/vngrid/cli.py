@@ -111,6 +111,8 @@ def load_config(path: str) -> dict:
         resolved["solver"]["tise"] = dict(_TISE_DEFAULTS, **solver["tise"])
     else:
         tdse = dict(_TDSE_DEFAULTS, **solver["tdse"])
+        if not tdse["t_span"][0] < tdse["t_span"][1]:
+            raise ConfigError("at /solver/tdse/t_span: end must be after start")
         if tdse["initial_zeta"] is None:
             tdse["initial_zeta"] = tdse["zeta"]
         resolved["solver"]["tdse"] = tdse
@@ -133,7 +135,12 @@ def build_model(cfg: dict, controls=()):
     if m["name"] == "helium1d":
         return models.helium_1d(a0=m["a0"], sop_tolerance=m["sop_tolerance"], **kw)
     import numpy as np
+    from .errors import ConfigError
+
     table = np.loadtxt(m["file"], delimiter=",", ndmin=2)
+    if not np.all(np.isfinite(table)):
+        raise ConfigError(f"table potential file {m['file']} contains "
+                          f"non-finite values")
     return models.tabulated(table[:, 0], table[:, 1], mass=m["m"], **kw)
 
 
@@ -196,14 +203,17 @@ def write_heatmap_csv(path, lattices, cells, coeffs):
     """Amplitude raster over every lattice cell (inactive cells at zero)."""
     import numpy as np
 
-    amp = {cell: abs(c) for cell, c in zip(cells, np.asarray(coeffs))}
+    ranges = [range(lat.n_cells) for lat in lattices]
+    amp = np.zeros([len(r) for r in ranges])
+    # scalar abs per coefficient, not np.abs over the array: the two can
+    # differ in the last bit, and the CSV bytes stay fixed across versions
+    amp[tuple(cells.indices.T)] = [abs(c) for c in np.asarray(coeffs)]
     with open(path, "w") as fh:
         fh.write(",".join(_axis_names(len(lattices))) + ",amplitude\n")
-        ranges = [range(lat.n_cells) for lat in lattices]
         for combo in itertools.product(*ranges):
             pos = _cell_position(lattices, combo)
             fh.write(",".join(_fmt(v) for v in pos)
-                     + "," + _fmt(amp.get(combo, 0.0)) + "\n")
+                     + "," + _fmt(amp[combo]) + "\n")
 
 
 def _add_sop_meta(meta, model):
@@ -328,8 +338,8 @@ def cmd_tdse(args) -> int:
                              basis=ground.reduced_basis,
                              hamiltonian=ground.hamiltonian)
     except ConvergenceError as exc:
-        print(f"error: ground-state preparation failed: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return _fail(out_dir, dict(failed, n_history=[list(h) for h in exc.history]),
+                     exc, EXIT_NO_CONVERGENCE)
     except TimestepUnderflowError as exc:
         return _fail(out_dir, dict(failed, events=[list(e) for e in exc.events]),
                      exc, EXIT_TAU_UNDERFLOW)

@@ -169,6 +169,7 @@ class ControlPulse:
         return (self.times[0], self.times[-1])
 
     def value(self, t: float) -> float:
+        """Signal value at time ``t``."""
         s = t - self.t_on
         if self.kind == "nir":
             if not 0.0 <= s <= 4.0 * self.period:
@@ -204,11 +205,6 @@ class ControlPulse:
         t = np.linspace(t0, t1, n_samples)
         u = np.array([self.value(ti) for ti in t])
         return float(np.abs(np.gradient(u, t)).max())
-
-
-def pulse_value(pulse: ControlPulse, t: float) -> float:
-    """Signal value at time t (zero outside the pulse support)."""
-    return pulse.value(t)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +345,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
             lost += abs(norm_before ** 2 - norm_after ** 2)
             events.append((t, "basis", f"+{len(added)} -{len(removed)} cells"))
             if len(added):
-                watch_rows = np.array([new_cells.position(c) for c in added],
-                                      dtype=np.intp)
+                watch_rows = new_cells.matches(added)[0]
             psi = new_psi
             cells = new_cells
             quiet = 0

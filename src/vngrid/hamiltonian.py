@@ -756,12 +756,9 @@ class ReducedHamiltonian:
         entries are copied, so the result is identical to a from-scratch
         assembly (the cache guarantees value equality).
         """
-        old = self.cells
-        keep_new = new_cells.member_mask(old)
-        kept_rows_new = np.where(keep_new)[0]
-        old_rows = np.array([old.position(c) for c in new_cells if c in old],
-                            dtype=np.intp)
-        added_rows_new = np.where(~keep_new)[0]
+        old_rows, kept_rows_new = self.cells.matches(new_cells)
+        added_rows_new = np.setdiff1d(np.arange(len(new_cells)), kept_rows_new,
+                                      assume_unique=True)
         added = CellSet(new_cells.indices[added_rows_new], ndof=new_cells.ndof)
         mats = []
         for old_mat, factors in zip((self.Hbb, *self._control_blocks),
@@ -819,17 +816,6 @@ class ReducedHamiltonian:
             for k, v in c.stats.items():
                 out[k] += v
         return out
-
-
-def apply_reduced(stilde: np.ndarray, hbb: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Factored reduced-generator application ``Stilde @ (Hbb @ psi)``."""
-    return stilde @ (hbb @ psi)
-
-
-def assemble_reduced_hamiltonian(spec: OperatorSpec, product, cells: CellSet,
-                                 caches=None) -> ReducedHamiltonian:
-    """From-scratch reduced Hamiltonian over the given cells."""
-    return ReducedHamiltonian(spec, product, cells, caches=caches)
 
 
 def reduced_via_gaussians(spec: OperatorSpec, product, rb) -> np.ndarray:

@@ -44,12 +44,16 @@ def _hermitize(m):
 class CellSet:
     """Ordered set of lattice cells.
 
-    Cells are tuples of per-axis flat lattice indices (one entry per degree
-    of freedom); the canonical order is ascending lexicographic, which fixes
-    the layout of every reduced vector and matrix.
+    Cells are rows of per-axis flat lattice indices (one entry per degree of
+    freedom), all non-negative.  The canonical order is ascending
+    lexicographic, which fixes the layout of every reduced vector and
+    matrix.  Cells are compared by flat keys: each row raveled in C order
+    over one past the largest index on each axis, which keeps the
+    lexicographic order, so :meth:`matches` answers "which row of one set is
+    which row of another" with one sorted intersection.
     """
 
-    __slots__ = ("indices", "_pos")
+    __slots__ = ("indices",)
 
     def __init__(self, indices, ndof=None):
         arr = np.asarray(indices, dtype=np.intp)
@@ -61,16 +65,12 @@ class CellSet:
             raise ValueError("cell indices must form a (n, ndof) array")
         if ndof is not None and arr.shape[1] != ndof:
             raise ValueError(f"expected {ndof} indices per cell, got {arr.shape[1]}")
-        if arr.shape[0]:
-            order = np.lexsort(arr.T[::-1])
-            arr = arr[order]
-            dup = np.all(arr[1:] == arr[:-1], axis=1)
-            if np.any(dup):
-                arr = arr[np.concatenate([[True], ~dup])]
-        arr = np.ascontiguousarray(arr)
+        if np.any(arr < 0):
+            raise ValueError("cell indices must be non-negative")
+        _, first = np.unique(_keys(arr, _dims(arr)), return_index=True)
+        arr = np.ascontiguousarray(arr[first])
         arr.flags.writeable = False
         self.indices = arr
-        self._pos = {tuple(row): i for i, row in enumerate(arr)}
 
     def __len__(self):
         return self.indices.shape[0]
@@ -79,7 +79,7 @@ class CellSet:
         return (tuple(row) for row in self.indices)
 
     def __contains__(self, cell):
-        return tuple(cell) in self._pos
+        return len(self.matches(CellSet([cell], ndof=self.ndof))[0]) > 0
 
     def __eq__(self, other):
         return isinstance(other, CellSet) and np.array_equal(self.indices, other.indices)
@@ -92,18 +92,29 @@ class CellSet:
         return self.indices.shape[1]
 
     def position(self, cell):
-        return self._pos[tuple(cell)]
+        rows, _ = self.matches(CellSet([cell], ndof=self.ndof))
+        if not len(rows):
+            raise KeyError(tuple(cell))
+        return int(rows[0])
 
-    def union(self, other):
-        return CellSet(np.vstack([self.indices, other.indices]), ndof=self.ndof)
+    def matches(self, other: "CellSet"):
+        """Rows ``(i, j)``, both ascending, where ``self`` row ``i`` is
+        ``other`` row ``j``."""
+        dims = np.maximum(_dims(self.indices), _dims(other.indices))
+        _, i, j = np.intersect1d(_keys(self.indices, dims),
+                                 _keys(other.indices, dims),
+                                 assume_unique=True, return_indices=True)
+        return i, j
 
-    def difference(self, other):
-        keep = [row for row in self.indices if tuple(row) not in other._pos]
-        return CellSet(np.array(keep, dtype=np.intp).reshape(-1, self.ndof), ndof=self.ndof)
 
-    def member_mask(self, other):
-        """Boolean mask over ``self`` rows marking membership in ``other``."""
-        return np.array([tuple(row) in other._pos for row in self.indices], dtype=bool)
+def _dims(rows):
+    """One past the largest index on each axis (at least 1)."""
+    return rows.max(axis=0, initial=0) + 1
+
+
+def _keys(rows, dims):
+    """Flat C-order keys of non-negative index rows within ``dims``."""
+    return np.ravel_multi_index(tuple(rows.T), dims)
 
 
 def _shapes(lattices):
@@ -174,24 +185,17 @@ def boundary_mask(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS) -> n
     coords = _coords(cells, shapes)
     nbr = coords[:, None, :] + offs[None, :, :]          # (n, m, 2d)
     outside = np.zeros(nbr.shape[:2], dtype=bool)
-    flat = np.zeros(nbr.shape[:2], dtype=np.intp)
-    stride = 1
-    for k in reversed(range(d)):
-        nx, np_ = shapes[k]
+    per_axis = []
+    for k, (nx, np_) in enumerate(shapes):
         a = np.mod(nbr[:, :, 2 * k], nx)
         b = nbr[:, :, 2 * k + 1]
         outside |= (b < 0) | (b >= np_)
-        flat += (a * np_ + np.clip(b, 0, np_ - 1)) * stride
-        stride *= nx * np_
-    occupied = np.zeros(stride, dtype=bool)
-    own = np.zeros(len(cells), dtype=np.intp)
-    s = 1
-    for k in reversed(range(d)):
-        nx, np_ = shapes[k]
-        own += cells.indices[:, k] * s
-        s *= nx * np_
-    occupied[own] = True
-    return np.any(outside | ~occupied[flat], axis=1)
+        per_axis.append(a * np_ + np.clip(b, 0, np_ - 1))
+    dims = [nx * np_ for nx, np_ in shapes]
+    occupied = np.zeros(math.prod(dims), dtype=bool)
+    occupied[_keys(cells.indices, dims)] = True
+    return np.any(outside | ~occupied[np.ravel_multi_index(per_axis, dims)],
+                  axis=1)
 
 
 def boundary_cells(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS) -> CellSet:
@@ -226,14 +230,10 @@ def embed_coefficients(vec, old_cells: CellSet, new_cells: CellSet):
     the coefficients of removed cells, for discarded-amplitude accounting.
     """
     vec = np.asarray(vec)
+    i, j = old_cells.matches(new_cells)
     new_vec = np.zeros(len(new_cells), dtype=vec.dtype)
-    dropped = []
-    for i, cell in enumerate(old_cells):
-        if cell in new_cells:
-            new_vec[new_cells.position(cell)] = vec[i]
-        else:
-            dropped.append(vec[i])
-    return new_vec, np.asarray(dropped, dtype=vec.dtype)
+    new_vec[j] = vec[i]
+    return new_vec, np.delete(vec, i)
 
 
 # ---------------------------------------------------------------------------
@@ -438,25 +438,26 @@ class ReducedBasis:
         the current inverse; addition factorizes only the added block.
         """
         old = self.cells
-        removed = old.difference(new_cells)
-        added = new_cells.difference(old)
+        i, j = old.matches(new_cells)
+        fresh = np.setdiff1d(np.arange(len(new_cells)), j, assume_unique=True)
+        removed = CellSet(np.delete(old.indices, i, axis=0), ndof=old.ndof)
+        added = CellSet(new_cells.indices[fresh], ndof=old.ndof)
         if len(removed) == 0 and len(added) == 0:
             self.cells = new_cells
             return added, removed
-        keep_mask = old.member_mask(new_cells)
-        kept = CellSet(old.indices[keep_mask], ndof=old.ndof)
-        if len(kept) == 0 and len(added) == 0:
+        if len(i) == 0 and len(added) == 0:
             raise DegenerateUpdateError("cannot reduce to an empty cell set")
 
         stilde = self.Stilde
         if len(removed):
-            stilde = shrink_inverse(stilde, np.where(keep_mask)[0])
+            stilde = shrink_inverse(stilde, i)
         if len(added):
+            kept = CellSet(old.indices[i], ndof=old.ndof)
             c_blk = self.product.overlap(kept, added)
             d_blk = _hermitize(self.product.overlap(added, added))
             grown = grow_inverse(stilde, c_blk, d_blk)
-            stacked = np.vstack([kept.indices, added.indices])
-            perm = np.lexsort(stacked.T[::-1])
+            # grown rows are the kept cells, then the added ones
+            perm = np.argsort(np.concatenate([j, fresh]))
             stilde = grown[np.ix_(perm, perm)]
 
         self.cells = new_cells
@@ -525,8 +526,8 @@ def complementary_basis(pair: BasisPair, cells: CellSet):
     are exactly orthogonal to the retained dual vectors.  ``Bbar`` is the
     right pseudo-inverse family ``Gbar (Gbar^H Gbar)^-1``.
     """
-    out = [i for i in range(pair.n) if (i,) not in cells]
-    if not out:
+    out = np.setdiff1d(np.arange(pair.n), cells.indices[:, 0])
+    if not out.size:
         raise ValueError("complement of the full cell set is empty")
     Gbar = pair.G[:, out]
     gram = _hermitize(Gbar.conj().T @ Gbar)

@@ -95,6 +95,40 @@ def test_nonconvergence_exit_code(tmp_path):
     assert meta["converged"] is False and meta["n_history"]
 
 
+def test_tdse_ground_state_nonconvergence_writes_meta(tmp_path, monkeypatch):
+    import vngrid.solvers as solvers
+    from vngrid.errors import ConvergenceError
+
+    def no_ground_state(*args, **kwargs):
+        raise ConvergenceError("injected", history=[(4, 0.5)])
+
+    monkeypatch.setattr(solvers, "tise_adaptive", no_ground_state)
+    out = str(tmp_path / "run")
+    cfg = _harmonic_cfg(out, tdse={"t_span": [0.0, 1.0]})
+    assert main(["tdse", _write(tmp_path, "cfg.json", cfg)]) == EXIT_NO_CONVERGENCE
+    meta = json.load(open(os.path.join(out, "run_meta.json")))
+    assert meta["completed"] is False
+    assert meta["n_history"] == [[4, 0.5]]
+    assert meta["error"] == "injected"
+
+
+def test_empty_or_reversed_t_span_is_config_error(tmp_path, capsys):
+    for t_span in ([1.0, 0.0], [0.5, 0.5]):
+        cfg = _harmonic_cfg(str(tmp_path / "run"), tdse={"t_span": t_span})
+        assert main(["tdse", _write(tmp_path, "cfg.json", cfg)]) == EXIT_CONFIG
+        assert "t_span" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
+def test_nonfinite_table_potential_is_config_error(tmp_path, capsys):
+    table = tmp_path / "v.csv"
+    table.write_text("-10,50\n0,nan\n10,50\n")
+    cfg = _harmonic_cfg(str(tmp_path / "run"), tise={})
+    cfg["model"] = {"name": "table", "file": str(table)}
+    assert main(["tise", _write(tmp_path, "cfg.json", cfg)]) == EXIT_CONFIG
+    assert str(table) in capsys.readouterr().err
+
+
 def test_tdse_run_and_norm_column(tmp_path):
     out = str(tmp_path / "run")
     cfg = _harmonic_cfg(out, tdse={"t_span": [0.0, 3.0], "tau0": 0.05,

@@ -7,7 +7,7 @@ import scipy.linalg
 from vngrid import models
 from vngrid.fourier_grid import build_grid
 from vngrid.hamiltonian import (OperatorSpec, ReducedHamiltonian, SopTerm,
-                                apply_H_grid, apply_reduced, canonical_key,
+                                apply_H_grid, canonical_key,
                                 dense_grid_hamiltonian, kinetic_matrix,
                                 potfit2, reduced_via_gaussians, sop_table)
 from vngrid.reduced_space import CellSet, ProductBasis, ReducedBasis
@@ -231,7 +231,7 @@ def test_apply_reduced_and_both_routes(dw_model, rng):
     cells = CellSet(np.sort(rng.choice(pair.n, size=24, replace=False))[:, None])
     rb = ReducedBasis.create(dw_model.product, cells)
     ham = ReducedHamiltonian(dw_model.spec, dw_model.product, cells)
-    assert np.all(apply_reduced(rb.Stilde, ham.Hbb, np.zeros(24)) == 0.0)
+    assert np.all(rb.Stilde @ (ham.Hbb @ np.zeros(24)) == 0.0)
     h1_direct = rb.Stilde @ ham.Hbb
     h1_gauss = reduced_via_gaussians(dw_model.spec, dw_model.product, rb)
     assert np.abs(h1_direct - h1_gauss).max() <= 1e-8

@@ -38,6 +38,49 @@ def test_cellset_canonical_order_and_dedup():
     assert [tuple(r) for r in cs2.indices] == [(1, 2), (1, 9), (2, 1)]
 
 
+@pytest.mark.parametrize("ndof", [1, 2, 3])
+def test_cellset_matches(ndof, rng):
+    def random_set(n, hi):
+        raw = rng.integers(0, hi, size=(n, ndof))
+        cs = CellSet(raw, ndof=ndof)
+        assert list(cs) == sorted(set(map(tuple, raw.tolist())))
+        return cs
+
+    a = random_set(30, 5)
+    empty = CellSet(np.zeros((0, ndof)), ndof=ndof)
+    cases = [(a, random_set(25, 5)), (a, random_set(40, 9)),
+             (random_set(40, 9), a), (a, a), (a, empty), (empty, a),
+             (a, CellSet(a.indices + 5, ndof=ndof))]
+    for old, new in cases:
+        pos = {cell: k for k, cell in enumerate(new)}
+        i, j = old.matches(new)
+        assert i.tolist() == [k for k, cell in enumerate(old) if cell in pos]
+        assert j.tolist() == [pos[cell] for cell in old if cell in pos]
+        vec = rng.normal(size=len(old)) + 1j * rng.normal(size=len(old))
+        out, dropped = embed_coefficients(vec, old, new)
+        expect = np.zeros(len(new), dtype=complex)
+        for k, cell in enumerate(old):
+            if cell in pos:
+                expect[pos[cell]] = vec[k]
+        assert np.array_equal(out, expect)
+        assert np.array_equal(dropped, [v for v, cell in zip(vec, old)
+                                        if cell not in pos])
+        for cell in old:
+            assert (cell in new) == (cell in pos)
+            if cell in pos:
+                assert new.position(cell) == pos[cell]
+            else:
+                with pytest.raises(KeyError):
+                    new.position(cell)
+
+
+def test_cellset_rejects_negative_indices():
+    with pytest.raises(ValueError, match="non-negative"):
+        CellSet([[-1]])
+    with pytest.raises(ValueError, match="non-negative"):
+        CellSet([[0, 3], [2, -4]], ndof=2)
+
+
 def test_expand_cells_moore_neighborhood():
     # single interior cell, radius sqrt(2): 3x3 block of 9 cells
     g = build_grid(10.0, 40)
@@ -262,18 +305,23 @@ def test_coefficient_projector(pair60, rng):
     assert rank == 15
 
 
-def test_incremental_updates_match_fresh(pair60, rng):
-    product = ProductBasis(pair60)
-    cells = CellSet(np.sort(rng.choice(pair60.n, size=22, replace=False))[:, None])
-    rb = ReducedBasis.create(product, cells)
+@pytest.mark.parametrize("ndof", [1, 2])
+def test_incremental_updates_match_fresh(ndof, pair48, pair60, rng):
+    # on two axes the kept and added rows interleave in the canonical order
+    product = ProductBasis(pair60) if ndof == 1 else ProductBasis((pair48,) * 2)
+    universe = [tuple(c) for c in product.all_cells().indices.tolist()]
+    start = rng.choice(len(universe), size=22, replace=False)
+    rb = ReducedBasis.create(product, CellSet([universe[k] for k in start],
+                                              ndof=ndof))
     for step in range(20):
-        current = {i for (i,) in rb.cells}
-        outside = [i for i in range(pair60.n) if i not in current]
-        add = rng.choice(outside, size=3, replace=False)
-        drop = rng.choice(sorted(current), size=2, replace=False)
-        new = sorted((current - set(drop.tolist())) | set(add.tolist()))
-        added, removed = rb.update(CellSet(np.asarray(new)[:, None]))
-        assert len(added) and len(removed)
+        current = set(map(tuple, rb.cells.indices.tolist()))
+        outside = [c for c in universe if c not in current]
+        add = [outside[k] for k in rng.choice(len(outside), size=3, replace=False)]
+        inside = sorted(current)
+        drop = [inside[k] for k in rng.choice(len(inside), size=2, replace=False)]
+        new = sorted((current - set(drop)) | set(add))
+        added, removed = rb.update(CellSet(new, ndof=ndof))
+        assert sorted(added) == sorted(add) and sorted(removed) == sorted(drop)
         fresh = np.linalg.inv(rb.Sinv_tilde)
         assert np.abs(rb.Stilde - fresh).max() < 1e-8
         assert np.abs(rb.Stilde @ rb.Sinv_tilde - np.eye(rb.n)).max() < 1e-8
