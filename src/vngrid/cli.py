@@ -137,7 +137,13 @@ def build_model(cfg: dict, controls=()):
     import numpy as np
     from .errors import ConfigError
 
-    table = np.loadtxt(m["file"], delimiter=",", ndmin=2)
+    try:
+        table = np.loadtxt(m["file"], delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read table potential file {m['file']}: "
+                          f"{exc}") from exc
+    if table.shape[1] < 2:
+        raise ConfigError(f"table potential file {m['file']} needs x,V columns")
     if not np.all(np.isfinite(table)):
         raise ConfigError(f"table potential file {m['file']} contains "
                           f"non-finite values")

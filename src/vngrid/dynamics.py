@@ -10,6 +10,19 @@ terminated once the coefficient norm of the latest term drops below a tail
 cutoff.  If the series has not converged after the configured maximum
 number of terms, the step is declared too large and the caller halves it.
 
+With control signals ``u_g`` the generator is ``Stilde (Hbb + sum_g u_g H_g)``.
+Each term applies it either factored, as two matrix-vector products
+``Stilde @ (H @ v)``, or staged, as one product ``G(u) @ v`` with
+``G(u) = G_0 + sum_g u_g G_g``, ``G_0 = Stilde Hbb`` and ``G_g = Stilde H_g``
+formed once per cell set (:meth:`ReducedHamiltonian.generator`).  With ``b``
+one plus the number of distinct control blocks, staging costs ``b n^3``
+multiply-adds, as many as ``b n`` matrix-vector products, and it is dropped
+at every basis change.  The initial cell set is staged at once; after a
+basis change the factored form runs until the Taylor terms on the new cell
+set reach ``b n``, and the set is staged then.  On any stretch between
+basis changes this costs at most twice the cheaper of the two forms, and
+the choice depends on term counts only, so runs stay deterministic.
+
 The step controller combines three limits:
 
 * a hard cap derived from the control-signal slope,
@@ -300,13 +313,26 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
     t = t0
     cells = cells0
     accepted = 0
+    bmask = boundary_mask(cells, lattices, cfg.radius)
+    # staged generator and when to form it: see the module docstring
+    blocks = 1 + len({id(hc) for hc in ham.Hbb_controls})
+    staged = ham.generator(rb.Stilde)
+    terms_here = 0            # Taylor terms run on the current cell set
 
     while t < t_end - 1e-12 and (max_steps is None or accepted < max_steps):
         tau_eff = min(tau, t_end - t)
         u_mid = tuple(p.value(t + 0.5 * tau_eff) for p in pulses)
-        h_now = ham.combined(u_mid)
-        stilde = rb.Stilde
-        step = taylor_step(lambda v: stilde @ (h_now @ v), psi, tau_eff, cfg)
+        if staged is None and terms_here >= blocks * rb.n:
+            staged = ham.generator(rb.Stilde)
+        if staged is not None:
+            g_now = staged.combined(u_mid)
+            apply_h1 = lambda v: g_now @ v
+        else:
+            h_now = ham.combined(u_mid)
+            stilde = rb.Stilde
+            apply_h1 = lambda v: stilde @ (h_now @ v)
+        step = taylor_step(apply_h1, psi, tau_eff, cfg)
+        terms_here += step.terms
         if step.too_large:
             tau = _shrink(tau, cfg, events, t, "series")
             quiet = 0
@@ -328,7 +354,6 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
         norms.append(rb.physical_norm(psi))
         discarded.append(lost)
 
-        bmask = boundary_mask(cells, lattices, cfg.radius)
         hot = bool(bmask.any() and np.abs(psi[bmask]).max() >= cfg.zeta)
         if hot:
             kept = prune_cells(cells, np.abs(psi), cfg.zeta)
@@ -348,6 +373,9 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
                 watch_rows = new_cells.matches(added)[0]
             psi = new_psi
             cells = new_cells
+            bmask = boundary_mask(cells, lattices, cfg.radius)
+            staged = None
+            terms_here = 0
             quiet = 0
         elif quiet >= cfg.growth_patience:
             grown = tau * cfg.growth_factor

@@ -46,6 +46,7 @@ column indices of each axis, from which the block's columns are gathered.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -628,10 +629,14 @@ class ElementCache:
 class ReducedHamiltonian:
     """Hermitian ``Btilde^H H Btilde`` blocks, maintained incrementally.
 
-    Holds the drift matrix and one matrix per control coupling; applying
-    the reduced generator to a coefficient vector is the factored product
-    ``Stilde @ (Hbb @ psi)`` (two matrix-vector products, never a
-    matrix-matrix product).
+    Holds the drift matrix and one matrix per control coupling.  The
+    reduced generator applied to a coefficient vector is
+    ``Stilde @ (Hbb @ psi)``, either factored (two matrix-vector products)
+    or staged: :meth:`generator` left-multiplies every distinct block by
+    ``Stilde`` once (one matrix-matrix product per block), and
+    :meth:`combined` of the staged copy then gives
+    ``Stilde (Hbb + sum_g u_g H_g)`` for one matrix-vector product per
+    application.
 
     Every operator is held as a rank expansion ``sum_r prod_k F_r^(k)`` of
     per-axis element tables over the whole lattice: the one-axis terms of
@@ -808,6 +813,20 @@ class ReducedHamiltonian:
         for w, hc in rest:
             h += w * hc
         return h
+
+    def generator(self, stilde: np.ndarray) -> "ReducedHamiltonian":
+        """Read-only copy with every distinct block left-multiplied by ``stilde``.
+
+        The copy keeps this object's block layout and signal grouping, so
+        its :meth:`combined` gives ``stilde (Hbb + sum_g u_g H_g)``.  It is
+        valid for the current cell set only and must not be updated.
+        """
+        staged = copy.copy(self)
+        staged.Hbb = stilde @ self.Hbb
+        staged._control_blocks = tuple(stilde @ hc
+                                       for hc in self._control_blocks)
+        staged._buffer = None
+        return staged
 
     def cache_stats(self):
         """Element-cache counters summed over the distinct caches in use."""

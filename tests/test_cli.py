@@ -129,6 +129,19 @@ def test_nonfinite_table_potential_is_config_error(tmp_path, capsys):
     assert str(table) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [None, "-10,50\n0,low\n10,50\n",
+                                     "-10\n0\n10\n"],
+                         ids=["missing", "non-numeric", "one-column"])
+def test_unreadable_table_potential_is_config_error(tmp_path, capsys, content):
+    table = tmp_path / "v.csv"
+    if content is not None:
+        table.write_text(content)
+    cfg = _harmonic_cfg(str(tmp_path / "run"), tise={})
+    cfg["model"] = {"name": "table", "file": str(table)}
+    assert main(["tise", _write(tmp_path, "cfg.json", cfg)]) == EXIT_CONFIG
+    assert str(table) in capsys.readouterr().err
+
+
 def test_tdse_run_and_norm_column(tmp_path):
     out = str(tmp_path / "run")
     cfg = _harmonic_cfg(out, tdse={"t_span": [0.0, 3.0], "tau0": 0.05,

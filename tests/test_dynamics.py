@@ -178,6 +178,28 @@ def test_ground_state_is_stationary(dw_model):
     assert np.abs(traj.norms - 1.0).max() < 1e-8
 
 
+def test_zero_amplitude_pulse_matches_field_free_run(dw_model):
+    # a zero-slope pulse sets no tau cap, and zero signals run the drift alone
+    from vngrid import models
+
+    res = tise_adaptive(dw_model.spec, dw_model.product,
+                        TiseConfig(zeta=1e-6, n_modes=1))
+    driven = dataclasses.replace(
+        dw_model.spec, control_terms=(models.position_coupling(dw_model.grids),))
+    cfg = PropagationConfig(zeta=1e-6, tau0=0.05, snapshot_every=0)
+    args = (dw_model.product, res.eigenvectors[:, 0], res.final_cells,
+            (0.0, 5.0))
+    free = tdse_adaptive(dw_model.spec, *args, cfg=cfg)
+    zero = tdse_adaptive(driven, *args, pulses=(ControlPulse.nir(0.0, 11.0),),
+                         cfg=cfg)
+    np.testing.assert_array_equal(zero.times, free.times)
+    np.testing.assert_array_equal(zero.taus, free.taus)
+    np.testing.assert_array_equal(zero.n_active, free.n_active)
+    assert zero.final_cells == free.final_cells
+    assert np.abs(zero.final_coefficients
+                  - free.final_coefficients).max() <= 1e-12
+
+
 def _align(cells_a, vec_a, cells_b, vec_b):
     out = np.zeros(len(cells_b), dtype=complex)
     for i, cell in enumerate(cells_a):
@@ -324,3 +346,81 @@ def test_handoff_mismatch_rejected(dw_model):
         tdse_adaptive(driven, dw_model.product, psi, res.final_cells,
                       (0.0, 0.1), pulses=(ControlPulse.nir(0.1, 1.0),),
                       hamiltonian=res.hamiltonian)
+
+
+def _log_staging(monkeypatch):
+    """Record stagings, basis updates and Taylor term counts in call order."""
+    import vngrid.dynamics as dynamics
+    from vngrid.hamiltonian import ReducedHamiltonian
+
+    log = []    # ("stage" | "update", cell count) or ("terms", term count)
+    generator = ReducedHamiltonian.generator
+    update = ReducedHamiltonian.update
+    step = dynamics.taylor_step
+
+    def logged_generator(self, stilde):
+        log.append(("stage", len(self.cells)))
+        return generator(self, stilde)
+
+    def logged_update(self, new_cells):
+        log.append(("update", len(new_cells)))
+        return update(self, new_cells)
+
+    def logged_step(*args):
+        out = step(*args)
+        log.append(("terms", out.terms))
+        return out
+
+    monkeypatch.setattr(ReducedHamiltonian, "generator", logged_generator)
+    monkeypatch.setattr(ReducedHamiltonian, "update", logged_update)
+    monkeypatch.setattr(dynamics, "taylor_step", logged_step)
+    return log
+
+
+def _check_staging(log, n0, blocks, basis_events):
+    """Assert the staging rule; returns how many later cell sets were staged."""
+    assert log[0] == ("stage", n0)          # staged before the first step
+    sets = [(n0, [])]
+    for kind, value in log:
+        if kind == "update":
+            sets.append((value, []))
+        else:
+            sets[-1][1].append((kind, value))
+    assert len(sets) - 1 == basis_events
+    assert [k for k, _ in sets[0][1]].count("stage") == 1
+    restaged = 0
+    for n, entries in sets[1:]:
+        kinds = [k for k, _ in entries]
+        assert kinds.count("stage") <= 1
+        if "stage" in kinds:
+            ran = sum(v for k, v in entries[:kinds.index("stage")]
+                      if k == "terms")
+            assert ran >= blocks * n
+            restaged += 1
+    return restaged
+
+
+def test_generator_staged_once_per_cell_set_after_enough_terms(he_model,
+                                                              monkeypatch):
+    spec, pulses, ground = _driven_helium(he_model)
+    log = _log_staging(monkeypatch)
+    cfg = PropagationConfig(zeta=1e-2, tau0=0.02, snapshot_every=0)
+    traj = tdse_adaptive(spec, he_model.product, ground.eigenvectors[:, 0],
+                         ground.final_cells, (0.0, 1.0), pulses=pulses,
+                         cfg=cfg, basis=ground.reduced_basis,
+                         hamiltonian=ground.hamiltonian)
+    events = sum(k == "basis" for _, k, _ in traj.events)
+    assert events > 0
+    # drift, the shared position block and the momentum block
+    _check_staging(log, len(ground.final_cells), 3, events)
+
+
+def test_field_free_propagation_restages_long_lived_cell_sets(ho_model,
+                                                             monkeypatch):
+    cells, c0 = _coherent_initial(ho_model)
+    log = _log_staging(monkeypatch)
+    cfg = PropagationConfig(zeta=1e-6, tau0=0.05, snapshot_every=0)
+    traj = tdse_adaptive(ho_model.spec, ho_model.product, c0, cells,
+                         (0.0, 20.0), cfg=cfg)
+    events = sum(k == "basis" for _, k, _ in traj.events)
+    assert _check_staging(log, len(cells), 1, events) > 0

@@ -413,3 +413,30 @@ def test_combined_sums_shared_signals_in_a_reused_buffer(dw_model):
     assert ham.combined((u2, 0.0)) is h            # the buffer is reused
     assert ham.combined((0.0, 0.0)) is ham.Hbb
     assert ham.combined() is ham.Hbb
+
+
+def test_staged_generator_matches_factored_product(dw_model):
+    spec = _two_position_pulses(dw_model)
+    rng = np.random.default_rng(5)
+    n = dw_model.pairs[0].n
+    cells = CellSet(np.sort(rng.choice(n, size=50, replace=False))[:, None])
+    rb = ReducedBasis.create(dw_model.product, cells)
+    ham = ReducedHamiltonian(spec, dw_model.product, cells)
+    hbb = ham.Hbb.copy()
+    staged = ham.generator(rb.Stilde)
+    g0 = staged.Hbb
+    scale = np.abs(g0).max()
+    for u in ((), (0.0, 0.0, 0.0), (0.37, 0.0, 0.0), (0.37, -0.81, 0.0),
+              (0.37, -0.81, 0.52)):
+        ref = rb.Stilde @ ham.combined(u)
+        assert np.abs(staged.combined(u) - ref).max() <= 1e-13 * scale
+    # pulses through one coupling share one staged block
+    blocks = staged.Hbb_controls
+    assert blocks[0] is blocks[1] and blocks[2] is not blocks[0]
+    h = staged.combined((0.37, -0.81, 0.0))
+    assert staged.combined((0.1, 0.0, 0.2)) is h   # the buffer is reused
+    assert staged.combined((0.0, 0.0, 0.0)) is g0
+    assert staged.combined() is g0
+    # the staged copy leaves the Hamiltonian it came from as it was
+    assert np.array_equal(ham.Hbb, hbb) and staged.cells is ham.cells
+    assert ham.combined((0.37, 0.0, 0.0)) is not h
