@@ -22,8 +22,8 @@ from .reduced_space import (CellSet, ProductBasis, ReducedBasis, boundary_cells,
                             prune_cells, reduced_gaussians, restrict_basis,
                             shrink_inverse)
 from .hamiltonian import (ElementCache, OperatorSpec, ReducedHamiltonian,
-                          SopFit, SopTerm, apply_H_grid, canonical_key,
-                          dense_grid_hamiltonian, potfit2, reduced_via_gaussians)
+                          SopFit, SopTerm, apply_H_grid, dense_grid_hamiltonian,
+                          potfit2, reduced_via_gaussians)
 from .solvers import (EigenResult, TiseConfig, lattice_potential,
                       reference_full_eig, seed_cells, solve_reduced_eig,
                       tise_adaptive)

@@ -5,7 +5,6 @@ Commands
 ``vngrid tise <config.json>``   adaptive eigenmode run, CSV artifacts
 ``vngrid tdse <config.json>``   adaptive propagation from the ground state
 ``vngrid validate``             invariant suite, pass/fail table
-``vngrid bench``                cache and inverse-update timing report
 
 Configs are JSON validated against the packaged schema
 (``config_schema.json``); fully resolved settings (defaults materialized)
@@ -101,7 +100,7 @@ def load_config(path: str) -> dict:
                        or cfg["lattice"][0] != cfg["lattice"][1]):
         raise ConfigError("at /grid: helium1d axes must share one grid/lattice")
     resolved = {
-        "grid": [dict({"x0": 0.0}, **g) for g in cfg["grid"]],
+        "grid": [dict(g) for g in cfg["grid"]],
         "lattice": [dict(lt) for lt in cfg["lattice"]],
         "model": model,
         "solver": {},
@@ -407,65 +406,6 @@ def cmd_validate(args) -> int:
     return EXIT_OK if n_fail == 0 else EXIT_OTHER
 
 
-def cmd_bench(args) -> int:
-    import numpy as np
-
-    from . import models
-    from .hamiltonian import ReducedHamiltonian, kinetic_matrix
-    from .reduced_space import grow_inverse
-    from .solvers import TiseConfig, tise_adaptive
-
-    rng = np.random.default_rng(args.seed)
-
-    model = models.double_well()
-    res = tise_adaptive(model.spec, model.product, TiseConfig(zeta=1e-6, n_modes=8))
-    cells = res.final_cells
-    print(f"double-well assembly over {len(cells)} active cells")
-
-    t0 = time.perf_counter()
-    ham = ReducedHamiltonian(model.spec, model.product, cells)
-    t_cached = time.perf_counter() - t0
-    stats = ham.cache_stats()
-
-    pair = model.pairs[0]
-    tmat = kinetic_matrix(pair.grid, model.spec.kinetic[0])
-    vdiag = model.spec.potentials[0]
-    idx = cells.indices[:, 0]
-    t0 = time.perf_counter()
-    direct = np.empty((len(idx), len(idx)), dtype=complex)
-    hcols = tmat @ pair.B[:, idx] + vdiag[:, None] * pair.B[:, idx]
-    for r, i in enumerate(idx):
-        direct[r] = pair.B[:, i].conj() @ hcols
-    t_direct = time.perf_counter() - t0
-    dev = np.abs(direct - ham.Hbb).max()
-    reuse = (stats["hits"] + stats["misses"]) / max(1, stats["misses"])
-    print(f"  cached assembly  : {t_cached * 1e3:8.2f} ms "
-          f"(table entries served beyond fills {stats['hits']}, canonical "
-          f"values computed {stats['misses']})")
-    print(f"  dense no-reuse   : {t_direct * 1e3:8.2f} ms, "
-          f"max deviation {dev:.2e}")
-    print(f"  symmetry reuse   : x{reuse:.1f} table entries per canonical "
-          f"value computed; wall-clock speedup x{t_direct / t_cached:.2f} at "
-          f"this size")
-
-    n, m = 400, 8
-    a = rng.normal(size=(n + m, n + m))
-    big = a @ a.T + (n + m) * np.eye(n + m)
-    ainv = np.linalg.inv(big[:n, :n])
-    t0 = time.perf_counter()
-    for _ in range(20):
-        z = grow_inverse(ainv, big[:n, n:], big[n:, n:])
-    t_update = (time.perf_counter() - t0) / 20
-    t0 = time.perf_counter()
-    for _ in range(20):
-        zf = np.linalg.inv(big)
-    t_fresh = (time.perf_counter() - t0) / 20
-    print(f"block inverse update {n}+{m}: {t_update * 1e3:.2f} ms vs fresh "
-          f"{t_fresh * 1e3:.2f} ms (x{t_fresh / t_update:.1f}), "
-          f"deviation {np.abs(z - zf).max():.2e}")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -478,16 +418,16 @@ def _parser():
     sub = ap.add_subparsers(dest="command", required=True)
     for name, fn, needs_config in (("tise", cmd_tise, True),
                                    ("tdse", cmd_tdse, True),
-                                   ("validate", cmd_validate, False),
-                                   ("bench", cmd_bench, False)):
+                                   ("validate", cmd_validate, False)):
         p = sub.add_parser(name)
         if needs_config:
             p.add_argument("config", help="path to run configuration (JSON)")
             p.add_argument("--out", default=None, help="output directory")
+        else:
+            p.add_argument("--seed", type=int, default=1234,
+                           help="seed for randomized checks")
         p.add_argument("--threads", type=int, default=None,
                        help="cap BLAS/OpenMP worker threads")
-        p.add_argument("--seed", type=int, default=1234,
-                       help="seed for randomized checks and benches")
         p.set_defaults(fn=fn)
     return ap
 

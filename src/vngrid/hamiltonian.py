@@ -28,13 +28,12 @@ on the position offset ``(a - c) mod Nx`` and the individual momenta,
         sum_n conj(u_beta[n]) T(k_n) u_delta[n] exp(i*k_n*dxlat*(a - c)),
 
 with ``u_beta`` the spectral coefficients of the zero-shift columns.
-Hermitian symmetry halves both tables.  Every cached value has a
-single-integer canonical address (:func:`canonical_key`); an audit
-recomputes sampled entries by direct quadrature.
+Hermitian symmetry halves both tables.  An audit recomputes sampled
+entries of the tables by direct quadrature.
 
 Assembly
 --------
-Each registered diagonal is expanded once, from the cached planes, into a
+Each registered diagonal is expanded once, from its symmetry classes, into a
 dense ``(n x n)`` element table over every cell of its axis.  An operator
 is then a rank expansion ``sum_r prod_k F_r^(k)`` of such tables: the
 one-axis terms of axis ``d`` summed into one table and lifted by the other
@@ -340,87 +339,25 @@ def dense_grid_hamiltonian(spec: OperatorSpec, controls=(),
 
 
 # ---------------------------------------------------------------------------
-# canonical keys and the per-pair element cache
+# the per-pair element cache
 # ---------------------------------------------------------------------------
 
-def _geom_cap(nx, np_):
-    return max(nx * nx * (2 * np_ - 1), np_ * np_ * nx)
-
-
-def canonical_key(lattice, cell_i: int, cell_j: int, slot: int,
-                  kind: str = "potential"):
-    """Single-integer canonical address of a one-axis matrix element.
-
-    Returns ``(key, conjugate)``: elements related by Hermitian symmetry or
-    by the momentum-offset (potential) / position-offset (kinetic)
-    degeneracy share a key; ``conjugate`` records the orientation fold.
-    """
-    nx, np_ = lattice.Nx, lattice.Np
-    a1, b1 = divmod(int(cell_i), np_)
-    a2, b2 = divmod(int(cell_j), np_)
-    if kind == "potential":
-        conj = (a1, b1) > (a2, b2)
-        if conj:
-            a1, b1, a2, b2 = a2, b2, a1, b1
-        geom = (a1 * nx + a2) * (2 * np_ - 1) + (b2 - b1 + np_ - 1)
-        kind_bit = 0
-    elif kind == "kinetic":
-        da = (a1 - a2) % nx
-        alt = ((nx - da) % nx, b2, b1)
-        conj = alt < (da, b1, b2)
-        if conj:
-            da, b1, b2 = alt
-        geom = (da * np_ + b1) * np_ + b2
-        kind_bit = 1
-    else:
-        raise ValueError(f"unknown element kind {kind!r}")
-    return (slot * 2 + kind_bit) * _geom_cap(nx, np_) + geom, conj
-
-
-class _Geometry:
-    """Per-axis index meshes and phases of one batch of element lookups."""
-
-    __slots__ = ("a1", "b1", "a2", "b2", "dk_idx", "da", "phase", "size",
-                 "shape")
-
-    def __init__(self, cache, rows, cols):
-        np_ = cache.Np
-        self.a1, self.b1 = np.divmod(np.asarray(rows, dtype=np.intp)[:, None], np_)
-        self.a2, self.b2 = np.divmod(np.asarray(cols, dtype=np.intp)[None, :], np_)
-        self.dk_idx = self.b2 - self.b1 + np_ - 1
-        self.da = np.mod(self.a1 - self.a2, cache.Nx)
-        # phase argument k_b1 xbar_a1 - k_b2 xbar_a2 = 2 pi (integer)/N plus
-        # an x0 term; reducing the integer mod N keeps the argument small and
-        # the phase accurate to machine epsilon
-        grid = cache.pair.grid
-        nmom = cache.lattice.momentum_indices
-        whole = np.mod((nmom[self.b1] * self.a1 - nmom[self.b2] * self.a2)
-                       * np_, grid.N)
-        whole = np.where(whole > grid.N // 2, whole - grid.N, whole)
-        theta = 2.0 * np.pi * whole / grid.N
-        if grid.x0 != 0.0:
-            theta = theta + ((nmom[self.b1] - nmom[self.b2])
-                             * (2.0 * np.pi * grid.x0 / grid.L))
-        self.phase = np.exp(1j * theta)
-        self.size = self.dk_idx.size
-        self.shape = self.dk_idx.shape
-
-
 class ElementCache:
-    """Symmetry cache of one-axis matrix elements for one basis pair.
+    """Symmetry-built element tables of one-axis diagonals for one basis pair.
 
-    Cached values live in stacked arrays per registered slot: one
-    ``(Nx x Nx)`` core per momentum offset (potential) and one ``Nx``-vector
-    of position offsets per momentum pair (kinetic).  They are filled lazily,
-    one momentum-offset plane or momentum pair at a time, by small dense
-    products with the zero-momentum / zero-shift columns, and each fill also
-    sets its Hermitian partner.  :meth:`table` expands a slot once into the
-    dense element table over every lattice cell; reduced blocks are
-    contracted from those tables.
+    Each registered diagonal (a slot) is expanded once, by :meth:`table`,
+    into the dense element table over every pair of lattice cells; reduced
+    blocks are contracted from those tables.  A table is filled in one pass
+    over the symmetry classes of its slot: one ``(Nx x Nx)`` core per
+    momentum offset (potential) or one ``Nx``-vector of position offsets per
+    momentum pair (kinetic), each from small dense products with the
+    zero-momentum / zero-shift columns and each setting its Hermitian
+    partner too.  The classes are gathered into the table through one
+    all-cells index and phase mesh, built with the cache.
 
-    Accounting happens at fill time: ``misses`` counts the canonical values
-    computed by plane and pair fills, ``hits`` the element requests served
-    beyond those.
+    ``stats`` counts per built table: ``misses`` the canonical values
+    computed, ``hits`` the table entries served beyond them, and ``stored``
+    the canonical values held.
     """
 
     def __init__(self, pair: BasisPair):
@@ -429,10 +366,8 @@ class ElementCache:
         self.pair = pair
         self.lattice = lat
         self.Nx, self.Np = lat.Nx, lat.Np
-        self.hits = 0
-        self.misses = 0
         cols0 = np.arange(lat.Nx) * lat.Np + lat.p_zero_index
-        self._B0 = pair.B[:, cols0]
+        self._B0 = pair.B[:, cols0].astype(np.clongdouble)
         self._dk_step = lat.dp_lat / HBAR
         self._spec_cols = np.fft.fft(pair.B[:, :lat.Np], axis=0) / np.sqrt(grid.N)
         # k_n dxlat da = 2 pi n Np da / N: integer-reduced for exact phases
@@ -440,136 +375,99 @@ class ElementCache:
                         / (2.0 * np.pi)).astype(np.intp)
         whole = np.mod(np.outer(n_fft * lat.Np, np.arange(lat.Nx)), grid.N)
         whole = np.where(whole > grid.N // 2, whole - grid.N, whole)
-        self._trans = np.exp(2j * np.pi * whole / grid.N)
-        self._slots = []            # (kind, payload)
-        self._by_content = {}
-        self._pot_stack = {}        # slot -> (2Np-1, Nx, Nx)
-        self._pot_built = {}        # slot -> bool (2Np-1,)
-        self._kin_stack = {}        # slot -> (Np, Np, Nx)
-        self._kin_built = {}        # slot -> bool (Np, Np)
-        self._tables = {}           # slot -> (n_cells, n_cells)
-
-    # -- registration ------------------------------------------------------
-
-    def register(self, kind: str, payload) -> int:
-        """Register a diagonal (dedup by content) and return its slot id."""
-        payload = np.ascontiguousarray(payload, dtype=float)
-        key = (kind, payload.tobytes())
-        if key in self._by_content:
-            return self._by_content[key]
-        slot = len(self._slots)
-        self._slots.append((kind, payload))
-        self._by_content[key] = slot
-        if kind == "potential":
-            self._pot_stack[slot] = np.zeros(
-                (2 * self.Np - 1, self.Nx, self.Nx), dtype=complex)
-            self._pot_built[slot] = np.zeros(2 * self.Np - 1, dtype=bool)
-        elif kind == "kinetic":
-            self._kin_stack[slot] = np.zeros((self.Np, self.Np, self.Nx),
-                                             dtype=complex)
-            self._kin_built[slot] = np.zeros((self.Np, self.Np), dtype=bool)
-        else:
-            raise ValueError(f"unknown element kind {kind!r}")
-        return slot
-
-    def geometry(self, rows, cols) -> _Geometry:
-        return _Geometry(self, rows, cols)
-
-    # -- lookups -----------------------------------------------------------
-
-    def potential_values(self, slot: int, geom: _Geometry) -> np.ndarray:
-        built = self._pot_built[slot]
-        fresh = 0
-        for dk_idx in np.unique(geom.dk_idx):
-            if not built[dk_idx]:
-                fresh += self._fill_potential_plane(slot, int(dk_idx))
-        self._count(geom.size, fresh)
-        core = self._pot_stack[slot][geom.dk_idx, geom.a1, geom.a2]
-        return geom.phase * core
-
-    def kinetic_values(self, slot: int, geom: _Geometry) -> np.ndarray:
-        built = self._kin_built[slot]
-        fresh = 0
-        for flat in np.unique(geom.b1 * self.Np + geom.b2):
-            p, q = divmod(int(flat), self.Np)
-            if not built[p, q]:
-                fresh += self._fill_kinetic_pair(slot, p, q)
-        self._count(geom.size, fresh)
-        return self._kin_stack[slot][geom.b1, geom.b2, geom.da]
-
-    def _count(self, served: int, fresh: int):
-        self.misses += fresh
-        self.hits += max(served - fresh, 0)
-
-    def table(self, slot: int) -> np.ndarray:
-        """Dense element table of ``slot`` over every lattice cell.
-
-        Filled once per slot from the cached planes, through the lookups.
-        """
-        tab = self._tables.get(slot)
-        if tab is None:
-            cells = np.arange(self.lattice.n_cells)
-            geom = self.geometry(cells, cells)
-            if self._slots[slot][0] == "potential":
-                tab = self.potential_values(slot, geom)
-            else:
-                tab = self.kinetic_values(slot, geom)
-            self._tables[slot] = tab
-        return tab
-
-    def _plane_values(self, dk_idx: int) -> int:
-        """Canonical values held by a potential plane and its partner."""
-        nx = self.Nx
-        return nx * (nx + 1) // 2 if dk_idx == self.Np - 1 else nx * nx
-
-    def _pair_values(self, p: int, q: int) -> int:
-        """Canonical values held by a kinetic momentum pair and its mirror."""
-        return self.Nx // 2 + 1 if p == q else self.Nx
-
-    # -- fills -------------------------------------------------------------
-
-    def _fill_potential_plane(self, slot: int, dk_idx: int):
-        _, v = self._slots[slot]
-        grid = self.pair.grid
-        # dk x_m = 2 pi Nx db m / N (+ x0 term): integer-reduced phase
-        db = dk_idx - (self.Np - 1)
-        m = np.arange(grid.N)
-        whole = np.mod(self.Nx * db * m, grid.N)
+        self._trans = np.exp(2j * np.pi * whole / grid.N).astype(np.clongdouble)
+        cells = np.arange(lat.n_cells)
+        a1, b1 = np.divmod(cells[:, None], lat.Np)
+        a2, b2 = np.divmod(cells[None, :], lat.Np)
+        self._pot_index = (b2 - b1 + lat.Np - 1, a1, a2)
+        self._kin_index = (b1, b2, np.mod(a1 - a2, lat.Nx))
+        # phase argument k_b1 xbar_a1 - k_b2 xbar_a2 = 2 pi (integer)/N plus
+        # an x0 term; reducing the integer mod N keeps the argument small and
+        # the phase accurate to machine epsilon
+        nmom = lat.momentum_indices
+        whole = np.mod((nmom[b1] * a1 - nmom[b2] * a2) * lat.Np, grid.N)
         whole = np.where(whole > grid.N // 2, whole - grid.N, whole)
         theta = 2.0 * np.pi * whole / grid.N
         if grid.x0 != 0.0:
-            theta = theta + db * self._dk_step * grid.x0
-        weight = v * np.exp(1j * theta)
-        # plane fills run once per offset and are tiny; extended precision
-        # keeps every cached value beyond the 1e-12 audit comfortably
-        b0 = self._B0.astype(np.clongdouble)
-        core = (b0.conj().T @ (weight.astype(np.clongdouble)[:, None] * b0)
-                ).astype(complex)
-        partner = 2 * (self.Np - 1) - dk_idx
-        if partner == dk_idx:
-            core = _hermitize(core)
-        self._pot_stack[slot][dk_idx] = core
-        self._pot_built[slot][dk_idx] = True
-        if partner != dk_idx:
-            self._pot_stack[slot][partner] = core.conj().T
-            self._pot_built[slot][partner] = True
-        return self._plane_values(dk_idx)
+            theta = theta + ((nmom[b1] - nmom[b2])
+                             * (2.0 * np.pi * grid.x0 / grid.L))
+        self._phase = np.exp(1j * theta)
+        self._slots = []            # (kind, payload)
+        self._by_content = {}
+        self._tables = {}           # slot -> (n_cells, n_cells)
 
-    def _fill_kinetic_pair(self, slot: int, p: int, q: int):
-        _, tk = self._slots[slot]
-        qn = (self._spec_cols[:, p].conj().astype(np.clongdouble)
-              * tk * self._spec_cols[:, q])
-        tv = (qn @ self._trans.astype(np.clongdouble)).astype(complex)
-        mirror = np.roll(tv[::-1], 1).conj()
-        if p == q:
-            tv = 0.5 * (tv + mirror)  # enforce the exact Hermitian fold
-            mirror = np.roll(tv[::-1], 1).conj()
-        self._kin_stack[slot][p, q] = tv
-        self._kin_built[slot][p, q] = True
-        if p != q:
-            self._kin_stack[slot][q, p] = mirror
-            self._kin_built[slot][q, p] = True
-        return self._pair_values(p, q)
+    def register(self, kind: str, payload) -> int:
+        """Register a diagonal (dedup by content) and return its slot id."""
+        if kind not in ("potential", "kinetic"):
+            raise ValueError(f"unknown element kind {kind!r}")
+        payload = np.ascontiguousarray(payload, dtype=float)
+        key = (kind, payload.tobytes())
+        if key not in self._by_content:
+            self._by_content[key] = len(self._slots)
+            self._slots.append((kind, payload))
+        return self._by_content[key]
+
+    def table(self, slot: int) -> np.ndarray:
+        """Dense element table of ``slot`` over every lattice cell, built once."""
+        tab = self._tables.get(slot)
+        if tab is None:
+            kind, payload = self._slots[slot]
+            fill = (self.potential_values if kind == "potential"
+                    else self.kinetic_values)
+            tab = self._tables[slot] = fill(payload)
+        return tab
+
+    # -- fills -------------------------------------------------------------
+
+    def potential_values(self, v) -> np.ndarray:
+        """All-cells element table of the sampling diagonal ``v``.
+
+        Fills the ``Np`` cores of momentum offset ``db <= 0`` and their
+        Hermitian partners ``-db``.
+        """
+        nx, np_ = self.Nx, self.Np
+        grid = self.pair.grid
+        m = np.arange(grid.N)
+        b0h = self._B0.conj().T
+        cores = np.empty((2 * np_ - 1, nx, nx), dtype=complex)
+        for db in range(1 - np_, 1):
+            # dk x_m = 2 pi Nx db m / N (+ x0 term): integer-reduced phase
+            whole = np.mod(nx * db * m, grid.N)
+            whole = np.where(whole > grid.N // 2, whole - grid.N, whole)
+            theta = 2.0 * np.pi * whole / grid.N
+            if grid.x0 != 0.0:
+                theta = theta + db * self._dk_step * grid.x0
+            weight = v * np.exp(1j * theta)
+            # extended precision keeps every table entry beyond the 1e-12
+            # audit comfortably
+            core = (b0h @ (weight.astype(np.clongdouble)[:, None] * self._B0)
+                    ).astype(complex)
+            if db == 0:
+                core = _hermitize(core)
+            # partner first: at db = 0 it is the core's own (equal) transpose
+            cores[np_ - 1 - db] = core.conj().T
+            cores[np_ - 1 + db] = core
+        return self._phase * cores[self._pot_index]
+
+    def kinetic_values(self, tk) -> np.ndarray:
+        """All-cells element table of the spectral diagonal ``tk``.
+
+        Fills the position-offset vector of every momentum pair ``p <= q``
+        and its mirror ``(q, p)``.
+        """
+        np_ = self.Np
+        pairs = np.empty((np_, np_, self.Nx), dtype=complex)
+        for p in range(np_):
+            for q in range(p, np_):
+                qn = (self._spec_cols[:, p].conj().astype(np.clongdouble)
+                      * tk * self._spec_cols[:, q])
+                tv = (qn @ self._trans).astype(complex)
+                mirror = np.roll(tv[::-1], 1).conj()
+                if p == q:
+                    pairs[p, p] = 0.5 * (tv + mirror)  # the exact Hermitian fold
+                else:
+                    pairs[p, q], pairs[q, p] = tv, mirror
+        return pairs[self._kin_index]
 
     # -- verification ------------------------------------------------------
 
@@ -587,15 +485,8 @@ class ElementCache:
         tmat = kinetic_matrix(self.pair.grid, payload).astype(np.clongdouble)
         return complex(np.sum(bi.conj() * (tmat @ bj)))
 
-    def cached_element(self, slot: int, cell_i: int, cell_j: int) -> complex:
-        kind, _ = self._slots[slot]
-        geom = self.geometry([cell_i], [cell_j])
-        if kind == "potential":
-            return complex(self.potential_values(slot, geom)[0, 0])
-        return complex(self.kinetic_values(slot, geom)[0, 0])
-
     def audit(self, rng, n_samples: int = 50) -> float:
-        """Max |cached - direct| over random elements of registered slots."""
+        """Max |table - direct| over random elements of registered slots."""
         if not self._slots:
             return 0.0
         n_cells = self.lattice.n_cells
@@ -604,22 +495,18 @@ class ElementCache:
             slot = int(rng.integers(len(self._slots)))
             i = int(rng.integers(n_cells))
             j = int(rng.integers(n_cells))
-            dev = abs(self.cached_element(slot, i, j)
-                      - self.direct_element(slot, i, j))
+            dev = abs(self.table(slot)[i, j] - self.direct_element(slot, i, j))
             worst = max(worst, dev)
         return worst
 
     @property
     def stats(self):
-        stored = 0
-        for built in self._pot_built.values():
-            stored += sum(self._plane_values(dk_idx)
-                          for dk_idx in np.flatnonzero(built[self.Np - 1:])
-                          + self.Np - 1)
-        for built in self._kin_built.values():
-            stored += sum(self._pair_values(p, q)
-                          for p, q in zip(*np.nonzero(np.triu(built))))
-        return {"hits": self.hits, "misses": self.misses, "stored": stored}
+        nx, np_ = self.Nx, self.Np
+        canonical = {"potential": np_ * nx * nx - nx * (nx - 1) // 2,
+                     "kinetic": np_ * (np_ - 1) // 2 * nx + np_ * (nx // 2 + 1)}
+        misses = sum(canonical[self._slots[slot][0]] for slot in self._tables)
+        return {"hits": len(self._tables) * self.lattice.n_cells ** 2 - misses,
+                "misses": misses, "stored": misses}
 
 
 # ---------------------------------------------------------------------------
@@ -644,27 +531,24 @@ class ReducedHamiltonian:
     plus one coefficient-scaled factor product per sum-of-products term.
     A block is then one contraction over the rank.  Axes backed by the same
     :class:`~vngrid.vn_basis.BasisPair` object share one element cache, so
-    exchange-symmetric terms reuse cached values and tables.  Control terms
-    that are the same object (several pulses through one coupling) share one
-    block, assembled and updated once.
+    exchange-symmetric terms reuse each other's element tables.  Control
+    terms that are the same object (several pulses through one coupling)
+    share one block, assembled and updated once.
     """
 
     def __init__(self, spec: OperatorSpec, product: ProductBasis,
-                 cells: CellSet, caches=None):
+                 cells: CellSet):
         if isinstance(product, BasisPair):
             product = ProductBasis(product)
         if spec.ndof != product.ndof:
             raise ValueError("operator and basis dimensionality differ")
         self.spec = spec
         self.product = product
-        if caches is None:
-            by_pair = {}
-            caches = []
-            for pair in product.pairs:
-                if id(pair) not in by_pair:
-                    by_pair[id(pair)] = ElementCache(pair)
-                caches.append(by_pair[id(pair)])
-        self.caches = tuple(caches)
+        by_pair = {}
+        for pair in product.pairs:
+            if id(pair) not in by_pair:
+                by_pair[id(pair)] = ElementCache(pair)
+        self.caches = tuple(by_pair[id(pair)] for pair in product.pairs)
         self._drift = self._factors(spec)
         distinct = {id(c): c for c in spec.control_terms}
         group = {key: g for g, key in enumerate(distinct)}

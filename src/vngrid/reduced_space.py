@@ -365,18 +365,6 @@ class ProductBasis:
             out[:, j] = self.dual_column(cell)
         return out
 
-    def gaussian_coefficients(self, cells: CellSet, psi_weighted) -> np.ndarray:
-        """Overlaps ``<g_cell|psi>`` of a weighted grid vector, per cell."""
-        psi = np.asarray(psi_weighted, dtype=complex).reshape(
-            [g.N for g in self.grids])
-        out = np.empty(len(cells), dtype=complex)
-        for j, cell in enumerate(cells):
-            v = psi
-            for k, pair in enumerate(self.pairs):
-                v = np.tensordot(pair.G[:, cell[k]].conj(), v, axes=(0, 0))
-            out[j] = v
-        return out
-
     def reconstruct(self, cells: CellSet, coeffs) -> np.ndarray:
         """Weighted grid vector ``sum_j c_j b_cell_j`` (flattened)."""
         coeffs = np.asarray(coeffs, dtype=complex)
@@ -413,7 +401,7 @@ class ReducedBasis:
     def create(cls, product: ProductBasis, cells: CellSet) -> "ReducedBasis":
         if isinstance(product, BasisPair):
             product = ProductBasis(product)
-        sinv = _hermitize(product.overlap(cells, cells))
+        sinv = product.overlap(cells, cells)
         return cls(product, cells, sinv, _fresh_inverse(sinv, len(cells)))
 
     @property
@@ -454,26 +442,21 @@ class ReducedBasis:
         if len(added):
             kept = CellSet(old.indices[i], ndof=old.ndof)
             c_blk = self.product.overlap(kept, added)
-            d_blk = _hermitize(self.product.overlap(added, added))
+            d_blk = self.product.overlap(added, added)
             grown = grow_inverse(stilde, c_blk, d_blk)
             # grown rows are the kept cells, then the added ones
             perm = np.argsort(np.concatenate([j, fresh]))
             stilde = grown[np.ix_(perm, perm)]
 
         self.cells = new_cells
-        self.Sinv_tilde = _hermitize(self.product.overlap(new_cells, new_cells))
+        self.Sinv_tilde = self.product.overlap(new_cells, new_cells)
         self._updates_since_refresh += 1
         if self._updates_since_refresh >= _REFRESH_EVERY:
             self.Stilde = _fresh_inverse(self.Sinv_tilde, len(new_cells))
             self._updates_since_refresh = 0
         else:
-            self.Stilde = _hermitize(stilde)
+            self.Stilde = stilde
         return added, removed
-
-    def refresh(self):
-        """Recompute the maintained inverse from scratch."""
-        self.Stilde = _fresh_inverse(self.Sinv_tilde, self.n)
-        self._updates_since_refresh = 0
 
 
 def _fresh_inverse(sinv: np.ndarray, n: int, cond_limit: float = 1e12) -> np.ndarray:

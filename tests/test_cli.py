@@ -67,7 +67,7 @@ def test_run_meta_embeds_resolved_config(tmp_path):
     assert solver["zeta"] == 1e-6 and solver["n_modes"] == 1
     assert solver["max_iterations"] == 200
     assert meta["config"]["model"]["m"] == 1.0
-    assert meta["config"]["grid"][0]["x0"] == 0.0
+    assert meta["config"]["grid"] == [{"L": 20.0, "N": 60}]
     assert meta["converged"] is True
     assert meta["cache"]["hits"] > 0
 
@@ -85,6 +85,16 @@ def test_schema_violations_are_config_errors(tmp_path):
     assert main(["tise", _write(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
     # missing config file
     assert main(["tise", str(tmp_path / "none.json")]) == EXIT_CONFIG
+
+
+def test_grid_offset_is_a_config_error(tmp_path):
+    # the models sample every grid from x = 0; an offset would be ignored
+    # while run_meta.json recorded it
+    out = str(tmp_path / "run")
+    cfg = _harmonic_cfg(out, tise={})
+    cfg["grid"][0]["x0"] = 0.1
+    assert main(["tise", _write(tmp_path, "cfg.json", cfg)]) == EXIT_CONFIG
+    assert not os.path.exists(out)
 
 
 def test_nonconvergence_exit_code(tmp_path):
@@ -266,12 +276,6 @@ def test_tdse_propagates_in_the_ground_state_objects(tmp_path, monkeypatch):
     out = str(tmp_path / "run")
     cfg = _harmonic_cfg(out, tdse={"t_span": [0.0, 0.5], "zeta": 1e-6})
     assert main(["--debug", "tdse", _write(tmp_path, "cfg.json", cfg)]) == EXIT_OK
-
-
-def test_bench_runs(capsys):
-    assert main(["bench", "--seed", "7"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "speedup" in out and "block inverse" in out
 
 
 def _meta_without_timings(path):

@@ -7,9 +7,9 @@ import scipy.linalg
 from vngrid import models
 from vngrid.fourier_grid import build_grid
 from vngrid.hamiltonian import (OperatorSpec, ReducedHamiltonian, SopTerm,
-                                apply_H_grid, canonical_key,
-                                dense_grid_hamiltonian, kinetic_matrix,
-                                potfit2, reduced_via_gaussians, sop_table)
+                                apply_H_grid, dense_grid_hamiltonian,
+                                kinetic_matrix, potfit2, reduced_via_gaussians,
+                                sop_table)
 from vngrid.reduced_space import CellSet, ProductBasis, ReducedBasis
 from vngrid.solvers import solve_reduced_eig
 from vngrid.vn_basis import build_basis_pair, build_lattice
@@ -124,33 +124,47 @@ def test_dense_grid_hamiltonian_size_guard():
         dense_grid_hamiltonian(spec)
 
 
-# -- canonical keys -----------------------------------------------------------------
+# -- element tables -----------------------------------------------------------------
 
-def test_canonical_key_hermitian_fold(pair60):
-    lat = pair60.lattice
-    i, j = lat.cell_index(1, 3), lat.cell_index(4, 7)
-    k_ij, conj_ij = canonical_key(lat, i, j, slot=0)
-    k_ji, conj_ji = canonical_key(lat, j, i, slot=0)
-    assert k_ij == k_ji and conj_ij != conj_ji
-    kk_ij, kc_ij = canonical_key(lat, i, j, slot=0, kind="kinetic")
-    kk_ji, kc_ji = canonical_key(lat, j, i, slot=0, kind="kinetic")
-    assert kk_ij == kk_ji and kc_ij != kc_ji
+def _diagonals(spec):
+    """``(dof, kind, payload)`` of every diagonal an operator registers."""
+    for dof in range(spec.ndof):
+        for kind, diag in (("kinetic", spec.kinetic[dof]),
+                           ("potential", spec.potentials[dof])):
+            if diag is not None:
+                yield dof, kind, diag
+    for t in spec.sop_terms:
+        for dof, f in enumerate(t.factors):
+            yield dof, "potential", f
 
 
-def test_canonical_key_momentum_difference_degeneracy(pair60):
-    lat = pair60.lattice
-    # same positions, same momentum offset, different absolute momenta
-    k1, _ = canonical_key(lat, lat.cell_index(1, 2), lat.cell_index(3, 5), 0)
-    k2, _ = canonical_key(lat, lat.cell_index(1, 7), lat.cell_index(3, 10), 0)
-    assert k1 == k2
-    k3, _ = canonical_key(lat, lat.cell_index(1, 2), lat.cell_index(3, 6), 0)
-    assert k3 != k1
-    # kinetic: same position offset, same momentum pair
-    k4, _ = canonical_key(lat, lat.cell_index(1, 2), lat.cell_index(3, 5), 0,
-                          kind="kinetic")
-    k5, _ = canonical_key(lat, lat.cell_index(2, 2), lat.cell_index(4, 5), 0,
-                          kind="kinetic")
-    assert k4 == k5
+def _dense_elements(pair, kind, payload):
+    """``B^H diag(v) B`` or ``B^H T B`` over every cell, extended precision."""
+    b = pair.B.astype(np.clongdouble)
+    if kind == "potential":
+        op_b = payload[:, None] * b
+    else:
+        op_b = kinetic_matrix(pair.grid, payload).astype(np.clongdouble) @ b
+    return (b.conj().T @ op_b).astype(complex)
+
+
+@pytest.mark.parametrize("case", ["helium", "shifted_grid"])
+def test_element_tables_hermitian_and_match_dense(case, he_model):
+    if case == "helium":
+        spec, pairs = he_model.spec, he_model.pairs
+    else:
+        # an offset grid reaches the x0 terms of the fills and phase mesh
+        g = build_grid(24.0, 120, x0=0.13)
+        pairs = (build_basis_pair(build_lattice(g, 8, 15)),)
+        spec = OperatorSpec.build((g,), potentials=(0.5 * g.centered_points ** 2,))
+    caches = ReducedHamiltonian(spec, ProductBasis(pairs),
+                                CellSet([[0] * len(pairs)])).caches
+    for dof, kind, payload in _diagonals(spec):
+        cache = caches[dof]
+        tab = cache.table(cache.register(kind, payload))
+        assert np.array_equal(tab, tab.conj().T)
+        dense = _dense_elements(pairs[dof], kind, payload)
+        assert np.abs(tab - dense).max() <= 1e-12
 
 
 def test_exchange_symmetric_terms_share_cache(he_model):
