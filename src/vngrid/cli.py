@@ -53,12 +53,6 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _set_thread_env(n: int):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
-
-
 # ---------------------------------------------------------------------------
 # configuration handling
 # ---------------------------------------------------------------------------
@@ -426,25 +420,12 @@ def _parser():
         else:
             p.add_argument("--seed", type=int, default=1234,
                            help="seed for randomized checks")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap BLAS/OpenMP worker threads")
         p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # thread cap must land in the environment before numpy is imported
-    if "--threads" in argv:
-        i = argv.index("--threads")
-        if i + 1 < len(argv):
-            try:
-                _set_thread_env(int(argv[i + 1]))
-            except ValueError:
-                pass
     args = _parser().parse_args(argv)
-    if args.threads is not None:
-        _set_thread_env(args.threads)
     from .errors import ConfigError
 
     try:

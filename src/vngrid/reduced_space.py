@@ -1,4 +1,4 @@
-"""Reduced phase-space subspaces: active cell sets and their maintained inverses.
+"""Reduced phase-space subspaces: active cell sets and their overlap inverses.
 
 A state localized in phase space has significant overlap with only a few
 lattice Gaussians, so its dual-basis coefficient vector is sparse.  The
@@ -13,9 +13,10 @@ reduced overlap ``Btilde^H Btilde`` factorizes into per-axis entries, which
 is how all reduced matrices are built here (no full-dimension basis matrix
 is ever materialized outside small dense cross-checks).
 
-The maintained inverse ``Stilde = (Btilde^H Btilde)^-1`` is updated
-incrementally when cells are added or removed, using Schur-complement block
-formulas that only ever invert matrices of the size of the change.
+The inverse ``Stilde = (Btilde^H Btilde)^-1`` is formed on first read and
+from then on updated incrementally when cells are added or removed, using
+Schur-complement block formulas that only ever invert matrices of the size
+of the change.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .vn_basis import BasisPair, VonNeumannLattice
 
 DEFAULT_RADIUS = math.sqrt(2.0) + 1e-9
 _REFRESH_EVERY = 50  # incremental updates between from-scratch inversions
+_COND_LIMIT = 1e12   # largest accepted condition number of a reduced overlap
 
 
 def _hermitize(m):
@@ -228,12 +230,13 @@ def embed_coefficients(vec, old_cells: CellSet, new_cells: CellSet):
     Returns ``(new_vec, dropped)`` where ``new_vec`` holds the old
     coefficients at surviving cells (zeros at fresh cells) and ``dropped``
     the coefficients of removed cells, for discarded-amplitude accounting.
+    A 2-D ``vec`` carries its columns (one vector each) alike.
     """
     vec = np.asarray(vec)
     i, j = old_cells.matches(new_cells)
-    new_vec = np.zeros(len(new_cells), dtype=vec.dtype)
+    new_vec = np.zeros((len(new_cells),) + vec.shape[1:], dtype=vec.dtype)
     new_vec[j] = vec[i]
-    return new_vec, np.delete(vec, i)
+    return new_vec, np.delete(vec, i, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -378,35 +381,56 @@ class ProductBasis:
 
 
 # ---------------------------------------------------------------------------
-# reduced basis with maintained inverse
+# reduced basis with its overlap inverse
 # ---------------------------------------------------------------------------
 
 class ReducedBasis:
-    """Active cells with ``Sinv_tilde = Btilde^H Btilde`` and maintained inverse.
+    """Active cells with ``Sinv_tilde = Btilde^H Btilde`` and its inverse.
 
     Mutated only between solver phases (single writer); the overlap entries
-    are exact per-axis products, the inverse is carried through the block
-    updates and refreshed from scratch every 50 updates to bound drift.
+    are exact per-axis products.  The inverse ``Stilde`` is formed on first
+    read: until then the basis keeps the Cholesky factor of ``Sinv_tilde``,
+    which creation and every update recompute as the positive-definiteness
+    check and from which they estimate the condition number, and the first
+    read inverts from that factor with the exact conditioning check of a
+    from-scratch inverse.  The adaptive eigenmode search never reads
+    ``Stilde``; the propagator reads it at once.  From the first read on,
+    the inverse is carried through the block updates and refreshed from
+    scratch every 50 updates to bound drift.
     """
 
     def __init__(self, product: ProductBasis, cells: CellSet,
-                 Sinv_tilde: np.ndarray, Stilde: np.ndarray):
+                 Sinv_tilde: np.ndarray):
         self.product = product
         self.cells = cells
         self.Sinv_tilde = Sinv_tilde
-        self.Stilde = Stilde
+        self._cho = _cholesky(Sinv_tilde)
+        if self._cho is None:
+            raise IllConditionedBasisError(
+                f"reduced overlap of {len(cells)} cells is not positive definite",
+                cond=math.inf, size=len(cells))
+        _check_conditioning(Sinv_tilde, self._cho)
+        self._stilde = None
         self._updates_since_refresh = 0
 
     @classmethod
     def create(cls, product: ProductBasis, cells: CellSet) -> "ReducedBasis":
         if isinstance(product, BasisPair):
             product = ProductBasis(product)
-        sinv = product.overlap(cells, cells)
-        return cls(product, cells, sinv, _fresh_inverse(sinv, len(cells)))
+        return cls(product, cells, product.overlap(cells, cells))
 
     @property
     def n(self):
         return len(self.cells)
+
+    @property
+    def Stilde(self) -> np.ndarray:
+        """``(Btilde^H Btilde)^-1``, inverted from the kept factor on first read."""
+        if self._stilde is None:
+            self._stilde = _fresh_inverse(self.Sinv_tilde, self.n, cho=self._cho)
+            self._cho = None
+            self._updates_since_refresh = 0
+        return self._stilde
 
     @property
     def Btilde(self) -> np.ndarray:
@@ -424,6 +448,11 @@ class ReducedBasis:
 
         Returns ``(added, removed)`` cell sets.  Removal uses only blocks of
         the current inverse; addition factorizes only the added block.
+        Before the first read of ``Stilde`` only the overlap's Cholesky
+        factor is renewed: a failed factorization raises
+        :class:`DegenerateUpdateError` as a failed Schur complement would,
+        and a condition estimate beyond the limit raises
+        :class:`IllConditionedBasisError`.
         """
         old = self.cells
         i, j = old.matches(new_cells)
@@ -436,7 +465,18 @@ class ReducedBasis:
         if len(i) == 0 and len(added) == 0:
             raise DegenerateUpdateError("cannot reduce to an empty cell set")
 
-        stilde = self.Stilde
+        if self._stilde is None:
+            sinv = self.product.overlap(new_cells, new_cells)
+            cho = _cholesky(sinv)
+            if cho is None:
+                raise DegenerateUpdateError(
+                    f"reduced overlap of {len(new_cells)} cells is not "
+                    f"positive definite")
+            _check_conditioning(sinv, cho)
+            self.cells, self.Sinv_tilde, self._cho = new_cells, sinv, cho
+            return added, removed
+
+        stilde = self._stilde
         if len(removed):
             stilde = shrink_inverse(stilde, i)
         if len(added):
@@ -452,29 +492,62 @@ class ReducedBasis:
         self.Sinv_tilde = self.product.overlap(new_cells, new_cells)
         self._updates_since_refresh += 1
         if self._updates_since_refresh >= _REFRESH_EVERY:
-            self.Stilde = _fresh_inverse(self.Sinv_tilde, len(new_cells))
+            self._stilde = _fresh_inverse(self.Sinv_tilde, len(new_cells))
             self._updates_since_refresh = 0
         else:
-            self.Stilde = stilde
+            self._stilde = stilde
         return added, removed
 
 
-def _fresh_inverse(sinv: np.ndarray, n: int, cond_limit: float = 1e12) -> np.ndarray:
+def _cholesky(sinv: np.ndarray):
+    """``cho_factor`` of the reduced overlap, or None if it is not positive
+    definite."""
+    try:
+        return scipy.linalg.cho_factor(sinv)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _check_conditioning(sinv: np.ndarray, cho):
+    """Raise :class:`IllConditionedBasisError` if the overlap's 1-norm
+    condition number, estimated from its ``cho_factor``, exceeds the limit.
+
+    LAPACK's ``pocon`` estimates ``||S^-1||_1`` in O(n^2) without forming
+    the inverse.  The estimate is a lower bound, so whatever the exact check
+    of :func:`_fresh_inverse` passes, this passes too.
+    """
+    c, lower = cho
+    pocon, = scipy.linalg.lapack.get_lapack_funcs(("pocon",), (c,))
+    rcond, _ = pocon(c, np.linalg.norm(sinv, 1), uplo="L" if lower else "U")
+    cond = math.inf if rcond == 0 else 1.0 / rcond
+    if cond > _COND_LIMIT:
+        n = sinv.shape[0]
+        raise IllConditionedBasisError(
+            f"reduced overlap of {n} cells is ill-conditioned (cond ~ {cond:.2e})",
+            cond=cond, size=n)
+
+
+def _fresh_inverse(sinv: np.ndarray, n: int, cond_limit: float = _COND_LIMIT,
+                   cho=None) -> np.ndarray:
     """Inverse of the reduced overlap by Cholesky, with a conditioning check.
 
-    The check uses the 1-norm condition number ``||S||_1 ||S^-1||_1``, read
-    off the overlap and its inverse in O(n^2).  For a Hermitian matrix the
-    1-norm bounds the 2-norm from above, so this never passes a matrix whose
-    2-norm condition number exceeds ``cond_limit``.  A failed factorization
-    (not positive definite) counts as infinitely ill-conditioned.
+    ``cho`` is the overlap's ``cho_factor`` when the caller already holds
+    it.  The check uses the 1-norm condition number ``||S||_1 ||S^-1||_1``,
+    read off the overlap and its inverse in O(n^2).  For a Hermitian matrix
+    the 1-norm bounds the 2-norm from above, so this never passes a matrix
+    whose 2-norm condition number exceeds ``cond_limit``.  A failed
+    factorization (not positive definite) counts as infinitely
+    ill-conditioned.
     """
-    try:
-        cho = scipy.linalg.cho_factor(sinv)
-    except np.linalg.LinAlgError as exc:
+    if cho is None:
+        cho = _cholesky(sinv)
+    if cho is None:
         raise IllConditionedBasisError(
             f"reduced overlap of {n} cells is not positive definite",
-            cond=math.inf, size=n) from exc
-    inv = _hermitize(scipy.linalg.cho_solve(cho, np.eye(n, dtype=complex)))
+            cond=math.inf, size=n)
+    # a column-major identity is solved in place (same arithmetic, no copy)
+    inv = _hermitize(scipy.linalg.cho_solve(
+        cho, np.eye(n, dtype=complex, order="F"), overwrite_b=True))
     cond = float(np.linalg.norm(sinv, 1) * np.linalg.norm(inv, 1))
     if not np.isfinite(cond) or cond > cond_limit:
         raise IllConditionedBasisError(

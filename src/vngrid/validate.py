@@ -17,10 +17,13 @@ from . import models
 from .fourier_grid import build_grid, cardinal, synthesize_spectral
 from .vn_basis import analyze, build_basis_pair, build_lattice, transform_operator
 from .reduced_space import (CellSet, ProductBasis, ReducedBasis,
-                            complementary_basis, expand_cells,
-                            reduced_gaussians, restrict_basis)
+                            complementary_basis, embed_coefficients,
+                            expand_cells, prune_cells, reduced_gaussians,
+                            restrict_basis)
 from .hamiltonian import ReducedHamiltonian, potfit2
-from .solvers import TiseConfig, reference_full_eig, solve_reduced_eig, tise_adaptive
+from .solvers import (TiseConfig, lattice_potential, reference_full_eig,
+                      seed_cells, shift_invert_eig, solve_reduced_eig,
+                      tise_adaptive)
 from .dynamics import PropagationConfig, taylor_step
 
 
@@ -284,6 +287,42 @@ def check_full_set_equivalence(rng):
     return f"max deviation {dev:.1e}"
 
 
+def check_shift_invert_certificate(rng):
+    # replay the double-well doublet search along its dense solutions and
+    # solve every warm-started iteration by shift-invert as well
+    m = models.double_well()
+    cfg = TiseConfig(zeta=1e-6, n_modes=2)
+    res = tise_adaptive(m.spec, m.product, cfg)
+    cells = seed_cells(lattice_potential(m.spec, m.lattices), m.lattices)
+    warm, rows = None, []
+    for it in range(1, res.iterations + 1):
+        s = ReducedBasis.create(m.product, cells).Sinv_tilde
+        hbb = ReducedHamiltonian(m.spec, m.product, cells).Hbb
+        w, v = scipy.linalg.eigh(hbb, s, subset_by_index=[0, cfg.n_modes - 1])
+        if warm is not None:
+            si = shift_invert_eig(hbb, s, cfg.n_modes, *warm)
+            # the doublet is degenerate to round-off: compare the subspaces
+            cosines = scipy.linalg.svdvals(v.conj().T @ s @ si.eigenvectors)
+            rows.append((np.abs(si.eigenvalues - w).max(), 1.0 - cosines.min(),
+                         si.below_sigma, si.below_mu, si.sweeps))
+        if it == res.iterations:
+            break
+        new_cells = expand_cells(prune_cells(cells, np.abs(v), cfg.zeta),
+                                 m.lattices, cfg.radius)
+        warm = (w[0], embed_coefficients(v, cells, new_cells)[0])
+        cells = new_cells
+    assert cells == res.final_cells, "the replay left the search's path"
+    dev = max(r[0] for r in rows)
+    angle = max(r[1] for r in rows)
+    counts = sorted({(r[2], r[3]) for r in rows})
+    assert dev <= 1e-10 and angle <= 1e-10 and counts == [(0, 2)], (
+        f"eigenvalue deviation {dev:.2e}, subspace defect {angle:.2e}, "
+        f"inertia counts (below sigma, below mu) {counts}")
+    return (f"{len(rows)} warm iterations, max deviation {dev:.1e}, "
+            f"inertia {counts[0][0]} below sigma and {counts[0][1]} below mu, "
+            f"at most {max(r[4] for r in rows)} sweeps")
+
+
 # -- dynamics ---------------------------------------------------------------
 
 def _fixed_reduced_system(rng, n_cells=48):
@@ -365,6 +404,7 @@ CHECKS = [
     ("solvers/variational-interlacing", check_interlacing),
     ("solvers/boundary-convergence", check_boundary_convergence),
     ("solvers/full-set-equivalence", check_full_set_equivalence),
+    ("solvers/shift-invert-certificate", check_shift_invert_certificate),
     ("dynamics/fixed-basis-unitarity", check_fixed_basis_unitarity),
     ("dynamics/taylor-tail", check_taylor_tail),
     ("dynamics/oracle-agreement", check_oracle_agreement),

@@ -361,3 +361,45 @@ def test_debug_reraises_unexpected_errors(monkeypatch):
     assert main(["validate"]) == EXIT_OTHER
     with pytest.raises(RuntimeError, match="unexpected"):
         main(["--debug", "validate"])
+
+
+def test_tise_non_positive_definite_update_exits_degenerate_basis(
+        tmp_path, non_pd_updates):
+    # every basis change of the search re-checks the reduced overlap's
+    # Cholesky factorization, though the search never forms its inverse
+    out = str(tmp_path / "run")
+    cfg = _harmonic_cfg(out, tise={})
+    assert main(["tise", _write(tmp_path, "cfg.json", cfg)]) == \
+        EXIT_DEGENERATE_BASIS
+    meta = json.load(open(os.path.join(out, "run_meta.json")))
+    assert meta["converged"] is False
+    assert "not positive definite" in meta["error"]
+
+
+@pytest.mark.parametrize("model,size", [("double_well", 2), ("harmonic", 9)])
+def test_ill_conditioned_tise_basis_exits_degenerate_basis(
+        tmp_path, ill_conditioned_overlaps, model, size):
+    # the double well's two seed cells fail when the basis is created, the
+    # harmonic search (one seed cell) at its first basis change; neither
+    # forms the inverse that the exact check reads
+    out = str(tmp_path / "run")
+    cfg = _harmonic_cfg(out, tise={})
+    if model == "double_well":
+        cfg.update(grid=[{"L": 80.0, "N": 160}], lattice=[{"Nx": 5, "Np": 32}],
+                   model={"name": "double_well"})
+    assert main(["tise", _write(tmp_path, "cfg.json", cfg)]) == \
+        EXIT_DEGENERATE_BASIS
+    meta = json.load(open(os.path.join(out, "run_meta.json")))
+    assert meta["converged"] is False
+    assert f"overlap of {size} cells is ill-conditioned" in meta["error"]
+
+
+def test_threads_option_is_a_usage_error(tmp_path, capsys):
+    # BLAS fixes its thread count when numpy is imported, before any option
+    # is parsed: the count is set in the environment instead
+    path = _write(tmp_path, "cfg.json", _harmonic_cfg(str(tmp_path / "run"),
+                                                      tise={}))
+    with pytest.raises(SystemExit) as exc:
+        main(["tise", path, "--threads", "1"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err

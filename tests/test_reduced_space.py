@@ -152,6 +152,10 @@ def test_embed_coefficients():
     out, dropped = embed_coefficients(vec, old, new)
     np.testing.assert_allclose(out, [0.0, 2.0, 3.0])
     np.testing.assert_allclose(dropped, [1.0])
+    # columns are carried alike
+    out2, dropped2 = embed_coefficients(np.column_stack([vec, 2 * vec]), old, new)
+    np.testing.assert_allclose(out2, [[0.0, 0.0], [2.0, 4.0], [3.0, 6.0]])
+    np.testing.assert_allclose(dropped2, [[1.0, 2.0]])
 
 
 # -- block-inverse updates ----------------------------------------------------

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from vngrid.errors import ConvergenceError
+import vngrid.reduced_space as reduced_space
+import vngrid.solvers as solvers
+from vngrid.errors import (ConvergenceError, DegenerateUpdateError,
+                           IllConditionedBasisError)
 from vngrid.fourier_grid import build_grid
 from vngrid.hamiltonian import OperatorSpec, ReducedHamiltonian
-from vngrid.reduced_space import CellSet, ReducedBasis, boundary_cells
-from vngrid.solvers import (EigenResult, TiseConfig, lattice_potential,
-                            reference_full_eig, seed_cells, solve_reduced_eig,
-                            tise_adaptive)
+from vngrid.reduced_space import (CellSet, ReducedBasis, boundary_cells,
+                                  expand_cells)
+from vngrid.solvers import (EigenResult, ShiftInvertError, TiseConfig,
+                            lattice_potential, reference_full_eig, seed_cells,
+                            shift_invert_eig, solve_reduced_eig, tise_adaptive)
 
 
 def test_seed_cells_double_well(dw_model):
@@ -135,3 +140,158 @@ def test_adaptive_helium_ground_state(he_model, he_dense):
                         TiseConfig(zeta=1e-5, n_modes=1))
     assert abs(res.eigenvalues[0] - he_dense[0]) <= 1e-5
     assert len(res.final_cells) < he_model.product.n_cells
+
+
+# -- shift-invert eigensolve ---------------------------------------------------
+
+def _reduced_problem(model, cells):
+    rb = ReducedBasis.create(model.product, cells)
+    ham = ReducedHamiltonian(model.spec, model.product, cells)
+    return ham.Hbb, rb.Sinv_tilde
+
+
+def _subspace_defect(s, v_ref, v):
+    """1 - smallest cosine between the S-orthonormal column spaces."""
+    return 1.0 - scipy.linalg.svdvals(v_ref.conj().T @ s @ v).min()
+
+
+@pytest.mark.parametrize("case", ["helium", "doublet", "harmonic4"])
+def test_every_solve_matches_dense_oracle(case, he_model, dw_model, ho_model,
+                                          monkeypatch):
+    # helium at the driven run's cutoff runs at the real threshold (n up to
+    # 1025); the small cases lower it so that every warm solve is shift-invert
+    model, cfg = {
+        "helium": (he_model, TiseConfig(zeta=1e-4, n_modes=1)),
+        "doublet": (dw_model, TiseConfig(zeta=1e-6, n_modes=2)),
+        "harmonic4": (ho_model, TiseConfig(zeta=1e-6, n_modes=4)),
+    }[case]
+    if case != "helium":
+        monkeypatch.setattr(solvers, "_SHIFT_INVERT_MIN", 1)
+    threshold = solvers._SHIFT_INVERT_MIN
+    real_solve, real_si = solvers.solve_reduced_eig, solvers.shift_invert_eig
+    calls, served = [], []
+
+    def recording_si(*args, **kwargs):
+        res = real_si(*args, **kwargs)
+        served.append(args[0].shape[0])
+        return res
+
+    def compared_solve(hbb, sinv, n_modes, warm=None):
+        w, v = real_solve(hbb, sinv, n_modes, warm)
+        w_ref, v_ref = scipy.linalg.eigh(hbb, sinv,
+                                         subset_by_index=[0, n_modes - 1])
+        assert np.abs(w - w_ref).max() <= 1e-10
+        assert _subspace_defect(sinv, v_ref, v) <= 1e-10
+        np.testing.assert_allclose(np.einsum("ij,ik,kj->j", v.conj(), sinv, v),
+                                   1.0, atol=1e-12)
+        calls.append((hbb.shape[0], warm is not None))
+        return w, v
+
+    monkeypatch.setattr(solvers, "shift_invert_eig", recording_si)
+    monkeypatch.setattr(solvers, "solve_reduced_eig", compared_solve)
+    res = tise_adaptive(model.spec, model.product, cfg)
+    eligible = [n for n, warm in calls if warm and n >= threshold]
+    assert len(calls) == res.iterations
+    assert eligible and served == eligible
+    if case == "helium":
+        assert max(eligible) == len(res.final_cells) == 1025
+
+
+def _helium_second_iteration(he_model):
+    """The search's second problem (33 cells) and its first energy."""
+    seeds = seed_cells(lattice_potential(he_model.spec, he_model.lattices),
+                       he_model.lattices)
+    h1, s1 = _reduced_problem(he_model, seeds)
+    e_first = scipy.linalg.eigh(h1, s1, eigvals_only=True)[0]
+    return _reduced_problem(he_model, expand_cells(seeds, he_model.lattices)), e_first
+
+
+def test_shift_starting_above_ground_is_lowered(he_model, dw_model):
+    # helium's second iteration with the first energy as the estimate sits
+    # 4.3 Ha above the ground state; the inertia count at sigma rejects each
+    # shift until one lies below the spectrum
+    (h, s), e_first = _helium_second_iteration(he_model)
+    w_ref = scipy.linalg.eigh(h, s, eigvals_only=True)
+    assert e_first > w_ref[12]
+    res = shift_invert_eig(h, s, 1, e_first)
+    assert res.below_sigma == 0 and res.sigma < w_ref[0]
+    assert res.factorizations > 2
+    assert abs(res.eigenvalues[0] - w_ref[0]) <= 1e-10
+    # the double well's tunnelling pair from an estimate above both
+    lat = dw_model.lattices[0]
+    cells = CellSet([[lat.cell_index(a, lat.p_zero_index)] for a in range(lat.Nx)])
+    for _ in range(3):
+        cells = expand_cells(cells, lat)
+    h, s = _reduced_problem(dw_model, cells)
+    w_ref = scipy.linalg.eigh(h, s, eigvals_only=True)
+    res = shift_invert_eig(h, s, 2, w_ref[2])
+    assert res.below_sigma == 0 and res.below_mu == 2
+    np.testing.assert_allclose(res.eigenvalues, w_ref[:2], atol=1e-10)
+
+
+def test_start_block_orthogonal_to_ground_mode(ho_model, monkeypatch):
+    # exact excited modes converge at once, so the block never sees the
+    # ground mode; the count at mu finds it and the solve falls back
+    cells = CellSet(np.arange(ho_model.pairs[0].n)[:, None])
+    h, s = _reduced_problem(ho_model, cells)
+    w_ref, v_ref = scipy.linalg.eigh(h, s, subset_by_index=[0, 3])
+    warm = (w_ref[0] - 0.5, v_ref[:, 1:])
+    with pytest.raises(ShiftInvertError, match="2 eigenvalues below"):
+        shift_invert_eig(h, s, 1, *warm)
+    monkeypatch.setattr(solvers, "_SHIFT_INVERT_MIN", 1)
+    w, v = solve_reduced_eig(h, s, 1, warm)
+    assert abs(w[0] - w_ref[0]) <= 1e-10
+    assert _subspace_defect(s, v_ref[:, :1], v) <= 1e-10
+
+
+def test_small_or_cold_solves_stay_dense(ho_model, monkeypatch):
+    def no_shift_invert(*args, **kwargs):
+        raise AssertionError("shift-invert below the threshold or without a start")
+
+    monkeypatch.setattr(solvers, "shift_invert_eig", no_shift_invert)
+    cells = CellSet(np.arange(ho_model.pairs[0].n)[:, None])
+    h, s = _reduced_problem(ho_model, cells)
+    w, _ = solve_reduced_eig(h, s, 2, (0.5, None))
+    np.testing.assert_allclose(w, [0.5, 1.5], atol=1e-6)
+    monkeypatch.setattr(solvers, "_SHIFT_INVERT_MIN", 1)
+    w2, _ = solve_reduced_eig(h, s, 2)
+    np.testing.assert_array_equal(w, w2)
+
+
+# -- the search never forms Stilde ----------------------------------------------
+
+def test_tise_forms_no_inverse_overlap(he_model, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the eigenmode search touched the inverse overlap")
+
+    for name in ("grow_inverse", "shrink_inverse", "_fresh_inverse"):
+        monkeypatch.setattr(reduced_space, name, forbidden)
+    res = tise_adaptive(he_model.spec, he_model.product,
+                        TiseConfig(zeta=1e-4, n_modes=1))
+    assert res.iterations == 5
+    monkeypatch.undo()
+    rb = res.reduced_basis
+    expect = reduced_space._fresh_inverse(rb.Sinv_tilde, rb.n)
+    first = rb.Stilde
+    np.testing.assert_array_equal(first, expect)
+    assert rb.Stilde is first
+
+
+def test_tise_update_rejects_non_positive_definite_overlap(ho_model,
+                                                           non_pd_updates):
+    with pytest.raises(DegenerateUpdateError, match="not positive definite"):
+        tise_adaptive(ho_model.spec, ho_model.product, TiseConfig(zeta=1e-6))
+
+
+def test_tise_checks_conditioning_without_an_inverse(dw_model, ho_model,
+                                                    ill_conditioned_overlaps):
+    # the estimate from the kept Cholesky factor rejects a positive definite
+    # overlap near cond 1e13 on creation and on a search's basis change
+    seeds = seed_cells(lattice_potential(dw_model.spec, dw_model.lattices),
+                       dw_model.lattices)
+    assert len(seeds) > 1
+    with pytest.raises(IllConditionedBasisError) as err:
+        ReducedBasis.create(dw_model.product, seeds)
+    assert 1e12 < err.value.cond <= 1.01e13
+    with pytest.raises(IllConditionedBasisError, match="ill-conditioned"):
+        tise_adaptive(ho_model.spec, ho_model.product, TiseConfig(zeta=1e-6))
