@@ -55,6 +55,8 @@ from .reduced_space import (CellSet, DEFAULT_RADIUS, ProductBasis, ReducedBasis,
 
 _TAU_FLOOR = 1e-12
 _ORACLE_LIMIT = 4096
+_SHRINK = 0.5    # step factor after a rejected step
+_GROWTH = 1.2    # step factor after a quiet stretch
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,15 +73,10 @@ class PropagationConfig:
     tau0: float = 0.05
     max_taylor_terms: int = 30
     taylor_eps: float = 1e-12
-    shrink_factor: float = 0.5
-    growth_factor: float = 1.2
     growth_patience: int = 3
-    t_max_cap: float | None = None
     snapshot_every: int = 50
 
     def __post_init__(self):
-        if not 0 < self.shrink_factor < 1 < self.growth_factor:
-            raise ValueError("need 0 < shrink_factor < 1 < growth_factor")
         if self.max_taylor_terms < 2:
             raise ValueError("max_taylor_terms must be at least 2")
         if self.tau0 <= 0 or self.taylor_eps <= 0 or self.zeta <= 0:
@@ -294,15 +291,13 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
            else ReducedHamiltonian(spec, product, cells0))
     lattices = product.lattices
 
-    tau_cap = cfg.t_max_cap
+    tau_cap = math.inf
     if pulses:
         bandwidth = max(g.K for g in product.grids)
-        slopes = [p.max_abs_derivative() for p in pulses]
-        slope = max(slopes) if slopes else 0.0
+        slope = max(p.max_abs_derivative() for p in pulses)
         if slope > 0.0:
-            bound = max_timestep(cfg.zeta, bandwidth, slope)
-            tau_cap = bound if tau_cap is None else min(tau_cap, bound)
-    tau = min(cfg.tau0, tau_cap) if tau_cap is not None else cfg.tau0
+            tau_cap = max_timestep(cfg.zeta, bandwidth, slope)
+    tau = min(cfg.tau0, tau_cap)
 
     times, n_active, norms, taus, discarded = [], [], [], [], []
     events = []
@@ -311,9 +306,8 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
     quiet = 0
     lost = 0.0
     t = t0
-    cells = cells0
     accepted = 0
-    bmask = boundary_mask(cells, lattices, cfg.radius)
+    bmask = boundary_mask(rb.cells, lattices, cfg.radius)
     # staged generator and when to form it: see the module docstring
     blocks = 1 + len({id(hc) for hc in ham.Hbb_controls})
     staged = ham.generator(rb.Stilde)
@@ -334,12 +328,12 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
         step = taylor_step(apply_h1, psi, tau_eff, cfg)
         terms_here += step.terms
         if step.too_large:
-            tau = _shrink(tau, cfg, events, t, "series")
+            tau = _shrink(tau, events, t, "series")
             quiet = 0
             continue
         if watch_rows is not None and watch_rows.size:
             if np.abs(step.psi[watch_rows]).max() > cfg.zeta:
-                tau = _shrink(tau, cfg, events, t, "fresh-cell overshoot")
+                tau = _shrink(tau, events, t, "fresh-cell overshoot")
                 quiet = 0
                 continue
         # step accepted
@@ -354,51 +348,44 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
         norms.append(rb.physical_norm(psi))
         discarded.append(lost)
 
-        hot = bool(bmask.any() and np.abs(psi[bmask]).max() >= cfg.zeta)
-        if hot:
-            kept = prune_cells(cells, np.abs(psi), cfg.zeta)
+        if bmask.any() and np.abs(psi[bmask]).max() >= cfg.zeta:
+            kept = prune_cells(rb.cells, np.abs(psi), cfg.zeta)
             new_cells = expand_cells(kept, lattices, cfg.radius)
-            norm_before = rb.physical_norm(psi)
-            new_psi, _ = embed_coefficients(psi, cells, new_cells)
+            psi = embed_coefficients(psi, rb.cells, new_cells)
             try:
                 added, removed = rb.update(new_cells)
             except (DegenerateUpdateError, IllConditionedBasisError) as exc:
                 exc.events = events
                 raise
             ham.update(new_cells)
-            norm_after = rb.physical_norm(new_psi)
-            lost += abs(norm_before ** 2 - norm_after ** 2)
+            # norms[-1] is the norm before the change
+            lost += abs(norms[-1] ** 2 - rb.physical_norm(psi) ** 2)
             events.append((t, "basis", f"+{len(added)} -{len(removed)} cells"))
-            if len(added):
-                watch_rows = new_cells.matches(added)[0]
-            psi = new_psi
-            cells = new_cells
-            bmask = boundary_mask(cells, lattices, cfg.radius)
+            watch_rows = new_cells.matches(added)[0]
+            bmask = boundary_mask(new_cells, lattices, cfg.radius)
             staged = None
             terms_here = 0
             quiet = 0
         elif quiet >= cfg.growth_patience:
-            grown = tau * cfg.growth_factor
-            if tau_cap is not None:
-                grown = min(grown, tau_cap)
+            grown = min(tau * _GROWTH, tau_cap)
             if grown > tau:
                 events.append((t, "grow", f"tau -> {grown:.3e}"))
             tau = grown
             quiet = 0
         if cfg.snapshot_every and accepted % cfg.snapshot_every == 0:
-            snapshots.append(Snapshot(t, cells, psi.copy()))
+            snapshots.append(Snapshot(t, rb.cells, psi.copy()))
 
     if not snapshots or snapshots[-1].t != t:
-        snapshots.append(Snapshot(t, cells, psi.copy()))
+        snapshots.append(Snapshot(t, rb.cells, psi.copy()))
     return Trajectory(times=np.asarray(times), n_active=np.asarray(n_active),
                       norms=np.asarray(norms), taus=np.asarray(taus),
                       discarded=np.asarray(discarded), events=events,
-                      snapshots=snapshots, final_cells=cells,
+                      snapshots=snapshots, final_cells=rb.cells,
                       final_coefficients=psi, hamiltonian=ham)
 
 
-def _shrink(tau, cfg, events, t, reason):
-    new_tau = tau * cfg.shrink_factor
+def _shrink(tau, events, t, reason):
+    new_tau = tau * _SHRINK
     events.append((t, "shrink", f"{reason}: tau -> {new_tau:.3e}"))
     if new_tau < _TAU_FLOOR:
         raise TimestepUnderflowError(

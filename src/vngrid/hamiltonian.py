@@ -51,7 +51,7 @@ import dataclasses
 import numpy as np
 
 from .fourier_grid import HBAR, FourierGrid
-from .reduced_space import CellSet, ProductBasis
+from .reduced_space import CellSet, ProductBasis, carry_hermitian, cell_change
 from .vn_basis import BasisPair
 
 _SIZE_LIMIT = 4096  # dense full-grid constructions refuse beyond this
@@ -639,31 +639,22 @@ class ReducedHamiltonian:
     # -- incremental maintenance ----------------------------------------------
 
     def update(self, new_cells: CellSet):
-        """Re-target to ``new_cells``: drop removed rows, compute added ones.
+        """Re-target to ``new_cells`` and return the added cells.
 
-        Only rows/columns touching added cells are recomputed; retained
-        entries are copied, so the result is identical to a from-scratch
-        assembly (the cache guarantees value equality).
+        Every distinct block is carried as the reduced overlap is
+        (:func:`~vngrid.reduced_space.carry_hermitian`): only the rows of
+        added cells are assembled, and the result is identical to a
+        from-scratch assembly (the cache guarantees value equality).
         """
-        old_rows, kept_rows_new = self.cells.matches(new_cells)
-        added_rows_new = np.setdiff1d(np.arange(len(new_cells)), kept_rows_new,
-                                      assume_unique=True)
-        added = CellSet(new_cells.indices[added_rows_new], ndof=new_cells.ndof)
-        mats = []
-        for old_mat, factors in zip((self.Hbb, *self._control_blocks),
-                                    (self._drift, *self._controls)):
-            n = len(new_cells)
-            new_mat = np.zeros((n, n), dtype=complex)
-            new_mat[np.ix_(kept_rows_new, kept_rows_new)] = \
-                old_mat[np.ix_(old_rows, old_rows)]
-            if len(added):
-                blk = self._block(added, new_cells, factors)
-                new_mat[added_rows_new, :] = blk
-                new_mat[:, added_rows_new] = blk.conj().T
-            mats.append(new_mat)
+        kept, fresh = cell_change(self.cells, new_cells)
+        added = new_cells.subset(fresh)
+        self.Hbb, *controls = [
+            carry_hermitian(mat, kept, fresh,
+                            self._block(added, new_cells, factors))
+            for mat, factors in zip((self.Hbb, *self._control_blocks),
+                                    (self._drift, *self._controls))]
+        self._control_blocks = tuple(controls)
         self.cells = new_cells
-        self.Hbb = mats[0]
-        self._control_blocks = tuple(mats[1:])
         return added
 
     # -- application ------------------------------------------------------------

@@ -21,6 +21,7 @@ of the change.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -99,6 +100,14 @@ class CellSet:
             raise KeyError(tuple(cell))
         return int(rows[0])
 
+    def subset(self, mask) -> "CellSet":
+        """Cells at the true entries of a boolean row mask (kept canonical,
+        so not re-sorted)."""
+        out = CellSet.__new__(CellSet)
+        out.indices = self.indices[mask]
+        out.indices.flags.writeable = False
+        return out
+
     def matches(self, other: "CellSet"):
         """Rows ``(i, j)``, both ascending, where ``self`` row ``i`` is
         ``other`` row ``j``."""
@@ -125,13 +134,16 @@ def _shapes(lattices):
     return [(lat.Nx, lat.Np) for lat in lattices]
 
 
+@functools.lru_cache(maxsize=None)
 def _stencil(ndof, radius):
-    """Integer offset vectors of Euclidean length <= radius in 2*ndof axes."""
+    """Integer offset vectors of Euclidean length <= radius in 2*ndof axes
+    (built once per argument pair, read-only)."""
     r = int(math.floor(radius))
-    axes = [range(-r, r + 1)] * (2 * ndof)
-    offs = [off for off in itertools.product(*axes)
-            if sum(o * o for o in off) <= radius * radius]
-    return np.array(offs, dtype=np.intp)
+    offs = np.array([off for off in itertools.product(range(-r, r + 1),
+                                                      repeat=2 * ndof)
+                     if sum(o * o for o in off) <= radius * radius], dtype=np.intp)
+    offs.flags.writeable = False
+    return offs
 
 
 def _coords(cells: CellSet, shapes):
@@ -202,8 +214,7 @@ def boundary_mask(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS) -> n
 
 def boundary_cells(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS) -> CellSet:
     """Members of ``cells`` with at least one non-member within ``radius``."""
-    mask = boundary_mask(cells, lattices, radius)
-    return CellSet(cells.indices[mask], ndof=cells.ndof)
+    return cells.subset(boundary_mask(cells, lattices, radius))
 
 
 def prune_cells(cells: CellSet, amplitudes, zeta: float) -> CellSet:
@@ -221,22 +232,45 @@ def prune_cells(cells: CellSet, amplitudes, zeta: float) -> CellSet:
     keep = amp >= zeta
     if not np.any(keep):
         keep[int(np.argmax(amp))] = True
-    return CellSet(cells.indices[keep], ndof=cells.ndof)
+    return cells.subset(keep)
 
 
 def embed_coefficients(vec, old_cells: CellSet, new_cells: CellSet):
     """Carry a coefficient vector across a cell-set change.
 
-    Returns ``(new_vec, dropped)`` where ``new_vec`` holds the old
-    coefficients at surviving cells (zeros at fresh cells) and ``dropped``
-    the coefficients of removed cells, for discarded-amplitude accounting.
-    A 2-D ``vec`` carries its columns (one vector each) alike.
+    The result holds the old coefficients at surviving cells and zeros at
+    fresh cells.  A 2-D ``vec`` carries its columns (one vector each) alike.
     """
     vec = np.asarray(vec)
     i, j = old_cells.matches(new_cells)
     new_vec = np.zeros((len(new_cells),) + vec.shape[1:], dtype=vec.dtype)
     new_vec[j] = vec[i]
-    return new_vec, np.delete(vec, i, axis=0)
+    return new_vec
+
+
+def cell_change(old_cells: CellSet, new_cells: CellSet):
+    """Row masks ``(kept, fresh)``: the rows of ``old_cells`` that stay and
+    the rows of ``new_cells`` that are added.  Both sets are canonical, so
+    the kept rows are the non-fresh rows of ``new_cells``, in order."""
+    i, j = old_cells.matches(new_cells)
+    kept = np.zeros(len(old_cells), dtype=bool)
+    kept[i] = True
+    fresh = np.ones(len(new_cells), dtype=bool)
+    fresh[j] = False
+    return kept, fresh
+
+
+def carry_hermitian(mat, kept, fresh, fresh_rows):
+    """Move a Hermitian reduced matrix across a change (:func:`cell_change`):
+    the kept block ``mat[kept, kept]`` is copied, the rows of the added cells
+    over every new cell are written, and their conjugates fill the fresh
+    columns."""
+    n = len(fresh)
+    out = np.empty((n, n), dtype=complex)
+    out[np.ix_(~fresh, ~fresh)] = mat[np.ix_(kept, kept)]
+    out[fresh] = fresh_rows
+    out[:, fresh] = fresh_rows.conj().T
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,22 +313,19 @@ def grow_inverse(Ainv, C, D):
 def shrink_inverse(Zinv, keep):
     """Inverse of the retained principal block, from the full inverse only.
 
-    ``keep`` is an integer count (keep the leading block) or an index array.
-    With ``Zinv`` partitioned into kept/dropped blocks ``[[Ws, Wc], [Wc^H,
-    Wd]]``, the retained inverse is ``Ws - Wc Wd^-1 Wc^H``.
+    ``keep`` is an integer count (keep the leading block), an ascending
+    index array or a boolean row mask.  With ``Zinv`` partitioned into
+    kept/dropped blocks ``[[Ws, Wc], [Wc^H, Wd]]``, the retained inverse is
+    ``Ws - Wc Wd^-1 Wc^H``.
     """
     Zinv = np.asarray(Zinv)
-    n_tot = Zinv.shape[0]
-    if np.isscalar(keep):
-        keep_idx = np.arange(int(keep))
-    else:
-        keep_idx = np.asarray(keep, dtype=np.intp)
-    drop_idx = np.setdiff1d(np.arange(n_tot), keep_idx)
-    if drop_idx.size == 0:
-        return Zinv[np.ix_(keep_idx, keep_idx)].copy()
-    Ws = Zinv[np.ix_(keep_idx, keep_idx)]
-    Wc = Zinv[np.ix_(keep_idx, drop_idx)]
-    Wd = _hermitize(Zinv[np.ix_(drop_idx, drop_idx)])
+    kept = np.zeros(len(Zinv), dtype=bool)
+    kept[np.arange(keep) if np.isscalar(keep) else keep] = True
+    Ws = Zinv[np.ix_(kept, kept)]
+    if kept.all():
+        return Ws
+    Wc = Zinv[np.ix_(kept, ~kept)]
+    Wd = _hermitize(Zinv[np.ix_(~kept, ~kept)])
     try:
         cho = scipy.linalg.cho_factor(Wd)
     except np.linalg.LinAlgError as exc:
@@ -387,16 +418,16 @@ class ProductBasis:
 class ReducedBasis:
     """Active cells with ``Sinv_tilde = Btilde^H Btilde`` and its inverse.
 
-    Mutated only between solver phases (single writer); the overlap entries
-    are exact per-axis products.  The inverse ``Stilde`` is formed on first
-    read: until then the basis keeps the Cholesky factor of ``Sinv_tilde``,
-    which creation and every update recompute as the positive-definiteness
-    check and from which they estimate the condition number, and the first
-    read inverts from that factor with the exact conditioning check of a
-    from-scratch inverse.  The adaptive eigenmode search never reads
-    ``Stilde``; the propagator reads it at once.  From the first read on,
-    the inverse is carried through the block updates and refreshed from
-    scratch every 50 updates to bound drift.
+    Mutated only between solver phases (single writer).  The overlap
+    entries are exact per-axis products, carried across each update by
+    :func:`carry_hermitian` (bit for bit a fresh overlap).  ``Stilde`` is
+    formed on first read: until then the basis keeps the Cholesky factor of
+    ``Sinv_tilde``, which creation and every update recompute as the
+    positive-definiteness check and from which they estimate the condition
+    number; the first read inverts from that factor with the exact check of
+    a from-scratch inverse.  The eigenmode search never reads ``Stilde``;
+    the propagator reads it at once, and from then on the inverse is carried
+    through the block updates and refreshed every 50 updates.
     """
 
     def __init__(self, product: ProductBasis, cells: CellSet,
@@ -444,58 +475,50 @@ class ReducedBasis:
             np.vdot(coeffs, self.Sinv_tilde @ coeffs)))))
 
     def update(self, new_cells: CellSet):
-        """Switch to ``new_cells``, updating the inverse incrementally.
+        """Switch to ``new_cells``, carrying the overlap and its inverse.
 
-        Returns ``(added, removed)`` cell sets.  Removal uses only blocks of
-        the current inverse; addition factorizes only the added block.
+        Returns ``(added, removed)`` cell sets.  Only the added overlap
+        rows are computed.  Removal uses only blocks of the current inverse;
+        addition factorizes only the added block, read off the overlap.
         Before the first read of ``Stilde`` only the overlap's Cholesky
         factor is renewed: a failed factorization raises
-        :class:`DegenerateUpdateError` as a failed Schur complement would,
-        and a condition estimate beyond the limit raises
-        :class:`IllConditionedBasisError`.
+        :class:`DegenerateUpdateError`, and a condition estimate beyond the
+        limit raises :class:`IllConditionedBasisError`.
         """
-        old = self.cells
-        i, j = old.matches(new_cells)
-        fresh = np.setdiff1d(np.arange(len(new_cells)), j, assume_unique=True)
-        removed = CellSet(np.delete(old.indices, i, axis=0), ndof=old.ndof)
-        added = CellSet(new_cells.indices[fresh], ndof=old.ndof)
+        kept, fresh = cell_change(self.cells, new_cells)
+        added, removed = new_cells.subset(fresh), self.cells.subset(~kept)
         if len(removed) == 0 and len(added) == 0:
             self.cells = new_cells
             return added, removed
-        if len(i) == 0 and len(added) == 0:
+        if len(new_cells) == 0:
             raise DegenerateUpdateError("cannot reduce to an empty cell set")
+        sinv = carry_hermitian(self.Sinv_tilde, kept, fresh,
+                               self.product.overlap(added, new_cells))
 
         if self._stilde is None:
-            sinv = self.product.overlap(new_cells, new_cells)
             cho = _cholesky(sinv)
             if cho is None:
                 raise DegenerateUpdateError(
                     f"reduced overlap of {len(new_cells)} cells is not "
                     f"positive definite")
             _check_conditioning(sinv, cho)
-            self.cells, self.Sinv_tilde, self._cho = new_cells, sinv, cho
-            return added, removed
-
-        stilde = self._stilde
-        if len(removed):
-            stilde = shrink_inverse(stilde, i)
-        if len(added):
-            kept = CellSet(old.indices[i], ndof=old.ndof)
-            c_blk = self.product.overlap(kept, added)
-            d_blk = self.product.overlap(added, added)
-            grown = grow_inverse(stilde, c_blk, d_blk)
-            # grown rows are the kept cells, then the added ones
-            perm = np.argsort(np.concatenate([j, fresh]))
-            stilde = grown[np.ix_(perm, perm)]
-
-        self.cells = new_cells
-        self.Sinv_tilde = self.product.overlap(new_cells, new_cells)
-        self._updates_since_refresh += 1
-        if self._updates_since_refresh >= _REFRESH_EVERY:
-            self._stilde = _fresh_inverse(self.Sinv_tilde, len(new_cells))
-            self._updates_since_refresh = 0
+            self._cho = cho
         else:
+            stilde = self._stilde
+            if len(removed):
+                stilde = shrink_inverse(stilde, kept)
+            if len(added):
+                grown = grow_inverse(stilde, sinv[np.ix_(~fresh, fresh)],
+                                     sinv[np.ix_(fresh, fresh)])
+                # grown rows are kept then added cells: a stable sort of fresh
+                perm = np.argsort(np.argsort(fresh, kind="stable"))
+                stilde = grown[np.ix_(perm, perm)]
+            self._updates_since_refresh += 1
+            if self._updates_since_refresh >= _REFRESH_EVERY:
+                stilde = _fresh_inverse(sinv, len(new_cells))
+                self._updates_since_refresh = 0
             self._stilde = stilde
+        self.cells, self.Sinv_tilde = new_cells, sinv
         return added, removed
 
 
@@ -527,15 +550,14 @@ def _check_conditioning(sinv: np.ndarray, cho):
             cond=cond, size=n)
 
 
-def _fresh_inverse(sinv: np.ndarray, n: int, cond_limit: float = _COND_LIMIT,
-                   cho=None) -> np.ndarray:
+def _fresh_inverse(sinv: np.ndarray, n: int, cho=None) -> np.ndarray:
     """Inverse of the reduced overlap by Cholesky, with a conditioning check.
 
     ``cho`` is the overlap's ``cho_factor`` when the caller already holds
     it.  The check uses the 1-norm condition number ``||S||_1 ||S^-1||_1``,
     read off the overlap and its inverse in O(n^2).  For a Hermitian matrix
     the 1-norm bounds the 2-norm from above, so this never passes a matrix
-    whose 2-norm condition number exceeds ``cond_limit``.  A failed
+    whose 2-norm condition number exceeds the limit.  A failed
     factorization (not positive definite) counts as infinitely
     ill-conditioned.
     """
@@ -549,7 +571,7 @@ def _fresh_inverse(sinv: np.ndarray, n: int, cond_limit: float = _COND_LIMIT,
     inv = _hermitize(scipy.linalg.cho_solve(
         cho, np.eye(n, dtype=complex, order="F"), overwrite_b=True))
     cond = float(np.linalg.norm(sinv, 1) * np.linalg.norm(inv, 1))
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise IllConditionedBasisError(
             f"reduced overlap of {n} cells is ill-conditioned (cond ~ {cond:.2e})",
             cond=cond, size=n)

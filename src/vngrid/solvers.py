@@ -341,27 +341,25 @@ def tise_adaptive(spec: OperatorSpec, product, config: TiseConfig,
     lattices = product.lattices
     if seeds is None:
         seeds = seed_cells(lattice_potential(spec, lattices), lattices)
-    cells = seeds
-    rb = ReducedBasis.create(product, cells)
-    ham = ReducedHamiltonian(spec, product, cells)
+    rb = ReducedBasis.create(product, seeds)
+    ham = ReducedHamiltonian(spec, product, seeds)
     history = []
     warm = None
     for it in range(1, config.max_iterations + 1):
         n_solve = min(config.n_modes, rb.n)
         w, v = solve_reduced_eig(ham.Hbb, rb.Sinv_tilde, n_solve, warm)
-        bmask = boundary_mask(cells, lattices, config.radius)
+        bmask = boundary_mask(rb.cells, lattices, config.radius)
         b_amp = float(np.abs(v[bmask, :]).max()) if bmask.any() else 0.0
         history.append((rb.n, b_amp))
         if rb.n >= config.n_modes and b_amp < config.zeta:
-            return EigenResult(eigenvalues=w, eigenvectors=v, final_cells=cells,
+            return EigenResult(eigenvalues=w, eigenvectors=v, final_cells=rb.cells,
                                iterations=it, history=history,
                                reduced_basis=rb, hamiltonian=ham)
-        kept = prune_cells(cells, np.abs(v), config.zeta)
+        kept = prune_cells(rb.cells, np.abs(v), config.zeta)
         new_cells = expand_cells(kept, lattices, config.radius)
+        warm = (w[0], embed_coefficients(v, rb.cells, new_cells))
         rb.update(new_cells)
         ham.update(new_cells)
-        warm = (w[0], embed_coefficients(v, cells, new_cells)[0])
-        cells = new_cells
     raise ConvergenceError(
         f"eigenmode search did not converge in {config.max_iterations} "
         f"iterations (last boundary amplitude {history[-1][1]:.3e})",

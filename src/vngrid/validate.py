@@ -142,10 +142,12 @@ def check_incremental_inverse(rng):
         drop = keep[:2] if len(keep) > 6 else []
         new = (current - set(drop)) | {(int(i),) for i in add}
         rb.update(CellSet(np.array(sorted(new))))
+        assert np.array_equal(rb.Sinv_tilde, product.overlap(rb.cells, rb.cells)), \
+            "carried overlap differs from a fresh one"
         fresh = np.linalg.inv(rb.Sinv_tilde)
         worst = max(worst, np.abs(rb.Stilde - fresh).max())
     assert worst <= 1e-8, f"maintained inverse drifted by {worst:.2e}"
-    return f"max drift over 20 updates {worst:.1e}"
+    return f"overlap carried exactly, max drift over 20 updates {worst:.1e}"
 
 
 def check_projector(rng):
@@ -309,7 +311,7 @@ def check_shift_invert_certificate(rng):
             break
         new_cells = expand_cells(prune_cells(cells, np.abs(v), cfg.zeta),
                                  m.lattices, cfg.radius)
-        warm = (w[0], embed_coefficients(v, cells, new_cells)[0])
+        warm = (w[0], embed_coefficients(v, cells, new_cells))
         cells = new_cells
     assert cells == res.final_cells, "the replay left the search's path"
     dev = max(r[0] for r in rows)

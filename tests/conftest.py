@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from vngrid import models, reference_full_eig
-from vngrid.reduced_space import ProductBasis
+from vngrid import models, reduced_space, reference_full_eig
 
 
 @pytest.fixture
@@ -37,37 +36,36 @@ def he_dense(he_model):
 
 @pytest.fixture
 def non_pd_updates(monkeypatch):
-    """Reduced overlaps after the first are made indefinite (one negative
-    eigenvalue), which a Gram matrix never is: each update must reject it."""
-    real = ProductBasis.overlap
+    """Reduced overlaps factored after the first (the creation's) are made
+    indefinite in place (one negative eigenvalue), which a Gram matrix never
+    is: each update must reject the overlap it carried."""
+    real = reduced_space._cholesky
     seen = []
 
-    def overlap(self, rows, cols):
-        out = real(self, rows, cols)
-        if rows is cols:
-            seen.append(rows)
-            if len(seen) > 1:
-                out[0, :] = out[:, 0] = 0.0
-                out[0, 0] = -1.0
-        return out
+    def cholesky(sinv):
+        seen.append(len(sinv))
+        if len(seen) > 1:
+            sinv[0, :] = sinv[:, 0] = 0.0
+            sinv[0, 0] = -1.0
+        return real(sinv)
 
-    monkeypatch.setattr(ProductBasis, "overlap", overlap)
+    monkeypatch.setattr(reduced_space, "_cholesky", cholesky)
 
 
 @pytest.fixture
 def ill_conditioned_overlaps(monkeypatch):
-    """Reduced overlaps of two or more cells keep their eigenvectors, but the
-    smallest eigenvalue is set to 1e-13 of the largest: still positive
-    definite, with a condition number near 1e13, beyond the 1e12 limit."""
-    real = ProductBasis.overlap
+    """Reduced overlaps of two or more cells, created or carried, keep their
+    eigenvectors, but before they are factored the smallest eigenvalue is set
+    in place to 1e-13 of the largest: still positive definite, with a
+    condition number near 1e13, beyond the 1e12 limit."""
+    real = reduced_space._cholesky
 
-    def overlap(self, rows, cols):
-        out = real(self, rows, cols)
-        if rows is cols and len(rows) > 1:
-            w, u = np.linalg.eigh(out)
+    def cholesky(sinv):
+        if len(sinv) > 1:
+            w, u = np.linalg.eigh(sinv)
             w[0] = 1e-13 * w[-1]
             out = (u * w) @ u.conj().T
-            out = 0.5 * (out + out.conj().T)
-        return out
+            sinv[...] = 0.5 * (out + out.conj().T)
+        return real(sinv)
 
-    monkeypatch.setattr(ProductBasis, "overlap", overlap)
+    monkeypatch.setattr(reduced_space, "_cholesky", cholesky)

@@ -258,7 +258,7 @@ def test_underflow_aborts_with_event_log():
     tau = 1e-11
     with pytest.raises(TimestepUnderflowError) as err:
         for _ in range(10):
-            tau = _shrink(tau, PropagationConfig(), events, 0.0, "test")
+            tau = _shrink(tau, events, 0.0, "test")
     assert err.value.events
 
 
