@@ -10,18 +10,13 @@ terminated once the coefficient norm of the latest term drops below a tail
 cutoff.  If the series has not converged after the configured maximum
 number of terms, the step is declared too large and the caller halves it.
 
-With control signals ``u_g`` the generator is ``Stilde (Hbb + sum_g u_g H_g)``.
-Each term applies it either factored, as two matrix-vector products
-``Stilde @ (H @ v)``, or staged, as one product ``G(u) @ v`` with
-``G(u) = G_0 + sum_g u_g G_g``, ``G_0 = Stilde Hbb`` and ``G_g = Stilde H_g``
-formed once per cell set (:meth:`ReducedHamiltonian.generator`).  With ``b``
-one plus the number of distinct control blocks, staging costs ``b n^3``
-multiply-adds, as many as ``b n`` matrix-vector products, and it is dropped
-at every basis change.  The initial cell set is staged at once; after a
-basis change the factored form runs until the Taylor terms on the new cell
-set reach ``b n``, and the set is staged then.  On any stretch between
-basis changes this costs at most twice the cheaper of the two forms, and
-the choice depends on term counts only, so runs stay deterministic.
+With control signals ``u_g`` each term is one matrix-vector product with
+the staged generator ``G(u) = G_0 + sum_g u_g G_g``, ``G_0 = Stilde Hbb`` and
+``G_g = Stilde H_g`` (:meth:`ReducedHamiltonian.generator`).  It is formed
+once per run, at the first read of ``Stilde``; every basis change carries
+each ``G`` through the Schur blocks of the inverse update in ``O(n^2 m)``
+for ``m`` cells added or dropped, and the every-50th refresh of ``Stilde``
+re-forms it (:meth:`ReducedBasis.update`).
 
 The step controller combines three limits:
 
@@ -50,8 +45,8 @@ from .errors import (DegenerateUpdateError, IllConditionedBasisError,
                      TimestepUnderflowError)
 from .hamiltonian import OperatorSpec, ReducedHamiltonian
 from .reduced_space import (CellSet, DEFAULT_RADIUS, ProductBasis, ReducedBasis,
-                            boundary_mask, embed_coefficients, expand_cells,
-                            prune_cells)
+                            boundary_mask, cell_change, embed_coefficients,
+                            expand_cells, prune_cells)
 
 _TAU_FLOOR = 1e-12
 _ORACLE_LIMIT = 4096
@@ -110,7 +105,9 @@ def taylor_step(apply_h1, psi: np.ndarray, tau: float,
     for k in range(1, cfg.max_taylor_terms + 1):
         term = (-1j * tau / k) * apply_h1(term)
         acc += term
-        if np.linalg.norm(term) <= cfg.taylor_eps:
+        # numpy's own 2-norm of a complex vector, without its call overhead
+        re, im = term.real, term.imag
+        if math.sqrt(re.dot(re) + im.dot(im)) <= cfg.taylor_eps:
             return TaylorStep(psi=acc, terms=k, too_large=False)
     return TaylorStep(psi=None, terms=cfg.max_taylor_terms, too_large=True)
 
@@ -242,6 +239,7 @@ class Trajectory:
     final_cells: CellSet
     final_coefficients: np.ndarray
     hamiltonian: ReducedHamiltonian
+    generator: ReducedHamiltonian   # the blocks above, times Stilde
 
     @property
     def n_steps(self):
@@ -302,36 +300,24 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
     times, n_active, norms, taus, discarded = [], [], [], [], []
     events = []
     snapshots = [Snapshot(t0, rb.cells, psi.copy())]
-    watch_rows: np.ndarray | None = None   # fresh cells of the last expansion
+    watch_rows: np.ndarray | None = None   # fresh-row mask of the last expansion
     quiet = 0
     lost = 0.0
     t = t0
     accepted = 0
     bmask = boundary_mask(rb.cells, lattices, cfg.radius)
-    # staged generator and when to form it: see the module docstring
-    blocks = 1 + len({id(hc) for hc in ham.Hbb_controls})
-    staged = ham.generator(rb.Stilde)
-    terms_here = 0            # Taylor terms run on the current cell set
+    staged = ham.generator(rb.Stilde)     # carried across basis changes
 
     while t < t_end - 1e-12 and (max_steps is None or accepted < max_steps):
         tau_eff = min(tau, t_end - t)
         u_mid = tuple(p.value(t + 0.5 * tau_eff) for p in pulses)
-        if staged is None and terms_here >= blocks * rb.n:
-            staged = ham.generator(rb.Stilde)
-        if staged is not None:
-            g_now = staged.combined(u_mid)
-            apply_h1 = lambda v: g_now @ v
-        else:
-            h_now = ham.combined(u_mid)
-            stilde = rb.Stilde
-            apply_h1 = lambda v: stilde @ (h_now @ v)
-        step = taylor_step(apply_h1, psi, tau_eff, cfg)
-        terms_here += step.terms
+        g_now = staged.combined(u_mid)
+        step = taylor_step(lambda v: g_now @ v, psi, tau_eff, cfg)
         if step.too_large:
             tau = _shrink(tau, events, t, "series")
             quiet = 0
             continue
-        if watch_rows is not None and watch_rows.size:
+        if watch_rows is not None and watch_rows.any():
             if np.abs(step.psi[watch_rows]).max() > cfg.zeta:
                 tau = _shrink(tau, events, t, "fresh-cell overshoot")
                 quiet = 0
@@ -351,20 +337,21 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
         if bmask.any() and np.abs(psi[bmask]).max() >= cfg.zeta:
             kept = prune_cells(rb.cells, np.abs(psi), cfg.zeta)
             new_cells = expand_cells(kept, lattices, cfg.radius)
-            psi = embed_coefficients(psi, rb.cells, new_cells)
+            change = cell_change(rb.cells, new_cells)
+            psi = embed_coefficients(psi, rb.cells, new_cells, change)
+            ham.update(new_cells, change)
+            carry = [[g, h] for g, h in zip(staged.blocks, ham.blocks)]
             try:
-                added, removed = rb.update(new_cells)
+                added, removed = rb.update(new_cells, change, carry)
             except (DegenerateUpdateError, IllConditionedBasisError) as exc:
                 exc.events = events
                 raise
-            ham.update(new_cells)
+            staged = ham.with_blocks([g for g, _ in carry])
             # norms[-1] is the norm before the change
             lost += abs(norms[-1] ** 2 - rb.physical_norm(psi) ** 2)
             events.append((t, "basis", f"+{len(added)} -{len(removed)} cells"))
-            watch_rows = new_cells.matches(added)[0]
+            watch_rows = change[1]
             bmask = boundary_mask(new_cells, lattices, cfg.radius)
-            staged = None
-            terms_here = 0
             quiet = 0
         elif quiet >= cfg.growth_patience:
             grown = min(tau * _GROWTH, tau_cap)
@@ -381,7 +368,8 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
                       norms=np.asarray(norms), taus=np.asarray(taus),
                       discarded=np.asarray(discarded), events=events,
                       snapshots=snapshots, final_cells=rb.cells,
-                      final_coefficients=psi, hamiltonian=ham)
+                      final_coefficients=psi, hamiltonian=ham,
+                      generator=staged)
 
 
 def _shrink(tau, events, t, reason):

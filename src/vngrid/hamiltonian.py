@@ -517,13 +517,13 @@ class ReducedHamiltonian:
     """Hermitian ``Btilde^H H Btilde`` blocks, maintained incrementally.
 
     Holds the drift matrix and one matrix per control coupling.  The
-    reduced generator applied to a coefficient vector is
-    ``Stilde @ (Hbb @ psi)``, either factored (two matrix-vector products)
-    or staged: :meth:`generator` left-multiplies every distinct block by
-    ``Stilde`` once (one matrix-matrix product per block), and
-    :meth:`combined` of the staged copy then gives
-    ``Stilde (Hbb + sum_g u_g H_g)`` for one matrix-vector product per
-    application.
+    reduced generator is ``Stilde (Hbb + sum_g u_g H_g)``, applied staged:
+    :meth:`generator` left-multiplies every distinct block by ``Stilde``
+    once, and :meth:`combined` of the staged copy then gives the generator
+    for one matrix-vector product per application.  Across a basis change
+    the staged blocks are carried through the Schur blocks of the inverse
+    update (:meth:`~vngrid.reduced_space.ReducedBasis.update`) and put back
+    with :meth:`with_blocks`, so they are formed from scratch only once.
 
     Every operator is held as a rank expansion ``sum_r prod_k F_r^(k)`` of
     per-axis element tables over the whole lattice: the one-axis terms of
@@ -638,21 +638,22 @@ class ReducedHamiltonian:
 
     # -- incremental maintenance ----------------------------------------------
 
-    def update(self, new_cells: CellSet):
+    def update(self, new_cells: CellSet, change=None):
         """Re-target to ``new_cells`` and return the added cells.
 
         Every distinct block is carried as the reduced overlap is
         (:func:`~vngrid.reduced_space.carry_hermitian`): only the rows of
         added cells are assembled, and the result is identical to a
         from-scratch assembly (the cache guarantees value equality).
+        ``change`` is the :func:`~vngrid.reduced_space.cell_change` to
+        ``new_cells``, if already known.
         """
-        kept, fresh = cell_change(self.cells, new_cells)
+        kept, fresh = cell_change(self.cells, new_cells) if change is None else change
         added = new_cells.subset(fresh)
         self.Hbb, *controls = [
             carry_hermitian(mat, kept, fresh,
                             self._block(added, new_cells, factors))
-            for mat, factors in zip((self.Hbb, *self._control_blocks),
-                                    (self._drift, *self._controls))]
+            for mat, factors in zip(self.blocks, (self._drift, *self._controls))]
         self._control_blocks = tuple(controls)
         self.cells = new_cells
         return added
@@ -689,19 +690,29 @@ class ReducedHamiltonian:
             h += w * hc
         return h
 
+    @property
+    def blocks(self):
+        """The distinct blocks, drift first: a block that several control
+        terms share appears once."""
+        return (self.Hbb, *self._control_blocks)
+
+    def with_blocks(self, blocks) -> "ReducedHamiltonian":
+        """Read-only copy holding ``blocks`` (laid out as :attr:`blocks`) in
+        place of this object's, with the same signal grouping."""
+        out = copy.copy(self)
+        out.Hbb, *controls = blocks
+        out._control_blocks = tuple(controls)
+        out._buffer = None
+        return out
+
     def generator(self, stilde: np.ndarray) -> "ReducedHamiltonian":
         """Read-only copy with every distinct block left-multiplied by ``stilde``.
 
-        The copy keeps this object's block layout and signal grouping, so
-        its :meth:`combined` gives ``stilde (Hbb + sum_g u_g H_g)``.  It is
-        valid for the current cell set only and must not be updated.
+        Its :meth:`combined` gives ``stilde (Hbb + sum_g u_g H_g)``.  It holds
+        for the current cell set; a basis change carries its blocks instead
+        of calling this again.
         """
-        staged = copy.copy(self)
-        staged.Hbb = stilde @ self.Hbb
-        staged._control_blocks = tuple(stilde @ hc
-                                       for hc in self._control_blocks)
-        staged._buffer = None
-        return staged
+        return self.with_blocks([stilde @ b for b in self.blocks])
 
     def cache_stats(self):
         """Element-cache counters summed over the distinct caches in use."""

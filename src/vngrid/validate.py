@@ -24,7 +24,8 @@ from .hamiltonian import ReducedHamiltonian, potfit2
 from .solvers import (TiseConfig, lattice_potential, reference_full_eig,
                       seed_cells, shift_invert_eig, solve_reduced_eig,
                       tise_adaptive)
-from .dynamics import PropagationConfig, taylor_step
+from .dynamics import (PropagationConfig, project_state, taylor_step,
+                       tdse_adaptive)
 
 
 @dataclasses.dataclass
@@ -388,6 +389,27 @@ def check_oracle_agreement(rng):
     return f"max deviation over 100 steps {worst:.1e}"
 
 
+def check_carried_generator(rng):
+    m = models.harmonic()
+    x0 = 2.5 + 0.1 * rng.uniform(-1.0, 1.0)
+    grid, pair = m.grids[0], m.pairs[0]
+    psi = models.coherent_state(grid, x0, 0.0, np.sqrt(0.5))
+    cells = expand_cells(CellSet(np.flatnonzero(
+        np.abs(analyze(pair, psi)) >= 1e-6)[:, None]), m.lattices[0])
+    c0 = project_state(m.product, cells, psi * np.sqrt(grid.dx))
+    c0 /= ReducedBasis.create(m.product, cells).physical_norm(c0)
+    traj = tdse_adaptive(m.spec, m.product, c0, cells, (0.0, 10.0),
+                         cfg=PropagationConfig(zeta=1e-6, snapshot_every=0))
+    events = sum(kind == "basis" for _, kind, _ in traj.events)
+    assert events > 0, "no basis change to carry the generator through"
+    stilde = ReducedBasis.create(m.product, traj.final_cells).Stilde
+    fresh = ReducedHamiltonian(m.spec, m.product, traj.final_cells).blocks
+    err = max(np.abs(g - stilde @ h).max() / np.abs(stilde @ h).max()
+              for g, h in zip(traj.generator.blocks, fresh))
+    assert err <= 1e-12, f"carried generator deviates by {err:.2e}"
+    return f"{events} basis changes, relative deviation {err:.1e}"
+
+
 CHECKS = [
     ("fourier_grid/cardinality", check_cardinality),
     ("fourier_grid/bandlimited-reproduction", check_bandlimited_reproduction),
@@ -410,6 +432,7 @@ CHECKS = [
     ("dynamics/fixed-basis-unitarity", check_fixed_basis_unitarity),
     ("dynamics/taylor-tail", check_taylor_tail),
     ("dynamics/oracle-agreement", check_oracle_agreement),
+    ("dynamics/carried-generator", check_carried_generator),
 ]
 
 

@@ -5,7 +5,8 @@ import scipy.linalg
 from vngrid.errors import DegenerateUpdateError, IllConditionedBasisError
 from vngrid.fourier_grid import build_grid
 from vngrid.reduced_space import (CellSet, ProductBasis, ReducedBasis,
-                                  _fresh_inverse, boundary_cells, coefficient_projector,
+                                  _fresh_inverse, boundary_cells, cell_change,
+                                  coefficient_projector,
                                   complementary_basis, embed_coefficients,
                                   expand_cells, grow_inverse, prune_cells,
                                   reduced_gaussians, restrict_basis,
@@ -155,6 +156,9 @@ def test_embed_coefficients():
     # columns are carried alike
     out2 = embed_coefficients(np.column_stack([vec, 2 * vec]), old, new)
     np.testing.assert_allclose(out2, [[0.0, 0.0], [2.0, 4.0], [3.0, 6.0]])
+    # a change the caller already holds gives the same embedding
+    assert np.array_equal(embed_coefficients(vec, old, new, cell_change(old, new)),
+                          out)
 
 
 # -- block-inverse updates ----------------------------------------------------
@@ -173,6 +177,22 @@ def test_grow_inverse_against_dense_oracle(rng):
     ainv = np.linalg.inv(big[:36, :36])
     z = grow_inverse(ainv, big[:36, 36:], big[36:, 36:])
     np.testing.assert_allclose(z, np.linalg.inv(big), atol=1e-9)
+
+
+def test_grow_inverse_writes_the_fresh_layout(rng):
+    # added rows interleaved with kept ones: the same entries as the added-last
+    # layout, permuted, bit for bit
+    big = _random_pd(rng, 30)
+    fresh = np.zeros(30, dtype=bool)
+    fresh[[0, 7, 8, 21, 29]] = True
+    kept = ~fresh
+    ainv = np.linalg.inv(big[np.ix_(kept, kept)])
+    c, d = big[np.ix_(kept, fresh)], big[np.ix_(fresh, fresh)]
+    order = np.concatenate([np.flatnonzero(kept), np.flatnonzero(fresh)])
+    last = np.empty_like(big)
+    last[np.ix_(order, order)] = grow_inverse(ainv, c, d)
+    assert np.array_equal(grow_inverse(ainv, c, d, fresh), last)
+    np.testing.assert_allclose(last, np.linalg.inv(big), atol=1e-9)
 
 
 def test_grow_inverse_rejects_degenerate(rng):
@@ -348,6 +368,84 @@ def test_update_noop_and_embedding(pair60):
     added, removed = rb.update(cells)
     assert len(added) == 0 and len(removed) == 0
     np.testing.assert_allclose(rb.Stilde, st)
+
+
+@pytest.mark.parametrize("ndof", [1, 2, 3])
+def test_carried_generator_matches_stilde_times_block(ndof, pair48, pair60,
+                                                      monkeypatch):
+    # drift, a position block that two control terms share and a momentum
+    # block, carried through 100 random updates (grow-only, shrink-only,
+    # mixed, one no-op) that cross the refresh at the 50th change
+    import vngrid.reduced_space as reduced_space
+    from vngrid import models
+    from vngrid.hamiltonian import OperatorSpec, ReducedHamiltonian
+
+    small = build_basis_pair(build_lattice(build_grid(6.0, 12), 3, 4))
+    product = ProductBasis({1: (pair60,), 2: (pair48,) * 2,
+                            3: (small,) * 3}[ndof])
+    grids = product.grids
+    pos = models.position_coupling(grids)
+    spec = OperatorSpec.build(
+        grids, potentials=tuple(0.5 * g.centered_points ** 2 for g in grids),
+        control_terms=(pos, pos, models.momentum_coupling(grids)))
+    rng = np.random.default_rng(ndof)
+    universe = product.all_cells().indices
+    cells = CellSet(universe[rng.choice(len(universe), 30, replace=False)],
+                    ndof=ndof)
+    rb = ReducedBasis.create(product, cells)
+    ham = ReducedHamiltonian(spec, product, cells)
+    assert len(ham.blocks) == 3
+    generators = [rb.Stilde @ h for h in ham.blocks]
+    refreshes = []
+    real_fresh = reduced_space._fresh_inverse
+
+    def counted_fresh(*args, **kwargs):
+        refreshes.append(step)
+        return real_fresh(*args, **kwargs)
+
+    monkeypatch.setattr(reduced_space, "_fresh_inverse", counted_fresh)
+    worst = 0.0
+    for step in range(100):
+        current = rb.cells.indices
+        if step == 10:
+            kind = "none"
+        elif len(current) > 45:
+            kind = "shrink"
+        elif len(current) < 20:
+            kind = "grow"
+        else:
+            kind = ("grow", "shrink", "mixed")[step % 3]
+        keep = np.ones(len(current), dtype=bool)
+        if kind in ("shrink", "mixed"):
+            keep[rng.choice(len(current), rng.integers(1, 5), replace=False)] = False
+        rows = [current[keep]]
+        if kind in ("grow", "mixed"):
+            inside = set(map(tuple, current.tolist()))
+            outside = [i for i, c in enumerate(universe.tolist())
+                       if tuple(c) not in inside]
+            rows.append(universe[rng.choice(outside, rng.integers(1, 5),
+                                            replace=False)])
+        new_cells = CellSet(np.concatenate(rows), ndof=ndof)
+        change = cell_change(rb.cells, new_cells)
+        ham.update(new_cells, change)
+        carry = [[g, h] for g, h in zip(generators, ham.blocks)]
+        rb.update(new_cells, change, carry)
+        generators = [g for g, _ in carry]
+        for g, h in zip(generators, ham.blocks):
+            ref = rb.Stilde @ h
+            worst = max(worst, np.abs(g - ref).max() / np.abs(ref).max())
+    # 99 changes: the 50th re-inverts from scratch, the no-op counts for none
+    assert refreshes == [50]
+    assert worst <= 1e-12
+
+
+def test_update_carries_generators_only_after_stilde_is_read(pair60):
+    # before the first read there is no inverse to carry a generator with
+    product = ProductBasis(pair60)
+    rb = ReducedBasis.create(product, CellSet(np.arange(8)[:, None]))
+    h = product.overlap(rb.cells, rb.cells)
+    with pytest.raises(ValueError, match="after Stilde is read"):
+        rb.update(CellSet(np.arange(1, 9)[:, None]), None, [[h, h]])
 
 
 def test_selection_matrix(pair60):
