@@ -231,9 +231,9 @@ class Trajectory:
 
     times: np.ndarray
     n_active: np.ndarray
-    norms: np.ndarray
+    norms: np.ndarray              # physical norm before the step's basis change
     taus: np.ndarray
-    discarded: np.ndarray          # cumulative |discarded mass|
+    discarded: np.ndarray          # cumulative |discarded mass| after that change
     events: list                   # (t, kind, detail)
     snapshots: list
     final_cells: CellSet
@@ -332,7 +332,6 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
         taus.append(tau_eff)
         n_active.append(rb.n)
         norms.append(rb.physical_norm(psi))
-        discarded.append(lost)
 
         if bmask.any() and np.abs(psi[bmask]).max() >= cfg.zeta:
             kept = prune_cells(rb.cells, np.abs(psi), cfg.zeta)
@@ -359,6 +358,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
                 events.append((t, "grow", f"tau -> {grown:.3e}"))
             tau = grown
             quiet = 0
+        discarded.append(lost)
         if cfg.snapshot_every and accepted % cfg.snapshot_every == 0:
             snapshots.append(Snapshot(t, rb.cells, psi.copy()))
 

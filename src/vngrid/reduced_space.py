@@ -13,6 +13,15 @@ reduced overlap ``Btilde^H Btilde`` factorizes into per-axis entries, which
 is how all reduced matrices are built here (no full-dimension basis matrix
 is ever materialized outside small dense cross-checks).
 
+Cell-set geometry (expansion by a stencil radius, the boundary, the rows a
+change keeps and adds) runs on flat product-lattice keys.  Each axis shape
+has one neighbour table, built on first use and shared read-only, of
+``Nx * Np * (2r + 1)^2`` entries for ``r = floor(radius)``: its memory grows
+with the sum over axes, never with the product lattice.  A set's neighbour
+keys are one gather per axis; membership is read from a boolean occupancy
+array over the product lattice, with one extra sentinel slot per axis that
+stands for every position beyond a momentum band.
+
 The inverse ``Stilde = (Btilde^H Btilde)^-1`` is formed on first read and
 from then on updated incrementally when cells are added or removed, using
 Schur-complement block formulas that only ever invert matrices of the size
@@ -109,9 +118,15 @@ class CellSet:
     def subset(self, mask) -> "CellSet":
         """Cells at the true entries of a boolean row mask (kept canonical,
         so not re-sorted)."""
-        out = CellSet.__new__(CellSet)
-        out.indices = self.indices[mask]
-        out.indices.flags.writeable = False
+        return CellSet._canonical(self.indices[mask])
+
+    @classmethod
+    def _canonical(cls, rows) -> "CellSet":
+        """Wrap an ``(n, ndof)`` index array that is already unique and in
+        canonical order, without sorting it again (the array is frozen)."""
+        out = cls.__new__(cls)
+        out.indices = rows
+        rows.flags.writeable = False
         return out
 
     def matches(self, other: "CellSet"):
@@ -131,6 +146,8 @@ def _dims(rows):
 
 def _keys(rows, dims):
     """Flat C-order keys of non-negative index rows within ``dims``."""
+    if rows.shape[1] == 1:
+        return rows[:, 0]
     return np.ravel_multi_index(tuple(rows.T), dims)
 
 
@@ -141,25 +158,69 @@ def _shapes(lattices):
 
 
 @functools.lru_cache(maxsize=None)
+def _axis_neighbours(nx, np_, r):
+    """Neighbour table of one axis lattice (built once per shape, read-only).
+
+    Row ``i`` lists the neighbours of cell ``i = a * np_ + b`` under every
+    offset ``(da, db)`` in ``[-r, r]^2``, in column ``(da + r) * (2r + 1) +
+    (db + r)``: the cell ``((a + da) mod nx) * np_ + b + db``, or -1 where
+    ``b + db`` leaves the momentum band.
+    """
+    a, b = np.divmod(np.arange(nx * np_), np_)
+    d = np.arange(-r, r + 1)
+    na = np.mod(a[:, None, None] + d[:, None], nx)
+    nb = b[:, None, None] + d
+    table = np.where((nb >= 0) & (nb < np_), na * np_ + nb, -1).reshape(
+        nx * np_, -1)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=None)
 def _stencil(ndof, radius):
-    """Integer offset vectors of Euclidean length <= radius in 2*ndof axes
-    (built once per argument pair, read-only)."""
+    """The offsets of Euclidean length <= radius in 2*ndof axes, as one
+    :func:`_axis_neighbours` column per axis (built once per argument pair,
+    read-only).  Rows run in lexicographic offset order, so the zero offset
+    is the middle row."""
     r = int(math.floor(radius))
     offs = np.array([off for off in itertools.product(range(-r, r + 1),
                                                       repeat=2 * ndof)
                      if sum(o * o for o in off) <= radius * radius], dtype=np.intp)
-    offs.flags.writeable = False
-    return offs
+    cols = (offs[:, 0::2] + r) * (2 * r + 1) + offs[:, 1::2] + r
+    cols.flags.writeable = False
+    return cols
 
 
-def _coords(cells: CellSet, shapes):
-    """Per-cell (a_1, b_1, ..., a_d, b_d) lattice coordinates."""
-    out = np.empty((len(cells), 2 * len(shapes)), dtype=np.intp)
+def _neighbour_keys(cells: CellSet, lattices, radius):
+    """Occupancy keys ``(n, m)`` of every cell's neighbours within ``radius``
+    (stencil order of :func:`_stencil`), and the occupancy shape they index.
+
+    The occupancy array has ``Nx * Np + 1`` slots per axis: the cells and,
+    last, a sentinel slot that is never occupied.  Each axis contributes
+    one gather from its neighbour table, and the keys combine them in C
+    order over that shape (so, read over the cells, they are in canonical
+    order).  A -1 entry, a neighbour beyond a momentum band, lands the key
+    on a sentinel slot without a mask: in this mixed radix, -1 on an axis is
+    its sentinel digit with a borrow from the axis before it, and a borrow
+    past the first axis leaves a negative key, which wraps around the flat
+    array as Python indices do.  Raises :class:`ValueError` for a cell
+    outside the lattice.
+    """
+    shapes = _shapes(lattices)
+    if cells.ndof != len(shapes):
+        raise ValueError("cell dimensionality does not match lattice count")
+    r = int(math.floor(radius))
+    cols = _stencil(len(shapes), radius)
+    keys = None
     for k, (nx, np_) in enumerate(shapes):
-        a, b = np.divmod(cells.indices[:, k], np_)
-        out[:, 2 * k] = a
-        out[:, 2 * k + 1] = b
-    return out
+        rows = cells.indices[:, k, None]
+        try:
+            nbr = _axis_neighbours(nx, np_, r)[rows, cols[:, k]]
+        except IndexError:
+            raise ValueError(f"cell index {rows.max()} on axis {k} is outside "
+                             f"the lattice of {nx * np_} cells") from None
+        keys = nbr if keys is None else keys * (nx * np_ + 1) + nbr
+    return keys, tuple(nx * np_ + 1 for nx, np_ in shapes)
 
 
 def expand_cells(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS) -> CellSet:
@@ -168,24 +229,22 @@ def expand_cells(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS) -> Ce
     Distances are Euclidean in integer lattice coordinates over all
     position/momentum axes; position axes wrap periodically, momentum axes
     clamp at the bandwidth truncation (no wrap, out-of-band offsets dropped).
+
+    The neighbours come from per-axis tables (:func:`_axis_neighbours`), of
+    ``Nx * Np * (2r + 1)^2`` entries per axis shape and ``r = floor(radius)``,
+    built once per process.  Their keys are scattered into an occupancy
+    array of one byte per product-lattice cell, plus a sentinel slot per
+    axis that catches the out-of-band ones (:func:`_neighbour_keys`); its
+    occupied cells are the result, already unique and in canonical order.
+    Raises :class:`ValueError` for a cell outside the lattice.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    shapes = _shapes(lattices)
-    if cells.ndof != len(shapes):
-        raise ValueError("cell dimensionality does not match lattice count")
-    offs = _stencil(len(shapes), radius)
-    coords = _coords(cells, shapes)
-    new = coords[:, None, :] + offs[None, :, :]          # (ncells, noffs, 2d)
-    new = new.reshape(-1, 2 * len(shapes))
-    keep = np.ones(new.shape[0], dtype=bool)
-    flat = np.zeros((new.shape[0], len(shapes)), dtype=np.intp)
-    for k, (nx, np_) in enumerate(shapes):
-        a = np.mod(new[:, 2 * k], nx)
-        b = new[:, 2 * k + 1]
-        keep &= (b >= 0) & (b < np_)
-        flat[:, k] = a * np_ + np.clip(b, 0, np_ - 1)
-    return CellSet(flat[keep], ndof=len(shapes))
+    keys, shape = _neighbour_keys(cells, lattices, radius)
+    occupied = np.zeros(shape, dtype=bool)
+    occupied.reshape(-1)[keys] = True
+    inside = occupied[(slice(-1),) * len(shape)]
+    return CellSet._canonical(np.column_stack(np.nonzero(inside)))
 
 
 def boundary_mask(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS) -> np.ndarray:
@@ -195,27 +254,17 @@ def boundary_mask(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS) -> n
     clamped) is not a member; positions beyond the momentum band count as
     non-members, so cells on the bandwidth edge are always boundary cells
     and convergence there certifies that the band contains the state.
+
+    The members' own keys (the zero offset of :func:`_neighbour_keys`) mark
+    an occupancy array of one byte per product-lattice cell, whose sentinel
+    slots stay empty for the out-of-band neighbours; a cell is interior
+    when every neighbour key reads occupied.  Raises :class:`ValueError`
+    for a cell outside the lattice.
     """
-    shapes = _shapes(lattices)
-    d = len(shapes)
-    if cells.ndof != d:
-        raise ValueError("cell dimensionality does not match lattice count")
-    offs = _stencil(d, radius)
-    offs = offs[np.any(offs != 0, axis=1)]
-    coords = _coords(cells, shapes)
-    nbr = coords[:, None, :] + offs[None, :, :]          # (n, m, 2d)
-    outside = np.zeros(nbr.shape[:2], dtype=bool)
-    per_axis = []
-    for k, (nx, np_) in enumerate(shapes):
-        a = np.mod(nbr[:, :, 2 * k], nx)
-        b = nbr[:, :, 2 * k + 1]
-        outside |= (b < 0) | (b >= np_)
-        per_axis.append(a * np_ + np.clip(b, 0, np_ - 1))
-    dims = [nx * np_ for nx, np_ in shapes]
-    occupied = np.zeros(math.prod(dims), dtype=bool)
-    occupied[_keys(cells.indices, dims)] = True
-    return np.any(outside | ~occupied[np.ravel_multi_index(per_axis, dims)],
-                  axis=1)
+    keys, shape = _neighbour_keys(cells, lattices, radius)
+    occupied = np.zeros(math.prod(shape), dtype=bool)
+    occupied[keys[:, keys.shape[1] // 2]] = True
+    return ~occupied[keys].all(axis=1)
 
 
 def boundary_cells(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS) -> CellSet:
@@ -259,13 +308,20 @@ def embed_coefficients(vec, old_cells: CellSet, new_cells: CellSet,
 def cell_change(old_cells: CellSet, new_cells: CellSet):
     """Row masks ``(kept, fresh)``: the rows of ``old_cells`` that stay and
     the rows of ``new_cells`` that are added.  Both sets are canonical, so
-    the kept rows are the non-fresh rows of ``new_cells``, in order."""
-    i, j = old_cells.matches(new_cells)
-    kept = np.zeros(len(old_cells), dtype=bool)
-    kept[i] = True
-    fresh = np.ones(len(new_cells), dtype=bool)
-    fresh[j] = False
-    return kept, fresh
+    the kept rows are the non-fresh rows of ``new_cells``, in order.
+
+    Each set's flat keys mark an occupancy array over the index box of the
+    two sets, and each set reads its rows' membership off the other's.
+    """
+    dims = np.maximum(_dims(old_cells.indices), _dims(new_cells.indices))
+    old_keys = _keys(old_cells.indices, dims)
+    new_keys = _keys(new_cells.indices, dims)
+    size = math.prod(dims)
+    in_old = np.zeros(size, dtype=bool)
+    in_old[old_keys] = True
+    in_new = np.zeros(size, dtype=bool)
+    in_new[new_keys] = True
+    return in_new[old_keys], ~in_old[new_keys]
 
 
 def carry_hermitian(mat, kept, fresh, fresh_rows):

@@ -8,6 +8,7 @@ measured numbers.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
 
 import numpy as np
@@ -16,10 +17,10 @@ import scipy.linalg
 from . import models
 from .fourier_grid import build_grid, cardinal, synthesize_spectral
 from .vn_basis import analyze, build_basis_pair, build_lattice, transform_operator
-from .reduced_space import (CellSet, ProductBasis, ReducedBasis,
-                            complementary_basis, embed_coefficients,
-                            expand_cells, prune_cells, reduced_gaussians,
-                            restrict_basis)
+from .reduced_space import (DEFAULT_RADIUS, CellSet, ProductBasis,
+                            ReducedBasis, boundary_mask, complementary_basis,
+                            embed_coefficients, expand_cells, prune_cells,
+                            reduced_gaussians, restrict_basis)
 from .hamiltonian import ReducedHamiltonian, potfit2
 from .solvers import (TiseConfig, lattice_potential, reference_full_eig,
                       seed_cells, shift_invert_eig, solve_reduced_eig,
@@ -192,6 +193,46 @@ def check_orthogonal_decomposition(rng):
         worst = max(worst, abs(np.vdot(a, b)) / np.vdot(psi, psi).real)
     assert worst <= 1e-8, f"subspace decomposition not orthogonal: {worst:.2e}"
     return f"max cross term {worst:.1e}"
+
+
+def _enumerated_neighbourhood(cells, lattices, radius):
+    """Expansion and boundary flags of ``cells``, by visiting every offset
+    of every cell in per-axis (a, b) coordinates."""
+    r = int(np.floor(radius))
+    offsets = [off for off in itertools.product(range(-r, r + 1),
+                                                repeat=2 * len(lattices))
+               if sum(o * o for o in off) <= radius * radius]
+    members = set(cells)
+    grown, boundary = set(), []
+    for cell in cells:
+        coords = [lat.cell_coords(i) for lat, i in zip(lattices, cell)]
+        edge = False
+        for off in offsets:
+            moved = [(lat, a + da, b + db) for lat, (a, b), da, db
+                     in zip(lattices, coords, off[0::2], off[1::2])]
+            if any(not 0 <= b < lat.Np for lat, _, b in moved):
+                edge = True        # beyond a momentum band
+                continue
+            nbr = tuple(lat.cell_index(a % lat.Nx, b) for lat, a, b in moved)
+            grown.add(nbr)
+            edge = edge or nbr not in members
+        boundary.append(edge)
+    return sorted(grown), boundary
+
+
+def check_lattice_neighbours(rng):
+    lattices = models.helium_1d().lattices
+    cells = CellSet(np.column_stack([rng.integers(lat.n_cells, size=40)
+                                     for lat in lattices]), ndof=2)
+    sizes = []
+    for cs in (cells, expand_cells(cells, lattices)):
+        grown, boundary = _enumerated_neighbourhood(cs, lattices, DEFAULT_RADIUS)
+        assert list(expand_cells(cs, lattices)) == grown, (
+            f"expansion of {len(cs)} cells differs from the enumeration")
+        assert boundary_mask(cs, lattices).tolist() == boundary, (
+            f"boundary of {len(cs)} cells differs from the enumeration")
+        sizes.append(f"{len(cs)} -> {len(grown)}")
+    return f"expansion and boundary match enumeration ({', '.join(sizes)} cells)"
 
 
 # -- hamiltonian ------------------------------------------------------------
@@ -421,6 +462,7 @@ CHECKS = [
     ("reduced_space/projector-idempotence-rank", check_projector),
     ("reduced_space/deformation-identity", check_deformation_identity),
     ("reduced_space/orthogonal-decomposition", check_orthogonal_decomposition),
+    ("reduced_space/lattice-neighbours", check_lattice_neighbours),
     ("hamiltonian/similarity-real-spectrum", check_h1_similarity),
     ("hamiltonian/generalized-equivalence", check_generalized_equivalence),
     ("hamiltonian/cache-audit", check_cache_audit),

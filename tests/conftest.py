@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from vngrid import models, reduced_space, reference_full_eig
+from vngrid.hamiltonian import dense_grid_hamiltonian
 
 
 @pytest.fixture
@@ -30,8 +32,17 @@ def he_model():
 
 
 @pytest.fixture(scope="session")
-def he_dense(he_model):
-    return reference_full_eig(he_model.spec, 4)
+def he_eigh(he_model):
+    """Eigenpairs ``(w, v)`` of the dense 3600-point helium Hamiltonian, which
+    is real symmetric: one divide-and-conquer ``eigh`` serves the session."""
+    h = dense_grid_hamiltonian(he_model.spec)
+    assert not h.imag.any()
+    return scipy.linalg.eigh(h.real, driver="evd", overwrite_a=True)
+
+
+@pytest.fixture(scope="session")
+def he_dense(he_eigh):
+    return he_eigh[0][:4]
 
 
 @pytest.fixture

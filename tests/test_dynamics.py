@@ -228,6 +228,29 @@ def test_momentum_kick_expands_in_p(ho_model):
     assert traj.discarded[-1] <= 10 * cfg.zeta * (traj.times[-1] - 0.0)
 
 
+def test_discarded_counts_a_change_at_the_last_step(ho_model):
+    # cut the run right after a basis change: discarded[-1] is still the
+    # total mass that every change lost
+    cells, c0 = _coherent_initial(ho_model)
+    cfg = PropagationConfig(zeta=1e-4, tau0=0.05, snapshot_every=0)
+    run = lambda steps: tdse_adaptive(ho_model.spec, ho_model.product, c0,
+                                      cells, (0.0, 5.0), cfg=cfg,
+                                      max_steps=steps)
+    probe = run(None)
+    event_times = {t for t, kind, _ in probe.events if kind == "basis"}
+    traj = run(max(i for i, t in enumerate(probe.times) if t in event_times) + 1)
+    assert traj.events[-1][:2] == (traj.times[-1], "basis")
+    final = ReducedBasis.create(ho_model.product, traj.final_cells).physical_norm(
+        traj.final_coefficients)
+    # norms[i] is the norm before step i's change and field-free steps keep
+    # it (to 2e-15 measured), so the next norm is the one after the change
+    after = np.append(traj.norms[1:], final)
+    changed = np.isin(traj.times, list(event_times))
+    total = np.abs(traj.norms[changed] ** 2 - after[changed] ** 2).sum()
+    assert abs(traj.norms[-1] ** 2 - final ** 2) > 1e-10    # the last loss
+    assert abs(traj.discarded[-1] - total) <= 1e-13
+
+
 def test_controller_shrinks_on_overshoot(ho_model):
     cells, c0 = _coherent_initial(ho_model, x0=2.5)
     cfg = PropagationConfig(zeta=1e-6, tau0=0.8, snapshot_every=0)
@@ -423,15 +446,11 @@ def test_refresh_steps_skip_the_block_update(ho_model, monkeypatch):
 
 # -- two-axis adaptation against the dense propagator ------------------------------
 
-def test_kicked_helium_follows_dense_propagation(he_model):
+def test_kicked_helium_follows_dense_propagation(he_model, he_eigh):
     # the helium ground state, kicked by exp(i k (x1 + x2)), drifts out of its
     # cell set; exp(-i H t) from one dense eigendecomposition of the 3600-point
     # grid is the reference at every snapshot
-    from vngrid.hamiltonian import dense_grid_hamiltonian
-
-    h = dense_grid_hamiltonian(he_model.spec)
-    assert not h.imag.any()
-    w, v = scipy.linalg.eigh(h.real, driver="evd", overwrite_a=True)
+    w, v = he_eigh
     grid, pair, product = he_model.grids[0], he_model.pairs[0], he_model.product
     xc = grid.centered_points
     kicked = (v[:, 0].reshape(grid.N, grid.N)
@@ -451,13 +470,11 @@ def test_kicked_helium_follows_dense_propagation(he_model):
     checked = 0
     for snap in traj.snapshots[1:]:
         i = int(np.searchsorted(traj.times, snap.t))
-        if i + 1 >= traj.n_steps:
-            continue      # discarded[i + 1] holds the mass lost through step i
         ref = v @ (np.exp(-1j * w * snap.t) * a0)
         red = product.reconstruct(snap.cells, snap.coefficients)
         deficit = 1.0 - abs(np.vdot(ref, red))
         drift = np.abs(traj.norms[:i + 1] - 1.0).max()
-        lost = traj.discarded[i + 1]
+        lost = traj.discarded[i]     # through step i's basis change
         # the tolerance covers the Taylor tails (1e-12 per step) with room;
         # the norm moves only by the mass the basis changes discard
         assert drift <= lost + 1e-8

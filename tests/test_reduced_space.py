@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +8,8 @@ import scipy.linalg
 from vngrid.errors import DegenerateUpdateError, IllConditionedBasisError
 from vngrid.fourier_grid import build_grid
 from vngrid.reduced_space import (CellSet, ProductBasis, ReducedBasis,
-                                  _fresh_inverse, boundary_cells, cell_change,
+                                  _axis_neighbours, _fresh_inverse,
+                                  boundary_cells, boundary_mask, cell_change,
                                   coefficient_projector,
                                   complementary_basis, embed_coefficients,
                                   expand_cells, grow_inverse, prune_cells,
@@ -131,6 +135,144 @@ def test_boundary_cells_geometry():
     coords = {lat.cell_coords(i)[1] for (i,) in bnd_full}
     assert coords == {0, lat.Np - 1}
     assert len(bnd_full) == 2 * lat.Nx
+
+
+def test_cells_outside_the_lattice_are_rejected(ho_model):
+    lat = ho_model.lattices[0]
+    assert lat.n_cells == 120
+    outside = CellSet([[125]])
+    with pytest.raises(ValueError, match="lattice of 120 cells"):
+        expand_cells(outside, lat)
+    with pytest.raises(ValueError, match="lattice of 120 cells"):
+        boundary_mask(outside, lat)
+    pair = (lat, lat)
+    with pytest.raises(ValueError, match="axis 1 is outside the lattice"):
+        expand_cells(CellSet([[3, 7], [5, 120]], ndof=2), pair)
+
+
+# -- neighbour tables against a brute-force oracle -----------------------------
+
+@dataclasses.dataclass(frozen=True)
+class _OneCellLattice:
+    """The 1 x 1 lattice, which no Fourier grid (N >= 2) carries."""
+    Nx: int = 1
+    Np: int = 1
+
+    def cell_coords(self, i):
+        assert i == 0
+        return 0, 0
+
+    def cell_index(self, a, b):
+        assert a == b == 0
+        return 0
+
+
+def _lattice(nx, np_):
+    if nx * np_ == 1:
+        return _OneCellLattice()
+    return build_lattice(build_grid(10.0, nx * np_), nx, np_)
+
+
+def _oracle_neighbours(cell, lattices, offsets):
+    """Each neighbour of ``cell`` under ``offsets`` as a tuple, None where
+    it leaves a momentum band, from per-axis (a, b) coordinates."""
+    coords = [lat.cell_coords(i) for lat, i in zip(lattices, cell)]
+    out = []
+    for off in offsets:
+        nbr = []
+        for lat, (a, b), da, db in zip(lattices, coords, off[0::2], off[1::2]):
+            if not 0 <= b + db < lat.Np:
+                break
+            nbr.append(lat.cell_index((a + da) % lat.Nx, b + db))
+        out.append(tuple(nbr) if len(nbr) == len(lattices) else None)
+    return out
+
+
+def _check_against_oracle(cells, lattices, radius):
+    r = int(np.floor(radius))
+    offsets = [off for off in itertools.product(range(-r, r + 1),
+                                                repeat=2 * len(lattices))
+               if sum(o * o for o in off) <= radius * radius]
+    members = set(cells)
+    nbrs = [_oracle_neighbours(cell, lattices, offsets) for cell in cells]
+    grown = {n for row in nbrs for n in row if n is not None}
+    assert list(expand_cells(cells, lattices, radius)) == sorted(grown)
+    bnd = [any(n not in members for n in row) for row in nbrs]
+    assert boundary_mask(cells, lattices, radius).tolist() == bnd
+    return grown
+
+
+def _check_change(old, new):
+    kept, fresh = cell_change(old, new)
+    in_old, in_new = set(old), set(new)
+    assert kept.tolist() == [cell in in_new for cell in old]
+    assert fresh.tolist() == [cell not in in_old for cell in new]
+
+
+_SHAPES = [(5, 8), (3, 16), (4, 6), (1, 2), (2, 1), (2, 2), (1, 1)]
+
+
+@pytest.mark.parametrize("radius", [1.0, np.sqrt(2.0) + 1e-9, 2.3])
+@pytest.mark.parametrize("ndof", [1, 2, 3])
+def test_neighbour_tables_match_brute_force(ndof, radius, rng):
+    for trial in range(12 if ndof < 3 else 4):
+        shapes = [_SHAPES[k] for k in rng.integers(len(_SHAPES), size=ndof)]
+        lattices = tuple(_lattice(*s) for s in shapes)
+        n = int(rng.integers(1, (25, 15, 6)[ndof - 1]))
+        raw = np.column_stack([rng.integers(nx * np_, size=n)
+                               for nx, np_ in shapes])
+        # and one cell on a band edge: first or last momentum row
+        raw[0] = [lat.cell_index(int(rng.integers(lat.Nx)),
+                                 [0, lat.Np - 1][int(rng.integers(2))])
+                  for lat in lattices]
+        cells = CellSet(raw, ndof=ndof)
+        grown = CellSet(sorted(_check_against_oracle(cells, lattices, radius)),
+                        ndof=ndof)
+        if ndof < 3 or radius < 2:
+            _check_against_oracle(grown, lattices, radius)
+        other = CellSet(np.column_stack([rng.integers(nx * np_, size=n)
+                                         for nx, np_ in shapes]), ndof=ndof)
+        empty = CellSet(np.zeros((0, ndof)), ndof=ndof)
+        for old, new in [(cells, grown), (grown, cells), (cells, other),
+                         (cells, cells), (cells, empty), (empty, cells)]:
+            _check_change(old, new)
+    # sets apart from each other: everything is dropped and added
+    a = CellSet([[0], [1]])
+    b = CellSet([[2], [3], [4]])
+    assert [m.tolist() for m in cell_change(a, b)] == [[False, False],
+                                                        [True, True, True]]
+
+
+def test_edge_lattices_match_brute_force():
+    for nx, np_ in itertools.product((1, 2), repeat=2):
+        lat = (_lattice(nx, np_),)
+        every = CellSet(np.arange(nx * np_)[:, None])
+        for radius in (1.0, np.sqrt(2.0) + 1e-9, 2.3):
+            for cell in range(nx * np_):
+                _check_against_oracle(CellSet([[cell]]), lat, radius)
+            _check_against_oracle(every, lat, radius)
+        # the whole lattice: only momentum-edge cells are boundary, and with
+        # one or two momentum rows every cell is on an edge
+        assert boundary_mask(every, lat).all()
+
+
+def test_axis_tables_are_built_once_and_read_only(he_model):
+    _axis_neighbours.cache_clear()
+    lat = he_model.lattices
+    cells = CellSet([[7, 30], [8, 30], [40, 2]], ndof=2)
+    for _ in range(3):
+        grown = expand_cells(cells, lat)
+        boundary_mask(grown, lat)
+        cell_change(cells, grown)
+    info = _axis_neighbours.cache_info()
+    # both helium axes share one (5, 12) shape, and radius sqrt(2) has r = 1
+    assert info.misses == 1 and info.currsize == 1 and info.hits == 11
+    expand_cells(cells, lat, 2.3)
+    assert _axis_neighbours.cache_info().misses == 2
+    table = _axis_neighbours(5, 12, 1)
+    assert table.shape == (60, 9) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
 
 
 def test_prune_cells_rules(rng):
