@@ -198,21 +198,35 @@ def write_cells_csv(path, lattices, cells):
             fh.write(",".join([str(j)] + [_fmt(v) for v in pos]) + "\n")
 
 
-def write_heatmap_csv(path, lattices, cells, coeffs):
-    """Amplitude raster over every lattice cell (inactive cells at zero)."""
-    import numpy as np
+class HeatmapWriter:
+    """Amplitude rasters over every cell of a product lattice (inactive
+    cells at zero).
 
-    ranges = [range(lat.n_cells) for lat in lattices]
-    amp = np.zeros([len(r) for r in ranges])
-    # scalar abs per coefficient, not np.abs over the array: the two can
-    # differ in the last bit, and the CSV bytes stay fixed across versions
-    amp[tuple(cells.indices.T)] = [abs(c) for c in np.asarray(coeffs)]
-    with open(path, "w") as fh:
-        fh.write(",".join(_axis_names(len(lattices))) + ",amplitude\n")
-        for combo in itertools.product(*ranges):
-            pos = _cell_position(lattices, combo)
-            fh.write(",".join(_fmt(v) for v in pos)
-                     + "," + _fmt(amp[combo]) + "\n")
+    Each row's position columns are formatted once, when the writer is
+    made; a raster then formats only its active amplitudes.
+    """
+
+    def __init__(self, lattices):
+        axes = [[",".join(_fmt(v) for v in _cell_position((lat,), (i,)))
+                 for i in range(lat.n_cells)] for lat in lattices]
+        self._header = ",".join(_axis_names(len(lattices))) + ",amplitude\n"
+        self._prefixes = [",".join(parts) for parts in itertools.product(*axes)]
+        zero = "," + _fmt(0.0) + "\n"
+        self._zero_rows = [p + zero for p in self._prefixes]
+        self._shape = [lat.n_cells for lat in lattices]
+
+    def write(self, path, cells, coeffs):
+        import numpy as np
+
+        rows = list(self._zero_rows)
+        flat = np.ravel_multi_index(tuple(cells.indices.T), self._shape)
+        # scalar abs per coefficient, not np.abs over the array: the two can
+        # differ in the last bit, and the CSV bytes stay fixed across versions
+        for k, c in zip(flat.tolist(), np.asarray(coeffs)):
+            rows[k] = self._prefixes[k] + "," + _fmt(abs(c)) + "\n"
+        with open(path, "w") as fh:
+            fh.write(self._header)
+            fh.write("".join(rows))
 
 
 def _add_sop_meta(meta, model):
@@ -272,10 +286,10 @@ def cmd_tise(args) -> int:
             fh.write(f"{i},{_fmt(e)}\n")
     write_cells_csv(os.path.join(out_dir, "cells.csv"), model.lattices,
                     res.final_cells)
+    heatmap = HeatmapWriter(model.lattices)
     for mode in range(res.eigenvectors.shape[1]):
-        write_heatmap_csv(os.path.join(out_dir, f"mode_{mode:03d}.csv"),
-                          model.lattices, res.final_cells,
-                          res.eigenvectors[:, mode])
+        heatmap.write(os.path.join(out_dir, f"mode_{mode:03d}.csv"),
+                      res.final_cells, res.eigenvectors[:, mode])
     meta = {
         "config": cfg,
         "converged": True,
@@ -318,19 +332,20 @@ def cmd_tdse(args) -> int:
         if couplings:
             model.spec = dataclasses.replace(model.spec,
                                              control_terms=tuple(couplings))
+        product = _exchange_sector(model)
         t_build = time.perf_counter() - t_start
 
         # initial state: adaptive ground state at the configured cutoff; its
         # reduced basis and Hamiltonian (controls included) carry on into
         # the propagation
         t_start = time.perf_counter()
-        ground = tise_adaptive(model.spec, model.product,
+        ground = tise_adaptive(model.spec, product,
                                TiseConfig(zeta=sc["initial_zeta"],
                                           radius=sc["radius"], n_modes=1))
         t_ground = time.perf_counter() - t_start
 
         t_start = time.perf_counter()
-        traj = tdse_adaptive(model.spec, model.product,
+        traj = tdse_adaptive(model.spec, product,
                              ground.eigenvectors[:, 0], ground.final_cells,
                              tuple(sc["t_span"]), pulses=pulses, cfg=prop_cfg,
                              max_steps=sc["max_steps"],
@@ -358,23 +373,31 @@ def cmd_tdse(args) -> int:
         for t in traj.times:
             vals = [p.value(float(t)) for p in pulses]
             fh.write(",".join([_fmt(t)] + [_fmt(v) for v in vals]) + "\n")
+    heatmap = HeatmapWriter(model.lattices)
     for i, snap in enumerate(traj.snapshots):
-        write_heatmap_csv(os.path.join(out_dir, f"snapshot_{i:03d}.csv"),
-                          model.lattices, snap.cells, snap.coefficients)
-    n_total = model.product.n_cells
+        heatmap.write(os.path.join(out_dir, f"snapshot_{i:03d}.csv"),
+                      *product.unfold(snap.cells, snap.coefficients))
+    n_total = product.n_cells
+    n_ground = product.lattice_count(ground.final_cells)
+    folded = product.fold is not None
     meta = {
         "config": cfg,
         "completed": True,
         "steps": int(traj.n_steps),
         "t_final": float(traj.times[-1]) if traj.n_steps else sc["t_span"][0],
-        "n_max": int(traj.n_active.max()) if traj.n_steps else len(ground.final_cells),
+        "n_max": int(traj.n_active.max()) if traj.n_steps else n_ground,
         "reduction_ratio": (float(traj.n_active.max()) / n_total
                             if traj.n_steps else None),
         "norm_final": float(traj.norms[-1]) if traj.n_steps else 1.0,
         "discarded_total": float(traj.discarded[-1]) if traj.n_steps else 0.0,
         "events": [[float(t), kind, detail] for t, kind, detail in traj.events],
+        "exchange": "symmetric" if folded else None,
+        "n_folded_max": (None if not folded
+                         else int(traj.n_basis.max()) if traj.n_steps
+                         else len(ground.final_cells)),
         "ground_state": {"energy": float(ground.eigenvalues[0]),
-                         "n_cells": len(ground.final_cells),
+                         "n_cells": n_ground,
+                         "n_folded": len(ground.final_cells) if folded else None,
                          "iterations": ground.iterations},
         "cache": traj.hamiltonian.cache_stats(),
         "timings": {"build_s": t_build, "ground_s": t_ground, "prop_s": t_prop},
@@ -384,6 +407,22 @@ def cmd_tdse(args) -> int:
     print(f"propagated {traj.n_steps} steps to t={meta['t_final']:.4g}, "
           f"max {meta['n_max']} of {n_total} cells -> {out_dir}")
     return EXIT_OK
+
+
+def _exchange_sector(model):
+    """The model's basis, folded onto its exchange-symmetric sector when two
+    axes share one basis pair and the operator and every coupling commute
+    with their swap (:attr:`~vngrid.hamiltonian.OperatorSpec.exchange_symmetric`).
+
+    The dynamics from a symmetric ground state then never leaves the
+    sector.  The eigenmode command does not fold: with several modes it
+    would drop the antisymmetric ones.
+    """
+    product = model.product
+    if (product.ndof == 2 and product.pairs[0] is product.pairs[1]
+            and model.spec.exchange_symmetric):
+        return product.folded()
+    return product
 
 
 def cmd_validate(args) -> int:

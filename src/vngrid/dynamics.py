@@ -230,7 +230,8 @@ class Trajectory:
     """Accepted-step record of an adaptive propagation."""
 
     times: np.ndarray
-    n_active: np.ndarray
+    n_active: np.ndarray           # lattice cells (folded: in the rows' orbits)
+    n_basis: np.ndarray            # rows of the reduced basis
     norms: np.ndarray              # physical norm before the step's basis change
     taus: np.ndarray
     discarded: np.ndarray          # cumulative |discarded mass| after that change
@@ -265,6 +266,11 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
     exactly ``cells0``, and the Hamiltonian must have been built for
     ``spec``; otherwise :class:`ValueError` is raised.
 
+    On a folded product basis (:meth:`~vngrid.reduced_space.ProductBasis.folded`)
+    ``cells0`` are orbit representatives and ``psi0`` is folded; so are the
+    snapshots and the final state (``product.unfold`` gives their lattice
+    cells and coefficients), while ``n_active`` counts lattice cells.
+
     Raises :class:`~vngrid.errors.TimestepUnderflowError` if step halving
     hits the floor, and :class:`~vngrid.errors.DegenerateUpdateError` or
     :class:`~vngrid.errors.IllConditionedBasisError` if a basis change
@@ -287,7 +293,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
         raise ValueError(f"initial state norm {norm0} is not 1")
     ham = (hamiltonian if hamiltonian is not None
            else ReducedHamiltonian(spec, product, cells0))
-    lattices = product.lattices
+    lattices, fold = product.lattices, product.fold
 
     tau_cap = math.inf
     if pulses:
@@ -297,7 +303,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
             tau_cap = max_timestep(cfg.zeta, bandwidth, slope)
     tau = min(cfg.tau0, tau_cap)
 
-    times, n_active, norms, taus, discarded = [], [], [], [], []
+    times, n_active, n_basis, norms, taus, discarded = [], [], [], [], [], []
     events = []
     snapshots = [Snapshot(t0, rb.cells, psi.copy())]
     watch_rows: np.ndarray | None = None   # fresh-row mask of the last expansion
@@ -305,7 +311,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
     lost = 0.0
     t = t0
     accepted = 0
-    bmask = boundary_mask(rb.cells, lattices, cfg.radius)
+    bmask = boundary_mask(rb.cells, lattices, cfg.radius, fold)
     staged = ham.generator(rb.Stilde)     # carried across basis changes
 
     while t < t_end - 1e-12 and (max_steps is None or accepted < max_steps):
@@ -318,7 +324,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
             quiet = 0
             continue
         if watch_rows is not None and watch_rows.any():
-            if np.abs(step.psi[watch_rows]).max() > cfg.zeta:
+            if rb.amplitudes(step.psi, watch_rows).max() > cfg.zeta:
                 tau = _shrink(tau, events, t, "fresh-cell overshoot")
                 quiet = 0
                 continue
@@ -330,12 +336,13 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
         quiet += 1
         times.append(t)
         taus.append(tau_eff)
-        n_active.append(rb.n)
+        n_active.append(rb.n_lattice)
+        n_basis.append(rb.n)
         norms.append(rb.physical_norm(psi))
 
-        if bmask.any() and np.abs(psi[bmask]).max() >= cfg.zeta:
-            kept = prune_cells(rb.cells, np.abs(psi), cfg.zeta)
-            new_cells = expand_cells(kept, lattices, cfg.radius)
+        if bmask.any() and rb.amplitudes(psi, bmask).max() >= cfg.zeta:
+            kept = prune_cells(rb.cells, rb.amplitudes(psi), cfg.zeta)
+            new_cells = expand_cells(kept, lattices, cfg.radius, fold)
             change = cell_change(rb.cells, new_cells)
             psi = embed_coefficients(psi, rb.cells, new_cells, change)
             ham.update(new_cells, change)
@@ -350,7 +357,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
             lost += abs(norms[-1] ** 2 - rb.physical_norm(psi) ** 2)
             events.append((t, "basis", f"+{len(added)} -{len(removed)} cells"))
             watch_rows = change[1]
-            bmask = boundary_mask(new_cells, lattices, cfg.radius)
+            bmask = boundary_mask(new_cells, lattices, cfg.radius, fold)
             quiet = 0
         elif quiet >= cfg.growth_patience:
             grown = min(tau * _GROWTH, tau_cap)
@@ -365,6 +372,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
     if not snapshots or snapshots[-1].t != t:
         snapshots.append(Snapshot(t, rb.cells, psi.copy()))
     return Trajectory(times=np.asarray(times), n_active=np.asarray(n_active),
+                      n_basis=np.asarray(n_basis),
                       norms=np.asarray(norms), taus=np.asarray(taus),
                       discarded=np.asarray(discarded), events=events,
                       snapshots=snapshots, final_cells=rb.cells,
@@ -386,18 +394,20 @@ def project_state(product, cells: CellSet, psi_weighted) -> np.ndarray:
 
     This is the orthogonal projection onto the reduced subspace expressed in
     dual coordinates; with a subsequent normalization it initializes
-    propagation from any grid wavefunction.
+    propagation from any grid wavefunction.  On a folded basis the
+    projection is onto the exchange-symmetric part of the subspace.
     """
     if not isinstance(product, ProductBasis):
         product = ProductBasis(product)
     rb = ReducedBasis.create(product, cells)
     psi = np.asarray(psi_weighted, dtype=complex).ravel()
-    bt_psi = np.empty(len(cells), dtype=complex)
+    lattice_cells = product.lattice_cells(cells)
+    bt_psi = np.empty(len(lattice_cells), dtype=complex)
     shape = [g.N for g in product.grids]
     psi_t = psi.reshape(shape)
-    for j, cell in enumerate(cells):
+    for j, cell in enumerate(lattice_cells):
         v = psi_t
         for k, pair in enumerate(product.pairs):
             v = np.tensordot(pair.B[:, cell[k]].conj(), v, axes=(0, 0))
         bt_psi[j] = v
-    return rb.Stilde @ bt_psi
+    return rb.Stilde @ product.restrict(cells, bt_psi)

@@ -123,6 +123,25 @@ class OperatorSpec:
     def ndof(self):
         return len(self.grids)
 
+    @property
+    def exchange_symmetric(self) -> bool:
+        """Whether swapping two axes leaves this operator and every control
+        coupling unchanged: one grid object for both, equal kinetic and
+        equal potential diagonals, and equal factors in every
+        sum-of-products term (array comparisons only)."""
+        if self.ndof != 2 or self.grids[0] is not self.grids[1]:
+            return False
+
+        def same(a, b):
+            return (a is None) == (b is None) and (a is None
+                                                   or np.array_equal(a, b))
+
+        # the factors compared as two stacks: one comparison for every term
+        factors = [np.stack(f) for f in zip(*(t.factors for t in self.sop_terms))]
+        return (same(*self.kinetic) and same(*self.potentials)
+                and (not factors or same(*factors))
+                and all(c.exchange_symmetric for c in self.control_terms))
+
     @classmethod
     def build(cls, grids, masses=None, kinetic=None, potentials=None,
               sop_terms=(), control_terms=()):
@@ -598,19 +617,26 @@ class ReducedHamiltonian:
     # -- block assembly -------------------------------------------------------
 
     def _block(self, rows: CellSet, cols: CellSet, factors) -> np.ndarray:
-        """``out[i, j] = sum_r prod_k F_r^(k)[rows_k[i], cols_k[j]]``.
+        """The block of the operator ``factors`` between two row sets, through
+        :meth:`~vngrid.reduced_space.ProductBasis.entries` (so folded on a
+        folded basis)."""
+        if factors is None or not len(rows) or not len(cols):
+            return np.zeros((len(rows), len(cols)), dtype=complex)
+        return self.product.entries(
+            lambda ri, ci: self._contract(ri, ci, factors), rows, cols)
+
+    @staticmethod
+    def _contract(ri, ci, factors) -> np.ndarray:
+        """``out[i, j] = sum_r prod_k F_r^(k)[ri[i, k], ci[j, k]]``.
 
         Rows are taken in chunks; per row, the axis-0 factor over the
         distinct axis-0 columns multiplies (one batched GEMM over the rank)
         the product of the other axes' factors over their distinct columns,
         and the block's columns are gathered from that small product table.
         """
-        if factors is None or not len(rows) or not len(cols):
-            return np.zeros((len(rows), len(cols)), dtype=complex)
-        ri, ci = rows.indices, cols.indices
         if len(factors) == 1:
             return factors[0][np.ix_(ri[:, 0], ci[:, 0])]
-        out = np.empty((len(rows), len(cols)), dtype=complex)
+        out = np.empty((len(ri), len(ci)), dtype=complex)
         distinct, inverse = zip(*(np.unique(ci[:, k], return_inverse=True)
                                   for k in range(len(factors))))
         widths = [len(u) for u in distinct]
@@ -618,7 +644,7 @@ class ReducedHamiltonian:
         gather = inverse[0] * n_rest + np.ravel_multi_index(inverse[1:],
                                                             widths[1:])
         step = max(1, _CHUNK_ENTRIES // (widths[0] * n_rest))
-        for lo in range(0, len(rows), step):
+        for lo in range(0, len(ri), step):
             chunk = ri[lo:lo + step]
             left, right, *more = (f[chunk[:, k, None], u]
                                   for k, (f, u) in enumerate(zip(factors,

@@ -97,6 +97,16 @@ def helium_1d(L=15.0, N=60, Nx=5, Np=12, a0=HELIUM_REGULARIZER,
     in atomic units (nuclear charge 2).  The electron-electron term is
     decomposed into a sum of products before assembly; both axes share one
     basis pair, so exchange-symmetric matrix elements are cached once.
+
+    The table is exactly symmetric, so every sum-of-products term has equal
+    factors on both axes, and the Hamiltonian (with ``position_coupling`` or
+    ``momentum_coupling`` pulses) commutes with the swap of the electrons
+    (:attr:`~vngrid.hamiltonian.OperatorSpec.exchange_symmetric`).
+    ``product.folded()`` then carries the exchange-symmetric sector on one
+    row per swap orbit (:class:`~vngrid.reduced_space.ExchangeFold`): a
+    folded coefficient ``c`` stands for ``c / sqrt 2`` at both cells of an
+    off-diagonal orbit and for ``c`` on the diagonal.  ``vngrid tdse`` runs
+    helium folded.
     """
     grid = build_grid(L, N)
     lattice = build_lattice(grid, Nx, Np, sigma_x)

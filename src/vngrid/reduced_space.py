@@ -27,6 +27,28 @@ from then on updated incrementally when cells are added or removed, using
 Schur-complement block formulas that only ever invert matrices of the size
 of the change.  The same blocks carry generators ``Stilde @ H`` across the
 change, for a propagator that keeps them staged.
+
+Exchange fold
+-------------
+Two axes that share one basis pair describe identical particles when the
+operator commutes with their swap ``(c1, c2) -> (c2, c1)``; a symmetric
+state then stays in the symmetric sector.  :class:`ExchangeFold` carries
+that sector on one row per swap orbit, its representative ``r = (c1, c2)``
+with ``c1 <= c2``: the basis vector is ``(e_(c1 c2) + e_(c2 c1)) / sqrt 2``
+off the diagonal and ``e_(cc)`` on it.  With the weight ``w = sqrt 2`` off
+the diagonal and 1 on it, a folded reduced matrix has the entries
+
+    M_f[i, j] = (w_i w_j / 2) (M[r_i, r_j] + M[r_i, swap r_j]),
+
+which is ``P^T M P`` for a swap-symmetric ``M`` and the orthonormal
+embedding ``P`` of the sector, and a folded coefficient ``c_f`` stands for
+the amplitude ``c_f / w`` at both cells of its orbit.  Cutoffs compare that
+unfolded amplitude, so they mean what they mean on the unfolded lattice.
+Cell bookkeeping maps every neighbour to its representative before it
+reads occupancy, so it runs on representative sets as it runs on closed
+sets.  A :class:`ProductBasis` made by :meth:`ProductBasis.folded` holds
+the fold; everything downstream of its entries (inverse updates, staged
+generators, eigensolves) runs unchanged at about half the size.
 """
 
 from __future__ import annotations
@@ -191,9 +213,11 @@ def _stencil(ndof, radius):
     return cols
 
 
-def _neighbour_keys(cells: CellSet, lattices, radius):
+def _neighbour_keys(cells: CellSet, lattices, radius, fold=None):
     """Occupancy keys ``(n, m)`` of every cell's neighbours within ``radius``
     (stencil order of :func:`_stencil`), and the occupancy shape they index.
+    With an :class:`ExchangeFold` each key is that of the neighbour's orbit
+    representative (:meth:`ExchangeFold.ordered`).
 
     The occupancy array has ``Nx * Np + 1`` slots per axis: the cells and,
     last, a sentinel slot that is never occupied.  Each axis contributes
@@ -211,19 +235,24 @@ def _neighbour_keys(cells: CellSet, lattices, radius):
         raise ValueError("cell dimensionality does not match lattice count")
     r = int(math.floor(radius))
     cols = _stencil(len(shapes), radius)
-    keys = None
+    gathers = []
     for k, (nx, np_) in enumerate(shapes):
         rows = cells.indices[:, k, None]
         try:
-            nbr = _axis_neighbours(nx, np_, r)[rows, cols[:, k]]
+            gathers.append(_axis_neighbours(nx, np_, r)[rows, cols[:, k]])
         except IndexError:
             raise ValueError(f"cell index {rows.max()} on axis {k} is outside "
                              f"the lattice of {nx * np_} cells") from None
-        keys = nbr if keys is None else keys * (nx * np_ + 1) + nbr
+    if fold is not None:
+        gathers = fold.ordered(*gathers)
+    keys = gathers[0]
+    for nbr, (nx, np_) in zip(gathers[1:], shapes[1:]):
+        keys = keys * (nx * np_ + 1) + nbr
     return keys, tuple(nx * np_ + 1 for nx, np_ in shapes)
 
 
-def expand_cells(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS) -> CellSet:
+def expand_cells(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS,
+                 fold=None) -> CellSet:
     """Union of ``cells`` with every lattice cell within ``radius``.
 
     Distances are Euclidean in integer lattice coordinates over all
@@ -236,18 +265,21 @@ def expand_cells(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS) -> Ce
     array of one byte per product-lattice cell, plus a sentinel slot per
     axis that catches the out-of-band ones (:func:`_neighbour_keys`); its
     occupied cells are the result, already unique and in canonical order.
+    With an :class:`ExchangeFold`, ``cells`` are orbit representatives and
+    so is the result: the representatives of the expanded swap closure.
     Raises :class:`ValueError` for a cell outside the lattice.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    keys, shape = _neighbour_keys(cells, lattices, radius)
+    keys, shape = _neighbour_keys(cells, lattices, radius, fold)
     occupied = np.zeros(shape, dtype=bool)
     occupied.reshape(-1)[keys] = True
     inside = occupied[(slice(-1),) * len(shape)]
     return CellSet._canonical(np.column_stack(np.nonzero(inside)))
 
 
-def boundary_mask(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS) -> np.ndarray:
+def boundary_mask(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS,
+                  fold=None) -> np.ndarray:
     """Boolean mask over ``cells`` marking boundary members.
 
     A cell is boundary if some position within ``radius`` (x wrapped, p
@@ -258,18 +290,20 @@ def boundary_mask(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS) -> n
     The members' own keys (the zero offset of :func:`_neighbour_keys`) mark
     an occupancy array of one byte per product-lattice cell, whose sentinel
     slots stay empty for the out-of-band neighbours; a cell is interior
-    when every neighbour key reads occupied.  Raises :class:`ValueError`
-    for a cell outside the lattice.
+    when every neighbour key reads occupied.  With an :class:`ExchangeFold`,
+    ``cells`` are orbit representatives, marked as their swap closure's
+    members are.  Raises :class:`ValueError` for a cell outside the lattice.
     """
-    keys, shape = _neighbour_keys(cells, lattices, radius)
+    keys, shape = _neighbour_keys(cells, lattices, radius, fold)
     occupied = np.zeros(math.prod(shape), dtype=bool)
     occupied[keys[:, keys.shape[1] // 2]] = True
     return ~occupied[keys].all(axis=1)
 
 
-def boundary_cells(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS) -> CellSet:
+def boundary_cells(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS,
+                   fold=None) -> CellSet:
     """Members of ``cells`` with at least one non-member within ``radius``."""
-    return cells.subset(boundary_mask(cells, lattices, radius))
+    return cells.subset(boundary_mask(cells, lattices, radius, fold))
 
 
 def prune_cells(cells: CellSet, amplitudes, zeta: float) -> CellSet:
@@ -468,6 +502,100 @@ def _add_product(c, a, b, alpha=1.0):
 
 
 # ---------------------------------------------------------------------------
+# exchange-symmetric sector of two identical axes
+# ---------------------------------------------------------------------------
+
+class ExchangeFold:
+    """One row per swap orbit ``{(c1, c2), (c2, c1)}`` of a two-axis lattice.
+
+    The rows are the representatives ``c1 <= c2`` in canonical order.  Their
+    weights are ``w = sqrt 2`` off the diagonal and 1 on it; a folded
+    coefficient ``c_f`` stands for ``c_f / w`` at each cell of its orbit
+    (module docstring).  The methods map cell sets, coefficients and
+    reduced-matrix entries between the folded rows and the lattice cells.
+    """
+
+    def representatives(self, cells: CellSet) -> CellSet:
+        """One representative per orbit that meets ``cells``."""
+        return CellSet(np.sort(cells.indices, axis=1), ndof=2)
+
+    def weights(self, reps: CellSet) -> np.ndarray:
+        """``w`` per row; raises :class:`ValueError` for a row that is not a
+        representative."""
+        ri = reps.indices
+        if ri.shape[1] != 2 or np.any(ri[:, 0] > ri[:, 1]):
+            raise ValueError("cells are not exchange-orbit representatives")
+        return np.where(ri[:, 0] == ri[:, 1], 1.0, math.sqrt(2.0))
+
+    def count(self, reps: CellSet) -> int:
+        """Lattice cells in the orbits of ``reps``."""
+        ri = reps.indices
+        return 2 * len(ri) - int(np.count_nonzero(ri[:, 0] == ri[:, 1]))
+
+    def _orbits(self, reps: CellSet):
+        """The swap closure of ``reps`` and, per row, the closure rows of the
+        representative and of its mirror (equal on the diagonal)."""
+        ri = reps.indices
+        off = ri[:, 0] != ri[:, 1]
+        cells = CellSet(np.concatenate([ri, ri[off, ::-1]]), ndof=2)
+        dims = _dims(cells.indices)
+        keys = _keys(cells.indices, dims)
+        return (cells, np.searchsorted(keys, _keys(ri, dims)),
+                np.searchsorted(keys, _keys(ri[:, ::-1], dims)))
+
+    def lattice_cells(self, reps: CellSet) -> CellSet:
+        """The swap closure of ``reps``."""
+        return self._orbits(reps)[0]
+
+    def unfold(self, reps: CellSet, coeffs):
+        """``(cells, P c)``: the closure and the coefficients over it, ``c / w``
+        at both cells of each orbit.  A 2-D ``coeffs`` unfolds its columns."""
+        coeffs = np.asarray(coeffs)
+        cells, at, mirror = self._orbits(reps)
+        w = self.weights(reps).reshape((-1,) + (1,) * (coeffs.ndim - 1))
+        out = np.empty((len(cells),) + coeffs.shape[1:], dtype=coeffs.dtype)
+        out[at] = out[mirror] = coeffs / w
+        return cells, out
+
+    def restrict(self, reps: CellSet, values):
+        """``P^T v`` for ``v`` over the closure of ``reps``: the folded
+        coefficients of a symmetric vector, and the inverse of :meth:`unfold`
+        on it.  A 2-D ``values`` restricts its columns."""
+        values = np.asarray(values)
+        _, at, mirror = self._orbits(reps)
+        half = (0.5 * self.weights(reps)).reshape(
+            (-1,) + (1,) * (values.ndim - 1))
+        return half * (values[at] + values[mirror])
+
+    def entries(self, contract, rows: CellSet, cols: CellSet) -> np.ndarray:
+        """Folded entries between two representative sets.
+
+        ``contract(ri, ci)`` gives the lattice-cell entries ``M[ri, ci]``
+        between two arrays of index rows; it is called for the columns and
+        for their mirrors, and the sum is scaled by ``w_i w_j / 2``.  The
+        block over the rows that are also columns is hermitized: a
+        sum-of-products operator commutes with the swap only to round-off.
+        """
+        ri, ci = rows.indices, cols.indices
+        out = contract(ri, ci)
+        out += contract(ri, ci[:, ::-1])
+        out *= (self.weights(rows) / math.sqrt(2.0))[:, None]
+        out *= self.weights(cols) / math.sqrt(2.0)
+        at, own = cols.matches(rows)
+        if len(own):
+            out[own[:, None], at] = _hermitize(out[own[:, None], at])
+        return out
+
+    @staticmethod
+    def ordered(first, second):
+        """Per-axis neighbour indices ``(first, second)`` of cells in
+        ``(n, m)`` arrays, swapped where needed so each pair names its orbit
+        representative.  A neighbour beyond a momentum band (-1) comes
+        first, so its key still lands on a sentinel slot."""
+        return np.minimum(first, second), np.maximum(first, second)
+
+
+# ---------------------------------------------------------------------------
 # product basis over several degrees of freedom
 # ---------------------------------------------------------------------------
 
@@ -479,6 +607,11 @@ class ProductBasis:
     Passing the same :class:`~vngrid.vn_basis.BasisPair` object for several
     axes shares its element cache downstream, so symmetric interactions reuse
     each other's matrix elements.
+
+    ``fold`` is None, or the :class:`ExchangeFold` of a basis made by
+    :meth:`folded`, whose rows are swap-orbit representatives.  The
+    cell-set methods below map between those rows and lattice cells; on an
+    unfolded basis they return their arguments.
     """
 
     def __init__(self, pairs):
@@ -489,6 +622,51 @@ class ProductBasis:
             raise ValueError("at least one basis pair required")
         self.lattices = tuple(p.lattice for p in self.pairs)
         self.grids = tuple(p.grid for p in self.pairs)
+        self.fold = None
+
+    def folded(self) -> "ProductBasis":
+        """The same basis on its exchange-symmetric sector (:class:`ExchangeFold`).
+
+        Needs two axes backed by one :class:`~vngrid.vn_basis.BasisPair`
+        object; whether the operator commutes with the swap is the caller's
+        test (:attr:`~vngrid.hamiltonian.OperatorSpec.exchange_symmetric`).
+        """
+        if self.ndof != 2 or self.pairs[0] is not self.pairs[1]:
+            raise ValueError("an exchange fold needs two axes sharing one "
+                             "basis pair")
+        out = ProductBasis(self.pairs)
+        out.fold = ExchangeFold()
+        return out
+
+    def representatives(self, cells: CellSet) -> CellSet:
+        """The rows that carry a set of lattice cells: itself, or one orbit
+        representative per orbit that meets it."""
+        return cells if self.fold is None else self.fold.representatives(cells)
+
+    def weights(self, cells: CellSet):
+        """The fold's weights of the rows ``cells``, or None unfolded."""
+        return None if self.fold is None else self.fold.weights(cells)
+
+    def lattice_count(self, cells: CellSet) -> int:
+        """Lattice cells the rows ``cells`` span."""
+        return len(cells) if self.fold is None else self.fold.count(cells)
+
+    def lattice_cells(self, cells: CellSet) -> CellSet:
+        """The lattice cells the rows ``cells`` span."""
+        return cells if self.fold is None else self.fold.lattice_cells(cells)
+
+    def unfold(self, cells: CellSet, coeffs):
+        """Lattice cells and coefficients of a state over the rows ``cells``."""
+        if self.fold is None:
+            return cells, np.asarray(coeffs)
+        return self.fold.unfold(cells, coeffs)
+
+    def restrict(self, cells: CellSet, values):
+        """Row values from values over the lattice cells the rows span
+        (:meth:`ExchangeFold.restrict`)."""
+        if self.fold is None:
+            return np.asarray(values)
+        return self.fold.restrict(cells, values)
 
     @property
     def ndof(self):
@@ -512,11 +690,22 @@ class ProductBasis:
         grids = np.meshgrid(*[np.arange(p.n) for p in self.pairs], indexing="ij")
         return CellSet(np.column_stack([g.ravel() for g in grids]), ndof=self.ndof)
 
+    def entries(self, contract, rows: CellSet, cols: CellSet) -> np.ndarray:
+        """Reduced-matrix entries between two row sets, from ``contract(ri,
+        ci)``, the lattice-cell entries between two arrays of index rows:
+        passed through, or folded (:meth:`ExchangeFold.entries`)."""
+        if self.fold is None:
+            return contract(rows.indices, cols.indices)
+        return self.fold.entries(contract, rows, cols)
+
     def overlap(self, rows: CellSet, cols: CellSet) -> np.ndarray:
         """Entries of ``Btilde^H Btilde`` between two cell lists."""
-        out = np.ones((len(rows), len(cols)), dtype=complex)
+        return self.entries(self._overlap, rows, cols)
+
+    def _overlap(self, ri, ci):
+        out = np.ones((len(ri), len(ci)), dtype=complex)
         for k, pair in enumerate(self.pairs):
-            out *= pair.Sinv[np.ix_(rows.indices[:, k], cols.indices[:, k])]
+            out *= pair.Sinv[np.ix_(ri[:, k], ci[:, k])]
         return out
 
     def dual_column(self, cell) -> np.ndarray:
@@ -527,14 +716,18 @@ class ProductBasis:
         return col
 
     def dual_columns(self, cells: CellSet) -> np.ndarray:
-        """Weighted ``Btilde`` matrix (grid_size x n_cells); test-scale only."""
-        out = np.empty((self.grid_size, len(cells)), dtype=complex)
-        for j, cell in enumerate(cells):
+        """Weighted ``Btilde`` matrix (grid_size x rows); test-scale only.
+        On a folded basis its columns are the orbits' combinations."""
+        lattice_cells = self.lattice_cells(cells)
+        out = np.empty((self.grid_size, len(lattice_cells)), dtype=complex)
+        for j, cell in enumerate(lattice_cells):
             out[:, j] = self.dual_column(cell)
-        return out
+        return self.restrict(cells, out.T).T
 
     def reconstruct(self, cells: CellSet, coeffs) -> np.ndarray:
-        """Weighted grid vector ``sum_j c_j b_cell_j`` (flattened)."""
+        """Weighted grid vector ``sum_j c_j b_cell_j`` (flattened) of
+        coefficients over the rows ``cells``."""
+        cells, coeffs = self.unfold(cells, coeffs)
         coeffs = np.asarray(coeffs, dtype=complex)
         psi = np.zeros([g.N for g in self.grids], dtype=complex)
         for j, cell in enumerate(cells):
@@ -563,12 +756,16 @@ class ReducedBasis:
     the propagator reads it at once, and from then on the inverse (and any
     generator handed to :meth:`update`) is carried through the block
     updates and re-formed from scratch at every 50th update.
+
+    On a folded product basis the cells are orbit representatives:
+    ``n`` counts them, ``n_lattice`` the lattice cells they span, and
+    :meth:`amplitudes` gives the unfolded amplitudes the cutoffs compare.
     """
 
     def __init__(self, product: ProductBasis, cells: CellSet,
                  Sinv_tilde: np.ndarray):
         self.product = product
-        self.cells = cells
+        self._set_cells(cells)
         self.Sinv_tilde = Sinv_tilde
         self._cho = _cholesky(Sinv_tilde)
         if self._cho is None:
@@ -588,6 +785,21 @@ class ReducedBasis:
     @property
     def n(self):
         return len(self.cells)
+
+    def _set_cells(self, cells):
+        self.cells = cells
+        self._weights = self.product.weights(cells)
+        self.n_lattice = self.product.lattice_count(cells)
+
+    def amplitudes(self, coeffs, rows=slice(None)):
+        """``|c|`` of the coefficient rows ``rows`` (a mask or index; all by
+        default), unfolded on a folded basis: ``|c| / w``.  A 2-D ``coeffs``
+        gives one column per state."""
+        amp = np.abs(coeffs[rows])
+        if self._weights is not None:
+            w = self._weights[rows]
+            amp /= w if amp.ndim == 1 else w[:, None]
+        return amp
 
     @property
     def Stilde(self) -> np.ndarray:
@@ -631,7 +843,7 @@ class ReducedBasis:
         kept, fresh = cell_change(self.cells, new_cells) if change is None else change
         added, removed = new_cells.subset(fresh), self.cells.subset(~kept)
         if len(removed) == 0 and len(added) == 0:
-            self.cells = new_cells
+            self._set_cells(new_cells)
             return added, removed
         if len(new_cells) == 0:
             raise DegenerateUpdateError("cannot reduce to an empty cell set")
@@ -665,7 +877,8 @@ class ReducedBasis:
             for pair in carry or ():
                 pair[0] = self._stilde @ pair[1]
             self._updates_since_refresh = 0
-        self.cells, self.Sinv_tilde = new_cells, sinv
+        self._set_cells(new_cells)
+        self.Sinv_tilde = sinv
         return added, removed
 
 

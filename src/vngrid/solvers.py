@@ -59,6 +59,7 @@ _SHIFT_TRIES = 8          # each retry puts sigma 4x as far below E
 _RESIDUAL_TOL = 1e-12     # relative residual of every wanted Ritz pair
 _MAX_SWEEPS = 100
 _START_SEED = 0           # fills the block's extra columns, reproducibly
+_SWAP_TOL = 1e-12         # relative swap asymmetry of a symmetric seed potential
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,7 +84,7 @@ class EigenResult:
 
     ``eigenvectors[:, m]`` is mode ``m`` over ``final_cells`` in canonical
     order, normalized to unit physical norm.  ``history`` records
-    (basis size, max boundary amplitude) per iteration.
+    (lattice cells, max boundary amplitude) per iteration.
     """
 
     eigenvalues: np.ndarray
@@ -124,7 +125,10 @@ def seed_cells(v_lattice: np.ndarray, lattices) -> CellSet:
 
     Neighborhoods wrap periodically in every position axis.  A potential
     with no strict local minimum (monotonic, constant, or tied plateaus)
-    falls back to the single global-minimum cell.
+    falls back to the first global-minimum site; on a square two-axis
+    lattice whose potential is swap-symmetric to a relative 1e-12, that
+    site's mirror joins it, so an exchange-symmetric model gets an
+    exchange-symmetric seed.
     """
     if not isinstance(lattices, (list, tuple)):
         lattices = (lattices,)
@@ -145,6 +149,9 @@ def seed_cells(v_lattice: np.ndarray, lattices) -> CellSet:
     sites = np.argwhere(minima_mask)
     if sites.size == 0:
         sites = np.argwhere(v == v.min())[:1]
+        if (d == 2 and v.shape[0] == v.shape[1]
+                and np.abs(v - v.T).max() <= _SWAP_TOL * np.abs(v).max()):
+            sites = np.unique(np.vstack([sites, sites[:, ::-1]]), axis=0)
     cells = []
     for site in sites:
         per_axis = []
@@ -331,16 +338,21 @@ def tise_adaptive(spec: OperatorSpec, product, config: TiseConfig,
                   seeds: CellSet | None = None) -> EigenResult:
     """Run the adaptive eigenmode algorithm to convergence.
 
-    ``seeds`` defaults to the potential-minimum cells.  Raises
-    :class:`~vngrid.errors.ConvergenceError` (with the iteration history
-    attached) if the boundary amplitudes do not drop below the cutoff within
-    the configured iteration budget.
+    ``seeds`` defaults to the potential-minimum cells.  On a folded product
+    basis (:meth:`~vngrid.reduced_space.ProductBasis.folded`) the search
+    runs on orbit representatives, seeded from the representatives of the
+    seeds, and finds the lowest modes of the exchange-symmetric sector; its
+    cells and vectors are folded, and ``history`` counts lattice cells.
+    Raises :class:`~vngrid.errors.ConvergenceError` (with the iteration
+    history attached) if the boundary amplitudes do not drop below the
+    cutoff within the configured iteration budget.
     """
     if not isinstance(product, ProductBasis):
         product = ProductBasis(product)
-    lattices = product.lattices
+    lattices, fold = product.lattices, product.fold
     if seeds is None:
         seeds = seed_cells(lattice_potential(spec, lattices), lattices)
+    seeds = product.representatives(seeds)
     rb = ReducedBasis.create(product, seeds)
     ham = ReducedHamiltonian(spec, product, seeds)
     history = []
@@ -348,15 +360,16 @@ def tise_adaptive(spec: OperatorSpec, product, config: TiseConfig,
     for it in range(1, config.max_iterations + 1):
         n_solve = min(config.n_modes, rb.n)
         w, v = solve_reduced_eig(ham.Hbb, rb.Sinv_tilde, n_solve, warm)
-        bmask = boundary_mask(rb.cells, lattices, config.radius)
-        b_amp = float(np.abs(v[bmask, :]).max()) if bmask.any() else 0.0
-        history.append((rb.n, b_amp))
+        bmask = boundary_mask(rb.cells, lattices, config.radius, fold)
+        amp = rb.amplitudes(v)
+        b_amp = float(amp[bmask].max()) if bmask.any() else 0.0
+        history.append((rb.n_lattice, b_amp))
         if rb.n >= config.n_modes and b_amp < config.zeta:
             return EigenResult(eigenvalues=w, eigenvectors=v, final_cells=rb.cells,
                                iterations=it, history=history,
                                reduced_basis=rb, hamiltonian=ham)
-        kept = prune_cells(rb.cells, np.abs(v), config.zeta)
-        new_cells = expand_cells(kept, lattices, config.radius)
+        kept = prune_cells(rb.cells, amp, config.zeta)
+        new_cells = expand_cells(kept, lattices, config.radius, fold)
         warm = (w[0], embed_coefficients(v, rb.cells, new_cells))
         rb.update(new_cells)
         ham.update(new_cells)

@@ -235,6 +235,39 @@ def check_lattice_neighbours(rng):
     return f"expansion and boundary match enumeration ({', '.join(sizes)} cells)"
 
 
+def check_exchange_fold(rng):
+    model = models.helium_1d()
+    lattices, folded = model.lattices, model.product.folded()
+    fold = folded.fold
+    reps = folded.representatives(CellSet(np.column_stack(
+        [rng.integers(lat.n_cells, size=40) for lat in lattices]), ndof=2))
+    cells = folded.lattice_cells(reps)
+    # bookkeeping on representatives against the swap closure
+    grown = expand_cells(reps, lattices, fold=fold)
+    assert grown == folded.representatives(expand_cells(cells, lattices)), (
+        "folded expansion differs from the expanded closure")
+    at, _ = cells.matches(reps)
+    assert np.array_equal(boundary_mask(reps, lattices, fold=fold),
+                          boundary_mask(cells, lattices)[at]), (
+        "folded boundary differs from the closure's")
+    # carried rows of the overlap and the Hamiltonian against P^T M P
+    kept = reps.subset(rng.random(len(reps)) < 0.5)
+    rb = ReducedBasis.create(folded, kept)
+    ham = ReducedHamiltonian(model.spec, folded, kept)
+    rb.update(reps)
+    ham.update(reps)
+    p = folded.restrict(reps, np.eye(len(cells))).T
+    worst = 0.0
+    for got, full in ((rb.Sinv_tilde, model.product.overlap(cells, cells)),
+                      (ham.Hbb, ReducedHamiltonian(model.spec, model.product,
+                                                   cells).Hbb)):
+        ref = p.T @ full @ p
+        worst = max(worst, np.abs(got - ref).max() / np.abs(ref).max())
+    assert worst <= 1e-12, f"folded blocks deviate from P^T M P by {worst:.2e}"
+    return (f"{len(reps)} orbits of {len(cells)} cells: bookkeeping matches "
+            f"the closure, blocks within {worst:.1e} of P^T M P")
+
+
 # -- hamiltonian ------------------------------------------------------------
 
 def _dw_reduced(rng, n_cells=60):
@@ -463,6 +496,7 @@ CHECKS = [
     ("reduced_space/deformation-identity", check_deformation_identity),
     ("reduced_space/orthogonal-decomposition", check_orthogonal_decomposition),
     ("reduced_space/lattice-neighbours", check_lattice_neighbours),
+    ("reduced_space/exchange-fold", check_exchange_fold),
     ("hamiltonian/similarity-real-spectrum", check_h1_similarity),
     ("hamiltonian/generalized-equivalence", check_generalized_equivalence),
     ("hamiltonian/cache-audit", check_cache_audit),

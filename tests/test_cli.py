@@ -167,6 +167,9 @@ def test_tdse_run_and_norm_column(tmp_path):
     meta = json.load(open(os.path.join(out, "run_meta.json")))
     assert meta["completed"] is True
     assert meta["ground_state"]["energy"] == pytest.approx(0.5, abs=1e-6)
+    # one axis never folds
+    assert meta["exchange"] is None and meta["n_folded_max"] is None
+    assert meta["ground_state"]["n_folded"] is None
 
 
 def test_tdse_pulse_artifacts(tmp_path):
@@ -263,6 +266,62 @@ def test_tdse_helium_desk_scale(he_tdse_run):
     assert meta["reduction_ratio"] < 0.5
     assert abs(meta["norm_final"] - 1.0) < 1e-6
     _assert_cache_and_sop(meta, 60)
+
+
+def test_tdse_helium_runs_in_the_exchange_symmetric_sector(he_tdse_run):
+    # the ground search and the propagation run on 499 swap orbits; the
+    # outputs count and show the 981 lattice cells they span
+    meta = json.load(open(os.path.join(he_tdse_run, "run_meta.json")))
+    assert meta["exchange"] == "symmetric"
+    assert meta["ground_state"]["n_cells"] == meta["n_max"] == 981
+    assert meta["ground_state"]["n_folded"] == meta["n_folded_max"] == 499
+    traj = np.loadtxt(os.path.join(he_tdse_run, "trajectory.csv"),
+                      delimiter=",", skiprows=1)
+    assert np.all(traj[:, 1] == 981)
+    amp = np.loadtxt(os.path.join(he_tdse_run, "snapshot_001.csv"),
+                     delimiter=",", skiprows=1)[:, 4].reshape(60, 60)
+    assert np.count_nonzero(amp) == 981
+    np.testing.assert_array_equal(amp, amp.T)
+
+
+def _reference_heatmap(path, lattices, cells, coeffs):
+    """The raster written cell by cell (the writer's former loop)."""
+    import itertools
+
+    from vngrid.cli import _axis_names, _cell_position, _fmt
+
+    ranges = [range(lat.n_cells) for lat in lattices]
+    amp = np.zeros([len(r) for r in ranges])
+    amp[tuple(cells.indices.T)] = [abs(c) for c in np.asarray(coeffs)]
+    with open(path, "w") as fh:
+        fh.write(",".join(_axis_names(len(lattices))) + ",amplitude\n")
+        for combo in itertools.product(*ranges):
+            pos = _cell_position(lattices, combo)
+            fh.write(",".join(_fmt(v) for v in pos)
+                     + "," + _fmt(amp[combo]) + "\n")
+
+
+def test_heatmap_writer_matches_cell_by_cell_reference(tmp_path):
+    from vngrid import models
+    from vngrid.cli import HeatmapWriter
+    from vngrid.solvers import TiseConfig, tise_adaptive
+
+    cases = []
+    for model in (models.harmonic(L=20.0, N=60, Nx=4, Np=15),
+                  models.double_well()):
+        res = tise_adaptive(model.spec, model.product,
+                            TiseConfig(zeta=1e-6, n_modes=2))
+        cases += [(model, res.final_cells, res.eigenvectors[:, m])
+                  for m in range(2)]
+    he = models.helium_1d()
+    folded = he.product.folded()
+    res = tise_adaptive(he.spec, folded, TiseConfig(zeta=1e-2, n_modes=1))
+    cases.append((he, *folded.unfold(res.final_cells, res.eigenvectors[:, 0])))
+    for i, (model, cells, coeffs) in enumerate(cases):
+        new, ref = tmp_path / f"new_{i}.csv", tmp_path / f"ref_{i}.csv"
+        HeatmapWriter(model.lattices).write(new, cells, coeffs)
+        _reference_heatmap(ref, model.lattices, cells, coeffs)
+        assert new.read_bytes() == ref.read_bytes()
 
 
 def test_tdse_propagates_in_the_ground_state_objects(tmp_path, monkeypatch):

@@ -447,6 +447,16 @@ def test_refresh_steps_skip_the_block_update(ho_model, monkeypatch):
 # -- two-axis adaptation against the dense propagator ------------------------------
 
 def test_kicked_helium_follows_dense_propagation(he_model, he_eigh):
+    _kicked_helium_against_dense(he_model, he_eigh, folded=False)
+
+
+def test_kicked_helium_follows_dense_propagation_folded(he_model, he_eigh):
+    # the kick commutes with the swap of the electrons, so the folded run
+    # stays in the symmetric sector and meets the same bounds
+    _kicked_helium_against_dense(he_model, he_eigh, folded=True)
+
+
+def _kicked_helium_against_dense(he_model, he_eigh, folded):
     # the helium ground state, kicked by exp(i k (x1 + x2)), drifts out of its
     # cell set; exp(-i H t) from one dense eigendecomposition of the 3600-point
     # grid is the reference at every snapshot
@@ -463,6 +473,11 @@ def test_kicked_helium_follows_dense_propagation(he_model, he_eigh):
     c0 /= ReducedBasis.create(product, cells).physical_norm(c0)
     # the reference starts from exactly the reduced initial state
     a0 = v.T @ product.reconstruct(cells, c0)
+    if folded:
+        product = product.folded()
+        reps = product.representatives(cells)
+        assert product.lattice_cells(reps) == cells
+        cells, c0 = reps, product.restrict(reps, c0)
     cfg = PropagationConfig(zeta=zeta, tau0=0.02, snapshot_every=5)
     traj = tdse_adaptive(he_model.spec, product, c0, cells, (0.0, 0.5),
                          cfg=cfg)
@@ -481,3 +496,28 @@ def test_kicked_helium_follows_dense_propagation(he_model, he_eigh):
         assert abs(deficit) <= drift + lost + 1e-8
         checked += 1
     assert checked >= 3
+
+
+def test_folded_driven_run_matches_unfolded(he_model):
+    # from one exchange-symmetric ground set, the folded propagation takes
+    # the same steps as the unfolded one, through basis changes
+    spec, pulses, ground = _driven_helium(he_model)
+    folded = he_model.product.folded()
+    reps = folded.representatives(ground.final_cells)
+    assert folded.lattice_cells(reps) == ground.final_cells
+    cfg = PropagationConfig(zeta=1e-2, tau0=0.02, snapshot_every=0)
+    plain = tdse_adaptive(spec, he_model.product, ground.eigenvectors[:, 0],
+                          ground.final_cells, (0.0, 1.0), pulses=pulses,
+                          cfg=cfg)
+    fold = tdse_adaptive(spec, folded, folded.restrict(
+        reps, ground.eigenvectors[:, 0]), reps, (0.0, 1.0), pulses=pulses,
+        cfg=cfg)
+    assert sum(k == "basis" for _, k, _ in plain.events) > 0
+    np.testing.assert_array_equal(fold.times, plain.times)
+    np.testing.assert_array_equal(fold.taus, plain.taus)
+    np.testing.assert_array_equal(fold.n_active, plain.n_active)
+    assert np.all(2 * fold.n_basis > fold.n_active)
+    assert np.abs(fold.norms - plain.norms).max() <= 1e-12
+    cells, coeffs = folded.unfold(fold.final_cells, fold.final_coefficients)
+    assert cells == plain.final_cells
+    assert np.abs(coeffs - plain.final_coefficients).max() <= 1e-10

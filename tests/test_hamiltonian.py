@@ -454,3 +454,25 @@ def test_staged_generator_matches_factored_product(dw_model):
     # the staged copy leaves the Hamiltonian it came from as it was
     assert np.array_equal(ham.Hbb, hbb) and staged.cells is ham.cells
     assert ham.combined((0.37, 0.0, 0.0)) is not h
+
+
+def test_exchange_symmetry_of_operators(he_model):
+    spec = he_model.spec
+    grids = he_model.grids
+    assert spec.exchange_symmetric
+    couplings = (models.position_coupling(grids),
+                 models.momentum_coupling(grids, 0.5))
+    assert dataclasses.replace(spec, control_terms=couplings).exchange_symmetric
+    # a field on one electron only, a tilted nucleus, or an asymmetric
+    # interaction term breaks the symmetry
+    one_sided = OperatorSpec(grids=grids, kinetic=(None, None),
+                             potentials=(grids[0].centered_points, None))
+    assert not dataclasses.replace(
+        spec, control_terms=(one_sided,)).exchange_symmetric
+    tilted = (spec.potentials[0], spec.potentials[1] + 1e-9)
+    assert not dataclasses.replace(spec, potentials=tilted).exchange_symmetric
+    t = spec.sop_terms[0]
+    skew = SopTerm(t.coefficient, (t.factors[0], np.roll(t.factors[1], 1)))
+    assert not dataclasses.replace(
+        spec, sop_terms=(skew,) + spec.sop_terms[1:]).exchange_symmetric
+    assert not models.harmonic().spec.exchange_symmetric

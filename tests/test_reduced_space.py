@@ -617,3 +617,81 @@ def test_product_reduced_basis_matches_dense(pair48, rng):
     psi = rng.normal(size=rb.n) + 1j * rng.normal(size=rb.n)
     assert rb.physical_norm(psi) == pytest.approx(
         np.linalg.norm(bt @ psi), rel=1e-10)
+
+
+# -- exchange fold ------------------------------------------------------------------
+
+def _random_orbits(rng, folded, size=30):
+    n = folded.pairs[0].n
+    return folded.representatives(CellSet(rng.integers(n, size=(size, 2))))
+
+
+def test_fold_needs_two_axes_sharing_one_pair(pair48, pair60):
+    with pytest.raises(ValueError, match="sharing one basis pair"):
+        ProductBasis(pair60).folded()
+    with pytest.raises(ValueError, match="sharing one basis pair"):
+        ProductBasis((pair60, build_basis_pair(pair60.lattice))).folded()
+    folded = ProductBasis((pair60, pair60)).folded()
+    with pytest.raises(ValueError, match="representatives"):
+        ReducedBasis.create(folded, CellSet([[3, 1]]))
+
+
+def test_fold_unfold_and_restrict_round_trip(pair60, rng):
+    folded = ProductBasis((pair60, pair60)).folded()
+    reps = _random_orbits(rng, folded)
+    reps = CellSet(np.vstack([reps.indices, [[7, 7], [9, 9]]]))
+    cells = folded.lattice_cells(reps)
+    diag = int(np.count_nonzero(reps.indices[:, 0] == reps.indices[:, 1]))
+    assert len(cells) == folded.lattice_count(reps) == 2 * len(reps) - diag
+    assert folded.representatives(cells) == reps
+    c = rng.normal(size=(len(reps), 2)) + 1j * rng.normal(size=(len(reps), 2))
+    unfolded_cells, u = folded.unfold(reps, c)
+    assert unfolded_cells == cells
+    # both cells of an orbit carry c / w, and the embedding is isometric
+    mirror = [cells.position((b, a)) for a, b in cells]
+    np.testing.assert_array_equal(u, u[mirror])
+    np.testing.assert_allclose(np.linalg.norm(u, axis=0),
+                               np.linalg.norm(c, axis=0), rtol=1e-14)
+    np.testing.assert_allclose(folded.restrict(reps, u), c, rtol=1e-14)
+
+
+@pytest.mark.parametrize("radius", [np.sqrt(2.0) + 1e-9, 2.0])
+def test_folded_bookkeeping_matches_the_swap_closure(pair60, rng, radius):
+    folded = ProductBasis((pair60, pair60)).folded()
+    lattices, fold = folded.lattices, folded.fold
+    reps = _random_orbits(rng, folded, size=60)
+    for _ in range(2):
+        cells = folded.lattice_cells(reps)
+        grown = expand_cells(reps, lattices, radius, fold)
+        assert grown == folded.representatives(
+            expand_cells(cells, lattices, radius))
+        at, _ = cells.matches(reps)
+        np.testing.assert_array_equal(
+            boundary_mask(reps, lattices, radius, fold),
+            boundary_mask(cells, lattices, radius)[at])
+        reps = grown
+
+
+def test_folded_amplitudes_are_unfolded(pair60):
+    folded = ProductBasis((pair60, pair60)).folded()
+    reps = CellSet([[4, 4], [4, 5]])
+    rb = ReducedBasis.create(folded, reps)
+    assert rb.n == 2 and rb.n_lattice == 3
+    np.testing.assert_allclose(rb.amplitudes(np.array([1.0, 1.0])),
+                               [1.0, np.sqrt(0.5)], rtol=1e-15)
+    np.testing.assert_allclose(
+        rb.amplitudes(np.array([[1.0, 2.0], [3.0, 4.0]]), [False, True]),
+        [[3.0 / np.sqrt(2.0), 4.0 / np.sqrt(2.0)]], rtol=1e-15)
+
+
+def test_folded_dual_columns_span_the_symmetric_sector(pair60, rng):
+    folded = ProductBasis((pair60, pair60)).folded()
+    reps = _random_orbits(rng, folded, size=12)
+    rb = ReducedBasis.create(folded, reps)
+    bt = rb.Btilde
+    np.testing.assert_allclose(bt.conj().T @ bt, rb.Sinv_tilde, atol=1e-13)
+    n = pair60.grid.N
+    cols = bt.reshape(n, n, -1)
+    np.testing.assert_allclose(cols, cols.transpose(1, 0, 2), atol=1e-15)
+    c = rng.normal(size=len(reps)) + 1j * rng.normal(size=len(reps))
+    np.testing.assert_allclose(folded.reconstruct(reps, c), bt @ c, atol=1e-13)

@@ -46,6 +46,19 @@ def test_seed_cells_constant_potential_fallback(ho_model):
     assert len(seeds) == 1
 
 
+def test_seed_cells_helium_is_exchange_symmetric(he_model):
+    # the lattice minimum is tied between the mirror sites (2, 3) and (3, 2),
+    # neither a strict local minimum: the fallback keeps both
+    v_lat = lattice_potential(he_model.spec, he_model.lattices)
+    seeds = seed_cells(v_lat, he_model.lattices)
+    assert list(seeds) == [(29, 41), (41, 29)]
+
+
+def test_seed_cells_constant_two_axis_potential_fallback(he_model):
+    v_lat = np.ones([lat.Nx for lat in he_model.lattices])
+    assert len(seed_cells(v_lat, he_model.lattices)) == 1
+
+
 def test_solve_reduced_eig_harmonic_levels(ho_model):
     pair = ho_model.pairs[0]
     cells = CellSet(np.arange(pair.n)[:, None])
@@ -159,7 +172,8 @@ def _subspace_defect(s, v_ref, v):
 def test_every_solve_matches_dense_oracle(case, he_model, dw_model, ho_model,
                                           monkeypatch):
     # helium at the driven run's cutoff runs at the real threshold (n up to
-    # 1025); the small cases lower it so that every warm solve is shift-invert
+    # 981 from the exchange-symmetric seed); the small cases lower it so that
+    # every warm solve is shift-invert
     model, cfg = {
         "helium": (he_model, TiseConfig(zeta=1e-4, n_modes=1)),
         "doublet": (dw_model, TiseConfig(zeta=1e-6, n_modes=2)),
@@ -194,7 +208,7 @@ def test_every_solve_matches_dense_oracle(case, he_model, dw_model, ho_model,
     assert len(calls) == res.iterations
     assert eligible and served == eligible
     if case == "helium":
-        assert max(eligible) == len(res.final_cells) == 1025
+        assert max(eligible) == len(res.final_cells) == 981
 
 
 def _helium_second_iteration(he_model):
@@ -295,3 +309,54 @@ def test_tise_checks_conditioning_without_an_inverse(dw_model, ho_model,
     assert 1e12 < err.value.cond <= 1.01e13
     with pytest.raises(IllConditionedBasisError, match="ill-conditioned"):
         tise_adaptive(ho_model.spec, ho_model.product, TiseConfig(zeta=1e-6))
+
+
+# -- the exchange-symmetric sector -------------------------------------------------
+
+def _swap_parity(v, n):
+    """<v, swap v> per column of dense eigenvectors on an n x n grid."""
+    vt = v.reshape(n, n, -1)
+    return np.einsum("abk,bak->k", vt, vt)
+
+
+@pytest.fixture(scope="module")
+def he_searches(he_model):
+    """The ground-state search at the driven run's cutoff, unfolded (from the
+    exchange-symmetric seed) and folded."""
+    cfg = TiseConfig(zeta=1e-4, n_modes=1)
+    folded = he_model.product.folded()
+    return (tise_adaptive(he_model.spec, he_model.product, cfg),
+            tise_adaptive(he_model.spec, folded, cfg), folded)
+
+
+def test_folded_search_matches_dense_symmetric_sector(he_model, he_eigh,
+                                                      he_searches):
+    w, v = he_eigh
+    parity = _swap_parity(v[:, :6], he_model.grids[0].N)
+    assert np.all(np.abs(np.abs(parity) - 1.0) <= 1e-8)
+    e_sym = w[:6][parity > 0][0]
+    _, res, _ = he_searches
+    assert abs(res.eigenvalues[0] - e_sym) <= 1e-5
+
+
+def test_folded_search_unfolds_to_the_symmetric_seed_search(he_searches):
+    plain, res, folded = he_searches
+    assert len(plain.final_cells) == 981
+    assert folded.lattice_cells(res.final_cells) == plain.final_cells
+    assert len(res.final_cells) == (981 + 17) // 2
+    assert abs(res.eigenvalues[0] - plain.eigenvalues[0]) <= 1e-10
+
+
+def test_folded_blocks_are_the_symmetric_projection(he_model, he_searches):
+    _, res, folded = he_searches
+    reps = res.final_cells
+    cells = folded.lattice_cells(reps)
+    p = folded.restrict(reps, np.eye(len(cells))).T      # orthonormal embedding
+    np.testing.assert_allclose(p.T @ p, np.eye(len(reps)), atol=1e-15)
+    plain_s = ReducedBasis.create(he_model.product, cells).Sinv_tilde
+    plain_h = ReducedHamiltonian(he_model.spec, he_model.product, cells).Hbb
+    for got, full in ((res.reduced_basis.Sinv_tilde, plain_s),
+                      (res.hamiltonian.Hbb, plain_h)):
+        ref = p.T @ full @ p
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(got, got.conj().T)
