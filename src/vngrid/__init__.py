@@ -17,10 +17,9 @@ from .vn_basis import (BasisPair, VonNeumannLattice, analyze, balanced_sigma,
                        build_basis_pair, build_lattice, gaussian_column,
                        husimi_diagonal, synthesize, transform_operator)
 from .reduced_space import (CellSet, ProductBasis, ReducedBasis, boundary_cells,
-                            complementary_basis, coefficient_projector,
-                            embed_coefficients, expand_cells, grow_inverse,
-                            prune_cells, reduced_gaussians, restrict_basis,
-                            shrink_inverse)
+                            complementary_basis, embed_coefficients,
+                            expand_cells, grow_inverse, prune_cells,
+                            reduced_gaussians, restrict_basis, shrink_inverse)
 from .hamiltonian import (ElementCache, OperatorSpec, ReducedHamiltonian,
                           SopFit, SopTerm, apply_H_grid, dense_grid_hamiltonian,
                           potfit2, reduced_via_gaussians)

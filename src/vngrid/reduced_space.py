@@ -972,21 +972,3 @@ def complementary_basis(pair: BasisPair, cells: CellSet):
     cho = scipy.linalg.cho_factor(gram)
     Bbar = Gbar @ scipy.linalg.cho_solve(cho, np.eye(len(out), dtype=complex))
     return Gbar, Bbar
-
-
-def selection_matrix(n: int, cells: CellSet) -> np.ndarray:
-    """0/1 matrix R with ``Btilde = B R``."""
-    idx = cells.indices[:, 0]
-    R = np.zeros((n, len(idx)))
-    R[idx, np.arange(len(idx))] = 1.0
-    return R
-
-
-def coefficient_projector(rb: ReducedBasis, pair: BasisPair) -> np.ndarray:
-    """Projector onto the reduced subspace in dual-coefficient coordinates.
-
-    ``P = R Stilde R^H Sinv``; idempotent of rank n_active, and equal to the
-    similarity transform of ``Btilde Gtilde^H`` into coefficient space.
-    """
-    R = selection_matrix(pair.n, rb.cells)
-    return R @ rb.Stilde @ R.conj().T @ pair.Sinv

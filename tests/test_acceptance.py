@@ -146,11 +146,11 @@ def test_criterion_06_taylor_propagator(dw_model):
     psi_ref = psi.copy()
     worst = 0.0
     for _ in range(100):
-        psi = taylor_step(lambda v: h1 @ v, psi, tau, cfg).psi
+        psi = taylor_step(h1, psi, tau, cfg).psi
         psi_ref = step_op @ psi_ref
         worst = max(worst, np.abs(psi - psi_ref).max())
     assert worst <= 1e-8
-    big = taylor_step(lambda v: h1 @ v, psi, 16.0 / rho, cfg)
+    big = taylor_step(h1, psi, 16.0 / rho, cfg)
     assert big.too_large and big.terms == cfg.max_taylor_terms == 30
     _report(6, f"fixed 64-cell basis: max deviation from dense exponential "
                f"{worst:.2e} <= 1e-8 over 100 steps; oversized step signals "

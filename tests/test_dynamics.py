@@ -30,7 +30,7 @@ def _coherent_initial(model, x0=2.5, p0=0.0, zeta=1e-6):
 def test_taylor_zero_generator(rng):
     psi = rng.normal(size=12) + 1j * rng.normal(size=12)
     cfg = PropagationConfig()
-    out = taylor_step(lambda v: np.zeros_like(v), psi, 0.3, cfg)
+    out = taylor_step(np.zeros((12, 12)), psi, 0.3, cfg)
     assert out.terms == 1 and not out.too_large
     np.testing.assert_allclose(out.psi, psi)
 
@@ -38,7 +38,7 @@ def test_taylor_zero_generator(rng):
 def test_taylor_scalar_phase():
     lam = 0.8
     psi = np.array([1.0 + 0j])
-    out = taylor_step(lambda v: lam * v, psi, 1.0, PropagationConfig())
+    out = taylor_step(lam * np.eye(1), psi, 1.0, PropagationConfig())
     assert abs(out.psi[0] - np.exp(-1j * lam)) < 1e-12
 
 
@@ -50,7 +50,7 @@ def test_taylor_matches_expm(rng):
     h1 = s @ h @ np.linalg.inv(s)   # similar to Hermitian, like the engine's
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
     tau = 0.1 / np.abs(np.linalg.eigvals(h1)).max()
-    out = taylor_step(lambda v: h1 @ v, psi, tau, PropagationConfig())
+    out = taylor_step(h1, psi, tau, PropagationConfig())
     ref = expm_propagate(h1, psi, tau)
     assert np.abs(out.psi - ref).max() < 1e-10
 
@@ -60,15 +60,75 @@ def test_taylor_signals_step_too_large(rng):
     h = np.diag(np.linspace(1.0, 30.0, n))
     psi = np.ones(n, dtype=complex) / np.sqrt(n)
     cfg = PropagationConfig(max_taylor_terms=30)
-    out = taylor_step(lambda v: h @ v, psi, 0.6, cfg)   # ||H tau|| ~ 18
+    out = taylor_step(h, psi, 0.6, cfg)   # ||H tau|| ~ 18
     assert out.too_large and out.psi is None
     assert out.terms == 30
     # the same step succeeds once the term budget accommodates the series
-    out2 = taylor_step(lambda v: h @ v, psi, 0.6,
+    out2 = taylor_step(h, psi, 0.6,
                        PropagationConfig(max_taylor_terms=80))
     assert not out2.too_large
     ref = expm_propagate(h, psi, 0.6)
     assert np.abs(out2.psi - ref).max() < 1e-9
+
+
+def _random_generator(rng, n):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return a / np.sqrt(n)          # spectral radius about 1
+
+
+def _recursion(g, psi, tau, cfg):
+    """The Taylor series as ``numpy`` writes it: the kernel's reference bits."""
+    acc = psi.astype(complex, copy=True)
+    term = acc.copy()
+    for k in range(1, cfg.max_taylor_terms + 1):
+        term = (-1j * tau / k) * (g @ term)
+        acc += term
+        if np.linalg.norm(term) <= cfg.taylor_eps:
+            return acc, k
+    return None, cfg.max_taylor_terms
+
+
+@pytest.mark.parametrize("n", [55, 499])
+def test_taylor_kernel_reproduces_the_recursion_bits(rng, n):
+    g = _random_generator(rng, n)
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    cfg = PropagationConfig()
+    ref, terms = _recursion(g, psi, 0.4, cfg)
+    out = taylor_step(g, psi, 0.4, cfg)
+    assert not out.too_large and out.terms == terms > 5
+    assert np.array_equal(out.psi, ref)
+
+
+def test_taylor_kernel_reads_a_strided_generator_as_its_copy(rng):
+    n = 55
+    big = _random_generator(rng, 2 * n)
+    view = big[::2, 1::2]
+    assert not view.flags.c_contiguous and not view.flags.f_contiguous
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    cfg = PropagationConfig()
+    out = taylor_step(view, psi, 0.3, cfg)
+    dense = taylor_step(np.ascontiguousarray(view), psi, 0.3, cfg)
+    assert out.terms == dense.terms
+    assert np.array_equal(out.psi, dense.psi)
+
+
+def test_taylor_kernel_too_large_leaves_its_input(rng):
+    n = 55
+    g = _random_generator(rng, n)
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    g_before, psi_before = g.copy(), psi.copy()
+    out = taylor_step(g, psi, 20.0, PropagationConfig(max_taylor_terms=10))
+    assert out.too_large and out.psi is None and out.terms == 10
+    assert np.array_equal(psi, psi_before) and np.array_equal(g, g_before)
+
+
+def test_taylor_kernel_rejects_a_mismatched_generator(rng):
+    psi = np.ones(4, dtype=complex)
+    for g in (np.eye(5), np.ones((4, 3)), np.eye(4)[None]):
+        with pytest.raises(ValueError):
+            taylor_step(g, psi, 0.1, PropagationConfig())
+    with pytest.raises(ValueError):
+        taylor_step(np.zeros((0, 0)), np.zeros(0), 0.1, PropagationConfig())
 
 
 def test_expm_propagate_properties(rng):
@@ -300,7 +360,7 @@ def test_fixed_basis_norm_conservation(dw_model, rng):
     psi = (res.eigenvectors @ np.array([0.5, 0.5, 0.5, 0.5])).astype(complex)
     psi /= rb.physical_norm(psi)
     cfg = PropagationConfig(tau0=0.05)
-    h1 = lambda v: rb.Stilde @ (ham.Hbb @ v)
+    h1 = rb.Stilde @ ham.Hbb
     for _ in range(100):
         psi = taylor_step(h1, psi, 0.05, cfg).psi
     assert abs(rb.physical_norm(psi) - 1.0) <= 100 * 1e-10

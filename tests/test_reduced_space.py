@@ -10,11 +10,10 @@ from vngrid.fourier_grid import build_grid
 from vngrid.reduced_space import (CellSet, ProductBasis, ReducedBasis,
                                   _axis_neighbours, _fresh_inverse,
                                   boundary_cells, boundary_mask, cell_change,
-                                  coefficient_projector,
                                   complementary_basis, embed_coefficients,
                                   expand_cells, grow_inverse, prune_cells,
                                   reduced_gaussians, restrict_basis,
-                                  selection_matrix, shrink_inverse)
+                                  shrink_inverse)
 from vngrid.vn_basis import build_basis_pair, build_lattice
 
 
@@ -452,6 +451,24 @@ def test_complementary_basis_orthogonality(pair60, rng):
 def test_complementary_requires_room(pair60):
     with pytest.raises(ValueError):
         complementary_basis(pair60, CellSet(np.arange(pair60.n)[:, None]))
+
+
+def selection_matrix(n: int, cells: CellSet) -> np.ndarray:
+    """0/1 matrix R with ``Btilde = B R``."""
+    idx = cells.indices[:, 0]
+    R = np.zeros((n, len(idx)))
+    R[idx, np.arange(len(idx))] = 1.0
+    return R
+
+
+def coefficient_projector(rb: ReducedBasis, pair) -> np.ndarray:
+    """Projector onto the reduced subspace in dual-coefficient coordinates.
+
+    ``P = R Stilde R^H Sinv``; idempotent of rank n_active, and equal to the
+    similarity transform of ``Btilde Gtilde^H`` into coefficient space.
+    """
+    R = selection_matrix(pair.n, rb.cells)
+    return R @ rb.Stilde @ R.conj().T @ pair.Sinv
 
 
 def test_coefficient_projector(pair60, rng):
