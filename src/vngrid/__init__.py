@@ -11,18 +11,16 @@ Taylor propagator with a multi-factor step controller.
 
 from .errors import (ConfigError, ConvergenceError, DegenerateUpdateError,
                      IllConditionedBasisError, TimestepUnderflowError)
-from .fourier_grid import (FourierGrid, build_grid, cardinal, collocate,
-                           dirichlet_kernel, spectral_coefficients)
+from .fourier_grid import FourierGrid, build_grid, cardinal, dirichlet_kernel
 from .vn_basis import (BasisPair, VonNeumannLattice, analyze, balanced_sigma,
                        build_basis_pair, build_lattice, gaussian_column,
-                       husimi_diagonal, synthesize, transform_operator)
-from .reduced_space import (CellSet, ProductBasis, ReducedBasis, boundary_cells,
+                       synthesize, transform_operator)
+from .reduced_space import (CellSet, ProductBasis, ReducedBasis,
                             complementary_basis, embed_coefficients,
                             expand_cells, grow_inverse, prune_cells,
                             reduced_gaussians, restrict_basis, shrink_inverse)
 from .hamiltonian import (ElementCache, OperatorSpec, ReducedHamiltonian,
-                          SopFit, SopTerm, apply_H_grid, dense_grid_hamiltonian,
-                          potfit2, reduced_via_gaussians)
+                          SopFit, SopTerm, dense_grid_hamiltonian, potfit2)
 from .solvers import (EigenResult, TiseConfig, lattice_potential,
                       reference_full_eig, seed_cells, solve_reduced_eig,
                       tise_adaptive)

@@ -27,12 +27,20 @@ import os
 import sys
 import time
 
+from .errors import (ConfigError, ConvergenceError, DegenerateUpdateError,
+                     IllConditionedBasisError, TimestepUnderflowError)
+
 EXIT_OK = 0
 EXIT_OTHER = 1
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_TAU_UNDERFLOW = 4
 EXIT_DEGENERATE_BASIS = 5
+# the exit code of each failure a run can end in
+_EXIT_CODES = {ConvergenceError: EXIT_NO_CONVERGENCE,
+               TimestepUnderflowError: EXIT_TAU_UNDERFLOW,
+               DegenerateUpdateError: EXIT_DEGENERATE_BASIS,
+               IllConditionedBasisError: EXIT_DEGENERATE_BASIS}
 
 _MODEL_DEFAULTS = {
     "harmonic": {"m": 1.0, "omega": 1.0},
@@ -40,13 +48,6 @@ _MODEL_DEFAULTS = {
     "helium1d": {"a0": 0.739707902, "sop_tolerance": 1e-6},
     "table": {"m": 1.0},
 }
-_TISE_DEFAULTS = {"zeta": 1e-6, "radius": 2.0 ** 0.5 + 1e-9,
-                  "n_modes": 1, "max_iterations": 200}
-_TDSE_DEFAULTS = {"zeta": 1e-6, "radius": 2.0 ** 0.5 + 1e-9, "tau0": 0.05,
-                  "max_taylor_terms": 30, "taylor_eps": 1e-12,
-                  "growth_patience": 3, "pulses": [], "max_steps": None,
-                  "initial_zeta": None}
-_OUTPUT_DEFAULTS = {"directory": "vngrid_run", "snapshot_every": 50}
 
 
 def _fmt(x) -> str:
@@ -58,10 +59,16 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 
 def load_config(path: str) -> dict:
-    """Parse, schema-validate and default-materialize a run configuration."""
+    """Parse, schema-validate and default-materialize a run configuration.
+
+    Solver defaults are the fields of :class:`~vngrid.solvers.TiseConfig`
+    and :class:`~vngrid.dynamics.PropagationConfig`; the propagator's
+    ``snapshot_every`` is an output setting.
+    """
     import jsonschema
 
-    from .errors import ConfigError
+    from .dynamics import PropagationConfig
+    from .solvers import TiseConfig
 
     try:
         with open(path) as fh:
@@ -93,17 +100,22 @@ def load_config(path: str) -> dict:
     if n_dof == 2 and (cfg["grid"][0] != cfg["grid"][1]
                        or cfg["lattice"][0] != cfg["lattice"][1]):
         raise ConfigError("at /grid: helium1d axes must share one grid/lattice")
+    prop = dataclasses.asdict(PropagationConfig())
     resolved = {
         "grid": [dict(g) for g in cfg["grid"]],
         "lattice": [dict(lt) for lt in cfg["lattice"]],
         "model": model,
         "solver": {},
-        "output": dict(_OUTPUT_DEFAULTS, **cfg.get("output", {})),
+        "output": dict({"directory": "vngrid_run",
+                        "snapshot_every": prop.pop("snapshot_every")},
+                       **cfg.get("output", {})),
     }
     if "tise" in solver:
-        resolved["solver"]["tise"] = dict(_TISE_DEFAULTS, **solver["tise"])
+        resolved["solver"]["tise"] = dict(dataclasses.asdict(TiseConfig()),
+                                          **solver["tise"])
     else:
-        tdse = dict(_TDSE_DEFAULTS, **solver["tdse"])
+        tdse = {**prop, "pulses": [], "max_steps": None, "initial_zeta": None,
+                **solver["tdse"]}
         if not tdse["t_span"][0] < tdse["t_span"][1]:
             raise ConfigError("at /solver/tdse/t_span: end must be after start")
         if tdse["initial_zeta"] is None:
@@ -128,7 +140,6 @@ def build_model(cfg: dict, controls=()):
     if m["name"] == "helium1d":
         return models.helium_1d(a0=m["a0"], sop_tolerance=m["sop_tolerance"], **kw)
     import numpy as np
-    from .errors import ConfigError
 
     try:
         table = np.loadtxt(m["file"], delimiter=",", ndmin=2)
@@ -242,12 +253,19 @@ def _write_meta(path, payload):
         fh.write("\n")
 
 
-def _fail(out_dir, payload, exc, code) -> int:
-    """Partial ``run_meta.json`` with the error text, then the exit code."""
+def _fail(out_dir, payload, exc, events=False) -> int:
+    """Partial ``run_meta.json`` with the error text, then the exit code of
+    ``exc`` (:data:`_EXIT_CODES`).  A failed eigenmode search adds its
+    iteration history; with ``events``, any other failure adds the
+    propagator's events so far."""
+    if isinstance(exc, ConvergenceError):
+        payload = dict(payload, n_history=[list(h) for h in exc.history])
+    elif events:
+        payload = dict(payload, events=[list(e) for e in exc.events])
     _write_meta(os.path.join(out_dir, "run_meta.json"),
                 dict(payload, error=str(exc)))
     print(f"error: {exc}", file=sys.stderr)
-    return code
+    return _EXIT_CODES[type(exc)]
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +273,12 @@ def _fail(out_dir, payload, exc, code) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_tise(args) -> int:
-    from .errors import (ConvergenceError, DegenerateUpdateError,
-                         IllConditionedBasisError)
     from .solvers import TiseConfig, tise_adaptive
 
     cfg = load_config(args.config)
     out_dir = args.out or cfg["output"]["directory"]
     os.makedirs(out_dir, exist_ok=True)
-    sc = cfg["solver"]["tise"]
-    tise_cfg = TiseConfig(zeta=sc["zeta"], radius=sc["radius"],
-                          n_modes=sc["n_modes"],
-                          max_iterations=sc["max_iterations"])
+    tise_cfg = TiseConfig(**cfg["solver"]["tise"])
     failed = {"config": cfg, "converged": False}
     try:
         t_start = time.perf_counter()
@@ -273,11 +286,8 @@ def cmd_tise(args) -> int:
         t_build = time.perf_counter() - t_start
         t_start = time.perf_counter()
         res = tise_adaptive(model.spec, model.product, tise_cfg)
-    except ConvergenceError as exc:
-        return _fail(out_dir, dict(failed, n_history=[list(h) for h in exc.history]),
-                     exc, EXIT_NO_CONVERGENCE)
-    except (DegenerateUpdateError, IllConditionedBasisError) as exc:
-        return _fail(out_dir, failed, exc, EXIT_DEGENERATE_BASIS)
+    except tuple(_EXIT_CODES) as exc:
+        return _fail(out_dir, failed, exc)
     t_solve = time.perf_counter() - t_start
 
     with open(os.path.join(out_dir, "eigenvalues.csv"), "w") as fh:
@@ -311,8 +321,6 @@ def cmd_tdse(args) -> int:
     import numpy as np
 
     from .dynamics import PropagationConfig, tdse_adaptive
-    from .errors import (ConvergenceError, DegenerateUpdateError,
-                         IllConditionedBasisError, TimestepUnderflowError)
     from .solvers import TiseConfig, tise_adaptive
 
     cfg = load_config(args.config)
@@ -320,10 +328,9 @@ def cmd_tdse(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     sc = cfg["solver"]["tdse"]
     prop_cfg = PropagationConfig(
-        zeta=sc["zeta"], radius=sc["radius"], tau0=sc["tau0"],
-        max_taylor_terms=sc["max_taylor_terms"], taylor_eps=sc["taylor_eps"],
-        growth_patience=sc["growth_patience"],
-        snapshot_every=cfg["output"]["snapshot_every"])
+        snapshot_every=cfg["output"]["snapshot_every"],
+        **{f.name: sc[f.name] for f in dataclasses.fields(PropagationConfig)
+           if f.name in sc})
     failed = {"config": cfg, "completed": False}
     try:
         t_start = time.perf_counter()
@@ -351,15 +358,8 @@ def cmd_tdse(args) -> int:
                              max_steps=sc["max_steps"],
                              basis=ground.reduced_basis,
                              hamiltonian=ground.hamiltonian)
-    except ConvergenceError as exc:
-        return _fail(out_dir, dict(failed, n_history=[list(h) for h in exc.history]),
-                     exc, EXIT_NO_CONVERGENCE)
-    except TimestepUnderflowError as exc:
-        return _fail(out_dir, dict(failed, events=[list(e) for e in exc.events]),
-                     exc, EXIT_TAU_UNDERFLOW)
-    except (DegenerateUpdateError, IllConditionedBasisError) as exc:
-        return _fail(out_dir, dict(failed, events=[list(e) for e in exc.events]),
-                     exc, EXIT_DEGENERATE_BASIS)
+    except tuple(_EXIT_CODES) as exc:
+        return _fail(out_dir, failed, exc, events=True)
     t_prop = time.perf_counter() - t_start
 
     with open(os.path.join(out_dir, "trajectory.csv"), "w") as fh:
@@ -465,8 +465,6 @@ def _parser():
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    from .errors import ConfigError
-
     try:
         return args.fn(args)
     except ConfigError as exc:

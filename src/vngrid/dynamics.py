@@ -49,13 +49,12 @@ from scipy.linalg.blas import (dznrm2 as _dznrm2, zaxpy as _zaxpy,
 
 from .errors import (DegenerateUpdateError, IllConditionedBasisError,
                      TimestepUnderflowError)
-from .hamiltonian import OperatorSpec, ReducedHamiltonian
-from .reduced_space import (CellSet, DEFAULT_RADIUS, ProductBasis, ReducedBasis,
+from .hamiltonian import DENSE_LIMIT, OperatorSpec, ReducedHamiltonian
+from .reduced_space import (CellSet, DEFAULT_RADIUS, ReducedBasis,
                             boundary_mask, cell_change, embed_coefficients,
                             expand_cells, prune_cells)
 
 _TAU_FLOOR = 1e-12
-_ORACLE_LIMIT = 4096
 _SHRINK = 0.5    # step factor after a rejected step
 _GROWTH = 1.2    # step factor after a quiet stretch
 
@@ -147,8 +146,8 @@ def max_timestep(zeta: float, bandwidth: float, max_du_dt: float) -> float:
 def expm_propagate(h: np.ndarray, psi: np.ndarray, tau: float) -> np.ndarray:
     """Reference step ``exp(-i H tau) psi`` by scaling-and-squaring."""
     h = np.asarray(h)
-    if h.shape[0] > _ORACLE_LIMIT:
-        raise ValueError(f"dense exponential limited to {_ORACLE_LIMIT}")
+    if h.shape[0] > DENSE_LIMIT:
+        raise ValueError(f"dense exponential limited to {DENSE_LIMIT}")
     return scipy.linalg.expm(-1j * tau * h) @ np.asarray(psi, dtype=complex)
 
 
@@ -213,24 +212,12 @@ class ControlPulse:
             return float(np.interp(t, self.times, self.samples))
         raise ValueError(f"unknown pulse kind {self.kind!r}")
 
-    def envelope(self, t: float) -> float:
-        s = t - self.t_on
-        if self.kind == "nir":
-            if not 0.0 <= s <= 4.0 * self.period:
-                return 0.0
-            return self.amplitude * math.sin(math.pi * s / (4.0 * self.period)) ** 2
-        if self.kind == "xuv":
-            if s < 0.0:
-                return 0.0
-            return self.amplitude * math.exp(
-                -(s - 1.25 * self.period) ** 2 / (2.0 * self.sigma ** 2))
-        return abs(self.value(t))
-
-    def max_abs_derivative(self, n_samples: int = 4000) -> float:
+    def max_abs_derivative(self) -> float:
+        """Largest ``|du/dt|`` over the support, from 4000 samples."""
         t0, t1 = self.support
         if t1 <= t0:
             return 0.0
-        t = np.linspace(t0, t1, n_samples)
+        t = np.linspace(t0, t1, 4000)
         u = np.array([self.value(ti) for ti in t])
         return float(np.abs(np.gradient(u, t)).max())
 
@@ -297,8 +284,6 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
     :class:`~vngrid.errors.IllConditionedBasisError` if a basis change
     breaks the maintained inverse; the event log rides on the exception.
     """
-    if not isinstance(product, ProductBasis):
-        product = ProductBasis(product)
     if len(pulses) != len(spec.control_terms):
         raise ValueError("one pulse per control coupling required")
     if basis is not None and basis.cells != cells0:
@@ -416,18 +401,15 @@ def project_state(product, cells: CellSet, psi_weighted) -> np.ndarray:
     dual coordinates; with a subsequent normalization it initializes
     propagation from any grid wavefunction.  On a folded basis the
     projection is onto the exchange-symmetric part of the subspace.
+
+    ``B^H psi`` is taken over every lattice cell by one contraction per axis
+    (each moves its axis last, so the axes end in their own order), and the
+    rows' lattice cells are gathered from it.
     """
-    if not isinstance(product, ProductBasis):
-        product = ProductBasis(product)
     rb = ReducedBasis.create(product, cells)
-    psi = np.asarray(psi_weighted, dtype=complex).ravel()
-    lattice_cells = product.lattice_cells(cells)
-    bt_psi = np.empty(len(lattice_cells), dtype=complex)
-    shape = [g.N for g in product.grids]
-    psi_t = psi.reshape(shape)
-    for j, cell in enumerate(lattice_cells):
-        v = psi_t
-        for k, pair in enumerate(product.pairs):
-            v = np.tensordot(pair.B[:, cell[k]].conj(), v, axes=(0, 0))
-        bt_psi[j] = v
-    return rb.Stilde @ product.restrict(cells, bt_psi)
+    bt_psi = np.asarray(psi_weighted, dtype=complex).reshape(
+        [g.N for g in product.grids])
+    for pair in product.pairs:
+        bt_psi = np.tensordot(bt_psi, pair.B.conj(), axes=(0, 0))
+    lattice_cells = product.lattice_cells(cells).indices
+    return rb.Stilde @ product.restrict(cells, bt_psi[tuple(lattice_cells.T)])

@@ -1,7 +1,7 @@
 """Pseudospectral Fourier grid.
 
 The discrete Hilbert space consists of band-limited periodic functions on
-``x in [0, L)`` sampled at ``N`` equidistant points ``x_j = x0 + j*L/N``.
+``x in [0, L)`` sampled at ``N`` equidistant points ``x_j = j*L/N``.
 Two orthogonal bases span the same space:
 
 * the spectral basis ``phi_n(x) = exp(i*k_n*x)/sqrt(L)`` with
@@ -39,8 +39,6 @@ class FourierGrid:
         Domain length (a.u.), must be positive.
     N : int
         Number of sample points; must be even and at least 2.
-    x0 : float
-        Offset of the first sample point, ``0 <= x0 < L/N``.
 
     Attributes
     ----------
@@ -52,7 +50,7 @@ class FourierGrid:
         Momentum bandwidth ``pi*N/L``; the grid spans the phase-space
         rectangle ``[0, L) x [-K, K)`` of area ``2*K*L = 2*pi*N``.
     sample_points : ndarray
-        ``x_j = x0 + j*dx`` for ``j = 0..N-1``.
+        ``x_j = j*dx`` for ``j = 0..N-1``.
     k_values : ndarray
         Spectral frequencies ``2*pi*n/L`` for ``n = -n_max+1 .. n_max``,
         in ascending order.  The single unpaired endpoint sits at ``+K``.
@@ -60,7 +58,6 @@ class FourierGrid:
 
     L: float
     N: int
-    x0: float = 0.0
     dx: float = dataclasses.field(init=False)
     n_max: int = dataclasses.field(init=False)
     K: float = dataclasses.field(init=False)
@@ -73,12 +70,10 @@ class FourierGrid:
         if self.N < 2 or self.N % 2 != 0:
             raise ValueError(f"N must be even and >= 2, got N={self.N}")
         dx = self.L / self.N
-        if not 0.0 <= self.x0 < dx:
-            raise ValueError(f"x0 must lie in [0, {dx}), got x0={self.x0}")
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "n_max", self.N // 2)
         object.__setattr__(self, "K", np.pi * self.N / self.L)
-        x = self.x0 + dx * np.arange(self.N)
+        x = dx * np.arange(self.N)
         n = np.arange(-self.n_max + 1, self.n_max + 1)
         k = 2.0 * np.pi * n / self.L
         x.flags.writeable = False
@@ -102,9 +97,9 @@ class FourierGrid:
         return 2.0 * np.pi * n / self.L
 
 
-def build_grid(L: float, N: int, x0: float = 0.0) -> FourierGrid:
+def build_grid(L: float, N: int) -> FourierGrid:
     """Construct a :class:`FourierGrid`; rejects invalid parameters."""
-    return FourierGrid(L=float(L), N=int(N), x0=float(x0))
+    return FourierGrid(L=float(L), N=int(N))
 
 
 def dirichlet_kernel(N: int, alpha):
@@ -141,34 +136,6 @@ def cardinal(grid: FourierGrid, m: int, x):
     u = np.asarray(x, dtype=float) - grid.sample_points[m]
     phase = np.exp(1j * np.pi * u / grid.L)
     return phase * dirichlet_kernel(grid.N, 2.0 * np.pi * u / grid.L)
-
-
-def collocate(f, grid: FourierGrid) -> np.ndarray:
-    """Sampling vector ``(f(x_1), ..., f(x_N))`` of a function on [0, L).
-
-    This is the collocation (sampling) projection onto the grid space: for a
-    band-limited function it coincides with the orthogonal projection;
-    otherwise the aliased components fold into the band.
-    """
-    try:
-        vals = np.asarray(f(grid.sample_points))
-        if vals.shape != (grid.N,):
-            raise ValueError
-    except (TypeError, ValueError):
-        vals = np.array([f(x) for x in grid.sample_points])
-    return vals.astype(complex)
-
-
-def spectral_coefficients(grid: FourierGrid, samples) -> np.ndarray:
-    """Expansion coefficients ``<phi_n, f>`` of a sampling vector.
-
-    Returned in ascending ``n`` order, aligned with :attr:`FourierGrid.k_values`.
-    """
-    samples = np.asarray(samples, dtype=complex)
-    fhat = np.fft.fft(samples)
-    n = np.arange(-grid.n_max + 1, grid.n_max + 1)
-    coeff = (np.sqrt(grid.L) / grid.N) * np.exp(-1j * 2.0 * np.pi * n * grid.x0 / grid.L)
-    return coeff * fhat[np.mod(n, grid.N)]
 
 
 def synthesize_spectral(grid: FourierGrid, coeffs, x) -> np.ndarray:

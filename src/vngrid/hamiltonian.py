@@ -52,14 +52,10 @@ import numpy as np
 
 from .fourier_grid import HBAR, FourierGrid
 from .reduced_space import CellSet, ProductBasis, carry_hermitian, cell_change
-from .vn_basis import BasisPair
+from .vn_basis import BasisPair, hermitize as _hermitize
 
-_SIZE_LIMIT = 4096  # dense full-grid constructions refuse beyond this
+DENSE_LIMIT = 4096  # dense full-grid constructions refuse beyond this
 _CHUNK_ENTRIES = 1 << 16  # per-chunk pair-table entries in block contraction
-
-
-def _hermitize(m):
-    return 0.5 * (m + m.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -254,55 +250,14 @@ def _fix_sign(vec):
     return vec
 
 
-def sop_table(spec: OperatorSpec) -> np.ndarray:
-    """Reconstructed interaction table ``sum_r c_r f_r^(1) x f_r^(2)``."""
-    if spec.ndof != 2:
-        raise ValueError("table reconstruction assumes two axes")
-    out = np.zeros((spec.grids[0].N, spec.grids[1].N))
-    for t in spec.sop_terms:
-        out += t.coefficient * np.outer(t.factors[0], t.factors[1])
-    return out
-
-
 # ---------------------------------------------------------------------------
-# full-grid application and dense references
+# full-grid tables and dense references
 # ---------------------------------------------------------------------------
 
 def _axis_mul(arr, diag, axis, ndim):
     shape = [1] * ndim
     shape[axis] = -1
     return arr * np.asarray(diag).reshape(shape)
-
-
-def apply_H_grid(spec: OperatorSpec, psi, controls=()) -> np.ndarray:
-    """Apply the Hamiltonian to a sampling tensor.
-
-    Kinetic diagonals act through per-axis FFTs, everything else pointwise.
-    ``controls`` are the instantaneous signal values multiplying each
-    control term.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    dims = tuple(g.N for g in spec.grids)
-    if psi.shape != dims:
-        raise ValueError(f"state shape {psi.shape} does not match grids {dims}")
-    out = np.zeros_like(psi)
-    for dof in range(spec.ndof):
-        tk = spec.kinetic[dof]
-        if tk is not None:
-            out += np.fft.ifft(_axis_mul(np.fft.fft(psi, axis=dof), tk, dof, psi.ndim),
-                               axis=dof)
-        v = spec.potentials[dof]
-        if v is not None:
-            out += _axis_mul(psi, v, dof, psi.ndim)
-    for t in spec.sop_terms:
-        term = psi * t.coefficient
-        for dof, f in enumerate(t.factors):
-            term = _axis_mul(term, f, dof, psi.ndim)
-        out += term
-    for u, cspec in zip(controls, spec.control_terms):
-        if u:
-            out += u * apply_H_grid(cspec, psi)
-    return out
 
 
 def kinetic_matrix(grid: FourierGrid, tk_fft) -> np.ndarray:
@@ -315,17 +270,34 @@ def kinetic_matrix(grid: FourierGrid, tk_fft) -> np.ndarray:
     return m
 
 
-def dense_grid_hamiltonian(spec: OperatorSpec, controls=(),
-                           size_limit: int = _SIZE_LIMIT) -> np.ndarray:
-    """Dense Hamiltonian on the full product grid (reference oracle).
+def grid_potential(spec: OperatorSpec) -> np.ndarray:
+    """The operator's diagonal on the full product grid, as a table over the
+    grid points: every one-axis potential plus every sum-of-products term."""
+    dims = [g.N for g in spec.grids]
+    diag = np.zeros(dims)
+    for dof in range(spec.ndof):
+        v = spec.potentials[dof]
+        if v is not None:
+            diag = diag + _axis_mul(np.ones(dims), v, dof, len(dims))
+    for t in spec.sop_terms:
+        term = np.full(dims, t.coefficient)
+        for dof, f in enumerate(t.factors):
+            term = _axis_mul(term, f, dof, len(dims))
+        diag = diag + term
+    return diag
 
-    Refuses above ``size_limit`` total points.
+
+def dense_grid_hamiltonian(spec: OperatorSpec) -> np.ndarray:
+    """Dense Hamiltonian on the full product grid (reference oracle), without
+    the control couplings of ``spec``.
+
+    Refuses above :data:`DENSE_LIMIT` total points.
     """
     dims = [g.N for g in spec.grids]
     total = int(np.prod(dims))
-    if total > size_limit:
+    if total > DENSE_LIMIT:
         raise ValueError(f"dense grid Hamiltonian of size {total} exceeds "
-                         f"limit {size_limit}")
+                         f"limit {DENSE_LIMIT}")
     h = np.zeros((total, total), dtype=complex)
     for dof, g in enumerate(spec.grids):
         tk = spec.kinetic[dof]
@@ -337,20 +309,7 @@ def dense_grid_hamiltonian(spec: OperatorSpec, controls=(),
         for m in mats[1:]:
             lifted = np.kron(lifted, m)
         h += lifted
-    diag = np.zeros(dims)
-    for dof in range(spec.ndof):
-        v = spec.potentials[dof]
-        if v is not None:
-            diag = diag + _axis_mul(np.ones(dims), v, dof, len(dims))
-    for t in spec.sop_terms:
-        term = np.full(dims, t.coefficient)
-        for dof, f in enumerate(t.factors):
-            term = _axis_mul(term, f, dof, len(dims))
-        diag = diag + term
-    h[np.arange(total), np.arange(total)] += diag.ravel()
-    for u, cspec in zip(controls, spec.control_terms):
-        if u:
-            h = h + u * dense_grid_hamiltonian(cspec, size_limit=size_limit)
+    h[np.arange(total), np.arange(total)] += grid_potential(spec).ravel()
     h = _hermitize(h)
     if np.abs(h.imag).max() < 1e-13 * max(1.0, np.abs(h.real).max()):
         return np.ascontiguousarray(h.real)
@@ -387,7 +346,6 @@ class ElementCache:
         self.Nx, self.Np = lat.Nx, lat.Np
         cols0 = np.arange(lat.Nx) * lat.Np + lat.p_zero_index
         self._B0 = pair.B[:, cols0].astype(np.clongdouble)
-        self._dk_step = lat.dp_lat / HBAR
         self._spec_cols = np.fft.fft(pair.B[:, :lat.Np], axis=0) / np.sqrt(grid.N)
         # k_n dxlat da = 2 pi n Np da / N: integer-reduced for exact phases
         n_fft = np.rint(grid.fft_wavenumbers() * grid.L
@@ -400,17 +358,13 @@ class ElementCache:
         a2, b2 = np.divmod(cells[None, :], lat.Np)
         self._pot_index = (b2 - b1 + lat.Np - 1, a1, a2)
         self._kin_index = (b1, b2, np.mod(a1 - a2, lat.Nx))
-        # phase argument k_b1 xbar_a1 - k_b2 xbar_a2 = 2 pi (integer)/N plus
-        # an x0 term; reducing the integer mod N keeps the argument small and
-        # the phase accurate to machine epsilon
+        # phase argument k_b1 xbar_a1 - k_b2 xbar_a2 = 2 pi (integer)/N;
+        # reducing the integer mod N keeps the argument small and the phase
+        # accurate to machine epsilon
         nmom = lat.momentum_indices
         whole = np.mod((nmom[b1] * a1 - nmom[b2] * a2) * lat.Np, grid.N)
         whole = np.where(whole > grid.N // 2, whole - grid.N, whole)
-        theta = 2.0 * np.pi * whole / grid.N
-        if grid.x0 != 0.0:
-            theta = theta + ((nmom[b1] - nmom[b2])
-                             * (2.0 * np.pi * grid.x0 / grid.L))
-        self._phase = np.exp(1j * theta)
+        self._phase = np.exp(1j * (2.0 * np.pi * whole / grid.N))
         self._slots = []            # (kind, payload)
         self._by_content = {}
         self._tables = {}           # slot -> (n_cells, n_cells)
@@ -450,13 +404,10 @@ class ElementCache:
         b0h = self._B0.conj().T
         cores = np.empty((2 * np_ - 1, nx, nx), dtype=complex)
         for db in range(1 - np_, 1):
-            # dk x_m = 2 pi Nx db m / N (+ x0 term): integer-reduced phase
+            # dk x_m = 2 pi Nx db m / N: integer-reduced phase
             whole = np.mod(nx * db * m, grid.N)
             whole = np.where(whole > grid.N // 2, whole - grid.N, whole)
-            theta = 2.0 * np.pi * whole / grid.N
-            if grid.x0 != 0.0:
-                theta = theta + db * self._dk_step * grid.x0
-            weight = v * np.exp(1j * theta)
+            weight = v * np.exp(1j * (2.0 * np.pi * whole / grid.N))
             # extended precision keeps every table entry beyond the 1e-12
             # audit comfortably
             core = (b0h @ (weight.astype(np.clongdouble)[:, None] * self._B0)
@@ -557,8 +508,6 @@ class ReducedHamiltonian:
 
     def __init__(self, spec: OperatorSpec, product: ProductBasis,
                  cells: CellSet):
-        if isinstance(product, BasisPair):
-            product = ProductBasis(product)
         if spec.ndof != product.ndof:
             raise ValueError("operator and basis dimensionality differ")
         self.spec = spec
@@ -656,12 +605,6 @@ class ReducedHamiltonian:
             out[lo:lo + step] = pairs.reshape(len(chunk), -1)[:, gather]
         return out
 
-    def element(self, cell_i, cell_j) -> complex:
-        """Single drift element through the cache path."""
-        rows = CellSet([cell_i], ndof=self.product.ndof)
-        cols = CellSet([cell_j], ndof=self.product.ndof)
-        return complex(self._block(rows, cols, self._drift)[0, 0])
-
     # -- incremental maintenance ----------------------------------------------
 
     def update(self, new_cells: CellSet, change=None):
@@ -748,23 +691,3 @@ class ReducedHamiltonian:
                 out[k] += v
         return out
 
-
-def reduced_via_gaussians(spec: OperatorSpec, product, rb) -> np.ndarray:
-    """Reduced generator through Gaussian-side overlaps (dense cross-check).
-
-    ``Stilde (R^H S^-1 (G^H H G) S^-1 R)``: algebraically identical to
-    ``Stilde (Btilde^H H Btilde)`` but built from the localized family,
-    where the full-space sandwich is cheap.  Test-scale sizes only.
-    """
-    if isinstance(product, BasisPair):
-        product = ProductBasis(product)
-    h = dense_grid_hamiltonian(spec)
-    g_full = product.pairs[0].G
-    sinv_full = product.pairs[0].Sinv
-    for pair in product.pairs[1:]:
-        g_full = np.kron(g_full, pair.G)
-        sinv_full = np.kron(sinv_full, pair.Sinv)
-    core = sinv_full @ (g_full.conj().T @ h @ g_full) @ sinv_full
-    dims = [p.n for p in product.pairs]
-    flat = np.ravel_multi_index(rb.cells.indices.T, dims)
-    return rb.Stilde @ core[np.ix_(flat, flat)]

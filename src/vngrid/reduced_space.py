@@ -61,20 +61,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateUpdateError, IllConditionedBasisError
-from .vn_basis import BasisPair, VonNeumannLattice
+from .vn_basis import (COND_LIMIT, BasisPair, VonNeumannLattice,
+                       hermitize as _hermitize)
 
 DEFAULT_RADIUS = math.sqrt(2.0) + 1e-9
 _REFRESH_EVERY = 50  # incremental updates between from-scratch inversions
-_COND_LIMIT = 1e12   # largest accepted condition number of a reduced overlap
-
-
-def _hermitize(m):
-    """``(m + m^H) / 2``, with one transposed read (the bits of the plain
-    expression, about 3x faster on large matrices)."""
-    out = np.conj(m.T, order="C")
-    out += m
-    out *= 0.5
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +121,6 @@ class CellSet:
     @property
     def ndof(self):
         return self.indices.shape[1]
-
-    def position(self, cell):
-        rows, _ = self.matches(CellSet([cell], ndof=self.ndof))
-        if not len(rows):
-            raise KeyError(tuple(cell))
-        return int(rows[0])
 
     def subset(self, mask) -> "CellSet":
         """Cells at the true entries of a boolean row mask (kept canonical,
@@ -298,12 +283,6 @@ def boundary_mask(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS,
     occupied = np.zeros(math.prod(shape), dtype=bool)
     occupied[keys[:, keys.shape[1] // 2]] = True
     return ~occupied[keys].all(axis=1)
-
-
-def boundary_cells(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS,
-                   fold=None) -> CellSet:
-    """Members of ``cells`` with at least one non-member within ``radius``."""
-    return cells.subset(boundary_mask(cells, lattices, radius, fold))
 
 
 def prune_cells(cells: CellSet, amplitudes, zeta: float) -> CellSet:
@@ -686,10 +665,6 @@ class ProductBasis:
             n *= g.N
         return n
 
-    def all_cells(self) -> CellSet:
-        grids = np.meshgrid(*[np.arange(p.n) for p in self.pairs], indexing="ij")
-        return CellSet(np.column_stack([g.ravel() for g in grids]), ndof=self.ndof)
-
     def entries(self, contract, rows: CellSet, cols: CellSet) -> np.ndarray:
         """Reduced-matrix entries between two row sets, from ``contract(ri,
         ci)``, the lattice-cell entries between two arrays of index rows:
@@ -778,8 +753,6 @@ class ReducedBasis:
 
     @classmethod
     def create(cls, product: ProductBasis, cells: CellSet) -> "ReducedBasis":
-        if isinstance(product, BasisPair):
-            product = ProductBasis(product)
         return cls(product, cells, product.overlap(cells, cells))
 
     @property
@@ -903,7 +876,7 @@ def _check_conditioning(sinv: np.ndarray, cho):
     pocon, = scipy.linalg.lapack.get_lapack_funcs(("pocon",), (c,))
     rcond, _ = pocon(c, np.linalg.norm(sinv, 1), uplo="L" if lower else "U")
     cond = math.inf if rcond == 0 else 1.0 / rcond
-    if cond > _COND_LIMIT:
+    if cond > COND_LIMIT:
         n = sinv.shape[0]
         raise IllConditionedBasisError(
             f"reduced overlap of {n} cells is ill-conditioned (cond ~ {cond:.2e})",
@@ -931,7 +904,7 @@ def _fresh_inverse(sinv: np.ndarray, n: int, cho=None) -> np.ndarray:
     inv = _hermitize(scipy.linalg.cho_solve(
         cho, np.eye(n, dtype=complex, order="F"), overwrite_b=True))
     cond = float(np.linalg.norm(sinv, 1) * np.linalg.norm(inv, 1))
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditionedBasisError(
             f"reduced overlap of {n} cells is ill-conditioned (cond ~ {cond:.2e})",
             cond=cond, size=n)

@@ -42,12 +42,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceError
-from .hamiltonian import OperatorSpec, ReducedHamiltonian, dense_grid_hamiltonian
-from .reduced_space import (CellSet, DEFAULT_RADIUS, ProductBasis, ReducedBasis,
+from .hamiltonian import (OperatorSpec, ReducedHamiltonian,
+                          dense_grid_hamiltonian, grid_potential)
+from .reduced_space import (CellSet, DEFAULT_RADIUS, ReducedBasis,
                             boundary_mask, embed_coefficients, expand_cells,
                             prune_cells)
 
-_SIZE_LIMIT = 4096
 # Warm solves use shift-invert from this basis size on.  Below it the dense
 # eigh is faster: on the helium searches shift-invert took 1.8-1.9x eigh's
 # time at n = 257 (6 factorizations and 24 sweeps from the 33-cell start)
@@ -97,27 +97,13 @@ class EigenResult:
 
 
 def lattice_potential(spec: OperatorSpec, lattices) -> np.ndarray:
-    """Potential sampled on the product of lattice position sublattices."""
+    """Potential sampled on the product of lattice position sublattices: the
+    :func:`~vngrid.hamiltonian.grid_potential` table at the lattice sites."""
     if not isinstance(lattices, (list, tuple)):
         lattices = (lattices,)
     # lattice site a sits at grid sample a*Np (= every (N/Nx)-th point)
-    idx = [np.arange(lat.Nx) * lat.Np for lat in lattices]
-    dims = [lat.Nx for lat in lattices]
-    out = np.zeros(dims)
-    for dof, lat in enumerate(lattices):
-        v = spec.potentials[dof]
-        if v is not None:
-            shape = [1] * len(dims)
-            shape[dof] = -1
-            out = out + v[idx[dof]].reshape(shape)
-    for t in spec.sop_terms:
-        term = np.full(dims, t.coefficient)
-        for dof, f in enumerate(t.factors):
-            shape = [1] * len(dims)
-            shape[dof] = -1
-            term = term * f[idx[dof]].reshape(shape)
-        out = out + term
-    return out
+    return grid_potential(spec)[np.ix_(*(np.arange(lat.Nx) * lat.Np
+                                         for lat in lattices))]
 
 
 def seed_cells(v_lattice: np.ndarray, lattices) -> CellSet:
@@ -347,8 +333,6 @@ def tise_adaptive(spec: OperatorSpec, product, config: TiseConfig,
     history attached) if the boundary amplitudes do not drop below the
     cutoff within the configured iteration budget.
     """
-    if not isinstance(product, ProductBasis):
-        product = ProductBasis(product)
     lattices, fold = product.lattices, product.fold
     if seeds is None:
         seeds = seed_cells(lattice_potential(spec, lattices), lattices)
@@ -379,9 +363,9 @@ def tise_adaptive(spec: OperatorSpec, product, config: TiseConfig,
         history=history)
 
 
-def reference_full_eig(spec: OperatorSpec, n_values: int | None = None,
-                       size_limit: int = _SIZE_LIMIT) -> np.ndarray:
+def reference_full_eig(spec: OperatorSpec,
+                       n_values: int | None = None) -> np.ndarray:
     """Sorted eigenvalues of the dense full-grid Hamiltonian (oracle)."""
-    h = dense_grid_hamiltonian(spec, size_limit=size_limit)
+    h = dense_grid_hamiltonian(spec)
     w = scipy.linalg.eigh(h, eigvals_only=True)
     return w if n_values is None else w[:n_values]

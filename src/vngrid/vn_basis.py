@@ -49,6 +49,7 @@ from .errors import IllConditionedBasisError
 from .fourier_grid import HBAR, FourierGrid
 
 _N_IMAGES = 3  # periodization images; exact at double precision for sigma < L/6
+COND_LIMIT = 1e12  # largest accepted condition number of an overlap matrix
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,12 +114,6 @@ class VonNeumannLattice:
 
     def cell_coords(self, i: int) -> tuple[int, int]:
         return divmod(int(i), self.Np)
-
-    @property
-    def centers(self) -> np.ndarray:
-        """(N, 2) array of cell centers (xbar_i, pbar_i) in canonical order."""
-        a, b = np.divmod(np.arange(self.n_cells), self.Np)
-        return np.column_stack([self.x_centers[a], self.p_centers[b]])
 
 
 def balanced_sigma(grid: FourierGrid, Nx: int, Np: int) -> float:
@@ -193,8 +188,13 @@ def _gabor_matrix(lattice: VonNeumannLattice, window: np.ndarray,
     return out
 
 
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+def hermitize(m: np.ndarray) -> np.ndarray:
+    """``(m + m^H) / 2``, with one transposed read (the bits of the plain
+    expression, about 3x faster on large matrices)."""
+    out = np.conj(m.T, order="C")
+    out += m
+    out *= 0.5
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -229,26 +229,25 @@ class BasisPair:
         return self.lattice.n_cells
 
 
-def build_basis_pair(lattice: VonNeumannLattice,
-                     cond_limit: float = 1e12) -> BasisPair:
+def build_basis_pair(lattice: VonNeumannLattice) -> BasisPair:
     """Build the biorthogonal pair for a lattice.
 
     Raises
     ------
     IllConditionedBasisError
-        If ``cond(S)`` exceeds ``cond_limit``.  In particular any critical
+        If ``cond(S)`` exceeds :data:`COND_LIMIT`.  In particular any critical
         lattice with both dimensions even is exactly singular.
     """
     g = lattice.grid
     win = gaussian_window(lattice) * np.sqrt(g.dx)
     n_lat = lattice.momentum_indices
     G = _gabor_matrix(lattice, win, n_lat)
-    S = _hermitize(G.conj().T @ G)
+    S = hermitize(G.conj().T @ G)
     cond = float(np.linalg.cond(S))
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditionedBasisError(
             f"Gaussian overlap matrix is ill-conditioned "
-            f"(cond ~ {cond:.2e} > {cond_limit:.0e}) for lattice "
+            f"(cond ~ {cond:.2e} > {COND_LIMIT:.0e}) for lattice "
             f"{lattice.Nx}x{lattice.Np}; both dimensions even makes the "
             f"critical lattice singular, and an oversized sigma_x has the "
             f"same effect.",
@@ -258,7 +257,7 @@ def build_basis_pair(lattice: VonNeumannLattice,
     b_ref = lattice.p_zero_index
     dual_window_col = (G @ Sinv0)[:, lattice.cell_index(0, b_ref)]
     B = _gabor_matrix(lattice, dual_window_col, n_lat - n_lat[b_ref])
-    Sinv = _hermitize(B.conj().T @ B)
+    Sinv = hermitize(B.conj().T @ B)
     for arr in (G, B, S, Sinv):
         arr.flags.writeable = False
     return BasisPair(lattice=lattice, G=G, B=B, S=S, Sinv=Sinv, cond_S=cond)
@@ -286,8 +285,3 @@ def transform_operator(pair: BasisPair, op: np.ndarray) -> np.ndarray:
     if op.shape != (pair.n, pair.n):
         raise ValueError(f"operator shape {op.shape} != {(pair.n, pair.n)}")
     return scipy.linalg.solve(pair.B, op @ pair.B)
-
-
-def husimi_diagonal(coeffs: np.ndarray) -> np.ndarray:
-    """Husimi density at the lattice points: ``|<g_i|psi>|^2`` elementwise."""
-    return np.abs(np.asarray(coeffs)) ** 2

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from vngrid.cli import (EXIT_CONFIG, EXIT_DEGENERATE_BASIS, EXIT_NO_CONVERGENCE,
-                        EXIT_OK, EXIT_OTHER, main)
+                        EXIT_OK, EXIT_OTHER, EXIT_TAU_UNDERFLOW, load_config,
+                        main)
 
 
 def _write(tmp_path, name, payload):
@@ -70,6 +72,26 @@ def test_run_meta_embeds_resolved_config(tmp_path):
     assert meta["config"]["grid"] == [{"L": 20.0, "N": 60}]
     assert meta["converged"] is True
     assert meta["cache"]["hits"] > 0
+
+
+def test_solver_defaults_are_the_config_dataclasses(tmp_path):
+    # the run_meta.json solver section resolved from {} holds the field
+    # values of TiseConfig and PropagationConfig
+    from vngrid.dynamics import PropagationConfig
+    from vngrid.solvers import TiseConfig
+
+    out = str(tmp_path / "run")
+    path = _write(tmp_path, "cfg.json", _harmonic_cfg(out, tise={}))
+    assert main(["tise", path]) == EXIT_OK
+    meta = json.load(open(os.path.join(out, "run_meta.json")))
+    assert meta["config"]["solver"]["tise"] == dataclasses.asdict(TiseConfig())
+    cfg = load_config(_write(tmp_path, "tdse.json",
+                             _harmonic_cfg(out, tdse={"t_span": [0.0, 1.0]})))
+    prop = dataclasses.asdict(PropagationConfig())
+    assert cfg["output"]["snapshot_every"] == prop.pop("snapshot_every")
+    tdse = cfg["solver"]["tdse"]
+    assert {k: tdse[k] for k in prop} == prop
+    assert tdse["initial_zeta"] == prop["zeta"]
 
 
 def test_schema_violations_are_config_errors(tmp_path):
@@ -408,6 +430,28 @@ def test_mid_propagation_update_failure_exits_degenerate_basis(tmp_path,
     assert meta["completed"] is False
     assert meta["error"] == "injected Schur failure"
     assert meta["events"][0][1:] == ["basis", "+10 -0 cells"]
+
+
+def test_step_underflow_exits_tau_underflow(tmp_path, monkeypatch):
+    # every Taylor series runs out of terms, so the step halves to the floor
+    import vngrid.dynamics as dynamics
+
+    def series_too_long(g, psi, tau, cfg):
+        return dynamics.TaylorStep(psi=None, terms=cfg.max_taylor_terms,
+                                   too_large=True)
+
+    monkeypatch.setattr(dynamics, "taylor_step", series_too_long)
+    out = str(tmp_path / "run")
+    cfg = _harmonic_cfg(out, tdse={"t_span": [0.0, 1.0], "tau0": 0.05})
+    assert main(["tdse", _write(tmp_path, "cfg.json", cfg)]) == \
+        EXIT_TAU_UNDERFLOW
+    meta = json.load(open(os.path.join(out, "run_meta.json")))
+    assert meta["completed"] is False
+    assert "time step fell below" in meta["error"]
+    # 0.05 halves below 1e-12 on the 36th rejection
+    assert len(meta["events"]) == 36
+    assert all(e[0] == 0.0 and e[1] == "shrink" for e in meta["events"])
+    assert meta["events"][-1][2].startswith("series: tau -> ")
 
 
 def test_debug_reraises_unexpected_errors(monkeypatch):

@@ -9,7 +9,7 @@ from vngrid.errors import DegenerateUpdateError, IllConditionedBasisError
 from vngrid.fourier_grid import build_grid
 from vngrid.reduced_space import (CellSet, ProductBasis, ReducedBasis,
                                   _axis_neighbours, _fresh_inverse,
-                                  boundary_cells, boundary_mask, cell_change,
+                                  boundary_mask, cell_change,
                                   complementary_basis, embed_coefficients,
                                   expand_cells, grow_inverse, prune_cells,
                                   reduced_gaussians, restrict_basis,
@@ -25,6 +25,14 @@ def pair48():
 @pytest.fixture(scope="module")
 def pair60():
     return build_basis_pair(build_lattice(build_grid(15.0, 60), 5, 12))
+
+
+def _position(cells, cell):
+    """Row of ``cell`` in ``cells``; KeyError if it is not a member."""
+    rows, _ = cells.matches(CellSet([cell], ndof=cells.ndof))
+    if not len(rows):
+        raise KeyError(tuple(cell))
+    return int(rows[0])
 
 
 def _random_pd(rng, n):
@@ -73,10 +81,10 @@ def test_cellset_matches(ndof, rng):
         for cell in old:
             assert (cell in new) == (cell in pos)
             if cell in pos:
-                assert new.position(cell) == pos[cell]
+                assert _position(new, cell) == pos[cell]
             else:
                 with pytest.raises(KeyError):
-                    new.position(cell)
+                    _position(new, cell)
 
 
 def test_cellset_rejects_negative_indices():
@@ -122,15 +130,15 @@ def test_boundary_cells_geometry():
     # 3x3 interior block: the 8 perimeter cells are the boundary
     block = CellSet([[lat.cell_index(a, b)] for a in (1, 2, 3)
                      for b in (3, 4, 5)])
-    bnd = boundary_cells(block, lat, np.sqrt(2.0) + 1e-9)
+    bnd = block.subset(boundary_mask(block, lat, np.sqrt(2.0) + 1e-9))
     assert len(bnd) == 8
     assert (lat.cell_index(2, 4),) not in bnd
     # singleton is its own boundary
     single = CellSet([[lat.cell_index(2, 4)]])
-    assert boundary_cells(single, lat) == single
+    assert single.subset(boundary_mask(single, lat)) == single
     # full lattice: periodic in x, so only the momentum-edge rows remain
     full = CellSet(np.arange(lat.n_cells)[:, None])
-    bnd_full = boundary_cells(full, lat)
+    bnd_full = full.subset(boundary_mask(full, lat))
     coords = {lat.cell_coords(i)[1] for (i,) in bnd_full}
     assert coords == {0, lat.Np - 1}
     assert len(bnd_full) == 2 * lat.Nx
@@ -418,7 +426,7 @@ def test_reduced_gaussians_full_and_interior(pair48, rng):
                      for b in range(2, 14)])
     rb2 = restrict_basis(pair48, block)
     gt = reduced_gaussians(rb2)
-    interior = block.position((lat.cell_index(1, 8),))
+    interior = _position(block, (lat.cell_index(1, 8),))
     dev = np.abs(gt[:, interior] - pair48.G[:, lat.cell_index(1, 8)]).max()
     assert dev < 1e-3
 
@@ -494,7 +502,7 @@ def test_incremental_updates_match_fresh(ndof, read, pair48, pair60, rng):
     # on two axes the kept and added rows interleave in the canonical order;
     # an eigenmode search never reads Stilde, a propagation reads it at once
     product = ProductBasis(pair60) if ndof == 1 else ProductBasis((pair48,) * 2)
-    universe = [tuple(c) for c in product.all_cells().indices.tolist()]
+    universe = list(itertools.product(*(range(p.n) for p in product.pairs)))
     start = rng.choice(len(universe), size=22, replace=False)
     rb = ReducedBasis.create(product, CellSet([universe[k] for k in start],
                                               ndof=ndof))
@@ -548,7 +556,8 @@ def test_carried_generator_matches_stilde_times_block(ndof, pair48, pair60,
         grids, potentials=tuple(0.5 * g.centered_points ** 2 for g in grids),
         control_terms=(pos, pos, models.momentum_coupling(grids)))
     rng = np.random.default_rng(ndof)
-    universe = product.all_cells().indices
+    universe = np.array(list(itertools.product(*(range(p.n)
+                                                 for p in product.pairs))))
     cells = CellSet(universe[rng.choice(len(universe), 30, replace=False)],
                     ndof=ndof)
     rb = ReducedBasis.create(product, cells)
@@ -665,7 +674,7 @@ def test_fold_unfold_and_restrict_round_trip(pair60, rng):
     unfolded_cells, u = folded.unfold(reps, c)
     assert unfolded_cells == cells
     # both cells of an orbit carry c / w, and the embedding is isometric
-    mirror = [cells.position((b, a)) for a, b in cells]
+    mirror = [_position(cells, (b, a)) for a, b in cells]
     np.testing.assert_array_equal(u, u[mirror])
     np.testing.assert_allclose(np.linalg.norm(u, axis=0),
                                np.linalg.norm(c, axis=0), rtol=1e-14)

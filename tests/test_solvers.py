@@ -1,18 +1,36 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import vngrid.reduced_space as reduced_space
 import vngrid.solvers as solvers
+from vngrid import models
 from vngrid.errors import (ConvergenceError, DegenerateUpdateError,
                            IllConditionedBasisError)
 from vngrid.fourier_grid import build_grid
-from vngrid.hamiltonian import OperatorSpec, ReducedHamiltonian
-from vngrid.reduced_space import (CellSet, ReducedBasis, boundary_cells,
+from vngrid.hamiltonian import (OperatorSpec, ReducedHamiltonian,
+                                dense_grid_hamiltonian)
+from vngrid.reduced_space import (CellSet, ReducedBasis, boundary_mask,
                                   expand_cells)
 from vngrid.solvers import (EigenResult, ShiftInvertError, TiseConfig,
                             lattice_potential, reference_full_eig, seed_cells,
                             shift_invert_eig, solve_reduced_eig, tise_adaptive)
+
+
+@pytest.mark.parametrize("name", ["helium", "double_well"])
+def test_lattice_potential_is_the_dense_diagonal(name, dw_model):
+    # without kinetic terms the dense Hamiltonian's diagonal is the potential
+    # table alone; at the lattice sites it is the lattice potential, bit for
+    # bit (helium on a 30-point grid with the desk run's lattice sites)
+    model = dw_model if name == "double_well" else models.helium_1d(N=30, Np=6)
+    spec = dataclasses.replace(model.spec, kinetic=(None,) * model.spec.ndof)
+    diag = np.diag(dense_grid_hamiltonian(spec)).reshape(
+        [g.N for g in spec.grids])
+    sites = np.ix_(*(np.arange(lat.Nx) * lat.Np for lat in model.lattices))
+    assert np.array_equal(lattice_potential(model.spec, model.lattices),
+                          diag[sites])
 
 
 def test_seed_cells_double_well(dw_model):
@@ -93,8 +111,7 @@ def test_adaptive_matches_dense_oracle(dw_model, dw_dense):
     assert len(res.final_cells) < dw_model.pairs[0].n
     assert np.all(np.diff(res.eigenvalues) >= 0)
     # stopping contract: every tracked mode below the cutoff on the boundary
-    bnd = boundary_cells(res.final_cells, dw_model.lattices)
-    rows = [res.final_cells.position(c) for c in bnd]
+    rows = boundary_mask(res.final_cells, dw_model.lattices)
     assert np.abs(res.eigenvectors[rows, :]).max() < 1e-6
 
 

