@@ -14,9 +14,10 @@ With control signals ``u_g`` each term is one matrix-vector product with
 the staged generator ``G(u) = G_0 + sum_g u_g G_g``, ``G_0 = Stilde Hbb`` and
 ``G_g = Stilde H_g`` (:meth:`ReducedHamiltonian.generator`).  It is formed
 once per run, at the first read of ``Stilde``; every basis change carries
-each ``G`` through the Schur blocks of the inverse update in ``O(n^2 m)``
-for ``m`` cells added or dropped, and the every-50th refresh of ``Stilde``
-re-forms it (:meth:`ReducedBasis.update`).  :func:`taylor_step` takes the
+each ``G`` through the one block update of the inverse (one gather and one
+rank-``(d + a)`` GEMM per matrix, ``O(n^2 (d + a))`` for ``d`` cells dropped
+and ``a`` added), and the every-50th refresh of ``Stilde`` re-forms it
+(:meth:`ReducedBasis.update`).  :func:`taylor_step` takes the
 matrix ``G(u)`` itself and runs each term as one BLAS ``zgemv`` on it plus
 three vector calls: about 3 us per term at n = 56, where call overhead
 dominates, and 215 us at n = 499, where memory bandwidth does (one BLAS

@@ -491,9 +491,10 @@ class ReducedHamiltonian:
     :meth:`generator` left-multiplies every distinct block by ``Stilde``
     once, and :meth:`combined` of the staged copy then gives the generator
     for one matrix-vector product per application.  Across a basis change
-    the staged blocks are carried through the Schur blocks of the inverse
-    update (:meth:`~vngrid.reduced_space.ReducedBasis.update`) and put back
-    with :meth:`with_blocks`, so they are formed from scratch only once.
+    the staged blocks are carried through the one block update of the
+    inverse (:meth:`~vngrid.reduced_space.ReducedBasis.update`), a gather
+    and a GEMM of the change's rank each, and put back with
+    :meth:`with_blocks`, so they are formed from scratch only once.
 
     Every operator is held as a rank expansion ``sum_r prod_k F_r^(k)`` of
     per-axis element tables over the whole lattice: the one-axis terms of
@@ -584,7 +585,7 @@ class ReducedHamiltonian:
         and the block's columns are gathered from that small product table.
         """
         if len(factors) == 1:
-            return factors[0][np.ix_(ri[:, 0], ci[:, 0])]
+            return factors[0][ri[:, 0, None], ci[:, 0]]
         out = np.empty((len(ri), len(ci)), dtype=complex)
         distinct, inverse = zip(*(np.unique(ci[:, k], return_inverse=True)
                                   for k in range(len(factors))))

@@ -23,10 +23,13 @@ array over the product lattice, with one extra sentinel slot per axis that
 stands for every position beyond a momentum band.
 
 The inverse ``Stilde = (Btilde^H Btilde)^-1`` is formed on first read and
-from then on updated incrementally when cells are added or removed, using
-Schur-complement block formulas that only ever invert matrices of the size
-of the change.  The same blocks carry generators ``Stilde @ H`` across the
-change, for a propagator that keeps them staged.
+from then on updated incrementally when cells are added or removed: one
+block update per change (:func:`grow_inverse`, whose drop-only case is
+:func:`shrink_inverse`) factorizes only the dropped block of the inverse
+and the Schur complement of the added cells.  The same update carries
+generators ``Stilde @ H`` across the change, for a propagator that keeps
+them staged: the inverse and every generator each take one gather into the
+new order and one GEMM of the change's rank.
 
 Exchange fold
 -------------
@@ -59,6 +62,9 @@ import math
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import (zdotc as _zdotc, zgemm as _zgemm,
+                               zgemv as _zgemv)
+from scipy.linalg.lapack import zpotrf as _zpotrf, zpotrs as _zpotrs
 
 from .errors import DegenerateUpdateError, IllConditionedBasisError
 from .vn_basis import (COND_LIMIT, BasisPair, VonNeumannLattice,
@@ -363,121 +369,169 @@ def _carried_rows(kept, fresh):
 # block-inverse updates
 # ---------------------------------------------------------------------------
 
-def grow_inverse(Ainv, C, D, fresh=None, carry=None):
-    """Inverse of ``[[A, C], [C^H, D]]`` given ``Ainv = A^-1``.
+def grow_inverse(Ainv, C, D, fresh=None, carry=None, keep=None):
+    """Inverse of the overlap after a change that adds cells (and may drop
+    some), from the old inverse ``Ainv`` alone.
 
-    Only the Schur complement ``D - C^H Ainv C`` (size of the added block)
-    is factorized.  Raises :class:`DegenerateUpdateError` if it is not
-    positive definite, which signals that the appended columns are (nearly)
-    linearly dependent on the existing basis.
+    ``keep`` is a boolean mask over the rows of ``Ainv`` that stay (all by
+    default); the rest are dropped.  ``C`` is the overlap between the kept
+    and the added cells, kept rows in order, and ``D`` that among the added
+    cells, so the new overlap is ``[[S_kk, C], [C^H, D]]`` up to the order
+    of its rows.  ``fresh`` is a boolean mask over the rows of the result
+    that marks the added ones, which are last by default; the kept rows
+    fill the other entries in order.  ``C`` may also span every row of the
+    result (the new overlap's added columns), whose fresh rows then do not
+    enter the result.
 
-    ``fresh`` is a boolean mask over the rows of the result that marks the
-    added ones: the blocks are written straight into that order, the kept
-    rows in order at the other entries, instead of with the added rows last.
-    ``carry`` is a list of ``[G, H]`` pairs, ``G = Ainv @ H_kk`` over the
-    kept rows and ``H`` Hermitian over all rows in the result's order; each
-    ``G`` is replaced in place by the result times ``H``, in O(n^2 m).
+    Only the dropped block of ``Ainv`` and the Schur complement of the added
+    block (each the size of its part of the change) are factorized, both
+    before anything is written; either one not positive definite raises
+    :class:`DegenerateUpdateError`, the Schur complement signalling that
+    the added columns are (nearly) linearly dependent on the kept basis.
+
+    ``carry`` is a list of ``[G, H]`` pairs, ``G = Ainv @ H_old`` over the
+    old rows and ``H`` Hermitian over the result's rows; each ``G`` is
+    replaced by the result times ``H``, in ``O(n^2 (d + a))`` for ``d``
+    cells dropped and ``a`` added (:func:`_update_inverse`).
     """
-    Ainv = np.asarray(Ainv)
-    n = Ainv.shape[0]
-    C = np.asarray(C).reshape(n, -1)
+    Ainv = np.asarray(Ainv, dtype=complex)
+    kept = (np.ones(len(Ainv), dtype=bool) if keep is None
+            else np.asarray(keep, dtype=bool))
+    k = int(np.count_nonzero(kept))
+    C = np.asarray(C)
+    C = C.reshape(len(C), -1)
     m = C.shape[1]
-    D = np.asarray(D).reshape(m, m)
-    if m == 0:
-        return Ainv.copy()
-    fresh = np.arange(n + m) >= n if fresh is None else np.asarray(fresh)
-    ki, fi = np.flatnonzero(~fresh), np.flatnonzero(fresh)
-    AinvC = Ainv @ C
-    F1 = _hermitize(_pd_solve(
-        _hermitize(D - C.conj().T @ AinvC), np.eye(m, dtype=complex),
-        f"Schur complement of {m} added cells is not positive definite"))
-    F2 = AinvC @ F1
-    out = np.empty((n + m, n + m), dtype=complex)
-    # the off-diagonal blocks are each other's conjugate transposes and F1
-    # is Hermitian, so hermitizing the kept block hermitizes the whole
-    out[ki[:, None], ki] = _hermitize(Ainv + F2 @ AinvC.conj().T)
-    out[ki[:, None], fi] = -F2
-    out[fi[:, None], ki] = -F2.conj().T
-    out[fi[:, None], fi] = F1
-    if carry:
-        # with Xe = [X; -I] and Fe = [F2; -F1] in the result's rows
-        # (X = Ainv C): R = Xe^H H = X^H H_k: - H_a:, and the new G is Fe R
-        # plus [G | Ainv H_ka] in the kept rows
-        xe = np.empty((n + m, m), dtype=complex)
-        xe[ki], xe[fi] = AinvC, -np.eye(m)
-        fe = np.empty((n + m, m), dtype=complex)
-        fe[ki], fe[fi] = F2, -F1
-        src = _carried_rows(np.ones(n, dtype=bool), fresh)
-        for pair in carry:
-            G, H = pair
-            new = G[src].take(src, axis=1)
-            new[ki[:, None], fi] = Ainv @ H[ki[:, None], fi]
-            new[fi] = 0.0
-            _add_product(new, fe, xe.conj().T @ H)
-            pair[0] = new
-    return out
+    fresh = np.arange(k + m) >= k if fresh is None else np.asarray(fresh)
+    if len(C) == k and m:
+        cols = np.zeros((k + m, m), dtype=complex)
+        cols[~fresh] = C
+        C = cols
+    return _update_inverse(Ainv, kept, fresh, C, np.asarray(D).reshape(m, m),
+                           carry)
 
 
-def shrink_inverse(Zinv, keep, carry=None, hermitize=True):
-    """Inverse of the retained principal block, from the full inverse only.
+def shrink_inverse(Zinv, keep, carry=None):
+    """Inverse of the retained principal block, from the full inverse only:
+    the drop-only case of :func:`grow_inverse`.
 
     ``keep`` is an integer count (keep the leading block), an ascending
-    index array or a boolean row mask.  With ``Zinv`` partitioned into
-    kept/dropped blocks ``[[Ws, Wc], [Wc^H, Wd]]``, the retained inverse is
-    ``Ws - Wc Y`` with ``Y = Wd^-1 Wc^H``.
-
-    ``carry`` is a list of ``[G, H]`` pairs with ``G = Zinv @ H`` (``H`` is
-    not read); each ``G`` is replaced in place by the retained inverse times
-    the kept block of ``H``, ``G_kk - Y^H G_dk``.  ``hermitize=False``
-    returns the retained inverse as computed, for a caller that grows it
-    next and hermitizes only the result.
+    index array or a boolean row mask.  ``carry`` is a list of ``[G, H]``
+    pairs with ``G = Zinv @ H`` (``H`` is not read); each ``G`` is replaced
+    by the retained inverse times the kept block of ``H``.
     """
-    Zinv = np.asarray(Zinv)
+    Zinv = np.asarray(Zinv, dtype=complex)
     kept = np.zeros(len(Zinv), dtype=bool)
     kept[np.arange(keep) if np.isscalar(keep) else keep] = True
-    ki, di = np.flatnonzero(kept), np.flatnonzero(~kept)
-    Ws = _principal(Zinv, ki, ki)
-    if not di.size:
-        return Ws
-    Wc = Zinv[ki[:, None], di]
-    Y = _pd_solve(_hermitize(Zinv[di[:, None], di]), Wc.conj().T,
-                  "dropped block of the inverse is singular")
-    for pair in carry or ():
-        new = _principal(pair[0], ki, ki)
-        _add_product(new, Y.conj().T, _principal(pair[0], di, ki), -1.0)
-        pair[0] = new
-    out = Ws - Wc @ Y
-    return _hermitize(out) if hermitize else out
+    k = int(np.count_nonzero(kept))
+    return _update_inverse(Zinv, kept, np.zeros(k, dtype=bool),
+                           np.empty((k, 0), dtype=complex),
+                           np.empty((0, 0), dtype=complex), carry)
 
 
-def _principal(mat, rows, cols):
-    """``mat[np.ix_(rows, cols)]`` for index arrays, as a row gather and a
-    column take (several times faster on large blocks)."""
-    return mat[rows].take(cols, axis=1)
+def _update_inverse(W, kept, fresh, cols, dm, carry):
+    """The block update behind :func:`grow_inverse` and
+    :func:`shrink_inverse`.
+
+    ``W`` is the old inverse, ``kept`` its rows that stay and ``fresh`` the
+    added rows of the new order.  ``cols`` holds the new overlap's added
+    columns over every new row, ``C = S'_KA`` in the kept rows (the fresh
+    ones do not enter the result), and ``dm = S'_AA`` their added block.  With ``K``,
+    ``D`` and ``A`` the kept, dropped and added cells and ``E`` the
+    embedding of a kept block into the new order (zero fresh rows and
+    columns):
+
+        Y = W_DD^-1 W_DK,     P = W_KK - Y^H W_DK      (the kept inverse)
+        X = P C,              F1 = (dm - C^H X)^-1,    Xe = [X; -I]
+        new inverse  = E(W_KK) + [-Y^H | Xe F1] [W_DK; Xe^H]
+        new G        = E(G_KK) + [-Y^H | Xe F1] [G_DK; Xe^H H] + P H_KA
+
+    with ``P H_KA`` in the fresh columns, since ``G_KK - Y^H G_DK = P H_KK``.
+    ``W_DK`` and ``Y`` are held over the new columns and ``X`` over the new
+    rows, so ``P M`` for any ``M`` over the new rows is ``E(W_KK) M - Y^H
+    (W_DK M)``.  Each carried matrix is one gather into the new order and
+    one in-place ``zgemm`` of rank ``d + a`` with the shared left factor,
+    whatever the mix of the change; the inverse is hermitized once, at the
+    end.
+    """
+    fi = np.flatnonzero(fresh)
+    di = np.flatnonzero(~kept)
+    d, a = len(di), len(fi)
+    carry = carry or ()
+    src = _carried_rows(kept, fresh)
+    yh = np.zeros((len(src), 0), dtype=complex)
+    wd = np.zeros((0, len(src)), dtype=complex)
+    if d:
+        dropped_rows = W[di]
+        wd = dropped_rows.take(src, axis=1)     # W_DK in the new columns
+        wd[:, fi] = 0.0
+        # W is Hermitian, and the factorization reads one triangle only
+        yh = _pd_solve(dropped_rows.take(di, axis=1), wd,
+                       "dropped block of the inverse is singular").conj().T
+    new = _gather(W, src, fi)
+    new[:, fi] = 0.0
+    left, right = -yh, wd
+    if a:
+        # P times C and every H_KA at once; the fresh rows come out zero
+        b = np.concatenate([cols] + [h[:, fi] for _, h in carry], axis=1)
+        pb = new @ b
+        if d:
+            _add_product(pb, yh, wd @ b, -1.0)
+        xe = pb[:, :a]
+        schur = dm - cols.conj().T @ xe
+        xe[fi, np.arange(a)] = -1.0              # Xe = [X; -I]
+        xeh = xe.conj().T
+        # F1 Xe^H is solved for directly: its conjugate transpose is Xe F1
+        f1xeh = _pd_solve(
+            _hermitize(schur), xeh,
+            f"Schur complement of {a} added cells is not positive definite")
+        left = np.concatenate([left, f1xeh.conj().T], axis=1)
+        right = np.concatenate([right, xeh])
+    # both factorizations have passed: from here on nothing raises
+    for i, pair in enumerate(carry, 1):
+        G, H = pair
+        grown = _gather(G, src, fi)
+        gd = np.empty((d + a, len(src)), dtype=complex)
+        if d:
+            G[di].take(src, axis=1, out=gd[:d])  # G_DK in the new columns
+            gd[:d, fi] = 0.0
+        if a:
+            grown[:, fi] = pb[:, i * a:(i + 1) * a]
+            np.matmul(xeh, H, out=gd[d:])
+        _add_product(grown, left, gd)
+        pair[0] = grown
+    _add_product(new, left, right)
+    return _hermitize(new)
+
+
+def _gather(mat, src, fi):
+    """``mat[src][:, src]`` with the rows ``fi`` zeroed: the matrix in a new
+    row order, for the rows :func:`_carried_rows` names (the columns ``fi``
+    are left for the caller to write)."""
+    out = mat[src]
+    out[fi] = 0.0
+    return out.take(src, axis=1)
 
 
 def _pd_solve(a, b, failure):
-    """``a^-1 b`` by Cholesky for a Hermitian ``a``; raises
+    """``a^-1 b`` by Cholesky for a Hermitian complex ``a``; raises
     :class:`DegenerateUpdateError` with ``failure`` if ``a`` is not positive
     definite.  These are the LAPACK calls of :func:`scipy.linalg.cho_factor`
-    and :func:`scipy.linalg.cho_solve` (same bits), without their per-call
-    checks, which dominate at the sizes of a change."""
-    potrf, potrs = scipy.linalg.lapack.get_lapack_funcs(("potrf", "potrs"),
-                                                        (a, b))
-    c, info = potrf(a, lower=False, clean=False)
+    and :func:`scipy.linalg.cho_solve` (same bits), bound once, without
+    their per-call checks, which dominate at the sizes of a change."""
+    c, info = _zpotrf(a, lower=False, clean=False)
     if info != 0:
         raise DegenerateUpdateError(failure)
-    return potrs(c, b, lower=False)[0]
+    return _zpotrs(c, b, lower=False)[0]
 
 
 def _add_product(c, a, b, alpha=1.0):
-    """``c += alpha * (a @ b)`` in place, for a C-contiguous ``c``: one BLAS
-    ``gemm`` on the transposes, with no temporary the size of ``c``."""
-    gemm, = scipy.linalg.blas.get_blas_funcs(("gemm",), (c,))
-    if not c.flags.c_contiguous or c.dtype != gemm.dtype:
-        raise ValueError("gemm updates in place only a C-contiguous matrix "
-                         "of its own dtype")
-    gemm(alpha, b.T, a.T, beta=1.0, c=c.T, overwrite_c=True)
+    """``c += alpha * (a @ b)`` in place, for a C-contiguous complex ``c``:
+    one BLAS ``zgemm`` on the transposes, with no temporary the size of
+    ``c``."""
+    if not c.flags.c_contiguous or c.dtype != np.complex128:
+        raise ValueError("gemm updates in place only a C-contiguous complex "
+                         "matrix")
+    _zgemm(alpha, b.T, a.T, beta=1.0, c=c.T, overwrite_c=True)
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +734,7 @@ class ProductBasis:
     def _overlap(self, ri, ci):
         out = np.ones((len(ri), len(ci)), dtype=complex)
         for k, pair in enumerate(self.pairs):
-            out *= pair.Sinv[np.ix_(ri[:, k], ci[:, k])]
+            out *= pair.Sinv[ri[:, k, None], ci[:, k]]
         return out
 
     def dual_column(self, cell) -> np.ndarray:
@@ -729,8 +783,9 @@ class ReducedBasis:
     number; the first read inverts from that factor with the exact check of
     a from-scratch inverse.  The eigenmode search never reads ``Stilde``;
     the propagator reads it at once, and from then on the inverse (and any
-    generator handed to :meth:`update`) is carried through the block
-    updates and re-formed from scratch at every 50th update.
+    generator handed to :meth:`update`) is carried through one block update
+    per change (:func:`grow_inverse`) and re-formed from scratch at every
+    50th update.
 
     On a folded product basis the cells are orbit representatives:
     ``n`` counts them, ``n_lattice`` the lattice cells they span, and
@@ -789,29 +844,37 @@ class ReducedBasis:
         return self.product.dual_columns(self.cells)
 
     def physical_norm(self, coeffs) -> float:
-        """Norm of the represented state: sqrt(c^H (Btilde^H Btilde) c)."""
+        """Norm of the represented state: sqrt(c^H (Btilde^H Btilde) c).
+
+        One bound BLAS ``zgemv`` on the F-ordered view of the overlap and one
+        ``zdotc``: the bits of ``np.vdot(c, Sinv_tilde @ c)``, without the
+        per-call overhead of the ``numpy`` forms at a propagator's sizes."""
         coeffs = np.asarray(coeffs, dtype=complex)
-        return float(np.sqrt(max(0.0, np.real(
-            np.vdot(coeffs, self.Sinv_tilde @ coeffs)))))
+        sc = _zgemv(1.0, self.Sinv_tilde.T, coeffs, 0.0, None, 0, 1, 0, 1, 1)
+        return math.sqrt(max(0.0, _zdotc(coeffs, sc).real))
 
     def update(self, new_cells: CellSet, change=None, carry=None):
         """Switch to ``new_cells``, carrying the overlap and its inverse.
 
         Returns ``(added, removed)`` cell sets; ``change`` is the
         :func:`cell_change` to ``new_cells``, if already known.  Only the
-        added overlap rows are computed.  Removal uses only blocks of the
-        current inverse; addition factorizes only the added block, read off
-        the overlap.  Every 50th update re-inverts from scratch instead.
-        Before the first read of ``Stilde`` only the overlap's Cholesky
-        factor is renewed: a failed factorization raises
-        :class:`DegenerateUpdateError`, and a condition estimate beyond the
-        limit raises :class:`IllConditionedBasisError`.
+        added overlap rows are computed.  The inverse takes one block update:
+        :func:`grow_inverse` with ``keep`` when cells are added (dropped ones
+        or not), :func:`shrink_inverse` when they are only dropped; it
+        factorizes only the dropped block of the current inverse and the
+        Schur complement of the added block, read off the overlap.  Every
+        50th update re-inverts from scratch instead.  Before the first read
+        of ``Stilde`` only the overlap's Cholesky factor is renewed: a failed
+        factorization raises :class:`DegenerateUpdateError`, and a condition
+        estimate beyond the limit raises :class:`IllConditionedBasisError`.
 
         ``carry`` is a list of ``[G, H]`` pairs, ``G = Stilde @ H`` over the
         current cells and ``H`` Hermitian over ``new_cells``; each ``G`` is
-        replaced in place by the new ``Stilde @ H``, through the same Schur
-        blocks as the inverse (or from the refreshed inverse).  Carrying
-        needs ``Stilde`` read; if the update raises, the pairs are spent.
+        replaced in place by the new ``Stilde @ H``, through the same update
+        as the inverse (or from the refreshed inverse).  Carrying needs
+        ``Stilde`` read.  An update that raises leaves everything as it was:
+        the cells, ``Sinv_tilde``, ``Stilde`` and every carry pair, since
+        both factorizations run before anything is written.
         """
         kept, fresh = cell_change(self.cells, new_cells) if change is None else change
         added, removed = new_cells.subset(fresh), self.cells.subset(~kept)
@@ -834,16 +897,13 @@ class ReducedBasis:
             _check_conditioning(sinv, cho)
             self._cho = cho
         elif self._updates_since_refresh + 1 < _REFRESH_EVERY:
-            stilde = self._stilde
-            if len(removed):
-                stilde = shrink_inverse(stilde, kept, carry,
-                                        hermitize=not len(added))
             if len(added):
-                # C and D are the carried overlap's fresh columns
+                # C and D are the new overlap's added columns
                 cols = rows.conj().T
-                stilde = grow_inverse(stilde, cols[~fresh], cols[fresh],
-                                      fresh, carry)
-            self._stilde = stilde
+                self._stilde = grow_inverse(self._stilde, cols, cols[fresh],
+                                            fresh, carry, kept)
+            else:
+                self._stilde = shrink_inverse(self._stilde, kept, carry)
             self._updates_since_refresh += 1
         else:
             self._stilde = _fresh_inverse(sinv, len(new_cells))

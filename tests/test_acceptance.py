@@ -71,8 +71,10 @@ def test_criterion_03_adaptive_tise(dw_model, dw_dense):
 
 
 def test_criterion_04_block_inverse_updates():
-    """100 randomized grow/shrink sequences match dense inverses to 1e-9."""
+    """100 randomized grow/shrink sequences and 100 drop-and-add changes
+    match dense inverses to 1e-9."""
     rng = np.random.default_rng(42)
+    mixed = np.random.default_rng(43)   # leaves the grow/shrink draws as they were
     worst = 0.0
     for _ in range(100):
         n_tot = int(rng.integers(12, 129))
@@ -87,9 +89,23 @@ def test_criterion_04_block_inverse_updates():
         shrunk = shrink_inverse(np.linalg.inv(big), keep)
         worst = max(worst,
                     np.abs(shrunk - np.linalg.inv(big[np.ix_(keep, keep)])).max())
+        # one change that drops d old rows and adds a others, interleaved
+        a = int(mixed.integers(1, 9))
+        old = np.sort(mixed.choice(n_tot, size=n_tot - a, replace=False))
+        d = int(mixed.integers(1, min(9, len(old))))
+        kept = np.ones(len(old), dtype=bool)
+        kept[mixed.choice(len(old), size=d, replace=False)] = False
+        new = np.sort(np.concatenate([old[kept], np.setdiff1d(np.arange(n_tot),
+                                                              old)]))
+        fresh = ~np.isin(new, old)
+        s_new = big[np.ix_(new, new)]
+        changed = grow_inverse(np.linalg.inv(big[np.ix_(old, old)]),
+                               s_new[np.ix_(~fresh, fresh)],
+                               s_new[np.ix_(fresh, fresh)], fresh, keep=kept)
+        worst = max(worst, np.abs(changed - np.linalg.inv(s_new)).max())
     assert worst <= 1e-9
-    _report(4, f"100 randomized grow/shrink sequences, max deviation "
-               f"{worst:.2e} <= 1e-9 (sizes up to 128)")
+    _report(4, f"100 randomized grow/shrink sequences and 100 drop-and-add "
+               f"changes, max deviation {worst:.2e} <= 1e-9 (sizes up to 128)")
 
 
 def test_criterion_05_symmetry_cache(dw_model):

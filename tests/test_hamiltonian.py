@@ -244,6 +244,18 @@ def test_incremental_update_equals_scratch(dw_model, rng):
     assert np.abs(ham.Hbb - scratch.Hbb).max() <= 1e-12
 
 
+@pytest.mark.parametrize("model", ["harmonic", "double_well"])
+def test_one_axis_contract_equals_its_ix_form(model, rng):
+    m = getattr(models, model)()
+    ham = ReducedHamiltonian(m.spec, m.product, CellSet([[0]]))
+    n = m.pairs[0].n
+    ri, ci = (rng.integers(n, size=(size, 1)) for size in (30, 45))
+    factors = ham._drift
+    assert len(factors) == 1
+    assert np.array_equal(ReducedHamiltonian._contract(ri, ci, factors),
+                          factors[0][np.ix_(ri[:, 0], ci[:, 0])])
+
+
 def test_element_api_and_hermiticity(dw_reduced):
     # a fresh assembly over two of the cells gives their elements
     model, rb, ham = dw_reduced
