@@ -15,7 +15,7 @@ from .fourier_grid import FourierGrid, build_grid, cardinal, dirichlet_kernel
 from .vn_basis import (BasisPair, VonNeumannLattice, analyze, balanced_sigma,
                        build_basis_pair, build_lattice, gaussian_column,
                        synthesize, transform_operator)
-from .reduced_space import (CellSet, ProductBasis, ReducedBasis,
+from .reduced_space import (CellSet, ProductBasis, ReducedBasis, cell_change,
                             complementary_basis, embed_coefficients,
                             expand_cells, grow_inverse, prune_cells,
                             reduced_gaussians, restrict_basis, shrink_inverse)

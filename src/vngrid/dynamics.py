@@ -348,13 +348,13 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
 
         if bmask.any() and rb.amplitudes(psi, bmask).max() >= cfg.zeta:
             kept = prune_cells(rb.cells, rb.amplitudes(psi), cfg.zeta)
-            new_cells = expand_cells(kept, lattices, cfg.radius, fold)
-            change = cell_change(rb.cells, new_cells)
-            psi = embed_coefficients(psi, rb.cells, new_cells, change)
-            ham.update(new_cells, change)
+            change = cell_change(rb.cells, expand_cells(kept, lattices,
+                                                        cfg.radius, fold))
+            psi = embed_coefficients(psi, change)
+            ham.update(change)
             carry = [[g, h] for g, h in zip(staged.blocks, ham.blocks)]
             try:
-                added, removed = rb.update(new_cells, change, carry)
+                added, removed = rb.update(change, carry)
             except (DegenerateUpdateError, IllConditionedBasisError) as exc:
                 exc.events = events
                 raise
@@ -362,8 +362,8 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
             # norms[-1] is the norm before the change
             lost += abs(norms[-1] ** 2 - rb.physical_norm(psi) ** 2)
             events.append((t, "basis", f"+{len(added)} -{len(removed)} cells"))
-            watch_rows = change[1]
-            bmask = boundary_mask(new_cells, lattices, cfg.radius, fold)
+            watch_rows = change.fresh
+            bmask = boundary_mask(change.new, lattices, cfg.radius, fold)
             quiet = 0
         elif quiet >= cfg.growth_patience:
             grown = min(tau * _GROWTH, tau_cap)

@@ -51,7 +51,7 @@ import dataclasses
 import numpy as np
 
 from .fourier_grid import HBAR, FourierGrid
-from .reduced_space import CellSet, ProductBasis, carry_hermitian, cell_change
+from .reduced_space import CellChange, CellSet, ProductBasis, carry_hermitian
 from .vn_basis import BasisPair, hermitize as _hermitize
 
 DENSE_LIMIT = 4096  # dense full-grid constructions refuse beyond this
@@ -334,8 +334,7 @@ class ElementCache:
     all-cells index and phase mesh, built with the cache.
 
     ``stats`` counts per built table: ``misses`` the canonical values
-    computed, ``hits`` the table entries served beyond them, and ``stored``
-    the canonical values held.
+    computed (and held), ``hits`` the table entries served beyond them.
     """
 
     def __init__(self, pair: BasisPair):
@@ -476,7 +475,7 @@ class ElementCache:
                      "kinetic": np_ * (np_ - 1) // 2 * nx + np_ * (nx // 2 + 1)}
         misses = sum(canonical[self._slots[slot][0]] for slot in self._tables)
         return {"hits": len(self._tables) * self.lattice.n_cells ** 2 - misses,
-                "misses": misses, "stored": misses}
+                "misses": misses}
 
 
 # ---------------------------------------------------------------------------
@@ -608,25 +607,23 @@ class ReducedHamiltonian:
 
     # -- incremental maintenance ----------------------------------------------
 
-    def update(self, new_cells: CellSet, change=None):
-        """Re-target to ``new_cells`` and return the added cells.
+    def update(self, change: CellChange):
+        """Re-target to the new cells of ``change`` (the
+        :func:`~vngrid.reduced_space.cell_change` from the current cells)
+        and return the added cells.
 
         Every distinct block is carried as the reduced overlap is
         (:func:`~vngrid.reduced_space.carry_hermitian`): only the rows of
         added cells are assembled, and the result is identical to a
         from-scratch assembly (the cache guarantees value equality).
-        ``change`` is the :func:`~vngrid.reduced_space.cell_change` to
-        ``new_cells``, if already known.
         """
-        kept, fresh = cell_change(self.cells, new_cells) if change is None else change
-        added = new_cells.subset(fresh)
         self.Hbb, *controls = [
-            carry_hermitian(mat, kept, fresh,
-                            self._block(added, new_cells, factors))
+            carry_hermitian(mat, change,
+                            self._block(change.added, change.new, factors))
             for mat, factors in zip(self.blocks, (self._drift, *self._controls))]
         self._control_blocks = tuple(controls)
-        self.cells = new_cells
-        return added
+        self.cells = change.new
+        return change.added
 
     # -- application ------------------------------------------------------------
 
@@ -686,7 +683,7 @@ class ReducedHamiltonian:
 
     def cache_stats(self):
         """Element-cache counters summed over the distinct caches in use."""
-        out = {"hits": 0, "misses": 0, "stored": 0}
+        out = {"hits": 0, "misses": 0}
         for c in {id(c): c for c in self.caches}.values():
             for k, v in c.stats.items():
                 out[k] += v

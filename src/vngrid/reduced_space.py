@@ -20,7 +20,9 @@ has one neighbour table, built on first use and shared read-only, of
 with the sum over axes, never with the product lattice.  A set's neighbour
 keys are one gather per axis; membership is read from a boolean occupancy
 array over the product lattice, with one extra sentinel slot per axis that
-stands for every position beyond a momentum band.
+stands for every position beyond a momentum band.  The rows a change keeps
+and adds are worked out once, into the :class:`CellChange` record of
+:func:`cell_change`, which everything carried across the change reads.
 
 The inverse ``Stilde = (Btilde^H Btilde)^-1`` is formed on first read and
 from then on updated incrementally when cells are added or removed: one
@@ -59,6 +61,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -86,8 +89,8 @@ class CellSet:
     lexicographic, which fixes the layout of every reduced vector and
     matrix.  Cells are compared by flat keys: each row raveled in C order
     over one past the largest index on each axis, which keeps the
-    lexicographic order, so :meth:`matches` answers "which row of one set is
-    which row of another" with one sorted intersection.
+    lexicographic order.  Which rows of one set are rows of another is read
+    off a :func:`cell_change` between them.
     """
 
     __slots__ = ("indices",)
@@ -116,7 +119,7 @@ class CellSet:
         return (tuple(row) for row in self.indices)
 
     def __contains__(self, cell):
-        return len(self.matches(CellSet([cell], ndof=self.ndof))[0]) > 0
+        return bool(cell_change(CellSet([cell], ndof=self.ndof), self).kept[0])
 
     def __eq__(self, other):
         return isinstance(other, CellSet) and np.array_equal(self.indices, other.indices)
@@ -141,15 +144,6 @@ class CellSet:
         out.indices = rows
         rows.flags.writeable = False
         return out
-
-    def matches(self, other: "CellSet"):
-        """Rows ``(i, j)``, both ascending, where ``self`` row ``i`` is
-        ``other`` row ``j``."""
-        dims = np.maximum(_dims(self.indices), _dims(other.indices))
-        _, i, j = np.intersect1d(_keys(self.indices, dims),
-                                 _keys(other.indices, dims),
-                                 assume_unique=True, return_indices=True)
-        return i, j
 
 
 def _dims(rows):
@@ -309,25 +303,24 @@ def prune_cells(cells: CellSet, amplitudes, zeta: float) -> CellSet:
     return cells.subset(keep)
 
 
-def embed_coefficients(vec, old_cells: CellSet, new_cells: CellSet,
-                       change=None):
-    """Carry a coefficient vector across a cell-set change.
+class CellChange(NamedTuple):
+    """A change from one canonical cell set to another (:func:`cell_change`).
 
-    The result holds the old coefficients at surviving cells and zeros at
-    fresh cells.  A 2-D ``vec`` carries its columns (one vector each) alike.
-    ``change`` is the :func:`cell_change` of the two sets, if already known.
-    """
-    vec = np.asarray(vec)
-    kept, fresh = cell_change(old_cells, new_cells) if change is None else change
-    new_vec = np.zeros((len(new_cells),) + vec.shape[1:], dtype=vec.dtype)
-    new_vec[~fresh] = vec[kept]
-    return new_vec
+    ``kept`` marks the old rows that stay, ``fresh`` the new rows that are
+    added, and ``source`` the old row each new row carries (0 on fresh
+    rows); a gather of rows and then columns by it is several times faster
+    than an ``np.ix_`` copy.  ``added`` and ``removed`` are the cells of
+    the fresh and the dropped rows.  The arrays are read-only."""
+    new: CellSet
+    kept: np.ndarray
+    fresh: np.ndarray
+    source: np.ndarray
+    added: CellSet
+    removed: CellSet
 
 
-def cell_change(old_cells: CellSet, new_cells: CellSet):
-    """Row masks ``(kept, fresh)``: the rows of ``old_cells`` that stay and
-    the rows of ``new_cells`` that are added.  Both sets are canonical, so
-    the kept rows are the non-fresh rows of ``new_cells``, in order.
+def cell_change(old_cells: CellSet, new_cells: CellSet) -> CellChange:
+    """The :class:`CellChange` from ``old_cells`` to ``new_cells``.
 
     Each set's flat keys mark an occupancy array over the index box of the
     two sets, and each set reads its rows' membership off the other's.
@@ -340,36 +333,48 @@ def cell_change(old_cells: CellSet, new_cells: CellSet):
     in_old[old_keys] = True
     in_new = np.zeros(size, dtype=bool)
     in_new[new_keys] = True
-    return in_new[old_keys], ~in_old[new_keys]
-
-
-def carry_hermitian(mat, kept, fresh, fresh_rows):
-    """Move a Hermitian reduced matrix across a change (:func:`cell_change`):
-    the kept block ``mat[kept, kept]`` is copied, the rows of the added cells
-    over every new cell are written, and their conjugates fill the fresh
-    columns."""
-    src = _carried_rows(kept, fresh)
-    out = mat[src].take(src, axis=1)
-    out[fresh] = fresh_rows
-    out[:, fresh] = fresh_rows.conj().T
-    return out
+    kept, fresh = in_new[old_keys], ~in_old[new_keys]
+    source = _carried_rows(kept, fresh)
+    for rows in (kept, fresh, source):
+        rows.flags.writeable = False
+    return CellChange(new_cells, kept, fresh, source, new_cells.subset(fresh),
+                      old_cells.subset(~kept))
 
 
 def _carried_rows(kept, fresh):
-    """The old row that each new row carries, for the masks of
-    :func:`cell_change`; fresh rows get row 0, for the caller to overwrite.
-    Gathering rows and then taking columns by it is several times faster
-    than an ``np.ix_`` copy between the two layouts."""
+    """:class:`CellChange` ``source`` of the row masks ``kept`` and ``fresh``."""
     src = np.zeros(len(fresh), dtype=np.intp)
     src[~fresh] = np.flatnonzero(kept)
     return src
+
+
+def embed_coefficients(vec, change: CellChange):
+    """Carry a coefficient vector across a cell-set change.
+
+    The result holds the old coefficients at surviving cells and zeros at
+    fresh cells.  A 2-D ``vec`` carries its columns (one vector each) alike.
+    """
+    vec = np.asarray(vec)
+    new_vec = np.zeros((len(change.new),) + vec.shape[1:], dtype=vec.dtype)
+    new_vec[~change.fresh] = vec[change.kept]
+    return new_vec
+
+
+def carry_hermitian(mat, change: CellChange, fresh_rows):
+    """Move a Hermitian reduced matrix across a change: the kept block
+    ``mat[kept, kept]`` is copied, the rows of the added cells over every
+    new cell are written, and their conjugates fill the fresh columns."""
+    out = mat[change.source].take(change.source, axis=1)
+    out[change.fresh] = fresh_rows
+    out[:, change.fresh] = fresh_rows.conj().T
+    return out
 
 
 # ---------------------------------------------------------------------------
 # block-inverse updates
 # ---------------------------------------------------------------------------
 
-def grow_inverse(Ainv, C, D, fresh=None, carry=None, keep=None):
+def grow_inverse(Ainv, C, D, fresh=None, carry=None, keep=None, source=None):
     """Inverse of the overlap after a change that adds cells (and may drop
     some), from the old inverse ``Ainv`` alone.
 
@@ -381,7 +386,8 @@ def grow_inverse(Ainv, C, D, fresh=None, carry=None, keep=None):
     that marks the added ones, which are last by default; the kept rows
     fill the other entries in order.  ``C`` may also span every row of the
     result (the new overlap's added columns), whose fresh rows then do not
-    enter the result.
+    enter the result.  ``source`` is the change's :class:`CellChange` row
+    index (by default made from ``keep`` and ``fresh``).
 
     Only the dropped block of ``Ainv`` and the Schur complement of the added
     block (each the size of its part of the change) are factorized, both
@@ -406,8 +412,9 @@ def grow_inverse(Ainv, C, D, fresh=None, carry=None, keep=None):
         cols = np.zeros((k + m, m), dtype=complex)
         cols[~fresh] = C
         C = cols
-    return _update_inverse(Ainv, kept, fresh, C, np.asarray(D).reshape(m, m),
-                           carry)
+    src = _carried_rows(kept, fresh) if source is None else source
+    return _update_inverse(Ainv, kept, fresh, src, C,
+                           np.asarray(D).reshape(m, m), carry)
 
 
 def shrink_inverse(Zinv, keep, carry=None):
@@ -419,21 +426,19 @@ def shrink_inverse(Zinv, keep, carry=None):
     pairs with ``G = Zinv @ H`` (``H`` is not read); each ``G`` is replaced
     by the retained inverse times the kept block of ``H``.
     """
-    Zinv = np.asarray(Zinv, dtype=complex)
     kept = np.zeros(len(Zinv), dtype=bool)
     kept[np.arange(keep) if np.isscalar(keep) else keep] = True
     k = int(np.count_nonzero(kept))
-    return _update_inverse(Zinv, kept, np.zeros(k, dtype=bool),
-                           np.empty((k, 0), dtype=complex),
-                           np.empty((0, 0), dtype=complex), carry)
+    return grow_inverse(Zinv, np.empty((k, 0)), np.empty((0, 0)),
+                        np.zeros(k, dtype=bool), carry, kept)
 
 
-def _update_inverse(W, kept, fresh, cols, dm, carry):
-    """The block update behind :func:`grow_inverse` and
-    :func:`shrink_inverse`.
+def _update_inverse(W, kept, fresh, src, cols, dm, carry):
+    """The block update behind :func:`grow_inverse`.
 
-    ``W`` is the old inverse, ``kept`` its rows that stay and ``fresh`` the
-    added rows of the new order.  ``cols`` holds the new overlap's added
+    ``W`` is the old inverse, ``kept`` its rows that stay, ``fresh`` the
+    added rows of the new order and ``src`` the old row each new row
+    carries (:class:`CellChange`).  ``cols`` holds the new overlap's added
     columns over every new row, ``C = S'_KA`` in the kept rows (the fresh
     ones do not enter the result), and ``dm = S'_AA`` their added block.  With ``K``,
     ``D`` and ``A`` the kept, dropped and added cells and ``E`` the
@@ -457,7 +462,6 @@ def _update_inverse(W, kept, fresh, cols, dm, carry):
     di = np.flatnonzero(~kept)
     d, a = len(di), len(fi)
     carry = carry or ()
-    src = _carried_rows(kept, fresh)
     yh = np.zeros((len(src), 0), dtype=complex)
     wd = np.zeros((0, len(src)), dtype=complex)
     if d:
@@ -505,7 +509,7 @@ def _update_inverse(W, kept, fresh, cols, dm, carry):
 
 def _gather(mat, src, fi):
     """``mat[src][:, src]`` with the rows ``fi`` zeroed: the matrix in a new
-    row order, for the rows :func:`_carried_rows` names (the columns ``fi``
+    row order, for a :class:`CellChange` ``source`` index (the columns ``fi``
     are left for the caller to write)."""
     out = mat[src]
     out[fi] = 0.0
@@ -614,9 +618,9 @@ class ExchangeFold:
         out += contract(ri, ci[:, ::-1])
         out *= (self.weights(rows) / math.sqrt(2.0))[:, None]
         out *= self.weights(cols) / math.sqrt(2.0)
-        at, own = cols.matches(rows)
-        if len(own):
-            out[own[:, None], at] = _hermitize(out[own[:, None], at])
+        shared = cell_change(rows, cols)
+        block = np.ix_(shared.kept, ~shared.fresh)
+        out[block] = _hermitize(out[block])
         return out
 
     @staticmethod
@@ -853,38 +857,37 @@ class ReducedBasis:
         sc = _zgemv(1.0, self.Sinv_tilde.T, coeffs, 0.0, None, 0, 1, 0, 1, 1)
         return math.sqrt(max(0.0, _zdotc(coeffs, sc).real))
 
-    def update(self, new_cells: CellSet, change=None, carry=None):
-        """Switch to ``new_cells``, carrying the overlap and its inverse.
+    def update(self, change: CellChange, carry=None):
+        """Switch to the new cells of ``change``, the :func:`cell_change`
+        from the current cells, carrying the overlap and its inverse.
 
-        Returns ``(added, removed)`` cell sets; ``change`` is the
-        :func:`cell_change` to ``new_cells``, if already known.  Only the
-        added overlap rows are computed.  The inverse takes one block update:
-        :func:`grow_inverse` with ``keep`` when cells are added (dropped ones
-        or not), :func:`shrink_inverse` when they are only dropped; it
-        factorizes only the dropped block of the current inverse and the
-        Schur complement of the added block, read off the overlap.  Every
-        50th update re-inverts from scratch instead.  Before the first read
-        of ``Stilde`` only the overlap's Cholesky factor is renewed: a failed
-        factorization raises :class:`DegenerateUpdateError`, and a condition
-        estimate beyond the limit raises :class:`IllConditionedBasisError`.
+        Returns the change's ``(added, removed)`` cell sets.  Only the added
+        overlap rows are computed.  The inverse takes one block update,
+        :func:`grow_inverse` (a drop-only change is its case of nothing
+        added), which factorizes only the dropped block of the current
+        inverse and the Schur complement of the added block, read off the
+        overlap.  Every 50th update re-inverts from scratch instead.  Before
+        the first read of ``Stilde`` only the overlap's Cholesky factor is
+        renewed: a failed factorization raises :class:`DegenerateUpdateError`,
+        and a condition estimate beyond the limit raises
+        :class:`IllConditionedBasisError`.
 
         ``carry`` is a list of ``[G, H]`` pairs, ``G = Stilde @ H`` over the
-        current cells and ``H`` Hermitian over ``new_cells``; each ``G`` is
+        current cells and ``H`` Hermitian over the new cells; each ``G`` is
         replaced in place by the new ``Stilde @ H``, through the same update
         as the inverse (or from the refreshed inverse).  Carrying needs
         ``Stilde`` read.  An update that raises leaves everything as it was:
         the cells, ``Sinv_tilde``, ``Stilde`` and every carry pair, since
         both factorizations run before anything is written.
         """
-        kept, fresh = cell_change(self.cells, new_cells) if change is None else change
-        added, removed = new_cells.subset(fresh), self.cells.subset(~kept)
+        new_cells, added, removed = change.new, change.added, change.removed
         if len(removed) == 0 and len(added) == 0:
             self._set_cells(new_cells)
             return added, removed
         if len(new_cells) == 0:
             raise DegenerateUpdateError("cannot reduce to an empty cell set")
         rows = self.product.overlap(added, new_cells)
-        sinv = carry_hermitian(self.Sinv_tilde, kept, fresh, rows)
+        sinv = carry_hermitian(self.Sinv_tilde, change, rows)
 
         if self._stilde is None:
             if carry:
@@ -897,13 +900,11 @@ class ReducedBasis:
             _check_conditioning(sinv, cho)
             self._cho = cho
         elif self._updates_since_refresh + 1 < _REFRESH_EVERY:
-            if len(added):
-                # C and D are the new overlap's added columns
-                cols = rows.conj().T
-                self._stilde = grow_inverse(self._stilde, cols, cols[fresh],
-                                            fresh, carry, kept)
-            else:
-                self._stilde = shrink_inverse(self._stilde, kept, carry)
+            # C and D are the new overlap's added columns
+            cols = rows.conj().T
+            self._stilde = grow_inverse(self._stilde, cols, cols[change.fresh],
+                                        change.fresh, carry, change.kept,
+                                        change.source)
             self._updates_since_refresh += 1
         else:
             self._stilde = _fresh_inverse(sinv, len(new_cells))

@@ -45,8 +45,8 @@ from .errors import ConvergenceError
 from .hamiltonian import (OperatorSpec, ReducedHamiltonian,
                           dense_grid_hamiltonian, grid_potential)
 from .reduced_space import (CellSet, DEFAULT_RADIUS, ReducedBasis,
-                            boundary_mask, embed_coefficients, expand_cells,
-                            prune_cells)
+                            boundary_mask, cell_change, embed_coefficients,
+                            expand_cells, prune_cells)
 
 # Warm solves use shift-invert from this basis size on.  Below it the dense
 # eigh is faster: on the helium searches shift-invert took 1.8-1.9x eigh's
@@ -353,10 +353,11 @@ def tise_adaptive(spec: OperatorSpec, product, config: TiseConfig,
                                iterations=it, history=history,
                                reduced_basis=rb, hamiltonian=ham)
         kept = prune_cells(rb.cells, amp, config.zeta)
-        new_cells = expand_cells(kept, lattices, config.radius, fold)
-        warm = (w[0], embed_coefficients(v, rb.cells, new_cells))
-        rb.update(new_cells)
-        ham.update(new_cells)
+        change = cell_change(rb.cells, expand_cells(kept, lattices,
+                                                    config.radius, fold))
+        warm = (w[0], embed_coefficients(v, change))
+        rb.update(change)
+        ham.update(change)
     raise ConvergenceError(
         f"eigenmode search did not converge in {config.max_iterations} "
         f"iterations (last boundary amplitude {history[-1][1]:.3e})",

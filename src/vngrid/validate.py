@@ -18,9 +18,10 @@ from . import models
 from .fourier_grid import build_grid, cardinal, synthesize_spectral
 from .vn_basis import analyze, build_basis_pair, build_lattice, transform_operator
 from .reduced_space import (DEFAULT_RADIUS, CellSet, ProductBasis,
-                            ReducedBasis, boundary_mask, complementary_basis,
-                            embed_coefficients, expand_cells, prune_cells,
-                            reduced_gaussians, restrict_basis)
+                            ReducedBasis, boundary_mask, cell_change,
+                            complementary_basis, embed_coefficients,
+                            expand_cells, prune_cells, reduced_gaussians,
+                            restrict_basis)
 from .hamiltonian import ReducedHamiltonian, potfit2
 from .solvers import (TiseConfig, lattice_potential, reference_full_eig,
                       seed_cells, shift_invert_eig, solve_reduced_eig,
@@ -143,7 +144,7 @@ def check_incremental_inverse(rng):
         rng.shuffle(keep)
         drop = keep[:2] if len(keep) > 6 else []
         new = (current - set(drop)) | {(int(i),) for i in add}
-        rb.update(CellSet(np.array(sorted(new))))
+        rb.update(cell_change(rb.cells, CellSet(np.array(sorted(new)))))
         assert np.array_equal(rb.Sinv_tilde, product.overlap(rb.cells, rb.cells)), \
             "carried overlap differs from a fresh one"
         fresh = np.linalg.inv(rb.Sinv_tilde)
@@ -246,7 +247,7 @@ def check_exchange_fold(rng):
     grown = expand_cells(reps, lattices, fold=fold)
     assert grown == folded.representatives(expand_cells(cells, lattices)), (
         "folded expansion differs from the expanded closure")
-    at, _ = cells.matches(reps)
+    at = cell_change(cells, reps).kept
     assert np.array_equal(boundary_mask(reps, lattices, fold=fold),
                           boundary_mask(cells, lattices)[at]), (
         "folded boundary differs from the closure's")
@@ -254,8 +255,9 @@ def check_exchange_fold(rng):
     kept = reps.subset(rng.random(len(reps)) < 0.5)
     rb = ReducedBasis.create(folded, kept)
     ham = ReducedHamiltonian(model.spec, folded, kept)
-    rb.update(reps)
-    ham.update(reps)
+    change = cell_change(kept, reps)
+    rb.update(change)
+    ham.update(change)
     p = folded.restrict(reps, np.eye(len(cells))).T
     worst = 0.0
     for got, full in ((rb.Sinv_tilde, model.product.overlap(cells, cells)),
@@ -386,7 +388,7 @@ def check_shift_invert_certificate(rng):
             break
         new_cells = expand_cells(prune_cells(cells, np.abs(v), cfg.zeta),
                                  m.lattices, cfg.radius)
-        warm = (w[0], embed_coefficients(v, cells, new_cells))
+        warm = (w[0], embed_coefficients(v, cell_change(cells, new_cells)))
         cells = new_cells
     assert cells == res.final_cells, "the replay left the search's path"
     dev = max(r[0] for r in rows)
@@ -511,12 +513,10 @@ CHECKS = [
 ]
 
 
-def run_validation(seed: int = 1234, names=None):
+def run_validation(seed: int = 1234):
     """Run the invariant suite; returns a list of :class:`CheckResult`."""
     results = []
     for name, fn in CHECKS:
-        if names and name not in names:
-            continue
         rng = np.random.default_rng(seed)
         start = time.perf_counter()
         try:

@@ -7,7 +7,8 @@ from vngrid.dynamics import (ControlPulse, PropagationConfig, expm_propagate,
                              tdse_adaptive)
 from vngrid.errors import TimestepUnderflowError
 from vngrid.models import coherent_state, momentum_coupling
-from vngrid.reduced_space import CellSet, ReducedBasis, expand_cells
+from vngrid.reduced_space import (CellSet, ReducedBasis, cell_change,
+                                  embed_coefficients, expand_cells)
 from vngrid.solvers import TiseConfig, tise_adaptive
 
 import dataclasses
@@ -263,10 +264,7 @@ def test_zero_amplitude_pulse_matches_field_free_run(dw_model):
 
 
 def _align(cells_a, vec_a, cells_b, vec_b):
-    out = np.zeros(len(cells_b), dtype=complex)
-    i, j = cells_a.matches(cells_b)
-    out[j] = vec_a[i]
-    return out, vec_b
+    return embed_coefficients(vec_a, cell_change(cells_a, cells_b)), vec_b
 
 
 def test_momentum_kick_expands_in_p(ho_model):
@@ -503,6 +501,34 @@ def test_refresh_steps_skip_the_block_update(ho_model, monkeypatch):
     assert len(calls) == events and refreshes == events // 50 >= 2
     assert all(c == {"_fresh_inverse"} for c in calls if "_fresh_inverse" in c)
     assert blockwise == events - refreshes
+
+
+def test_one_cell_change_per_basis_change(ho_model, monkeypatch):
+    # the search and the propagator each derive one change record per basis
+    # change, and every quantity carried across it reads that record
+    import vngrid.dynamics as dynamics
+    import vngrid.hamiltonian as hamiltonian
+    import vngrid.reduced_space as reduced_space
+    import vngrid.solvers as solvers
+
+    calls = []
+    real = reduced_space.cell_change
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (reduced_space, hamiltonian, solvers, dynamics):
+        monkeypatch.setattr(module, "cell_change", counted, raising=False)
+    res = tise_adaptive(ho_model.spec, ho_model.product, TiseConfig(zeta=1e-6))
+    assert res.iterations > 2 and len(calls) == res.iterations - 1
+    calls.clear()
+    cells, c0 = _coherent_initial(ho_model)
+    cfg = PropagationConfig(zeta=1e-6, tau0=0.05, snapshot_every=0)
+    traj = tdse_adaptive(ho_model.spec, ho_model.product, c0, cells,
+                         (0.0, 5.0), cfg=cfg)
+    events = sum(k == "basis" for _, k, _ in traj.events)
+    assert events > 2 and len(calls) == events
 
 
 # -- two-axis adaptation against the dense propagator ------------------------------

@@ -9,7 +9,7 @@ from vngrid.fourier_grid import build_grid
 from vngrid.hamiltonian import (OperatorSpec, ReducedHamiltonian, SopTerm,
                                 dense_grid_hamiltonian, grid_potential,
                                 kinetic_matrix, potfit2)
-from vngrid.reduced_space import CellSet, ProductBasis, ReducedBasis
+from vngrid.reduced_space import CellSet, ProductBasis, ReducedBasis, cell_change
 from vngrid.solvers import solve_reduced_eig
 from vngrid.vn_basis import build_basis_pair, build_lattice
 
@@ -233,12 +233,12 @@ def test_incremental_update_equals_scratch(dw_model, rng):
     ham = ReducedHamiltonian(dw_model.spec, dw_model.product,
                              CellSet(start[:, None]))
     before = ham.Hbb.copy()
-    added = ham.update(CellSet(start[:, None]))
+    added = ham.update(cell_change(ham.cells, CellSet(start[:, None])))
     assert len(added) == 0
     np.testing.assert_allclose(ham.Hbb, before, atol=0)
     rest = np.setdiff1d(np.arange(pair.n), start)
     grown = np.sort(np.concatenate([start, rest[:3]]))
-    ham.update(CellSet(grown[:, None]))
+    ham.update(cell_change(ham.cells, CellSet(grown[:, None])))
     scratch = ReducedHamiltonian(dw_model.spec, dw_model.product,
                                  CellSet(grown[:, None]))
     assert np.abs(ham.Hbb - scratch.Hbb).max() <= 1e-12
@@ -393,7 +393,7 @@ def test_two_axis_update_equals_scratch(he_model):
     kept = start.indices[rng.random(len(start)) < 0.8]        # prune
     fresh = rng.choice(n, size=(40, 2))                        # grow
     target = CellSet(np.vstack([kept, fresh]), ndof=2)
-    added = ham.update(target)
+    added = ham.update(cell_change(start, target))
     assert len(added) > 0 and len(target) < len(start) + len(added)
     scratch = ReducedHamiltonian(spec, he_model.product, target)
     assert np.abs(ham.Hbb - scratch.Hbb).max() <= 1e-12
@@ -449,7 +449,7 @@ def test_pulses_sharing_a_coupling_share_one_block(dw_model):
     assert len(blocks) == 3 and blocks[0] is blocks[1]
     np.testing.assert_allclose(blocks[2], 2.0 * blocks[0], rtol=0, atol=1e-12)
     target = CellSet(np.sort(rng.choice(n, size=60, replace=False))[:, None])
-    ham.update(target)
+    ham.update(cell_change(cells, target))
     assert ham.Hbb_controls[0] is ham.Hbb_controls[1]
     scratch = ReducedHamiltonian(spec, dw_model.product, target)
     assert np.abs(ham.Hbb_controls[0] - scratch.Hbb_controls[0]).max() <= 1e-12

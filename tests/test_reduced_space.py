@@ -29,7 +29,7 @@ def pair60():
 
 def _position(cells, cell):
     """Row of ``cell`` in ``cells``; KeyError if it is not a member."""
-    rows, _ = cells.matches(CellSet([cell], ndof=cells.ndof))
+    rows = np.flatnonzero(cell_change(cells, CellSet([cell], ndof=cells.ndof)).kept)
     if not len(rows):
         raise KeyError(tuple(cell))
     return int(rows[0])
@@ -51,7 +51,7 @@ def test_cellset_canonical_order_and_dedup():
 
 
 @pytest.mark.parametrize("ndof", [1, 2, 3])
-def test_cellset_matches(ndof, rng):
+def test_cell_change_against_set_oracle(ndof, rng):
     def random_set(n, hi):
         raw = rng.integers(0, hi, size=(n, ndof))
         cs = CellSet(raw, ndof=ndof)
@@ -64,24 +64,29 @@ def test_cellset_matches(ndof, rng):
              (random_set(40, 9), a), (a, a), (a, empty), (empty, a),
              (a, CellSet(a.indices + 5, ndof=ndof))]
     for old, new in cases:
-        pos = {cell: k for k, cell in enumerate(new)}
-        i, j = old.matches(new)
-        assert i.tolist() == [k for k, cell in enumerate(old) if cell in pos]
-        assert j.tolist() == [pos[cell] for cell in old if cell in pos]
+        at_old = {cell: k for k, cell in enumerate(old)}
+        at_new = {cell: k for k, cell in enumerate(new)}
+        change = cell_change(old, new)
+        assert change.new is new
+        assert change.kept.tolist() == [cell in at_new for cell in old]
+        assert change.fresh.tolist() == [cell not in at_old for cell in new]
+        assert change.source.tolist() == [at_old.get(cell, 0) for cell in new]
+        assert list(change.added) == [c for c in new if c not in at_old]
+        assert list(change.removed) == [c for c in old if c not in at_new]
+        assert not any(m.flags.writeable for m in change[1:4])
         vec = rng.normal(size=len(old)) + 1j * rng.normal(size=len(old))
-        out = embed_coefficients(vec, old, new)
         expect = np.zeros(len(new), dtype=complex)
         for k, cell in enumerate(old):
-            if cell in pos:
-                expect[pos[cell]] = vec[k]
-        assert np.array_equal(out, expect)
+            if cell in at_new:
+                expect[at_new[cell]] = vec[k]
+        assert np.array_equal(embed_coefficients(vec, change), expect)
         # a masked subset is the canonical set of the masked rows
         mask = rng.random(len(old)) < 0.5
         assert old.subset(mask) == CellSet(old.indices[mask], ndof=ndof)
         for cell in old:
-            assert (cell in new) == (cell in pos)
-            if cell in pos:
-                assert _position(new, cell) == pos[cell]
+            assert (cell in new) == (cell in at_new)
+            if cell in at_new:
+                assert _position(new, cell) == at_new[cell]
             else:
                 with pytest.raises(KeyError):
                     _position(new, cell)
@@ -210,10 +215,10 @@ def _check_against_oracle(cells, lattices, radius):
 
 
 def _check_change(old, new):
-    kept, fresh = cell_change(old, new)
+    change = cell_change(old, new)
     in_old, in_new = set(old), set(new)
-    assert kept.tolist() == [cell in in_new for cell in old]
-    assert fresh.tolist() == [cell not in in_old for cell in new]
+    assert change.kept.tolist() == [cell in in_new for cell in old]
+    assert change.fresh.tolist() == [cell not in in_old for cell in new]
 
 
 _SHAPES = [(5, 8), (3, 16), (4, 6), (1, 2), (2, 1), (2, 2), (1, 1)]
@@ -246,8 +251,9 @@ def test_neighbour_tables_match_brute_force(ndof, radius, rng):
     # sets apart from each other: everything is dropped and added
     a = CellSet([[0], [1]])
     b = CellSet([[2], [3], [4]])
-    assert [m.tolist() for m in cell_change(a, b)] == [[False, False],
-                                                        [True, True, True]]
+    change = cell_change(a, b)
+    assert change.kept.tolist() == [False, False]
+    assert change.fresh.tolist() == [True, True, True]
 
 
 def test_edge_lattices_match_brute_force():
@@ -300,14 +306,12 @@ def test_embed_coefficients():
     old = CellSet([[1], [3], [5]])
     new = CellSet([[2], [3], [5]])
     vec = np.array([1.0 + 0j, 2.0, 3.0])
-    out = embed_coefficients(vec, old, new)
+    change = cell_change(old, new)
+    out = embed_coefficients(vec, change)
     np.testing.assert_allclose(out, [0.0, 2.0, 3.0])
     # columns are carried alike
-    out2 = embed_coefficients(np.column_stack([vec, 2 * vec]), old, new)
+    out2 = embed_coefficients(np.column_stack([vec, 2 * vec]), change)
     np.testing.assert_allclose(out2, [[0.0, 0.0], [2.0, 4.0], [3.0, 6.0]])
-    # a change the caller already holds gives the same embedding
-    assert np.array_equal(embed_coefficients(vec, old, new, cell_change(old, new)),
-                          out)
 
 
 # -- block-inverse updates ----------------------------------------------------
@@ -563,7 +567,7 @@ def test_incremental_updates_match_fresh(ndof, read, pair48, pair60, rng):
         inside = sorted(current)
         drop = [inside[k] for k in rng.choice(len(inside), size=2, replace=False)]
         new = sorted((current - set(drop)) | set(add))
-        added, removed = rb.update(CellSet(new, ndof=ndof))
+        added, removed = rb.update(cell_change(rb.cells, CellSet(new, ndof=ndof)))
         assert sorted(added) == sorted(add) and sorted(removed) == sorted(drop)
         # the carried overlap is the fresh one, bit for bit
         assert np.array_equal(rb.Sinv_tilde, product.overlap(rb.cells, rb.cells))
@@ -582,7 +586,7 @@ def test_update_noop_and_embedding(pair60):
     cells = CellSet(np.arange(8)[:, None])
     rb = ReducedBasis.create(product, cells)
     st = rb.Stilde.copy()
-    added, removed = rb.update(cells)
+    added, removed = rb.update(cell_change(cells, cells))
     assert len(added) == 0 and len(removed) == 0
     np.testing.assert_allclose(rb.Stilde, st)
 
@@ -645,9 +649,9 @@ def test_carried_generator_matches_stilde_times_block(ndof, pair48, pair60,
                                             replace=False)])
         new_cells = CellSet(np.concatenate(rows), ndof=ndof)
         change = cell_change(rb.cells, new_cells)
-        ham.update(new_cells, change)
+        ham.update(change)
         carry = [[g, h] for g, h in zip(generators, ham.blocks)]
-        rb.update(new_cells, change, carry)
+        rb.update(change, carry)
         generators = [g for g, _ in carry]
         for g, h in zip(generators, ham.blocks):
             ref = rb.Stilde @ h
@@ -663,7 +667,24 @@ def test_update_carries_generators_only_after_stilde_is_read(pair60):
     rb = ReducedBasis.create(product, CellSet(np.arange(8)[:, None]))
     h = product.overlap(rb.cells, rb.cells)
     with pytest.raises(ValueError, match="after Stilde is read"):
-        rb.update(CellSet(np.arange(1, 9)[:, None]), None, [[h, h]])
+        rb.update(cell_change(rb.cells, CellSet(np.arange(1, 9)[:, None])),
+                  [[h, h]])
+
+
+def test_drop_only_update_is_shrink_inverse(pair60, rng):
+    # a change that only drops cells is the block update's case of nothing
+    # added: the bits of shrink_inverse, for the inverse and a generator
+    rb = ReducedBasis.create(ProductBasis(pair60),
+                             CellSet(np.arange(10, 30)[:, None]))
+    h = _random_pd(rng, 20)
+    keep = np.ones(20, dtype=bool)
+    keep[[0, 7, 8, 19]] = False
+    expect = [[rb.Stilde @ h, h]]
+    stilde = shrink_inverse(rb.Stilde, keep, expect)
+    carry = [[rb.Stilde @ h, h[np.ix_(keep, keep)]]]
+    rb.update(cell_change(rb.cells, rb.cells.subset(keep)), carry)
+    assert np.array_equal(rb.Stilde, stilde)
+    assert np.array_equal(carry[0][0], expect[0][0])
 
 
 @pytest.mark.parametrize("failure", ["schur", "dropped"])
@@ -677,8 +698,8 @@ def test_failed_update_leaves_basis_and_pairs_untouched(failure, pair60,
     product = ProductBasis(pair60)
     rb = ReducedBasis.create(product, CellSet(np.arange(10, 30)[:, None]))
     new_cells = CellSet(np.r_[5, 10:12, 13:20, 21:30, 31][:, None])
-    kept, fresh = cell_change(rb.cells, new_cells)
-    assert (~kept).sum() == 2 and fresh.sum() == 2 and fresh[0]
+    change = cell_change(rb.cells, new_cells)
+    assert len(change.removed) == 2 and len(change.added) == 2 and change.fresh[0]
     carry = [[rb.Stilde @ _random_pd(rng, 20), _random_pd(rng, 20)]
              for _ in range(2)]
     if failure == "schur":
@@ -710,7 +731,7 @@ def test_failed_update_leaves_basis_and_pairs_untouched(failure, pair60,
     pairs = [list(pair) for pair in carry]
     generators = [g.copy() for g, _ in carry]
     with pytest.raises(DegenerateUpdateError, match=match):
-        rb.update(new_cells, (kept, fresh), carry)
+        rb.update(change, carry)
     assert rb.cells is cells and rb.Sinv_tilde is sinv and rb.Stilde is stilde
     assert np.array_equal(sinv, values[0]) and np.array_equal(stilde, values[1])
     for pair, before, g in zip(carry, pairs, generators):
@@ -831,7 +852,7 @@ def test_folded_bookkeeping_matches_the_swap_closure(pair60, rng, radius):
         grown = expand_cells(reps, lattices, radius, fold)
         assert grown == folded.representatives(
             expand_cells(cells, lattices, radius))
-        at, _ = cells.matches(reps)
+        at = cell_change(cells, reps).kept
         np.testing.assert_array_equal(
             boundary_mask(reps, lattices, radius, fold),
             boundary_mask(cells, lattices, radius)[at])
