@@ -10,8 +10,11 @@ class IllConditionedBasisError(VngridError):
 
     Raised when a lattice/width combination produces a (near-)singular
     Gaussian overlap matrix, e.g. a critically sampled lattice whose
-    dimensions are both even, or when a reduced overlap loses conditioning.
-    Raised mid-propagation, it carries the propagator's ``events`` so far.
+    dimensions are both even; when the product of a product lattice's
+    per-axis condition numbers, which bounds every reduced overlap's
+    (:mod:`vngrid.reduced_space`), exceeds the limit; or when a reduced
+    overlap fails the exact check of a from-scratch inverse.  Raised
+    mid-propagation, it carries the propagator's ``events`` so far.
     """
 
     events = ()

@@ -33,6 +33,17 @@ generators ``Stilde @ H`` across the change, for a propagator that keeps
 them staged: the inverse and every generator each take one gather into the
 new order and one GEMM of the change's rank.
 
+Conditioning
+------------
+The reduced overlap of any cell set is a principal submatrix of the
+lattice's ``S^-1 = kron_axis S_axis^-1``, and a folded one is the isometric
+compression ``P^T S^-1 P``.  Either way Cauchy interlacing keeps its
+eigenvalues within those of ``S^-1``, so its 2-norm condition number is at
+most ``prod_axis cond(S_axis)``.  :class:`ProductBasis` checks that product
+once, when it is made, and no reduced overlap is factored to check it
+again; only a from-scratch inverse (:func:`_fresh_inverse`) makes exact
+checks of its own.
+
 Exchange fold
 -------------
 Two axes that share one basis pair describe identical particles when the
@@ -649,6 +660,10 @@ class ProductBasis:
     :meth:`folded`, whose rows are swap-orbit representatives.  The
     cell-set methods below map between those rows and lattice cells; on an
     unfolded basis they return their arguments.
+
+    Raises :class:`IllConditionedBasisError` if the product of the axes'
+    ``cond_S``, the bound on every reduced overlap (module docstring),
+    exceeds the limit.
     """
 
     def __init__(self, pairs):
@@ -660,6 +675,13 @@ class ProductBasis:
         self.lattices = tuple(p.lattice for p in self.pairs)
         self.grids = tuple(p.grid for p in self.pairs)
         self.fold = None
+        cond = math.prod(p.cond_S for p in self.pairs)
+        if cond > COND_LIMIT:
+            raise IllConditionedBasisError(
+                f"product-lattice overlap of {self.n_cells} cells is "
+                f"ill-conditioned (cond ~ {cond:.2e} > {COND_LIMIT:.0e}, the "
+                f"product of its axes' condition numbers)",
+                cond=cond, size=self.n_cells)
 
     def folded(self) -> "ProductBasis":
         """The same basis on its exchange-symmetric sector (:class:`ExchangeFold`).
@@ -780,12 +802,11 @@ class ReducedBasis:
 
     Mutated only between solver phases (single writer).  The overlap
     entries are exact per-axis products, carried across each update by
-    :func:`carry_hermitian` (bit for bit a fresh overlap).  ``Stilde`` is
-    formed on first read: until then the basis keeps the Cholesky factor of
-    ``Sinv_tilde``, which creation and every update recompute as the
-    positive-definiteness check and from which they estimate the condition
-    number; the first read inverts from that factor with the exact check of
-    a from-scratch inverse.  The eigenmode search never reads ``Stilde``;
+    :func:`carry_hermitian` (bit for bit a fresh overlap).  Their
+    conditioning is bounded by the :class:`ProductBasis` (module docstring),
+    so neither creation nor an update factors them.  ``Stilde`` is formed
+    on first read, with the exact checks of a from-scratch inverse
+    (:func:`_fresh_inverse`).  The eigenmode search never reads ``Stilde``;
     the propagator reads it at once, and from then on the inverse (and any
     generator handed to :meth:`update`) is carried through one block update
     per change (:func:`grow_inverse`) and re-formed from scratch at every
@@ -801,12 +822,6 @@ class ReducedBasis:
         self.product = product
         self._set_cells(cells)
         self.Sinv_tilde = Sinv_tilde
-        self._cho = _cholesky(Sinv_tilde)
-        if self._cho is None:
-            raise IllConditionedBasisError(
-                f"reduced overlap of {len(cells)} cells is not positive definite",
-                cond=math.inf, size=len(cells))
-        _check_conditioning(Sinv_tilde, self._cho)
         self._stilde = None
         self._updates_since_refresh = 0
 
@@ -835,10 +850,9 @@ class ReducedBasis:
 
     @property
     def Stilde(self) -> np.ndarray:
-        """``(Btilde^H Btilde)^-1``, inverted from the kept factor on first read."""
+        """``(Btilde^H Btilde)^-1``, inverted from scratch on first read."""
         if self._stilde is None:
-            self._stilde = _fresh_inverse(self.Sinv_tilde, self.n, cho=self._cho)
-            self._cho = None
+            self._stilde = _fresh_inverse(self.Sinv_tilde, self.n)
             self._updates_since_refresh = 0
         return self._stilde
 
@@ -867,10 +881,7 @@ class ReducedBasis:
         added), which factorizes only the dropped block of the current
         inverse and the Schur complement of the added block, read off the
         overlap.  Every 50th update re-inverts from scratch instead.  Before
-        the first read of ``Stilde`` only the overlap's Cholesky factor is
-        renewed: a failed factorization raises :class:`DegenerateUpdateError`,
-        and a condition estimate beyond the limit raises
-        :class:`IllConditionedBasisError`.
+        the first read of ``Stilde`` only the overlap is carried.
 
         ``carry`` is a list of ``[G, H]`` pairs, ``G = Stilde @ H`` over the
         current cells and ``H`` Hermitian over the new cells; each ``G`` is
@@ -892,13 +903,6 @@ class ReducedBasis:
         if self._stilde is None:
             if carry:
                 raise ValueError("generators are carried only after Stilde is read")
-            cho = _cholesky(sinv)
-            if cho is None:
-                raise DegenerateUpdateError(
-                    f"reduced overlap of {len(new_cells)} cells is not "
-                    f"positive definite")
-            _check_conditioning(sinv, cho)
-            self._cho = cho
         elif self._updates_since_refresh + 1 < _REFRESH_EVERY:
             # C and D are the new overlap's added columns
             cols = rows.conj().T
@@ -916,51 +920,22 @@ class ReducedBasis:
         return added, removed
 
 
-def _cholesky(sinv: np.ndarray):
-    """``cho_factor`` of the reduced overlap, or None if it is not positive
-    definite."""
-    try:
-        return scipy.linalg.cho_factor(sinv)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _check_conditioning(sinv: np.ndarray, cho):
-    """Raise :class:`IllConditionedBasisError` if the overlap's 1-norm
-    condition number, estimated from its ``cho_factor``, exceeds the limit.
-
-    LAPACK's ``pocon`` estimates ``||S^-1||_1`` in O(n^2) without forming
-    the inverse.  The estimate is a lower bound, so whatever the exact check
-    of :func:`_fresh_inverse` passes, this passes too.
-    """
-    c, lower = cho
-    pocon, = scipy.linalg.lapack.get_lapack_funcs(("pocon",), (c,))
-    rcond, _ = pocon(c, np.linalg.norm(sinv, 1), uplo="L" if lower else "U")
-    cond = math.inf if rcond == 0 else 1.0 / rcond
-    if cond > COND_LIMIT:
-        n = sinv.shape[0]
-        raise IllConditionedBasisError(
-            f"reduced overlap of {n} cells is ill-conditioned (cond ~ {cond:.2e})",
-            cond=cond, size=n)
-
-
-def _fresh_inverse(sinv: np.ndarray, n: int, cho=None) -> np.ndarray:
+def _fresh_inverse(sinv: np.ndarray, n: int) -> np.ndarray:
     """Inverse of the reduced overlap by Cholesky, with a conditioning check.
 
-    ``cho`` is the overlap's ``cho_factor`` when the caller already holds
-    it.  The check uses the 1-norm condition number ``||S||_1 ||S^-1||_1``,
-    read off the overlap and its inverse in O(n^2).  For a Hermitian matrix
-    the 1-norm bounds the 2-norm from above, so this never passes a matrix
+    The check uses the 1-norm condition number ``||S||_1 ||S^-1||_1``, read
+    off the overlap and its inverse in O(n^2).  For a Hermitian matrix the
+    1-norm bounds the 2-norm from above, so this never passes a matrix
     whose 2-norm condition number exceeds the limit.  A failed
     factorization (not positive definite) counts as infinitely
     ill-conditioned.
     """
-    if cho is None:
-        cho = _cholesky(sinv)
-    if cho is None:
+    try:
+        cho = scipy.linalg.cho_factor(sinv)
+    except np.linalg.LinAlgError:
         raise IllConditionedBasisError(
             f"reduced overlap of {n} cells is not positive definite",
-            cond=math.inf, size=n)
+            cond=math.inf, size=n) from None
     # a column-major identity is solved in place (same arithmetic, no copy)
     inv = _hermitize(scipy.linalg.cho_solve(
         cho, np.eye(n, dtype=complex, order="F"), overwrite_b=True))

@@ -465,25 +465,34 @@ def test_debug_reraises_unexpected_errors(monkeypatch):
         main(["--debug", "validate"])
 
 
-def test_tise_non_positive_definite_update_exits_degenerate_basis(
-        tmp_path, non_pd_updates):
-    # every basis change of the search re-checks the reduced overlap's
-    # Cholesky factorization, though the search never forms its inverse
+def test_tise_lattice_product_beyond_the_limit_exits_degenerate_basis(
+        tmp_path, monkeypatch):
+    # a limit between one helium axis's cond(S) (15.0) and their product
+    # (225): each axis passes, and the product basis is refused when the
+    # model is built, before the search makes a reduced overlap
+    import vngrid.reduced_space as reduced_space
+
+    monkeypatch.setattr(reduced_space, "COND_LIMIT", 100.0)
     out = str(tmp_path / "run")
-    cfg = _harmonic_cfg(out, tise={})
+    cfg = dict(_helium_tdse_cfg(out), solver={"tise": {"zeta": 1e-2}})
     assert main(["tise", _write(tmp_path, "cfg.json", cfg)]) == \
         EXIT_DEGENERATE_BASIS
     meta = json.load(open(os.path.join(out, "run_meta.json")))
     assert meta["converged"] is False
-    assert "not positive definite" in meta["error"]
+    assert "product-lattice overlap of 3600 cells is ill-conditioned" in \
+        meta["error"]
 
 
-@pytest.mark.parametrize("model,size", [("double_well", 2), ("harmonic", 9)])
+@pytest.mark.parametrize("model,limit", [("double_well", 2), ("harmonic", 9)])
 def test_ill_conditioned_tise_basis_exits_degenerate_basis(
-        tmp_path, ill_conditioned_overlaps, model, size):
-    # the double well's two seed cells fail when the basis is created, the
-    # harmonic search (one seed cell) at its first basis change; neither
-    # forms the inverse that the exact check reads
+        tmp_path, monkeypatch, model, limit):
+    # a product-check limit below the single axis's cond(S) (15.0 for the
+    # double well, 131 for the harmonic lattice): the axis passes the
+    # engine's limit when its basis pair is built, and the product check,
+    # which on one axis repeats that one, refuses it
+    import vngrid.reduced_space as reduced_space
+
+    monkeypatch.setattr(reduced_space, "COND_LIMIT", float(limit))
     out = str(tmp_path / "run")
     cfg = _harmonic_cfg(out, tise={})
     if model == "double_well":
@@ -493,7 +502,8 @@ def test_ill_conditioned_tise_basis_exits_degenerate_basis(
         EXIT_DEGENERATE_BASIS
     meta = json.load(open(os.path.join(out, "run_meta.json")))
     assert meta["converged"] is False
-    assert f"overlap of {size} cells is ill-conditioned" in meta["error"]
+    n = cfg["lattice"][0]["Nx"] * cfg["lattice"][0]["Np"]
+    assert f"overlap of {n} cells is ill-conditioned" in meta["error"]
 
 
 def test_threads_option_is_a_usage_error(tmp_path, capsys):

@@ -7,8 +7,7 @@ import scipy.linalg
 import vngrid.reduced_space as reduced_space
 import vngrid.solvers as solvers
 from vngrid import models
-from vngrid.errors import (ConvergenceError, DegenerateUpdateError,
-                           IllConditionedBasisError)
+from vngrid.errors import ConvergenceError, IllConditionedBasisError
 from vngrid.fourier_grid import build_grid
 from vngrid.hamiltonian import (OperatorSpec, ReducedHamiltonian,
                                 dense_grid_hamiltonian)
@@ -292,11 +291,15 @@ def test_small_or_cold_solves_stay_dense(ho_model, monkeypatch):
 # -- the search never forms Stilde ----------------------------------------------
 
 def test_tise_forms_no_inverse_overlap(he_model, monkeypatch):
+    # nor does it factor a reduced overlap: the product basis bounds their
+    # conditioning, and shift-invert factors H - sigma S by LDL
     def forbidden(*args, **kwargs):
-        raise AssertionError("the eigenmode search touched the inverse overlap")
+        raise AssertionError("the eigenmode search factored or inverted the "
+                             "reduced overlap")
 
-    for name in ("grow_inverse", "shrink_inverse", "_fresh_inverse"):
+    for name in ("grow_inverse", "shrink_inverse", "_fresh_inverse", "_zpotrf"):
         monkeypatch.setattr(reduced_space, name, forbidden)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", forbidden)
     res = tise_adaptive(he_model.spec, he_model.product,
                         TiseConfig(zeta=1e-4, n_modes=1))
     assert res.iterations == 5
@@ -308,24 +311,67 @@ def test_tise_forms_no_inverse_overlap(he_model, monkeypatch):
     assert rb.Stilde is first
 
 
-def test_tise_update_rejects_non_positive_definite_overlap(ho_model,
-                                                           non_pd_updates):
-    with pytest.raises(DegenerateUpdateError, match="not positive definite"):
-        tise_adaptive(ho_model.spec, ho_model.product, TiseConfig(zeta=1e-6))
+def _visited_overlap_conds(monkeypatch):
+    """2-norm condition numbers of the reduced overlap of every basis the
+    eigenmode search creates or changes to, appended as it runs."""
+    conds = []
+    real_init, real_update = ReducedBasis.__init__, ReducedBasis.update
+
+    def init(self, *args):
+        real_init(self, *args)
+        conds.append(np.linalg.cond(self.Sinv_tilde))
+
+    def update(self, change, carry=None):
+        out = real_update(self, change, carry)
+        conds.append(np.linalg.cond(self.Sinv_tilde))
+        return out
+
+    monkeypatch.setattr(ReducedBasis, "__init__", init)
+    monkeypatch.setattr(ReducedBasis, "update", update)
+    return conds
 
 
-def test_tise_checks_conditioning_without_an_inverse(dw_model, ho_model,
-                                                    ill_conditioned_overlaps):
-    # the estimate from the kept Cholesky factor rejects a positive definite
-    # overlap near cond 1e13 on creation and on a search's basis change
-    seeds = seed_cells(lattice_potential(dw_model.spec, dw_model.lattices),
-                       dw_model.lattices)
-    assert len(seeds) > 1
-    with pytest.raises(IllConditionedBasisError) as err:
-        ReducedBasis.create(dw_model.product, seeds)
-    assert 1e12 < err.value.cond <= 1.01e13
-    with pytest.raises(IllConditionedBasisError, match="ill-conditioned"):
-        tise_adaptive(ho_model.spec, ho_model.product, TiseConfig(zeta=1e-6))
+@pytest.mark.parametrize("name,zeta", [("harmonic", 1e-6), ("double_well", 1e-6),
+                                       ("helium", 1e-4), ("helium_folded", 1e-4)])
+def test_search_overlaps_obey_the_lattice_bound(name, zeta, ho_model, dw_model,
+                                                he_model, monkeypatch):
+    # every reduced overlap is a principal submatrix (or, folded, an isometric
+    # compression) of the lattice's S^-1, so interlacing bounds its
+    # condition number by the product of the axes' cond(S)
+    model = {"harmonic": ho_model, "double_well": dw_model}.get(name, he_model)
+    product = model.product.folded() if name == "helium_folded" else model.product
+    bound = np.prod([p.cond_S for p in product.pairs])
+    conds = _visited_overlap_conds(monkeypatch)
+    res = tise_adaptive(model.spec, product, TiseConfig(zeta=zeta, n_modes=1))
+    assert len(conds) == res.iterations
+    assert max(conds) <= bound * (1.0 + 1e-8)
+
+
+def test_tise_checks_conditioning_without_an_inverse(he_model, monkeypatch):
+    # a limit between one helium axis's cond(S) and their product: each axis
+    # passes, and the product basis is refused, folded or not, before a
+    # reduced overlap exists
+    cond_axis = he_model.pairs[0].cond_S
+    monkeypatch.setattr(reduced_space, "COND_LIMIT", 100.0)
+    assert cond_axis < 100.0 < cond_axis ** 2
+    ReducedBasis.create(reduced_space.ProductBasis(he_model.pairs[0]),
+                        CellSet([[0]]))
+    with pytest.raises(IllConditionedBasisError, match="ill-conditioned") as err:
+        reduced_space.ProductBasis(he_model.pairs)
+    assert err.value.cond == pytest.approx(cond_axis ** 2, rel=1e-12)
+    assert err.value.size == 3600
+    with pytest.raises(IllConditionedBasisError):
+        he_model.product.folded()
+
+
+def test_tise_refuses_a_lattice_beyond_the_limit(monkeypatch):
+    # a product-check limit of 100: the double well's one axis (cond 15.0)
+    # passes it, and helium's two (product 225) are refused when the model
+    # makes its product basis, before any search
+    monkeypatch.setattr(reduced_space, "COND_LIMIT", 100.0)
+    with pytest.raises(IllConditionedBasisError, match="product-lattice overlap"):
+        models.helium_1d()
+    models.double_well()
 
 
 # -- the exchange-symmetric sector -------------------------------------------------
