@@ -25,8 +25,8 @@ from .solvers import (EigenResult, TiseConfig, lattice_potential,
                       reference_full_eig, seed_cells, solve_reduced_eig,
                       tise_adaptive)
 from .dynamics import (ControlPulse, PropagationConfig, Trajectory,
-                       expm_propagate, max_timestep, project_state, taylor_step,
-                       tdse_adaptive)
+                       expm_propagate, max_timestep, midpoint_timestep,
+                       project_state, taylor_step, tdse_adaptive)
 from . import models
 
 __version__ = "0.1.0"

@@ -370,9 +370,9 @@ def cmd_tdse(args) -> int:
                                _fmt(traj.taus[i])]) + "\n")
     with open(os.path.join(out_dir, "pulse.csv"), "w") as fh:
         fh.write("t," + ",".join(f"u_{i}" for i in range(len(pulses))) + "\n")
-        for t in traj.times:
-            vals = [p.value(float(t)) for p in pulses]
-            fh.write(",".join([_fmt(t)] + [_fmt(v) for v in vals]) + "\n")
+        signals = [p.values(traj.times) for p in pulses]
+        for i, t in enumerate(traj.times):
+            fh.write(",".join([_fmt(t)] + [_fmt(u[i]) for u in signals]) + "\n")
     heatmap = HeatmapWriter(model.lattices)
     for i, snap in enumerate(traj.snapshots):
         heatmap.write(os.path.join(out_dir, f"snapshot_{i:03d}.csv"),
@@ -391,6 +391,10 @@ def cmd_tdse(args) -> int:
         "norm_final": float(traj.norms[-1]) if traj.n_steps else 1.0,
         "discarded_total": float(traj.discarded[-1]) if traj.n_steps else 0.0,
         "events": [[float(t), kind, detail] for t, kind, detail in traj.events],
+        "tau_cap": (None if traj.tau_cap is None else {
+            "first_order": traj.tau_cap.first_order,
+            "midpoint": traj.tau_cap.midpoint,
+            "binding": traj.tau_cap.binding}),
         "exchange": "symmetric" if folded else None,
         "n_folded_max": (None if not folded
                          else int(traj.n_basis.max()) if traj.n_steps

@@ -25,8 +25,8 @@ thread).
 
 The step controller combines three limits:
 
-* a hard cap derived from the control-signal slope,
-  ``tau <= sqrt(zeta / (2 K max_t |du/dt|))``;
+* a hard cap on tau from the control signals, when any pulse moves
+  (:func:`step_cap`, derived below);
 * cancellation of any step after which a freshly added boundary cell
   already exceeds the amplitude cutoff (the state must not cross a full
   cell layer per step);
@@ -35,13 +35,59 @@ The step controller combines three limits:
 Basis changes prune sub-cutoff cells (their coefficient mass is discarded
 and logged, never renormalized away) and expand one neighborhood radius
 around the survivors; fresh cells start at zero amplitude.  Control signals
-are treated as piecewise constant, sampled at the step midpoint.
+are sampled at the step midpoint.
+
+The slope cap
+-------------
+A driven generator is ``H(t) = H0 + sum_g u_g(t) X_g``, and every step
+applies ``exp(-i tau H(t_m))`` at its midpoint ``t_m``: the exponential
+midpoint rule.  Its one-step error is the part of the first two Magnus
+terms that it drops (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+(2009)), to leading order
+
+    quadrature  sum_g X_g int (u_g - u_g(t_m)) dt   = sum_g X_g u_g'' tau^3 / 24,
+    commutator  sum_g [H0, X_g] u_g' tau^3 / 12.
+
+(``[X_g, X_h]`` is zero or a multiple of the identity for the couplings of
+:mod:`~vngrid.models`, sums of ``x_i`` or of ``p_i``, so it moves only a
+global phase.)  The paper's cap ``tau <= sqrt(zeta / (2 K max|u'|))``, with
+``K`` the grid's momentum bandwidth, is the first-order error of freezing
+the signal over a step, ``|X| |u'| tau^2 / 2``, with the coupling's scale
+taken as ``|X| = 4 K``.  Take that scale, and ``|[H0, X]| <= K |X|``.  The
+midpoint error per step is then
+
+    K tau^3 (|u''| + 2 K |u'|) / 6 <= zeta
+    =>  tau <= (6 zeta / (K (max|u''| + 2 K max|u'|)))^(1/3).
+
+The condition ``|[H0, X]| <= K |X|`` belongs to the system, not to the
+signal, and :func:`commutator_ratio` measures it from the operator's
+diagonals, by the leading terms ``[T(p), f(x)] ~ -i T'(p) f'(x)`` and
+``[V(x), a(p)] ~ i V'(x) a'(p)``.  For a position coupling ``x`` the ratio
+is ``(K / m) / max|x|``, for a momentum coupling ``p`` it is
+``max|V'| / K``.  The models' default grids keep it well below ``K`` (1.7
+against 12.6 for helium's ``x1 + x2``); a light mass, a steep potential
+under a momentum coupling or a coarse grid can push it above, and there
+the midpoint bound is 0 and the paper's cap holds.
+
+``u'`` and ``u''`` are summed over the pulses, since ``dH/dt`` carries
+every signal at once.  The bound needs a bounded ``u''``:
+
+* an ``xuv`` pulse's slope jumps once, by ``J``, at its onset.  The one
+  step across the jump drops at most ``X J tau^2 / 8``, which the same
+  scale bounds by ``tau <= sqrt(2 zeta / (K J))``;
+* a ``table`` pulse's slope jumps at every knot, and any number of knots
+  may fall in one step.  Its sampled ``|u''|`` spikes there without bound,
+  so its midpoint bound is 0 and the paper's cap holds.
+
+Each bound alone keeps a step's error below ``zeta``, so the controller
+caps tau at the larger of the two (:class:`StepCap`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -50,7 +96,8 @@ from scipy.linalg.blas import (dznrm2 as _dznrm2, zaxpy as _zaxpy,
 
 from .errors import (DegenerateUpdateError, IllConditionedBasisError,
                      TimestepUnderflowError)
-from .hamiltonian import DENSE_LIMIT, OperatorSpec, ReducedHamiltonian
+from .hamiltonian import (DENSE_LIMIT, OperatorSpec, ReducedHamiltonian,
+                          grid_potential)
 from .reduced_space import (CellSet, DEFAULT_RADIUS, ReducedBasis,
                             boundary_mask, cell_change, embed_coefficients,
                             expand_cells, prune_cells)
@@ -134,14 +181,111 @@ def taylor_step(g: np.ndarray, psi: np.ndarray, tau: float,
 
 
 def max_timestep(zeta: float, bandwidth: float, max_du_dt: float) -> float:
-    """Largest step consistent with a piecewise-constant control signal.
+    """The paper's cap: the largest step for a piecewise-constant signal.
 
-    ``sqrt(zeta / (2 K max_t |du/dt|))``: keeps the first-order error of
-    freezing the signal over one step below the amplitude cutoff.
+    ``sqrt(zeta / (2 K max_t |du/dt|))`` keeps the first-order error of
+    freezing the signal over one step below the amplitude cutoff.  It holds
+    for any signal of bounded slope, and is the floor of :func:`step_cap`
+    (the derivation is in the module docstring).
     """
     if zeta <= 0 or bandwidth <= 0 or max_du_dt <= 0:
         raise ValueError("all arguments must be positive")
     return math.sqrt(zeta / (2.0 * bandwidth * max_du_dt))
+
+
+def midpoint_timestep(zeta: float, bandwidth: float, max_du_dt: float,
+                      max_d2u_dt2: float, max_jump: float = 0.0) -> float:
+    """The largest step of the exponential midpoint rule for a signal with
+    bounded second derivative (the derivation is in the module docstring).
+
+    ``(6 zeta / (K (max|u''| + 2 K max|u'|)))^(1/3)``, and at most
+    ``sqrt(2 zeta / (K J))`` for a jump ``J`` of the slope.  An unbounded
+    ``max|u''|`` gives 0.
+    """
+    if zeta <= 0 or bandwidth <= 0 or max_du_dt <= 0:
+        raise ValueError("zeta, bandwidth and max_du_dt must be positive")
+    if max_d2u_dt2 < 0 or max_jump < 0:
+        raise ValueError("max_d2u_dt2 and max_jump must not be negative")
+    tau = (6.0 * zeta / (bandwidth * (max_d2u_dt2 + 2.0 * bandwidth
+                                      * max_du_dt))) ** (1.0 / 3.0)
+    if max_jump > 0:
+        tau = min(tau, math.sqrt(2.0 * zeta / (bandwidth * max_jump)))
+    return tau
+
+
+@dataclasses.dataclass(frozen=True)
+class StepCap:
+    """The slope cap of a driven run: both bounds, of which the larger holds.
+
+    ``midpoint`` is 0 where the midpoint bound does not apply: a signal's
+    ``|u''|`` is unbounded, or a coupling fails ``|[H0, X]| <= K |X|``.
+    """
+
+    first_order: float
+    midpoint: float
+
+    @property
+    def tau(self) -> float:
+        return max(self.first_order, self.midpoint)
+
+    @property
+    def binding(self) -> str:
+        """Which bound sets the cap: ``"midpoint"`` or ``"first_order"``."""
+        return "midpoint" if self.midpoint > self.first_order else "first_order"
+
+
+def commutator_ratio(spec: OperatorSpec) -> float:
+    """Largest ``|[H0, X]| / |X|`` over the control couplings ``X`` of
+    ``spec``, 0 without any (module docstring).
+
+    Per axis, ``[T(p), f(x)]`` counts ``max|T'| max|f'|`` and ``[V(x), a(p)]``
+    counts ``max|V'| max|a'|``, with second-order differences over the
+    sample points and the sorted wavenumbers; ``|X|`` is ``max|f|`` plus
+    each axis's ``max|a|``.
+    """
+    def slope(diag, axis, step):
+        return float(np.abs(np.gradient(diag, step, axis=axis,
+                                        edge_order=2)).max())
+
+    v = grid_potential(spec)
+    ratio = 0.0
+    for c in spec.control_terms:
+        f = grid_potential(c)
+        comm, size = 0.0, float(np.abs(f).max())
+        for dof, g in enumerate(spec.grids):
+            order = np.argsort(g.fft_wavenumbers())
+            k = g.fft_wavenumbers()[order]
+            if spec.kinetic[dof] is not None:
+                comm += (slope(spec.kinetic[dof][order], 0, k)
+                         * slope(f, dof, g.dx))
+            if c.kinetic[dof] is not None:
+                comm += slope(c.kinetic[dof][order], 0, k) * slope(v, dof, g.dx)
+                size += float(np.abs(c.kinetic[dof]).max())
+        if size > 0.0:
+            ratio = max(ratio, comm / size)
+    return ratio
+
+
+def step_cap(spec: OperatorSpec, pulses, cfg: PropagationConfig) -> StepCap | None:
+    """The cap on tau that ``pulses`` set on the couplings of ``spec``, or
+    None when no signal moves.
+
+    One sampling per pulse (:meth:`ControlPulse.bounds`) gives its slope,
+    curvature and slope jump; each is summed over the pulses.  The
+    midpoint bound is 0 unless :func:`commutator_ratio` is at most ``K``.
+    """
+    bounds = [p.bounds() for p in pulses]
+    slope = sum(b.slope for b in bounds)
+    if slope == 0.0:
+        return None
+    bandwidth = max(g.K for g in spec.grids)
+    mid = 0.0
+    if commutator_ratio(spec) <= bandwidth:
+        mid = midpoint_timestep(cfg.zeta, bandwidth, slope,
+                                sum(b.curvature for b in bounds),
+                                sum(b.jump for b in bounds))
+    return StepCap(first_order=max_timestep(cfg.zeta, bandwidth, slope),
+                   midpoint=mid)
 
 
 def expm_propagate(h: np.ndarray, psi: np.ndarray, tau: float) -> np.ndarray:
@@ -156,9 +300,17 @@ def expm_propagate(h: np.ndarray, psi: np.ndarray, tau: float) -> np.ndarray:
 # control pulses
 # ---------------------------------------------------------------------------
 
+class SignalBounds(NamedTuple):
+    """What the slope cap reads of one signal (:meth:`ControlPulse.bounds`)."""
+
+    slope: float        # max |du/dt|
+    curvature: float    # max |d2u/dt2|, inf where the slope jumps at knots
+    jump: float         # the slope's jump at an isolated kink
+
+
 @dataclasses.dataclass(frozen=True)
 class ControlPulse:
-    """Scalar control signal u(t), piecewise-constant per step.
+    """Scalar control signal u(t), sampled at each step's midpoint.
 
     Kinds: ``nir`` (sine carrier under a sin^2 envelope with exactly zero
     derivative at both ends of its support ``[0, 4 T]``), ``xuv`` (sine
@@ -196,31 +348,48 @@ class ControlPulse:
             return (self.t_on, self.t_on + 1.25 * self.period + 8.0 * self.sigma)
         return (self.times[0], self.times[-1])
 
-    def value(self, t: float) -> float:
-        """Signal value at time ``t``."""
+    def values(self, t) -> np.ndarray:
+        """Signal at the times ``t`` (any shape): one numpy formula per kind."""
+        t = np.asarray(t, dtype=float)
         s = t - self.t_on
         if self.kind == "nir":
-            if not 0.0 <= s <= 4.0 * self.period:
-                return 0.0
-            return (self.amplitude * math.sin(2.0 * math.pi * s / self.period - math.pi)
-                    * math.sin(math.pi * s / (4.0 * self.period)) ** 2)
+            u = (self.amplitude * np.sin(2.0 * np.pi * s / self.period - np.pi)
+                 * np.sin(np.pi * s / (4.0 * self.period)) ** 2)
+            return np.where((s >= 0.0) & (s <= 4.0 * self.period), u, 0.0)
         if self.kind == "xuv":
-            if s < 0.0:
-                return 0.0
-            env = math.exp(-(s - 1.25 * self.period) ** 2 / (2.0 * self.sigma ** 2))
-            return self.amplitude * math.sin(2.0 * math.pi * s / self.period) * env
+            env = np.exp(-(s - 1.25 * self.period) ** 2 / (2.0 * self.sigma ** 2))
+            u = self.amplitude * np.sin(2.0 * np.pi * s / self.period) * env
+            return np.where(s >= 0.0, u, 0.0)
         if self.kind == "table":
-            return float(np.interp(t, self.times, self.samples))
+            return np.interp(t, self.times, self.samples)
         raise ValueError(f"unknown pulse kind {self.kind!r}")
 
-    def max_abs_derivative(self) -> float:
-        """Largest ``|du/dt|`` over the support, from 4000 samples."""
+    def value(self, t: float) -> float:
+        """Signal value at time ``t``."""
+        return float(self.values(t))
+
+    def bounds(self) -> SignalBounds:
+        """``max|du/dt|`` and ``max|d2u/dt2|`` over the support, from one
+        sampling at 4000 points, and the slope's jump at a kink.
+
+        ``nir`` is twice differentiable everywhere.  ``xuv``'s slope jumps
+        from 0 at its onset.  ``table``'s slope jumps at every knot, so its
+        ``|u''|`` is unbounded unless the signal is constant (module
+        docstring).
+        """
         t0, t1 = self.support
         if t1 <= t0:
-            return 0.0
+            return SignalBounds(0.0, 0.0, 0.0)
         t = np.linspace(t0, t1, 4000)
-        u = np.array([self.value(ti) for ti in t])
-        return float(np.abs(np.gradient(u, t)).max())
+        du = np.gradient(self.values(t), t)
+        slope = float(np.abs(du).max())
+        if self.kind == "table":
+            return SignalBounds(slope, math.inf if slope else 0.0, 0.0)
+        jump = 0.0
+        if self.kind == "xuv":   # |du/dt| just after the onset
+            jump = abs(2.0 * math.pi * self.amplitude / self.period * math.exp(
+                -(1.25 * self.period) ** 2 / (2.0 * self.sigma ** 2)))
+        return SignalBounds(slope, float(np.abs(np.gradient(du, t)).max()), jump)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +419,7 @@ class Trajectory:
     final_coefficients: np.ndarray
     hamiltonian: ReducedHamiltonian
     generator: ReducedHamiltonian   # the blocks above, times Stilde
+    tau_cap: StepCap | None         # None when no signal moves
 
     @property
     def n_steps(self):
@@ -302,12 +472,8 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
            else ReducedHamiltonian(spec, product, cells0))
     lattices, fold = product.lattices, product.fold
 
-    tau_cap = math.inf
-    if pulses:
-        bandwidth = max(g.K for g in product.grids)
-        slope = max(p.max_abs_derivative() for p in pulses)
-        if slope > 0.0:
-            tau_cap = max_timestep(cfg.zeta, bandwidth, slope)
+    cap = step_cap(spec, pulses, cfg)
+    tau_cap = math.inf if cap is None else cap.tau
     tau = min(cfg.tau0, tau_cap)
 
     times, n_active, n_basis, norms, taus, discarded = [], [], [], [], [], []
@@ -383,7 +549,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
                       discarded=np.asarray(discarded), events=events,
                       snapshots=snapshots, final_cells=rb.cells,
                       final_coefficients=psi, hamiltonian=ham,
-                      generator=staged)
+                      generator=staged, tau_cap=cap)
 
 
 def _shrink(tau, events, t, reason):

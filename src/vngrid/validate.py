@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import time
 
 import numpy as np
@@ -22,12 +23,13 @@ from .reduced_space import (DEFAULT_RADIUS, CellSet, ProductBasis,
                             complementary_basis, embed_coefficients,
                             expand_cells, prune_cells, reduced_gaussians,
                             restrict_basis)
-from .hamiltonian import ReducedHamiltonian, potfit2
+from .hamiltonian import (ReducedHamiltonian, grid_potential, kinetic_matrix,
+                          potfit2)
 from .solvers import (TiseConfig, lattice_potential, reference_full_eig,
                       seed_cells, shift_invert_eig, solve_reduced_eig,
                       tise_adaptive)
-from .dynamics import (PropagationConfig, project_state, taylor_step,
-                       tdse_adaptive)
+from .dynamics import (ControlPulse, PropagationConfig, project_state,
+                       step_cap, taylor_step, tdse_adaptive)
 
 
 @dataclasses.dataclass
@@ -485,6 +487,101 @@ def check_carried_generator(rng):
     return f"{events} basis changes, relative deviation {err:.1e}"
 
 
+# the fourth-order commutator-free Magnus step (Alvermann & Fehske, J. Comput.
+# Phys. 230, 5930 (2011)): Gauss nodes and the weights of its two exponentials
+_CF4_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_CF4_WEIGHTS = ((3.0 + 2.0 * math.sqrt(3.0)) / 12.0,
+                (3.0 - 2.0 * math.sqrt(3.0)) / 12.0)
+
+
+def _grid_propagation(spec, pulses, psi, t_span, tau):
+    """Driven two-axis propagation on the product grid, apart from the
+    reduced basis: commutator-free Magnus steps of about ``tau``.
+
+    ``H(t) psi`` is applied through its Kronecker structure: each axis's
+    kinetic matrix on its side of the ``N1 x N2`` table, plus the drift's
+    potential diagonal and ``u_g(t)`` times each coupling's diagonal (the
+    couplings must be position-type).  Each exponential is a Taylor series
+    summed until a term's norm drops below 1e-15.  Steps end at every pulse
+    time where a signal's slope may jump (support ends and table knots), so
+    the fourth order holds on each smooth stretch.
+    """
+    if any(k is not None for c in spec.control_terms for k in c.kinetic):
+        raise ValueError("the grid propagation takes position couplings only")
+    t1, t2 = (kinetic_matrix(g, tk).astype(complex)
+              for g, tk in zip(spec.grids, spec.kinetic))
+    drift = grid_potential(spec)
+    couplings = [grid_potential(c) for c in spec.control_terms]
+    psi = np.asarray(psi, dtype=complex).reshape(drift.shape)
+
+    def exp_step(psi, diag, dt):
+        acc, term = psi.copy(), psi
+        for k in range(1, 80):
+            term = (-1j * dt / k) * (t1 @ term + term @ t2.T + diag * term)
+            acc += term
+            if np.linalg.norm(term) < 1e-15:
+                return acc
+        raise AssertionError(f"grid Taylor series unconverged at dt {dt}")
+
+    kinks = {t for p in pulses for t in (*p.support, *p.times)}
+    edges = sorted({*t_span, *(t for t in kinks if t_span[0] < t < t_span[1])})
+    for a, b in zip(edges, edges[1:]):
+        n = math.ceil((b - a) / tau)
+        h = (b - a) / n
+        for i in range(n):
+            u = [[p.value(a + (i + c) * h) for p in pulses] for c in _CF4_NODES]
+            # exp(-i h (w2 H(t1) + w1 H(t2))) after exp(-i h (w1 H(t1) + w2 H(t2))):
+            # each exponent is (h / 2) (H0 + 2 sum_g v_g X_g)
+            for w1, w2 in (_CF4_WEIGHTS, _CF4_WEIGHTS[::-1]):
+                diag = drift + sum(2.0 * (w1 * ua + w2 * ub) * x
+                                   for ua, ub, x in zip(*u, couplings))
+                psi = exp_step(psi, diag, 0.5 * h)
+    return psi.ravel()
+
+
+def check_driven_oracle(rng):
+    # the driven helium of the benchmark (nir and xuv on one position
+    # coupling, zeta 1e-4, tau0 0.02), run past the xuv peak at t ~ 2.8
+    model = models.helium_1d()
+    x = models.position_coupling(model.grids)
+    spec = dataclasses.replace(model.spec, control_terms=(x, x))
+    pulses = (ControlPulse.nir(0.066, 11.0),
+              ControlPulse.xuv(0.02, 2.07, 1.5, t_on=0.25))
+    zeta, t_span = 1e-4, (0.0, 4.0)
+    folded = model.product.folded()
+    ground = tise_adaptive(spec, folded, TiseConfig(zeta=zeta, n_modes=1))
+    psi0 = folded.reconstruct(ground.final_cells, ground.eigenvectors[:, 0])
+    coarse, ref = (_grid_propagation(spec, pulses, psi0, t_span, tau)
+                   for tau in (0.04, 0.02))
+    richardson = np.linalg.norm(coarse - ref)
+
+    def propagate(tau0, patience):
+        cfg = PropagationConfig(zeta=zeta, tau0=tau0, growth_patience=patience,
+                                snapshot_every=0)
+        traj = tdse_adaptive(spec, folded, ground.eigenvectors[:, 0],
+                             ground.final_cells, t_span, pulses=pulses, cfg=cfg)
+        return traj.n_steps, folded.reconstruct(traj.final_cells,
+                                                traj.final_coefficients)
+
+    # the paper's cap alone: start there and never grow, so no step exceeds it
+    cap = step_cap(spec, pulses, PropagationConfig(zeta=zeta))
+    n_paper, psi_paper = propagate(cap.first_order, 10 ** 9)
+    n_new, psi_new = propagate(0.02, 3)
+    err_paper = np.linalg.norm(psi_paper - ref)
+    err_new = np.linalg.norm(psi_new - ref)
+    moved = np.linalg.norm(psi_new - psi_paper)
+    detail = (f"{n_paper} steps at the paper's cap {cap.first_order:.4f}, "
+              f"{n_new} at the {cap.binding} cap {cap.tau:.4f}: errors "
+              f"{err_paper:.2e} and {err_new:.2e}, runs {moved:.1e} apart, "
+              f"oracle Richardson change {richardson:.1e}")
+    assert 10.0 * richardson <= min(err_paper, err_new), (
+        "oracle not converged: " + detail)
+    assert err_new <= max(2.0 * err_paper, 0.1 * zeta), (
+        "the midpoint cap loses accuracy: " + detail)
+    assert moved <= 0.1 * zeta, "the midpoint cap moves the state: " + detail
+    return detail
+
+
 CHECKS = [
     ("fourier_grid/cardinality", check_cardinality),
     ("fourier_grid/bandlimited-reproduction", check_bandlimited_reproduction),
@@ -510,6 +607,7 @@ CHECKS = [
     ("dynamics/taylor-tail", check_taylor_tail),
     ("dynamics/oracle-agreement", check_oracle_agreement),
     ("dynamics/carried-generator", check_carried_generator),
+    ("dynamics/driven-oracle", check_driven_oracle),
 ]
 
 

@@ -305,6 +305,31 @@ def test_tdse_helium_runs_in_the_exchange_symmetric_sector(he_tdse_run):
     np.testing.assert_array_equal(amp, amp.T)
 
 
+def test_tdse_meta_reports_the_tau_cap(he_tdse_run, tmp_path):
+    # helium's smooth pulses take the midpoint rule's bound; a table's
+    # slope jumps at its knots, so the paper's first-order cap binds
+    cap = json.load(open(os.path.join(he_tdse_run, "run_meta.json")))["tau_cap"]
+    assert cap["binding"] == "midpoint"
+    assert cap["first_order"] < cap["midpoint"]
+    traj = np.loadtxt(os.path.join(he_tdse_run, "trajectory.csv"),
+                      delimiter=",", skiprows=1)
+    assert traj[:, 4].max() <= cap["midpoint"] * (1 + 1e-12)
+    metas = {}
+    for name, pulses in (("table", [{"kind": "table", "coupling": "momentum",
+                                     "times": [0.0, 1.0, 2.0],
+                                     "samples": [0.0, 0.5, 0.0]}]),
+                         ("free", [])):
+        out = str(tmp_path / name)
+        cfg = _harmonic_cfg(out, tdse={"t_span": [0.0, 0.1], "tau0": 0.05,
+                                       "zeta": 1e-3, "pulses": pulses})
+        assert main(["tdse", _write(tmp_path, f"{name}.json", cfg)]) == EXIT_OK
+        metas[name] = json.load(open(os.path.join(out, "run_meta.json")))
+    assert metas["table"]["tau_cap"] == {
+        "first_order": pytest.approx(0.0103, rel=1e-2), "midpoint": 0.0,
+        "binding": "first_order"}
+    assert metas["free"]["tau_cap"] is None
+
+
 def _reference_heatmap(path, lattices, cells, coeffs):
     """The raster written cell by cell (the writer's former loop)."""
     import itertools

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from vngrid.dynamics import (ControlPulse, PropagationConfig, expm_propagate,
-                             max_timestep, project_state, taylor_step,
-                             tdse_adaptive)
+from vngrid import models
+from vngrid.dynamics import (ControlPulse, PropagationConfig,
+                             commutator_ratio, expm_propagate, max_timestep,
+                             midpoint_timestep, project_state, step_cap,
+                             taylor_step, tdse_adaptive)
 from vngrid.errors import TimestepUnderflowError
-from vngrid.models import coherent_state, momentum_coupling
+from vngrid.models import coherent_state, momentum_coupling, position_coupling
 from vngrid.reduced_space import (CellSet, ReducedBasis, cell_change,
                                   embed_coefficients, expand_cells)
 from vngrid.solvers import TiseConfig, tise_adaptive
 
 import dataclasses
+import math
 
 
 def _coherent_initial(model, x0=2.5, p0=0.0, zeta=1e-6):
@@ -181,7 +184,130 @@ def test_xuv_pulse_envelope_center():
 def test_table_pulse_interpolation():
     p = ControlPulse.table([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
     assert p.value(0.5) == pytest.approx(0.5)
-    assert p.max_abs_derivative() == pytest.approx(1.0, rel=1e-2)
+    assert p.bounds().slope == pytest.approx(1.0, rel=1e-2)
+
+
+def test_midpoint_timestep_values():
+    # (6 zeta / (K (u'' + 2 K u')))^(1/3) = (6e-4 / (0.5 * 1.2))^(1/3)
+    assert midpoint_timestep(1e-4, 0.5, 1.0, 0.2) == pytest.approx(0.1, rel=1e-12)
+    # no curvature: the commutator term alone, (6e-4 / (0.5 * 1.0))^(1/3)
+    assert midpoint_timestep(1e-4, 0.5, 1.0, 0.0) == pytest.approx(
+        0.0012 ** (1 / 3), rel=1e-12)
+    # a slope jump J caps at sqrt(2 zeta / (K J)) = sqrt(2e-4 / 2) = 0.01
+    assert midpoint_timestep(1e-4, 0.5, 1.0, 0.2, 4.0) == pytest.approx(
+        0.01, rel=1e-12)
+    # a small jump leaves the cube root: sqrt(2e-4 / 0.01) > 0.1
+    assert midpoint_timestep(1e-4, 0.5, 1.0, 0.2, 0.02) == pytest.approx(
+        0.1, rel=1e-12)
+    assert midpoint_timestep(1e-4, 0.5, 1.0, np.inf) == 0.0
+    with pytest.raises(ValueError):
+        midpoint_timestep(0.0, 0.5, 1.0, 0.2)
+    with pytest.raises(ValueError):
+        midpoint_timestep(1e-4, 0.5, 1.0, -0.2)
+
+
+def _scalar_value(p, t):
+    """The signal formulas one call at a time, in ``math``."""
+    s = t - p.t_on
+    if p.kind == "nir":
+        if not 0.0 <= s <= 4.0 * p.period:
+            return 0.0
+        return (p.amplitude * math.sin(2.0 * math.pi * s / p.period - math.pi)
+                * math.sin(math.pi * s / (4.0 * p.period)) ** 2)
+    if p.kind == "xuv":
+        if s < 0.0:
+            return 0.0
+        env = math.exp(-(s - 1.25 * p.period) ** 2 / (2.0 * p.sigma ** 2))
+        return p.amplitude * math.sin(2.0 * math.pi * s / p.period) * env
+    return float(np.interp(t, p.times, p.samples))
+
+
+@pytest.mark.parametrize("pulse", [
+    ControlPulse.nir(0.066, 11.0, t_on=0.3),
+    ControlPulse.xuv(0.02, 2.07, 1.5, t_on=0.25),
+    ControlPulse.table([0.0, 0.5, 1.5, 2.0], [0.0, 2.5, 2.5, -1.0])])
+def test_vectorized_signal_matches_scalar_formula(pulse):
+    t = np.linspace(-1.0, 50.0, 5001)
+    ref = np.array([_scalar_value(pulse, ti) for ti in t])
+    scale = np.abs(ref).max()
+    assert np.abs(pulse.values(t) - ref).max() <= 1e-15 * scale
+    assert all(abs(pulse.value(ti) - r) <= 1e-15 * scale
+               for ti, r in zip(t[::50], ref[::50]))
+
+
+def test_signal_bounds_of_each_kind():
+    # nir: u' and u'' peak near A w and A w^2 (the envelope is near 1 there)
+    nir = ControlPulse.nir(0.066, 11.0).bounds()
+    w = 2 * np.pi / 11.0
+    assert nir.slope == pytest.approx(0.066 * w, rel=0.05)
+    assert nir.curvature == pytest.approx(0.066 * w ** 2, rel=0.1)
+    assert nir.jump == 0.0
+    # xuv: the slope jumps at onset by A w exp(-(5T/4)^2 / (2 sigma^2))
+    xuv = ControlPulse.xuv(0.02, 2.07, 1.5).bounds()
+    w = 2 * np.pi / 2.07
+    assert xuv.jump == pytest.approx(
+        0.02 * w * np.exp(-(1.25 * 2.07) ** 2 / (2 * 1.5 ** 2)), rel=1e-12)
+    assert 0 < xuv.curvature <= 0.02 * w ** 2 * 1.1
+    # table: piecewise linear, so u'' is unbounded
+    table = ControlPulse.table([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]).bounds()
+    assert table.slope == pytest.approx(1.0, rel=1e-2)
+    assert table.curvature == np.inf
+
+
+def _coupled(model, coupling=position_coupling, n=1):
+    return dataclasses.replace(model.spec,
+                               control_terms=(coupling(model.grids),) * n)
+
+
+def test_zero_amplitude_pulses_set_no_cap(ho_model):
+    cfg = PropagationConfig(zeta=1e-4)
+    spec = _coupled(ho_model)
+    for pulse in (ControlPulse.nir(0.0, 11.0), ControlPulse.xuv(0.0, 2.07, 1.5),
+                  ControlPulse.table([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])):
+        assert step_cap(spec, (pulse,), cfg) is None
+    assert step_cap(ho_model.spec, (), cfg) is None
+
+
+def test_table_pulse_keeps_the_paper_cap(ho_model):
+    pulse = ControlPulse.table([0.0, 0.5, 1.5, 2.0, 10.0],
+                               [0.0, 2.5, 2.5, 0.0, 0.0])
+    cap = step_cap(_coupled(ho_model, momentum_coupling), (pulse,),
+                   PropagationConfig(zeta=1e-3))
+    assert cap.midpoint == 0.0 and cap.binding == "first_order"
+    assert cap.tau == max_timestep(1e-3, ho_model.grids[0].K,
+                                   pulse.bounds().slope)
+
+
+def test_commutator_ratio_of_each_coupling(ho_model):
+    # position: |[p^2/2m, x]| / |x| = (K / m) / max|x|, max|x| = L/2 = 12;
+    # momentum: |[V, p]| / |p| = max|V'| / K, V' = x up to the second-order
+    # difference at the grid's ends (exact for the quadratic)
+    k = ho_model.grids[0].K
+    xc = ho_model.grids[0].centered_points
+    assert commutator_ratio(_coupled(ho_model)) == pytest.approx(k / 12.0,
+                                                                 rel=1e-12)
+    assert commutator_ratio(_coupled(ho_model, momentum_coupling)) == (
+        pytest.approx(np.abs(xc).max() / k, rel=1e-12))
+    assert commutator_ratio(ho_model.spec) == 0.0
+
+
+@pytest.mark.parametrize("model, coupling", [
+    (models.harmonic(mass=0.01), position_coupling),         # ratio 131 > K 15.7
+    (models.harmonic(L=200.0, N=120), momentum_coupling)],   # ratio 53 > K 1.9
+    ids=["light-mass-position", "coarse-grid-momentum"])
+def test_midpoint_bound_needs_the_commutator_condition(model, coupling):
+    # where |[H0, X]| > K |X| the midpoint derivation fails: the paper's cap
+    pulse = ControlPulse.xuv(0.02, 2.07, 1.5)
+    spec = _coupled(model, coupling)
+    k = model.grids[0].K
+    assert commutator_ratio(spec) > k
+    cap = step_cap(spec, (pulse,), PropagationConfig(zeta=1e-4))
+    assert cap.midpoint == 0.0 and cap.binding == "first_order"
+    assert cap.tau == max_timestep(1e-4, k, pulse.bounds().slope)
+    # the same pulse on the default harmonic grid takes the midpoint bound
+    default = step_cap(_coupled(models.harmonic(), coupling), (pulse,),
+                       PropagationConfig(zeta=1e-4))
+    assert default.binding == "midpoint"
 
 
 # -- adaptive propagation -----------------------------------------------------------
@@ -263,6 +389,50 @@ def test_zero_amplitude_pulse_matches_field_free_run(dw_model):
                   - free.final_coefficients).max() <= 1e-12
 
 
+def _driven_run(model, pulses, **cfg):
+    """A short run from the ground state, every pulse on one position coupling."""
+    spec = _coupled(model, n=len(pulses))
+    res = tise_adaptive(spec, model.product, TiseConfig(zeta=1e-6, n_modes=1))
+    cfg = PropagationConfig(**{"zeta": 1e-4, "tau0": 0.05, "snapshot_every": 0,
+                               **cfg})
+    return tdse_adaptive(spec, model.product, res.eigenvectors[:, 0],
+                         res.final_cells, (0.0, 0.3), pulses=pulses, cfg=cfg)
+
+
+def test_two_pulses_on_one_coupling_cap_their_summed_signal(ho_model):
+    # dH/dt carries u'_1 + u'_2 on the one block: both bounds read the sums
+    pulses = (ControlPulse.nir(0.066, 11.0), ControlPulse.xuv(0.02, 2.07, 1.5))
+    b1, b2 = (p.bounds() for p in pulses)
+    k = ho_model.grids[0].K
+    traj = _driven_run(ho_model, pulses)
+    cap = traj.tau_cap
+    assert cap.first_order == pytest.approx(
+        max_timestep(1e-4, k, b1.slope + b2.slope), rel=1e-12)
+    assert cap.first_order < max_timestep(1e-4, k, max(b1.slope, b2.slope))
+    assert cap.midpoint == pytest.approx(midpoint_timestep(
+        1e-4, k, b1.slope + b2.slope, b1.curvature + b2.curvature,
+        b1.jump + b2.jump), rel=1e-12)
+    assert traj.taus[0] == pytest.approx(min(0.05, cap.tau), rel=1e-12)
+
+
+def test_xuv_driven_first_step_is_the_cap(ho_model):
+    pulse = ControlPulse.xuv(0.5, 0.5, 0.2)
+    b = pulse.bounds()
+    k = ho_model.grids[0].K
+    tau_cap = max(max_timestep(1e-4, k, b.slope),
+                  midpoint_timestep(1e-4, k, b.slope, b.curvature, b.jump))
+    traj = _driven_run(ho_model, (pulse,))
+    assert traj.tau_cap.binding == "midpoint"
+    assert traj.taus[0] == pytest.approx(min(0.05, tau_cap), rel=1e-12)
+    assert traj.taus.max() <= tau_cap * (1 + 1e-12)
+    # started at the paper's cap and never grown, no step exceeds it (the
+    # paper-cap run of the validate check's driven oracle)
+    first = max_timestep(1e-4, k, b.slope)
+    paper = _driven_run(ho_model, (pulse,), tau0=first, growth_patience=10 ** 9)
+    assert paper.taus[0] == first
+    assert paper.taus.max() <= first
+
+
 def _align(cells_a, vec_a, cells_b, vec_b):
     return embed_coefficients(vec_a, cell_change(cells_a, cells_b)), vec_b
 
@@ -281,7 +451,7 @@ def test_momentum_kick_expands_in_p(ho_model):
     assert max(p_of(traj.final_cells)) > max(p_of(cells))
     # first step obeys the control-slope cap
     cap = max_timestep(cfg.zeta, ho_model.grids[0].K,
-                       pulse.max_abs_derivative())
+                       pulse.bounds().slope)
     assert traj.taus[0] == pytest.approx(min(0.05, cap), rel=1e-12)
     # discarded amplitude stays within the accounting bound
     assert traj.discarded[-1] <= 10 * cfg.zeta * (traj.times[-1] - 0.0)
