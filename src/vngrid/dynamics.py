@@ -13,15 +13,21 @@ number of terms, the step is declared too large and the caller halves it.
 With control signals ``u_g`` each term is one matrix-vector product with
 the staged generator ``G(u) = G_0 + sum_g u_g G_g``, ``G_0 = Stilde Hbb`` and
 ``G_g = Stilde H_g`` (:meth:`ReducedHamiltonian.generator`).  It is formed
-once per run, at the first read of ``Stilde``; every basis change carries
-each ``G`` through the one block update of the inverse (one gather and one
-rank-``(d + a)`` GEMM per matrix, ``O(n^2 (d + a))`` for ``d`` cells dropped
-and ``a`` added), and the every-50th refresh of ``Stilde`` re-forms it
-(:meth:`ReducedBasis.update`).  :func:`taylor_step` takes the
-matrix ``G(u)`` itself and runs each term as one BLAS ``zgemv`` on it plus
-three vector calls: about 3 us per term at n = 56, where call overhead
-dominates, and 215 us at n = 499, where memory bandwidth does (one BLAS
-thread).
+once per run, at the first read of ``Stilde``, and the every-50th refresh
+of ``Stilde`` re-forms it (:meth:`ReducedBasis.update`).  Between refreshes
+a basis change is one pass over what it carries: the amplitudes are read
+once, the change's row indices are derived once
+(:func:`~vngrid.reduced_space.cell_change`), and ``Stilde`` and each ``G``
+take one gather and one in-place GEMM of the change's rank in the one
+block update of the inverse, ``O(n^2 (d + a))`` for ``d`` cells dropped
+and ``a`` added.  Replaying 300 consecutive changes of the seed-0 harmonic
+run (n ~ 55, one BLAS thread), a change's bookkeeping, assembly and block
+update take about 245 us, against 363 us when each consumer re-derived
+its indices and the update hermitized ``Stilde`` in a pass of its own.
+:func:`taylor_step` takes the matrix ``G(u)`` itself and runs each term
+as one BLAS ``zgemv`` on it plus three vector calls: about 3 us per term
+at n = 56, where call overhead dominates, and 215 us at n = 499, where
+memory bandwidth does (one BLAS thread).
 
 The step controller combines three limits:
 
@@ -76,8 +82,9 @@ every signal at once.  The bound needs a bounded ``u''``:
   step across the jump drops at most ``X J tau^2 / 8``, which the same
   scale bounds by ``tau <= sqrt(2 zeta / (K J))``;
 * a ``table`` pulse's slope jumps at every knot, and any number of knots
-  may fall in one step.  Its sampled ``|u''|`` spikes there without bound,
-  so its midpoint bound is 0 and the paper's cap holds.
+  may fall in one step.  Its ``|u''|`` is unbounded there, so its midpoint
+  bound is 0 and the paper's cap holds, with ``max|u'|`` read exactly off
+  the knots.
 
 Each bound alone keeps a step's error below ``zeta``, so the controller
 caps tau at the larger of the two (:class:`StepCap`).
@@ -270,9 +277,9 @@ def step_cap(spec: OperatorSpec, pulses, cfg: PropagationConfig) -> StepCap | No
     """The cap on tau that ``pulses`` set on the couplings of ``spec``, or
     None when no signal moves.
 
-    One sampling per pulse (:meth:`ControlPulse.bounds`) gives its slope,
-    curvature and slope jump; each is summed over the pulses.  The
-    midpoint bound is 0 unless :func:`commutator_ratio` is at most ``K``.
+    Each pulse's :meth:`ControlPulse.bounds` gives its slope, curvature and
+    slope jump; each is summed over the pulses.  The midpoint bound is 0
+    unless :func:`commutator_ratio` is at most ``K``.
     """
     bounds = [p.bounds() for p in pulses]
     slope = sum(b.slope for b in bounds)
@@ -337,8 +344,15 @@ class ControlPulse:
 
     @classmethod
     def table(cls, times, samples):
-        return cls(kind="table", times=tuple(float(t) for t in times),
-                   samples=tuple(float(u) for u in samples))
+        """Linear interpolation of ``samples`` at knot ``times``, which must
+        increase (a repeated time would be a jump of the signal)."""
+        times = tuple(float(t) for t in times)
+        samples = tuple(float(u) for u in samples)
+        if not times or len(times) != len(samples):
+            raise ValueError("a table pulse needs one sample per knot time")
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ValueError("table pulse knot times must increase")
+        return cls(kind="table", times=times, samples=samples)
 
     @property
     def support(self):
@@ -369,22 +383,26 @@ class ControlPulse:
         return float(self.values(t))
 
     def bounds(self) -> SignalBounds:
-        """``max|du/dt|`` and ``max|d2u/dt2|`` over the support, from one
-        sampling at 4000 points, and the slope's jump at a kink.
+        """``max|du/dt|`` and ``max|d2u/dt2|`` over the support, and the
+        slope's jump at a kink.
 
-        ``nir`` is twice differentiable everywhere.  ``xuv``'s slope jumps
-        from 0 at its onset.  ``table``'s slope jumps at every knot, so its
-        ``|u''|`` is unbounded unless the signal is constant (module
+        ``nir`` is twice differentiable everywhere, and ``xuv``'s slope jumps
+        from 0 at its onset; both are read off one sampling at 4000 points.
+        ``table`` is read exactly off its knots: its slope is the largest
+        ``|du/dt|`` of a segment, and since the slope jumps at every knot
+        its ``|u''|`` is unbounded unless the signal is constant (module
         docstring).
         """
         t0, t1 = self.support
         if t1 <= t0:
             return SignalBounds(0.0, 0.0, 0.0)
+        if self.kind == "table":
+            slope = float(np.abs(np.diff(self.samples)
+                                 / np.diff(self.times)).max())
+            return SignalBounds(slope, math.inf if slope else 0.0, 0.0)
         t = np.linspace(t0, t1, 4000)
         du = np.gradient(self.values(t), t)
         slope = float(np.abs(du).max())
-        if self.kind == "table":
-            return SignalBounds(slope, math.inf if slope else 0.0, 0.0)
         jump = 0.0
         if self.kind == "xuv":   # |du/dt| just after the onset
             jump = abs(2.0 * math.pi * self.amplitude / self.period * math.exp(
@@ -479,12 +497,13 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
     times, n_active, n_basis, norms, taus, discarded = [], [], [], [], [], []
     events = []
     snapshots = [Snapshot(t0, rb.cells, psi.copy())]
-    watch_rows: np.ndarray | None = None   # fresh-row mask of the last expansion
+    watch_rows: np.ndarray | None = None   # fresh rows of the last expansion
     quiet = 0
     lost = 0.0
     t = t0
     accepted = 0
-    bmask = boundary_mask(rb.cells, lattices, cfg.radius, fold)
+    # the boundary rows of the current cells
+    edge = boundary_mask(rb.cells, lattices, cfg.radius, fold).nonzero()[0]
     staged = ham.generator(rb.Stilde)     # carried across basis changes
 
     while t < t_end - 1e-12 and (max_steps is None or accepted < max_steps):
@@ -495,7 +514,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
             tau = _shrink(tau, events, t, "series")
             quiet = 0
             continue
-        if watch_rows is not None and watch_rows.any():
+        if watch_rows is not None and len(watch_rows):
             if rb.amplitudes(step.psi, watch_rows).max() > cfg.zeta:
                 tau = _shrink(tau, events, t, "fresh-cell overshoot")
                 quiet = 0
@@ -512,8 +531,9 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
         n_basis.append(rb.n)
         norms.append(rb.physical_norm(psi))
 
-        if bmask.any() and rb.amplitudes(psi, bmask).max() >= cfg.zeta:
-            kept = prune_cells(rb.cells, rb.amplitudes(psi), cfg.zeta)
+        amp = rb.amplitudes(psi)
+        if len(edge) and amp.take(edge).max() >= cfg.zeta:
+            kept = prune_cells(rb.cells, amp, cfg.zeta)
             change = cell_change(rb.cells, expand_cells(kept, lattices,
                                                         cfg.radius, fold))
             psi = embed_coefficients(psi, change)
@@ -528,8 +548,9 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
             # norms[-1] is the norm before the change
             lost += abs(norms[-1] ** 2 - rb.physical_norm(psi) ** 2)
             events.append((t, "basis", f"+{len(added)} -{len(removed)} cells"))
-            watch_rows = change.fresh
-            bmask = boundary_mask(change.new, lattices, cfg.radius, fold)
+            watch_rows = change.fresh_rows
+            edge = boundary_mask(change.new, lattices, cfg.radius,
+                                 fold).nonzero()[0]
             quiet = 0
         elif quiet >= cfg.growth_patience:
             grown = min(tau * _GROWTH, tau_cap)

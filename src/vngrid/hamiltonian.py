@@ -45,7 +45,6 @@ column indices of each axis, from which the block's columns are gathered.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 
 import numpy as np
@@ -584,7 +583,7 @@ class ReducedHamiltonian:
         and the block's columns are gathered from that small product table.
         """
         if len(factors) == 1:
-            return factors[0][ri[:, 0, None], ci[:, 0]]
+            return factors[0].take(ri[:, 0], axis=0).take(ci[:, 0], axis=1)
         out = np.empty((len(ri), len(ci)), dtype=complex)
         distinct, inverse = zip(*(np.unique(ci[:, k], return_inverse=True)
                                   for k in range(len(factors))))
@@ -666,10 +665,11 @@ class ReducedHamiltonian:
     def with_blocks(self, blocks) -> "ReducedHamiltonian":
         """Read-only copy holding ``blocks`` (laid out as :attr:`blocks`) in
         place of this object's, with the same signal grouping."""
-        out = copy.copy(self)
-        out.Hbb, *controls = blocks
-        out._control_blocks = tuple(controls)
-        out._buffer = None
+        hbb, *controls = blocks
+        out = object.__new__(type(self))
+        # a shallow copy of the attributes, with the blocks replaced
+        out.__dict__ = dict(vars(self), Hbb=hbb,
+                            _control_blocks=tuple(controls), _buffer=None)
         return out
 
     def generator(self, stilde: np.ndarray) -> "ReducedHamiltonian":

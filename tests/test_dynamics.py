@@ -252,6 +252,17 @@ def test_signal_bounds_of_each_kind():
     table = ControlPulse.table([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]).bounds()
     assert table.slope == pytest.approx(1.0, rel=1e-2)
     assert table.curvature == np.inf
+    # the slope is read off the knots, so a segment shorter than any
+    # sampling of the support still sets it
+    steep = ControlPulse.table([0.0, 1000.0, 1000.001, 2000.0],
+                               [0.0, 0.0, 1.0, 1.0]).bounds()
+    assert steep.slope == pytest.approx(1000.0, rel=1e-9)
+    assert steep.curvature == np.inf and steep.jump == 0.0
+    # and a constant table has no slope at all
+    assert ControlPulse.table([0.0, 1.0], [0.5, 0.5]).bounds() == (0.0, 0.0, 0.0)
+    # knot times that do not increase describe no interpolant
+    with pytest.raises(ValueError, match="increase"):
+        ControlPulse.table([0.0, 1.0, 1.0, 2.0], [0.0, 0.0, 1.0, 1.0])
 
 
 def _coupled(model, coupling=position_coupling, n=1):
@@ -263,7 +274,8 @@ def test_zero_amplitude_pulses_set_no_cap(ho_model):
     cfg = PropagationConfig(zeta=1e-4)
     spec = _coupled(ho_model)
     for pulse in (ControlPulse.nir(0.0, 11.0), ControlPulse.xuv(0.0, 2.07, 1.5),
-                  ControlPulse.table([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])):
+                  ControlPulse.table([0.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
+                  ControlPulse.table([0.0, 1.0], [0.5, 0.5])):
         assert step_cap(spec, (pulse,), cfg) is None
     assert step_cap(ho_model.spec, (), cfg) is None
 

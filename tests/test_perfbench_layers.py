@@ -8,11 +8,18 @@ that fails is recorded too, so a changed signature would silently zero a
 count.
 """
 
+import collections
 import importlib
 import importlib.util
 import pathlib
 
-from vngrid.dynamics import PropagationConfig, taylor_step
+import numpy as np
+
+import vngrid
+from vngrid import models
+from vngrid.dynamics import PropagationConfig, project_state, taylor_step
+from vngrid.hamiltonian import ReducedHamiltonian
+from vngrid.reduced_space import CellSet, ReducedBasis, expand_cells
 
 _SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -53,3 +60,43 @@ def test_taylor_hook_counts_the_terms_of_a_real_step(rng):
     # the flop count scales with n = len(psi), the hook's args[1]
     flop = tr.counts["dynamics.matvec_flop"]
     assert flop > 0 and flop % (out.terms * n * n) == 0
+
+
+def test_bookkeeping_layers_run_once_per_basis_change(ho_model, monkeypatch):
+    # the benchmark splits a basis change's time by the functions that the
+    # propagator calls through these names: each runs once per basis change,
+    # and the boundary also once at the start
+    import vngrid.dynamics as dynamics
+
+    calls = collections.Counter()
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[f"{owner.__name__}.{name}"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    grid, lat, pair = ho_model.grids[0], ho_model.lattices[0], ho_model.pairs[0]
+    psi = models.coherent_state(grid, 2.5, 0.0, np.sqrt(0.5))
+    occupied = np.flatnonzero(np.abs(vngrid.analyze(pair, psi)) >= 1e-6)
+    cells = expand_cells(CellSet(occupied[:, None]), lat)
+    c0 = project_state(ho_model.product, cells, psi * np.sqrt(grid.dx))
+    c0 /= ReducedBasis.create(ho_model.product, cells).physical_norm(c0)
+    names = ("prune_cells", "expand_cells", "cell_change", "embed_coefficients",
+             "boundary_mask")
+    for name in names:
+        spy(dynamics, name)
+    spy(ReducedHamiltonian, "update")
+    spy(ReducedBasis, "update")
+    cfg = PropagationConfig(zeta=1e-6, tau0=0.05, snapshot_every=0)
+    traj = dynamics.tdse_adaptive(ho_model.spec, ho_model.product, c0, cells,
+                                  (0.0, 5.0), cfg=cfg)
+    events = sum(kind == "basis" for _, kind, _ in traj.events)
+    assert events > 2
+    expect = {f"vngrid.dynamics.{name}": events for name in names}
+    expect["vngrid.dynamics.boundary_mask"] += 1
+    expect["ReducedHamiltonian.update"] = expect["ReducedBasis.update"] = events
+    assert dict(calls) == expect

@@ -7,9 +7,9 @@ import scipy.linalg
 
 from vngrid.errors import DegenerateUpdateError, IllConditionedBasisError
 from vngrid.fourier_grid import build_grid
-from vngrid.reduced_space import (CellSet, ProductBasis, ReducedBasis,
-                                  _axis_neighbours, _fresh_inverse,
-                                  boundary_mask, cell_change,
+from vngrid.reduced_space import (CellSet, ExchangeFold, ProductBasis,
+                                  ReducedBasis, _axis_neighbours, _fresh_inverse,
+                                  _stencil_tables, boundary_mask, cell_change,
                                   complementary_basis, embed_coefficients,
                                   expand_cells, grow_inverse, prune_cells,
                                   reduced_gaussians, restrict_basis,
@@ -50,13 +50,17 @@ def test_cellset_canonical_order_and_dedup():
     assert [tuple(r) for r in cs2.indices] == [(1, 2), (1, 9), (2, 1)]
 
 
-@pytest.mark.parametrize("ndof", [1, 2, 3])
-def test_cell_change_against_set_oracle(ndof, rng):
+@pytest.mark.parametrize("ndof, folded", [
+    pytest.param(1, False, id="1"), pytest.param(2, False, id="2"),
+    pytest.param(3, False, id="3"), pytest.param(2, True, id="2-folded")])
+def test_cell_change_against_set_oracle(ndof, folded, rng):
+    # folded: the sets are exchange-orbit representatives, as a folded
+    # propagation changes them
     def random_set(n, hi):
         raw = rng.integers(0, hi, size=(n, ndof))
         cs = CellSet(raw, ndof=ndof)
         assert list(cs) == sorted(set(map(tuple, raw.tolist())))
-        return cs
+        return ExchangeFold().representatives(cs) if folded else cs
 
     a = random_set(30, 5)
     empty = CellSet(np.zeros((0, ndof)), ndof=ndof)
@@ -73,7 +77,16 @@ def test_cell_change_against_set_oracle(ndof, rng):
         assert change.source.tolist() == [at_old.get(cell, 0) for cell in new]
         assert list(change.added) == [c for c in new if c not in at_old]
         assert list(change.removed) == [c for c in old if c not in at_new]
-        assert not any(m.flags.writeable for m in change[1:4])
+        # the row indices match the masks and the oracle
+        assert change.fresh_rows.tolist() == np.flatnonzero(change.fresh).tolist()
+        assert change.dropped_rows.tolist() == np.flatnonzero(~change.kept).tolist()
+        assert change.fresh_rows.tolist() == [k for k, c in enumerate(new)
+                                              if c not in at_old]
+        assert change.dropped_rows.tolist() == [k for k, c in enumerate(old)
+                                                if c not in at_new]
+        assert not any(m.flags.writeable for m in change[1:4] + change[6:])
+        with pytest.raises(ValueError):
+            change.fresh_rows[:1] = 0
         vec = rng.normal(size=len(old)) + 1j * rng.normal(size=len(old))
         expect = np.zeros(len(new), dtype=complex)
         for k, cell in enumerate(old):
@@ -271,21 +284,28 @@ def test_edge_lattices_match_brute_force():
 
 def test_axis_tables_are_built_once_and_read_only(he_model):
     _axis_neighbours.cache_clear()
+    _stencil_tables.cache_clear()
     lat = he_model.lattices
     cells = CellSet([[7, 30], [8, 30], [40, 2]], ndof=2)
     for _ in range(3):
         grown = expand_cells(cells, lat)
         boundary_mask(grown, lat)
         cell_change(cells, grown)
+    # both helium axes share one (5, 12) shape, and radius sqrt(2) has r = 1:
+    # one axis table, read once per axis into the stencil's tables
     info = _axis_neighbours.cache_info()
-    # both helium axes share one (5, 12) shape, and radius sqrt(2) has r = 1
-    assert info.misses == 1 and info.currsize == 1 and info.hits == 11
+    assert info.misses == 1 and info.currsize == 1 and info.hits == 1
+    info = _stencil_tables.cache_info()
+    assert info.misses == 1 and info.currsize == 1 and info.hits == 5
     expand_cells(cells, lat, 2.3)
     assert _axis_neighbours.cache_info().misses == 2
     table = _axis_neighbours(5, 12, 1)
     assert table.shape == (60, 9) and not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 0
+    # the 33 offsets of length <= sqrt(2) in four axes, per axis
+    for table in _stencil_tables(((5, 12), (5, 12)), np.sqrt(2.0) + 1e-9):
+        assert table.shape == (60, 33) and not table.flags.writeable
 
 
 def test_prune_cells_rules(rng):
