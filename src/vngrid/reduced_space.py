@@ -677,14 +677,15 @@ class ExchangeFold:
         """Folded entries between two representative sets.
 
         ``contract(ri, ci)`` gives the lattice-cell entries ``M[ri, ci]``
-        between two arrays of index rows; it is called for the columns and
-        for their mirrors, and the sum is scaled by ``w_i w_j / 2``.  The
-        block over the rows that are also columns is hermitized: a
-        sum-of-products operator commutes with the swap only to round-off.
+        between two arrays of index rows; it is called once, for the columns
+        followed by their mirrors, and the two halves are summed and scaled
+        by ``w_i w_j / 2``.  The block over the rows that are also columns is
+        hermitized: a sum-of-products operator commutes with the swap only to
+        round-off.
         """
         ri, ci = rows.indices, cols.indices
-        out = contract(ri, ci)
-        out += contract(ri, ci[:, ::-1])
+        both = contract(ri, np.concatenate([ci, ci[:, ::-1]]))
+        out = both[:, :len(ci)] + both[:, len(ci):]
         out *= (self.weights(rows) / math.sqrt(2.0))[:, None]
         out *= self.weights(cols) / math.sqrt(2.0)
         shared = cell_change(rows, cols)

@@ -21,7 +21,8 @@ unit physical norm.
 
 Each iteration reads only the lowest ``n_modes`` pairs.  Small bases, and
 the first iteration, use a dense generalized ``eigh``.  From
-``_SHIFT_INVERT_MIN`` cells on, an iteration is warm-started from the
+``_SHIFT_INVERT_MIN`` (128) cells on, where shift-invert is measured to be
+the faster of the two, an iteration is warm-started from the
 previous one and solved by shift-invert (Ericsson & Ruhe, Math. Comp.
 1980): one ``LDL^H`` factorization of ``H - sigma S`` with ``sigma`` below
 the previous lowest eigenvalue, then block inverse iteration from the
@@ -48,11 +49,14 @@ from .reduced_space import (CellSet, DEFAULT_RADIUS, ReducedBasis,
                             boundary_mask, cell_change, embed_coefficients,
                             expand_cells, prune_cells)
 
-# Warm solves use shift-invert from this basis size on.  Below it the dense
-# eigh is faster: on the helium searches shift-invert took 1.8-1.9x eigh's
-# time at n = 257 (6 factorizations and 24 sweeps from the 33-cell start)
-# and 0.21-0.29x from n = 713 on.
-_SHIFT_INVERT_MIN = 400
+# Warm solves use shift-invert from this basis size on.  Measured per warm
+# solve (best of 5, one BLAS thread), shift-invert took 1.3-82x eigh's time
+# at n <= 65 (up to 8 factorizations and 96 sweeps from a poor start), and
+# from n = 75 on it won: 0.9-0.5x on the double well (n = 75-115), 0.6-0.8x
+# on helium's n = 173 (folded) and 337 iterations (4 factorizations and 5
+# sweeps), 0.2-0.4x from n = 399 on (2 factorizations, 2-3 sweeps).  The
+# threshold keeps a margin above that crossover.
+_SHIFT_INVERT_MIN = 128
 _EXTRA_VECTORS = 2        # block size is n_modes plus these
 _SHIFT_MARGIN = 1e-3      # sigma sits this far (times max(1, |E|)) below E
 _SHIFT_TRIES = 8          # each retry puts sigma 4x as far below E

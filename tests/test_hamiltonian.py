@@ -160,10 +160,12 @@ def _dense_elements(pair, kind, payload):
     return (b.conj().T @ op_b).astype(complex)
 
 
-@pytest.mark.parametrize("case", ["helium", "harmonic"])
-def test_element_tables_hermitian_and_match_dense(case, he_model):
+@pytest.mark.parametrize("case", ["helium", "harmonic", "double_well"])
+def test_element_tables_hermitian_and_match_dense(case, he_model, dw_model):
     if case == "helium":
         spec, pairs = he_model.spec, he_model.pairs
+    elif case == "double_well":
+        spec, pairs = dw_model.spec, dw_model.pairs
     else:
         # one axis: its tables are not lifted by another axis's overlaps
         g = build_grid(24.0, 120)
@@ -198,6 +200,21 @@ def test_element_direct_quadrature_audit(dw_reduced, rng):
     worst = max(c.audit(rng, 50) for c in ham.caches)
     assert worst <= 1e-12
     assert ham.cache_stats()["hits"] > 0
+
+
+def test_audit_samples_every_slot(he_model, rng, monkeypatch):
+    cache = ReducedHamiltonian(he_model.spec, he_model.product,
+                               CellSet([[0, 0]], ndof=2)).caches[0]
+    direct, seen = cache.direct_element, set()
+
+    def recording(slot, i, j):
+        seen.add(slot)
+        return direct(slot, i, j)
+
+    monkeypatch.setattr(cache, "direct_element", recording)
+    # fewer samples than the 62 slots (kinetic and sum-of-products factors)
+    assert cache.audit(rng, 10) <= 1e-12
+    assert seen == set(range(62))
 
 
 def test_element_constant_potential_diagonal(pair60):

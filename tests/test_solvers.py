@@ -184,18 +184,23 @@ def _subspace_defect(s, v_ref, v):
     return 1.0 - scipy.linalg.svdvals(v_ref.conj().T @ s @ v).min()
 
 
-@pytest.mark.parametrize("case", ["helium", "doublet", "harmonic4"])
+@pytest.mark.parametrize("case", ["helium", "helium_folded", "doublet",
+                                  "harmonic4"])
 def test_every_solve_matches_dense_oracle(case, he_model, dw_model, ho_model,
                                           monkeypatch):
     # helium at the driven run's cutoff runs at the real threshold (n up to
-    # 981 from the exchange-symmetric seed); the small cases lower it so that
-    # every warm solve is shift-invert
+    # 981 from the exchange-symmetric seed, 499 folded rows on the
+    # exchange-symmetric sector, which is what `vngrid tdse` searches); the
+    # small cases lower it so that every warm solve is shift-invert
     model, cfg = {
         "helium": (he_model, TiseConfig(zeta=1e-4, n_modes=1)),
+        "helium_folded": (he_model, TiseConfig(zeta=1e-4, n_modes=1)),
         "doublet": (dw_model, TiseConfig(zeta=1e-6, n_modes=2)),
         "harmonic4": (ho_model, TiseConfig(zeta=1e-6, n_modes=4)),
     }[case]
-    if case != "helium":
+    product = (model.product.folded() if case == "helium_folded"
+               else model.product)
+    if not case.startswith("helium"):
         monkeypatch.setattr(solvers, "_SHIFT_INVERT_MIN", 1)
     threshold = solvers._SHIFT_INVERT_MIN
     real_solve, real_si = solvers.solve_reduced_eig, solvers.shift_invert_eig
@@ -219,12 +224,14 @@ def test_every_solve_matches_dense_oracle(case, he_model, dw_model, ho_model,
 
     monkeypatch.setattr(solvers, "shift_invert_eig", recording_si)
     monkeypatch.setattr(solvers, "solve_reduced_eig", compared_solve)
-    res = tise_adaptive(model.spec, model.product, cfg)
+    res = tise_adaptive(model.spec, product, cfg)
     eligible = [n for n, warm in calls if warm and n >= threshold]
     assert len(calls) == res.iterations
     assert eligible and served == eligible
     if case == "helium":
         assert max(eligible) == len(res.final_cells) == 981
+    if case == "helium_folded":
+        assert served == [173, 399, 499] == [n for n, _ in calls[2:]]
 
 
 def _helium_second_iteration(he_model):
