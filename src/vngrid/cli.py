@@ -390,6 +390,7 @@ def cmd_tdse(args) -> int:
                             if traj.n_steps else None),
         "norm_final": float(traj.norms[-1]) if traj.n_steps else 1.0,
         "discarded_total": float(traj.discarded[-1]) if traj.n_steps else 0.0,
+        "norm_step_max": traj.norm_step_max,
         "events": [[float(t), kind, detail] for t, kind, detail in traj.events],
         "tau_cap": (None if traj.tau_cap is None else {
             "first_order": traj.tau_cap.first_order,

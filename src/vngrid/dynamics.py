@@ -13,21 +13,20 @@ number of terms, the step is declared too large and the caller halves it.
 With control signals ``u_g`` each term is one matrix-vector product with
 the staged generator ``G(u) = G_0 + sum_g u_g G_g``, ``G_0 = Stilde Hbb`` and
 ``G_g = Stilde H_g`` (:meth:`ReducedHamiltonian.generator`).  It is formed
-once per run, at the first read of ``Stilde``, and the every-50th refresh
-of ``Stilde`` re-forms it (:meth:`ReducedBasis.update`).  Between refreshes
-a basis change is one pass over what it carries: the amplitudes are read
-once, the change's row indices are derived once
-(:func:`~vngrid.reduced_space.cell_change`), and ``Stilde`` and each ``G``
-take one gather and one in-place GEMM of the change's rank in the one
-block update of the inverse, ``O(n^2 (d + a))`` for ``d`` cells dropped
-and ``a`` added.  Replaying 300 consecutive changes of the seed-0 harmonic
-run (n ~ 55, one BLAS thread), a change's bookkeeping, assembly and block
-update take about 245 us, against 363 us when each consumer re-derived
-its indices and the update hermitized ``Stilde`` in a pass of its own.
+at the first read of ``Stilde``.  A basis change then derives its row
+indices once (:func:`~vngrid.reduced_space.cell_change`), and ``Stilde``
+and each ``G`` take one gather and one in-place GEMM of the change's rank
+in the one block update of the inverse, ``O(n^2 (d + a))`` for ``d`` cells
+dropped and ``a`` added: about 245 us per change of the seed-0 harmonic
+run (n ~ 55, one BLAS thread) for bookkeeping, assembly and update.
 :func:`taylor_step` takes the matrix ``G(u)`` itself and runs each term
 as one BLAS ``zgemv`` on it plus three vector calls: about 3 us per term
 at n = 56, where call overhead dominates, and 215 us at n = 499, where
-memory bandwidth does (one BLAS thread).
+memory bandwidth does (one BLAS thread).  With the exact inverse only the
+series tail moves the physical norm over a step (measured below 1 % of
+``taylor_eps``), and a drifted inverse moves it at first order: a step
+that moves it by more than ``taylor_eps`` drops the inverse
+(:meth:`ReducedBasis.refresh`) and re-stages ``G`` from a fresh ``Stilde``.
 
 The step controller combines three limits:
 
@@ -438,6 +437,7 @@ class Trajectory:
     hamiltonian: ReducedHamiltonian
     generator: ReducedHamiltonian   # the blocks above, times Stilde
     tau_cap: StepCap | None         # None when no signal moves
+    norm_step_max: float            # largest norm move of a step, changes apart
 
     @property
     def n_steps(self):
@@ -470,7 +470,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
 
     Raises :class:`~vngrid.errors.TimestepUnderflowError` if step halving
     hits the floor, and :class:`~vngrid.errors.DegenerateUpdateError` or
-    :class:`~vngrid.errors.IllConditionedBasisError` if a basis change
+    :class:`~vngrid.errors.IllConditionedBasisError` if a change or refresh
     breaks the maintained inverse; the event log rides on the exception.
     """
     if len(pulses) != len(spec.control_terms):
@@ -500,67 +500,76 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
     watch_rows: np.ndarray | None = None   # fresh rows of the last expansion
     quiet = 0
     lost = 0.0
+    norm_in = norm0      # the physical norm at the start of the step
+    norm_step_max = 0.0
     t = t0
     accepted = 0
     # the boundary rows of the current cells
     edge = boundary_mask(rb.cells, lattices, cfg.radius, fold).nonzero()[0]
     staged = ham.generator(rb.Stilde)     # carried across basis changes
 
-    while t < t_end - 1e-12 and (max_steps is None or accepted < max_steps):
-        tau_eff = min(tau, t_end - t)
-        u_mid = tuple(p.value(t + 0.5 * tau_eff) for p in pulses)
-        step = taylor_step(staged.combined(u_mid), psi, tau_eff, cfg)
-        if step.too_large:
-            tau = _shrink(tau, events, t, "series")
-            quiet = 0
-            continue
-        if watch_rows is not None and len(watch_rows):
-            if rb.amplitudes(step.psi, watch_rows).max() > cfg.zeta:
-                tau = _shrink(tau, events, t, "fresh-cell overshoot")
+    try:
+        while t < t_end - 1e-12 and (max_steps is None or accepted < max_steps):
+            tau_eff = min(tau, t_end - t)
+            u_mid = tuple(p.value(t + 0.5 * tau_eff) for p in pulses)
+            step = taylor_step(staged.combined(u_mid), psi, tau_eff, cfg)
+            if step.too_large:
+                tau = _shrink(tau, events, t, "series")
                 quiet = 0
                 continue
-        # step accepted
-        watch_rows = None
-        psi = step.psi
-        t += tau_eff
-        accepted += 1
-        quiet += 1
-        times.append(t)
-        taus.append(tau_eff)
-        n_active.append(rb.n_lattice)
-        n_basis.append(rb.n)
-        norms.append(rb.physical_norm(psi))
+            if watch_rows is not None and len(watch_rows):
+                if rb.amplitudes(step.psi, watch_rows).max() > cfg.zeta:
+                    tau = _shrink(tau, events, t, "fresh-cell overshoot")
+                    quiet = 0
+                    continue
+            # step accepted
+            watch_rows = None
+            psi = step.psi
+            t += tau_eff
+            accepted += 1
+            quiet += 1
+            times.append(t)
+            taus.append(tau_eff)
+            n_active.append(rb.n_lattice)
+            n_basis.append(rb.n)
+            norms.append(rb.physical_norm(psi))
+            move, norm_in = abs(norms[-1] - norm_in), norms[-1]
+            norm_step_max = max(norm_step_max, move)
+            if move > cfg.taylor_eps:       # the inverse drifted: form it again
+                rb.refresh()
+                staged = ham.generator(rb.Stilde)
+                events.append((t, "refresh", f"norm moved {move:.2e}"))
 
-        amp = rb.amplitudes(psi)
-        if len(edge) and amp.take(edge).max() >= cfg.zeta:
-            kept = prune_cells(rb.cells, amp, cfg.zeta)
-            change = cell_change(rb.cells, expand_cells(kept, lattices,
-                                                        cfg.radius, fold))
-            psi = embed_coefficients(psi, change)
-            ham.update(change)
-            carry = [[g, h] for g, h in zip(staged.blocks, ham.blocks)]
-            try:
+            amp = rb.amplitudes(psi)
+            if len(edge) and amp.take(edge).max() >= cfg.zeta:
+                kept = prune_cells(rb.cells, amp, cfg.zeta)
+                change = cell_change(rb.cells, expand_cells(kept, lattices,
+                                                            cfg.radius, fold))
+                psi = embed_coefficients(psi, change)
+                ham.update(change)
+                carry = [[g, h] for g, h in zip(staged.blocks, ham.blocks)]
                 added, removed = rb.update(change, carry)
-            except (DegenerateUpdateError, IllConditionedBasisError) as exc:
-                exc.events = events
-                raise
-            staged = ham.with_blocks([g for g, _ in carry])
-            # norms[-1] is the norm before the change
-            lost += abs(norms[-1] ** 2 - rb.physical_norm(psi) ** 2)
-            events.append((t, "basis", f"+{len(added)} -{len(removed)} cells"))
-            watch_rows = change.fresh_rows
-            edge = boundary_mask(change.new, lattices, cfg.radius,
-                                 fold).nonzero()[0]
-            quiet = 0
-        elif quiet >= cfg.growth_patience:
-            grown = min(tau * _GROWTH, tau_cap)
-            if grown > tau:
-                events.append((t, "grow", f"tau -> {grown:.3e}"))
-            tau = grown
-            quiet = 0
-        discarded.append(lost)
-        if cfg.snapshot_every and accepted % cfg.snapshot_every == 0:
-            snapshots.append(Snapshot(t, rb.cells, psi.copy()))
+                staged = ham.with_blocks([g for g, _ in carry])
+                # norms[-1] is the norm before the change
+                norm_in = rb.physical_norm(psi)
+                lost += abs(norms[-1] ** 2 - norm_in ** 2)
+                events.append((t, "basis", f"+{len(added)} -{len(removed)} cells"))
+                watch_rows = change.fresh_rows
+                edge = boundary_mask(change.new, lattices, cfg.radius,
+                                     fold).nonzero()[0]
+                quiet = 0
+            elif quiet >= cfg.growth_patience:
+                grown = min(tau * _GROWTH, tau_cap)
+                if grown > tau:
+                    events.append((t, "grow", f"tau -> {grown:.3e}"))
+                tau = grown
+                quiet = 0
+            discarded.append(lost)
+            if cfg.snapshot_every and accepted % cfg.snapshot_every == 0:
+                snapshots.append(Snapshot(t, rb.cells, psi.copy()))
+    except (DegenerateUpdateError, IllConditionedBasisError) as exc:
+        exc.events = events      # a basis change or a refresh broke the inverse
+        raise
 
     if not snapshots or snapshots[-1].t != t:
         snapshots.append(Snapshot(t, rb.cells, psi.copy()))
@@ -570,7 +579,8 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
                       discarded=np.asarray(discarded), events=events,
                       snapshots=snapshots, final_cells=rb.cells,
                       final_coefficients=psi, hamiltonian=ham,
-                      generator=staged, tau_cap=cap)
+                      generator=staged, tau_cap=cap,
+                      norm_step_max=norm_step_max)
 
 
 def _shrink(tau, events, t, reason):

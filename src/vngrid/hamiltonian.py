@@ -672,8 +672,8 @@ class ReducedHamiltonian:
         """Read-only copy with every distinct block left-multiplied by ``stilde``.
 
         Its :meth:`combined` gives ``stilde (Hbb + sum_g u_g H_g)``.  It holds
-        for the current cell set; a basis change carries its blocks instead
-        of calling this again.
+        for the current cell set; a basis change carries its blocks, and the
+        propagator calls this again only at a refresh of ``Stilde``.
         """
         return self.with_blocks([stilde @ b for b in self.blocks])
 

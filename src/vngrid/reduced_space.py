@@ -86,7 +86,6 @@ from .vn_basis import (COND_LIMIT, BasisPair, VonNeumannLattice,
                        hermitize as _hermitize)
 
 DEFAULT_RADIUS = math.sqrt(2.0) + 1e-9
-_REFRESH_EVERY = 50  # incremental updates between from-scratch inversions
 
 
 # ---------------------------------------------------------------------------
@@ -864,13 +863,10 @@ class ReducedBasis:
     entries are exact per-axis products, carried across each update by
     :func:`carry_hermitian` (bit for bit a fresh overlap).  Their
     conditioning is bounded by the :class:`ProductBasis` (module docstring),
-    so neither creation nor an update factors them.  ``Stilde`` is formed
-    on first read, with the exact checks of a from-scratch inverse
-    (:func:`_fresh_inverse`).  The eigenmode search never reads ``Stilde``;
-    the propagator reads it at once, and from then on the inverse (and any
-    generator handed to :meth:`update`) is carried through one block update
-    per change (:func:`grow_inverse`) and re-formed from scratch at every
-    50th update.
+    so neither creation nor an update factors them.  ``Stilde``, which the
+    eigenmode search never reads, is formed on first read
+    (:func:`_fresh_inverse`, with its exact checks) and then carried
+    through each :meth:`update` until :meth:`refresh` drops it.
 
     On a folded product basis the cells are orbit representatives:
     ``n`` counts them, ``n_lattice`` the lattice cells they span, and
@@ -883,7 +879,6 @@ class ReducedBasis:
         self._set_cells(cells)
         self.Sinv_tilde = Sinv_tilde
         self._stilde = None
-        self._updates_since_refresh = 0
 
     @classmethod
     def create(cls, product: ProductBasis, cells: CellSet) -> "ReducedBasis":
@@ -913,8 +908,11 @@ class ReducedBasis:
         """``(Btilde^H Btilde)^-1``, inverted from scratch on first read."""
         if self._stilde is None:
             self._stilde = _fresh_inverse(self.Sinv_tilde, self.n)
-            self._updates_since_refresh = 0
         return self._stilde
+
+    def refresh(self):
+        """Drop the maintained inverse: the next read forms it from scratch."""
+        self._stilde = None
 
     @property
     def Btilde(self) -> np.ndarray:
@@ -940,19 +938,18 @@ class ReducedBasis:
         :func:`grow_inverse` (a drop-only change is its case of nothing
         added), which reads the change's row indices as they are and
         factorizes only the dropped block of the current inverse and the
-        Schur complement of the added block, read off the overlap.  Every
-        50th update re-inverts from scratch instead.  Before the first read
-        of ``Stilde`` only the overlap is carried.  At n ~ 55 with one
-        carried generator and one BLAS thread an update takes about 150 us,
-        against 215 us before the block update became one pass.
+        Schur complement of the added block, read off the overlap.  Before
+        the first read of ``Stilde`` only the overlap is carried.  At n ~ 55
+        with one carried generator and one BLAS thread an update takes
+        about 150 us.
 
         ``carry`` is a list of ``[G, H]`` pairs, ``G = Stilde @ H`` over the
         current cells and ``H`` Hermitian over the new cells; each ``G`` is
         replaced in place by the new ``Stilde @ H``, through the same update
-        as the inverse (or from the refreshed inverse).  Carrying needs
-        ``Stilde`` read.  An update that raises leaves everything as it was:
-        the cells, ``Sinv_tilde``, ``Stilde`` and every carry pair, since
-        both factorizations run before anything is written.
+        as the inverse.  Carrying needs ``Stilde`` read.  An update that
+        raises leaves everything as it was: the cells, ``Sinv_tilde``,
+        ``Stilde`` and every carry pair, since both factorizations run
+        before anything is written.
         """
         new_cells, added, removed = change.new, change.added, change.removed
         if len(removed) == 0 and len(added) == 0:
@@ -963,21 +960,14 @@ class ReducedBasis:
         rows = self.product.overlap(added, new_cells)
         sinv = carry_hermitian(self.Sinv_tilde, change, rows)
 
-        if self._stilde is None:
-            if carry:
-                raise ValueError("generators are carried only after Stilde is read")
-        elif self._updates_since_refresh + 1 < _REFRESH_EVERY:
+        if self._stilde is not None:
             # C and D are the new overlap's added columns
             cols = rows.conj().T
             self._stilde = grow_inverse(
                 self._stilde, cols, cols.take(change.fresh_rows, axis=0),
                 change.fresh, carry, change.kept, change)
-            self._updates_since_refresh += 1
-        else:
-            self._stilde = _fresh_inverse(sinv, len(new_cells))
-            for pair in carry or ():
-                pair[0] = self._stilde @ pair[1]
-            self._updates_since_refresh = 0
+        elif carry:
+            raise ValueError("generators are carried only after Stilde is read")
         self._set_cells(new_cells)
         self.Sinv_tilde = sinv
         return added, removed

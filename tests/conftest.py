@@ -43,3 +43,40 @@ def he_eigh(he_model):
 @pytest.fixture(scope="session")
 def he_dense(he_eigh):
     return he_eigh[0][:4]
+
+
+@pytest.fixture
+def inverse_drift(monkeypatch):
+    """``inverse_drift(k, eps)`` breaks the maintained inverse after the
+    ``k``-th update that carries generators (the propagator's updates).
+
+    A Hermitian defect ``D`` of relative size ``eps`` (max entry against
+    ``Stilde``'s) is added to ``Stilde`` and ``D @ H`` to each carried
+    ``G = Stilde @ H``, in place, as a drifted block update would leave
+    them.  The returned list counts those updates.
+    """
+    from vngrid.reduced_space import ReducedBasis
+
+    update = ReducedBasis.update
+
+    def arm(k, eps):
+        updates = []
+
+        def drifting_update(self, change, carry=None):
+            out = update(self, change, carry)
+            if carry:
+                updates.append(change)
+                if len(updates) == k:
+                    rng = np.random.default_rng(k)
+                    r = rng.normal(size=(self.n, self.n, 2)) @ [1.0, 1j]
+                    d = r + r.conj().T
+                    d *= eps * np.abs(self.Stilde).max() / np.abs(d).max()
+                    self.Stilde[...] += d
+                    for pair in carry:
+                        pair[0] += d @ pair[1]
+            return out
+
+        monkeypatch.setattr(ReducedBasis, "update", drifting_update)
+        return updates
+
+    return arm

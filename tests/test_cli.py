@@ -286,6 +286,9 @@ def test_tdse_helium_desk_scale(he_tdse_run):
     assert meta["completed"] is True
     assert meta["reduction_ratio"] < 0.5
     assert abs(meta["norm_final"] - 1.0) < 1e-6
+    # the drift monitor's reading: no step moved the norm past the bound
+    assert meta["norm_step_max"] <= meta["config"]["solver"]["tdse"]["taylor_eps"]
+    assert "refresh" not in [e[1] for e in meta["events"]]
     _assert_cache_and_sop(meta, 60)
 
 
@@ -454,6 +457,40 @@ def test_mid_propagation_update_failure_exits_degenerate_basis(tmp_path,
     assert meta["completed"] is False
     assert meta["error"] == "injected Schur failure"
     assert meta["events"][0][1:] == ["basis", "+10 -0 cells"]
+
+
+def test_failed_refresh_exits_degenerate_basis(tmp_path, monkeypatch,
+                                              inverse_drift):
+    # a defect injected after the third change forces a refresh, and the
+    # fresh inverse it forms fails.  The run starts from the ground state,
+    # whose norm a defect moves only through the part that is not
+    # stationary, so the defect is large (1e-8 moved it by 1.1e-13 a step)
+    import vngrid.reduced_space as reduced_space
+    from vngrid.errors import IllConditionedBasisError
+
+    def failing_fresh(sinv, n):
+        raise IllConditionedBasisError("injected refresh failure", size=n)
+
+    refresh = reduced_space.ReducedBasis.refresh
+
+    def refresh_then_fail(self):
+        monkeypatch.setattr(reduced_space, "_fresh_inverse", failing_fresh)
+        refresh(self)
+
+    monkeypatch.setattr(reduced_space.ReducedBasis, "refresh",
+                        refresh_then_fail)
+    updates = inverse_drift(3, 1e-4)
+    out = str(tmp_path / "run")
+    cfg = _harmonic_cfg(out, tdse={"t_span": [0.0, 1.0], "tau0": 0.05,
+                                   "zeta": 1e-6, "initial_zeta": 1e-2})
+    assert main(["tdse", _write(tmp_path, "cfg.json", cfg)]) == \
+        EXIT_DEGENERATE_BASIS
+    meta = json.load(open(os.path.join(out, "run_meta.json")))
+    assert meta["completed"] is False
+    assert meta["error"] == "injected refresh failure"
+    kinds = [e[1] for e in meta["events"]]
+    assert kinds.count("basis") == len(updates) >= 3
+    assert "refresh" not in kinds
 
 
 def test_step_underflow_exits_tau_underflow(tmp_path, monkeypatch):

@@ -648,18 +648,19 @@ def test_generator_staged_once_and_carried_through_every_event(he_model,
     assert max(errors) <= 1e-12
 
 
-def test_refresh_steps_skip_the_block_update(ho_model, monkeypatch):
-    # every 50th change re-inverts from scratch and runs no block update
+def test_every_basis_change_is_one_block_update(ho_model, monkeypatch):
+    # a clean run never refreshes: the inverse is formed once, at the first
+    # read of Stilde, and each basis change makes exactly one block update
     import vngrid.reduced_space as reduced_space
 
-    calls = []     # per basis update: the inverse routines it called
+    cells, c0 = _coherent_initial(ho_model)
+    calls = [[]]   # the inverse routines called: before any update, then per update
 
     def spy(name):
         real = getattr(reduced_space, name)
 
         def counted(*args, **kwargs):
-            if calls:      # the first read of Stilde comes before any update
-                calls[-1].add(name)
+            calls[-1].append(name)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(reduced_space, name, counted)
@@ -669,20 +670,43 @@ def test_refresh_steps_skip_the_block_update(ho_model, monkeypatch):
     update = ReducedBasis.update
 
     def logged_update(self, *args, **kwargs):
-        calls.append(set())
+        calls.append([])
         return update(self, *args, **kwargs)
 
     monkeypatch.setattr(ReducedBasis, "update", logged_update)
+    cfg = PropagationConfig(zeta=1e-6, tau0=0.05, snapshot_every=0)
+    traj = tdse_adaptive(ho_model.spec, ho_model.product, c0, cells,
+                         (0.0, 20.0), cfg=cfg)
+    kinds = [k for _, k, _ in traj.events]
+    assert "refresh" not in kinds
+    assert calls[0] == ["_fresh_inverse"]
+    assert len(calls) - 1 == kinds.count("basis") > 100
+    assert all(c == ["grow_inverse"] for c in calls[1:])
+    assert traj.norm_step_max <= cfg.taylor_eps
+
+
+def test_drifted_inverse_is_refreshed_once(ho_model, inverse_drift):
+    # a 1e-10 Hermitian defect in Stilde and each carried G after the 40th
+    # change moves a step's norm past taylor_eps: one refresh re-forms
+    # both, and the generator ends as a fresh Stilde @ H
+    from vngrid.hamiltonian import ReducedHamiltonian
+
+    updates = inverse_drift(40, 1e-10)
     cells, c0 = _coherent_initial(ho_model)
     cfg = PropagationConfig(zeta=1e-6, tau0=0.05, snapshot_every=0)
     traj = tdse_adaptive(ho_model.spec, ho_model.product, c0, cells,
                          (0.0, 20.0), cfg=cfg)
-    events = sum(k == "basis" for _, k, _ in traj.events)
-    refreshes = sum("_fresh_inverse" in c for c in calls)
-    blockwise = sum(bool(c & {"grow_inverse", "shrink_inverse"}) for c in calls)
-    assert len(calls) == events and refreshes == events // 50 >= 2
-    assert all(c == {"_fresh_inverse"} for c in calls if "_fresh_inverse" in c)
-    assert blockwise == events - refreshes
+    changes = [t for t, k, _ in traj.events if k == "basis"]
+    refreshes = [t for t, k, _ in traj.events if k == "refresh"]
+    assert len(changes) == len(updates) > 40
+    assert len(refreshes) == 1 and refreshes[0] >= changes[39]
+    assert traj.norm_step_max > cfg.taylor_eps
+    stilde = ReducedBasis.create(ho_model.product, traj.final_cells).Stilde
+    fresh = ReducedHamiltonian(ho_model.spec, ho_model.product,
+                               traj.final_cells).blocks
+    for g, h in zip(traj.generator.blocks, fresh):
+        np.testing.assert_allclose(g, stilde @ h, rtol=0,
+                                   atol=1e-12 * np.abs(stilde @ h).max())
 
 
 def test_one_cell_change_per_basis_change(ho_model, monkeypatch):
