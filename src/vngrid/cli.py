@@ -404,7 +404,7 @@ def cmd_tdse(args) -> int:
                          "n_cells": n_ground,
                          "n_folded": len(ground.final_cells) if folded else None,
                          "iterations": ground.iterations},
-        "cache": traj.hamiltonian.cache_stats(),
+        "cache": ground.hamiltonian.cache_stats(),
         "timings": {"build_s": t_build, "ground_s": t_ground, "prop_s": t_prop},
     }
     _add_sop_meta(meta, model)

@@ -15,15 +15,13 @@ the staged generator ``G(u) = G_0 + sum_g u_g G_g``, ``G_0 = Stilde Hbb`` and
 ``G_g = Stilde H_g`` (:meth:`ReducedHamiltonian.generator`).  It is formed
 at the first read of ``Stilde``.  A basis change then derives its row
 indices once (:func:`~vngrid.reduced_space.cell_change`), and ``Stilde``
-and each ``G`` take one gather and one in-place GEMM of the change's rank
-in the one block update of the inverse, ``O(n^2 (d + a))`` for ``d`` cells
+and each ``G`` take one gather and GEMMs of the change's rank in the one
+block update of the inverse, from the added cells' rows of each block
+(:meth:`ReducedHamiltonian.rows`), ``O(n^2 (d + a))`` for ``d`` cells
 dropped and ``a`` added: about 245 us per change of the seed-0 harmonic
 run (n ~ 55, one BLAS thread) for bookkeeping, assembly and update.
-:func:`taylor_step` takes the matrix ``G(u)`` itself and runs each term
-as one BLAS ``zgemv`` on it plus three vector calls: about 3 us per term
-at n = 56, where call overhead dominates, and 215 us at n = 499, where
-memory bandwidth does (one BLAS thread).  With the exact inverse only the
-series tail moves the physical norm over a step (measured below 1 % of
+:func:`taylor_step` runs each term as one BLAS ``zgemv`` on ``G(u)`` plus
+three vector calls.  With the exact inverse only the series tail moves the physical norm over a step (measured below 1 % of
 ``taylor_eps``), and a drifted inverse moves it at first order: a step
 that moves it by more than ``taylor_eps`` drops the inverse
 (:meth:`ReducedBasis.refresh`) and re-stages ``G`` from a fresh ``Stilde``.
@@ -434,8 +432,7 @@ class Trajectory:
     snapshots: list
     final_cells: CellSet
     final_coefficients: np.ndarray
-    hamiltonian: ReducedHamiltonian
-    generator: ReducedHamiltonian   # the blocks above, times Stilde
+    generator: ReducedHamiltonian   # Stilde times each block, at final_cells
     tau_cap: StepCap | None         # None when no signal moves
     norm_step_max: float            # largest norm move of a step, changes apart
 
@@ -457,11 +454,11 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
 
     ``basis`` and ``hamiltonian`` hand over a reduced basis and Hamiltonian
     that already cover ``cells0`` (for example those an eigenmode search
-    leaves behind), instead of building both from scratch.  The propagator
-    takes ownership: it updates them in place as the basis adapts, and the
-    Hamiltonian comes back as ``Trajectory.hamiltonian``.  Both must cover
-    exactly ``cells0``, and the Hamiltonian must have been built for
-    ``spec``; otherwise :class:`ValueError` is raised.
+    leaves behind), instead of building both from scratch.  The basis is
+    updated in place as it adapts; the Hamiltonian is only read, its full
+    blocks once, to stage the generator.  Both must cover exactly
+    ``cells0``, and the Hamiltonian must have been built for ``spec``;
+    otherwise :class:`ValueError` is raised.
 
     On a folded product basis (:meth:`~vngrid.reduced_space.ProductBasis.folded`)
     ``cells0`` are orbit representatives and ``psi0`` is folded; so are the
@@ -486,8 +483,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
     norm0 = rb.physical_norm(psi)
     if abs(norm0 - 1.0) > 1e-8:
         raise ValueError(f"initial state norm {norm0} is not 1")
-    ham = (hamiltonian if hamiltonian is not None
-           else ReducedHamiltonian(spec, product, cells0))
+    ham = hamiltonian or ReducedHamiltonian(spec, product, cells0)
     lattices, fold = product.lattices, product.fold
 
     cap = step_cap(spec, pulses, cfg)
@@ -537,7 +533,8 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
             norm_step_max = max(norm_step_max, move)
             if move > cfg.taylor_eps:       # the inverse drifted: form it again
                 rb.refresh()
-                staged = ham.generator(rb.Stilde)
+                staged = ham.with_blocks(ham.rows(rb.cells, rb.cells),
+                                         rb.cells).generator(rb.Stilde)
                 events.append((t, "refresh", f"norm moved {move:.2e}"))
 
             amp = rb.amplitudes(psi)
@@ -546,10 +543,10 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
                 change = cell_change(rb.cells, expand_cells(kept, lattices,
                                                             cfg.radius, fold))
                 psi = embed_coefficients(psi, change)
-                ham.update(change)
-                carry = [[g, h] for g, h in zip(staged.blocks, ham.blocks)]
+                carry = [[g, r] for g, r in zip(
+                    staged.blocks, ham.rows(change.added, change.new))]
                 added, removed = rb.update(change, carry)
-                staged = ham.with_blocks([g for g, _ in carry])
+                staged = staged.with_blocks([g for g, _ in carry], change.new)
                 # norms[-1] is the norm before the change
                 norm_in = rb.physical_norm(psi)
                 lost += abs(norms[-1] ** 2 - norm_in ** 2)
@@ -578,8 +575,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
                       norms=np.asarray(norms), taus=np.asarray(taus),
                       discarded=np.asarray(discarded), events=events,
                       snapshots=snapshots, final_cells=rb.cells,
-                      final_coefficients=psi, hamiltonian=ham,
-                      generator=staged, tau_cap=cap,
+                      final_coefficients=psi, generator=staged, tau_cap=cap,
                       norm_step_max=norm_step_max)
 
 

@@ -486,8 +486,8 @@ class ReducedHamiltonian:
     once, and :meth:`combined` of the staged copy then gives the generator
     for one matrix-vector product per application.  Across a basis change
     the staged blocks are carried through the one block update of the
-    inverse (:meth:`~vngrid.reduced_space.ReducedBasis.update`), a gather
-    and a GEMM of the change's rank each, and put back with
+    inverse (:meth:`~vngrid.reduced_space.ReducedBasis.update`) from the
+    added cells' rows alone (:meth:`rows`), and put back with
     :meth:`with_blocks`, so they are formed from scratch only once.
 
     Every operator is held as a rank expansion ``sum_r prod_k F_r^(k)`` of
@@ -602,6 +602,11 @@ class ReducedHamiltonian:
 
     # -- incremental maintenance ----------------------------------------------
 
+    def rows(self, added: CellSet, cells: CellSet):
+        """The rows of ``added`` over ``cells`` of each of :attr:`blocks`."""
+        return [self._block(added, cells, factors)
+                for factors in (self._drift, *self._controls)]
+
     def update(self, change: CellChange):
         """Re-target to the new cells of ``change`` (the
         :func:`~vngrid.reduced_space.cell_change` from the current cells)
@@ -613,9 +618,8 @@ class ReducedHamiltonian:
         from-scratch assembly (the cache guarantees value equality).
         """
         self.Hbb, *controls = [
-            carry_hermitian(mat, change,
-                            self._block(change.added, change.new, factors))
-            for mat, factors in zip(self.blocks, (self._drift, *self._controls))]
+            carry_hermitian(mat, change, rows) for mat, rows in
+            zip(self.blocks, self.rows(change.added, change.new))]
         self._control_blocks = tuple(controls)
         self.cells = change.new
         return change.added
@@ -658,13 +662,13 @@ class ReducedHamiltonian:
         terms share appears once."""
         return (self.Hbb, *self._control_blocks)
 
-    def with_blocks(self, blocks) -> "ReducedHamiltonian":
-        """Read-only copy holding ``blocks`` (laid out as :attr:`blocks`) in
-        place of this object's, with the same signal grouping."""
+    def with_blocks(self, blocks, cells: CellSet) -> "ReducedHamiltonian":
+        """Read-only copy over ``cells`` holding ``blocks`` (laid out as
+        :attr:`blocks`), with the same signal grouping."""
         hbb, *controls = blocks
         out = object.__new__(type(self))
         # a shallow copy of the attributes, with the blocks replaced
-        out.__dict__ = dict(vars(self), Hbb=hbb,
+        out.__dict__ = dict(vars(self), Hbb=hbb, cells=cells,
                             _control_blocks=tuple(controls), _buffer=None)
         return out
 
@@ -675,7 +679,7 @@ class ReducedHamiltonian:
         for the current cell set; a basis change carries its blocks, and the
         propagator calls this again only at a refresh of ``Stilde``.
         """
-        return self.with_blocks([stilde @ b for b in self.blocks])
+        return self.with_blocks([stilde @ b for b in self.blocks], self.cells)
 
     def cache_stats(self):
         """Element-cache counters summed over the distinct caches in use."""

@@ -30,9 +30,9 @@ from then on updated incrementally when cells are added or removed: one
 block update per change (:func:`grow_inverse`, whose drop-only case is
 :func:`shrink_inverse`) factorizes only the dropped block of the inverse
 and the Schur complement of the added cells.  The same update carries
-generators ``Stilde @ H`` across the change, for a propagator that keeps
-them staged: the inverse and every generator each take one gather into the
-new order and one GEMM of the change's rank.
+generators ``Stilde @ H`` across the change from the added rows of ``H``
+alone, for a propagator that keeps them staged: the inverse and each
+generator take one gather into the new order and GEMMs of the change's rank.
 
 Conditioning
 ------------
@@ -423,12 +423,11 @@ def grow_inverse(Ainv, C, D, fresh=None, carry=None, keep=None, change=None):
     cells, so the new overlap is ``[[S_kk, C], [C^H, D]]`` up to the order
     of its rows.  ``fresh`` is a boolean mask over the rows of the result
     that marks the added ones, which are last by default; the kept rows
-    fill the other entries in order.  ``C`` may also span every row of the
-    result (the new overlap's added columns), whose fresh rows then do not
-    enter the result.  ``change`` is the :class:`CellChange` that ``keep``
-    and ``fresh`` belong to, when the caller has one: its row indices are
-    then read as they are, and ``Ainv``, ``C`` (over every row of the
-    result) and ``D`` must be complex arrays in that final form.
+    fill the other entries in order.  ``change`` is the :class:`CellChange`
+    that ``keep`` and ``fresh`` belong to, when the caller has one: its row
+    indices are then read as they are, ``C`` spans every row of the result
+    (the new overlap's added columns, whose fresh rows do not enter the
+    result), and ``Ainv``, ``C`` and ``D`` must be complex arrays.
 
     Only the dropped block of ``Ainv`` and the Schur complement of the added
     block (each the size of its part of the change) are factorized, both
@@ -436,15 +435,14 @@ def grow_inverse(Ainv, C, D, fresh=None, carry=None, keep=None, change=None):
     :class:`DegenerateUpdateError`, the Schur complement signalling that
     the added columns are (nearly) linearly dependent on the kept basis.
 
-    ``carry`` is a list of ``[G, H]`` pairs, ``G = Ainv @ H_old`` over the
-    old rows and ``H`` Hermitian over the result's rows; each ``G`` is
-    replaced by the result times ``H``, in ``O(n^2 (d + a))`` for ``d``
-    cells dropped and ``a`` added (:func:`_update_inverse`).  The inverse
-    and each ``G`` take one gather into the new order, their dropped rows
-    included, and one GEMM of the change's rank.  At n ~ 55, with one ``G``
-    and one BLAS thread, an update takes about 113 us, against 164 us when
-    the dropped rows were gathered apart, the factors concatenated, the
-    indices re-derived here and the inverse hermitized in a pass of its own.
+    ``carry`` is a list of ``[G, H_A]`` pairs, ``G = Ainv @ H_old`` over
+    the old rows and ``H_A`` the added rows ``(a x n)`` of the new
+    Hermitian ``H``, the only part of it read; each ``G`` is replaced by
+    the result times ``H``, in ``O(n^2 (d + a))`` for ``d`` cells dropped
+    and ``a`` added (:func:`_update_inverse`).  The inverse and each ``G``
+    take one gather into the new order, dropped rows included, and GEMMs
+    of the change's rank: at n ~ 55, with one ``G`` and one BLAS thread,
+    about 113 us.
     """
     if change is not None:
         return _update_inverse(Ainv, change.source, change.fresh_rows,
@@ -453,11 +451,10 @@ def grow_inverse(Ainv, C, D, fresh=None, carry=None, keep=None, change=None):
     kept = (np.ones(len(Ainv), dtype=bool) if keep is None
             else np.asarray(keep, dtype=bool))
     k = int(np.count_nonzero(kept))
-    C = np.asarray(C)
-    C = C.reshape(len(C), -1)
+    C = np.asarray(C).reshape(k, -1)
     m = C.shape[1]
     fresh = np.arange(k + m) >= k if fresh is None else np.asarray(fresh)
-    if len(C) == k and m:
+    if m:
         cols = np.zeros((k + m, m), dtype=complex)
         cols[~fresh] = C
         C = cols
@@ -473,9 +470,9 @@ def shrink_inverse(Zinv, keep, carry=None):
     the drop-only case of :func:`grow_inverse`.
 
     ``keep`` is an integer count (keep the leading block), an ascending
-    index array or a boolean row mask.  ``carry`` is a list of ``[G, H]``
-    pairs with ``G = Zinv @ H`` (``H`` is not read); each ``G`` is replaced
-    by the retained inverse times the kept block of ``H``.
+    index array or a boolean row mask.  ``carry`` is a list of ``[G, H_A]``
+    pairs with ``G = Zinv @ H`` (``H_A`` is not read); each ``G`` is
+    replaced by the retained inverse times the kept block of ``H``.
     """
     kept = np.zeros(len(Zinv), dtype=bool)
     kept[np.arange(keep) if np.isscalar(keep) else keep] = True
@@ -500,9 +497,8 @@ def _update_inverse(W, src, fi, di, cols, dm, carry):
         X = P C,              F1 = (dm - C^H X)^-1,    Xe = [X; -I]
         L = [-Y^H | Xe F1],   R = [W_DK; Xe^H]
         new inverse  = E(W_KK) + (L R + R^H L^H) / 2
-        new G        = E(G_KK) + L [G_DK; Xe^H H] + P H_KA
+        new G        = P H + Xe F1 (Xe^H H)
 
-    with ``P H_KA`` in the fresh columns, since ``G_KK - Y^H G_DK = P H_KK``.
     ``W_DK`` and ``Y`` are held over the new columns and ``X`` over the new
     rows, so ``P M`` for any ``M`` over the new rows is ``E(W_KK) M - Y^H
     (W_DK M)``.  ``E(W_KK)`` and, in exact arithmetic, ``L R`` are
@@ -510,13 +506,16 @@ def _update_inverse(W, src, fi, di, cols, dm, carry):
     inverse inside its update: one GEMM of rank ``2 (d + a)``, with no pass
     or temporary of the inverse's size.
 
+    ``G`` reads only the added rows ``H_A`` of ``H``: the drop gives
+    ``E(G_KK) - Y^H G_DK = P H_KK``, ``P H_KA`` comes with ``X``, and then
+    ``Xe^H H = C^H (P H) - H_A``, as the fresh rows of ``P H`` are zero.
+
     Each matrix is one gather, rows then columns (:func:`_gather`), into a
     block that holds it in the new order and below it the right factor of
-    its update.  The shared left factor is held as the rows ``L^H`` of the
-    inverse's block, between two copies of ``R``, so that ``[L^H; R]`` and
-    ``[R; L^H]`` are both row ranges of it; each update is one in-place
-    ``zgemm`` that reads its left factor conjugate-transposed
-    (:func:`_add_adjoint_product`).
+    its update; the inverse's block holds ``L^H`` between two copies of
+    ``R``, so ``[L^H; R]`` and ``[R; L^H]`` are both row ranges of it.
+    Each update is an in-place ``zgemm`` that reads its left factor
+    conjugate-transposed (:func:`_add_adjoint_product`).
     """
     n, d, a = len(src), len(di), len(fi)
     k = d + a
@@ -535,8 +534,7 @@ def _update_inverse(W, src, fi, di, cols, dm, carry):
     if a:
         # P times C and every H_KA at once, from [E(W_KK); W_DK] times
         # them; the fresh rows come out zero
-        b = np.concatenate([cols] + [h.take(fi, axis=1) for _, h in carry],
-                           axis=1)
+        b = np.hstack([cols] + [h_a.conj().T for _, h_a in carry])
         pb = blk[:n + d] @ b
         if d:
             _add_adjoint_product(pb[:n], lh[:d], pb[n:])
@@ -552,16 +550,17 @@ def _update_inverse(W, src, fi, di, cols, dm, carry):
             f"Schur complement of {a} added cells is not positive definite")
     # both factorizations have passed: from here on nothing raises
     for i, pair in enumerate(carry, 1):
-        G, H = pair
+        G, h_a = pair
         grown, _ = _gather(G, order, src, fi, a)
+        ph, xh = grown[:n], grown[n + d:]
+        if d:       # P H_KK; the fresh columns are written below
+            _add_adjoint_product(ph, lh[:d], grown[n:n + d])
         if a:
-            if d:
-                grown[n:n + d, fi] = 0.0         # G_DK in the new columns
-            grown[:n, fi] = pb[:n, i * a:(i + 1) * a]
-            np.matmul(xeh, H, out=grown[n + d:])
-        if k:
-            _add_adjoint_product(grown[:n], lh, grown[n:])
-        pair[0] = grown[:n]
+            ph[:, fi] = pb[:n, i * a:(i + 1) * a]
+            np.negative(h_a, out=xh)
+            _add_adjoint_product(xh, cols, ph)    # Xe^H H = C^H (P H) - H_A
+            _add_adjoint_product(ph, lh[d:], xh)
+        pair[0] = ph
     if k:
         blk[n + 2 * k:] = right
         _add_adjoint_product(new, blk[n + k:], blk[n:n + 2 * k], 0.5)
@@ -943,13 +942,13 @@ class ReducedBasis:
         with one carried generator and one BLAS thread an update takes
         about 150 us.
 
-        ``carry`` is a list of ``[G, H]`` pairs, ``G = Stilde @ H`` over the
-        current cells and ``H`` Hermitian over the new cells; each ``G`` is
-        replaced in place by the new ``Stilde @ H``, through the same update
-        as the inverse.  Carrying needs ``Stilde`` read.  An update that
-        raises leaves everything as it was: the cells, ``Sinv_tilde``,
-        ``Stilde`` and every carry pair, since both factorizations run
-        before anything is written.
+        ``carry`` is a list of ``[G, H_A]`` pairs, ``G = Stilde @ H`` over
+        the current cells and ``H_A`` the added rows of the new ``H``; each
+        ``G`` is replaced in place by the new ``Stilde @ H``, through the
+        same update as the inverse.  Carrying needs ``Stilde`` read.  An
+        update that raises leaves everything as it was: the cells,
+        ``Sinv_tilde``, ``Stilde`` and every carry pair, since both
+        factorizations run before anything is written.
         """
         new_cells, added, removed = change.new, change.added, change.removed
         if len(removed) == 0 and len(added) == 0:

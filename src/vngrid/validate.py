@@ -483,6 +483,7 @@ def check_carried_generator(rng):
     kinds = [kind for _, kind, _ in traj.events]
     assert "basis" in kinds, "no basis change to carry the generator through"
     assert "refresh" not in kinds, f"{kinds.count('refresh')} refreshes"
+    assert traj.generator.cells == traj.final_cells, "generator cells are stale"
     stilde = ReducedBasis.create(m.product, traj.final_cells).Stilde
     fresh = ReducedHamiltonian(m.spec, m.product, traj.final_cells).blocks
     err = max(np.abs(g - stilde @ h).max() / np.abs(stilde @ h).max()

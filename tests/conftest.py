@@ -53,7 +53,9 @@ def inverse_drift(monkeypatch):
     A Hermitian defect ``D`` of relative size ``eps`` (max entry against
     ``Stilde``'s) is added to ``Stilde`` and ``D @ H`` to each carried
     ``G = Stilde @ H``, in place, as a drifted block update would leave
-    them.  The returned list counts those updates.
+    them.  A carry pair holds only the added rows of ``H``, so ``H`` is
+    read back as ``Sinv_tilde @ G``.  The returned list counts those
+    updates.
     """
     from vngrid.reduced_space import ReducedBasis
 
@@ -73,7 +75,7 @@ def inverse_drift(monkeypatch):
                     d *= eps * np.abs(self.Stilde).max() / np.abs(d).max()
                     self.Stilde[...] += d
                     for pair in carry:
-                        pair[0] += d @ pair[1]
+                        pair[0] += d @ (self.Sinv_tilde @ pair[0])
             return out
 
         monkeypatch.setattr(ReducedBasis, "update", drifting_update)

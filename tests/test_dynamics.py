@@ -549,7 +549,7 @@ def test_fixed_basis_norm_conservation(dw_model, rng):
 
 # -- handing over the ground state's basis and Hamiltonian -------------------------
 
-def _driven_helium(he_model):
+def _driven_helium(he_model, product=None):
     from vngrid import models
 
     pos = models.position_coupling(he_model.grids)
@@ -559,7 +559,7 @@ def _driven_helium(he_model):
     pulses = (ControlPulse.table([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]),
               ControlPulse.xuv(0.5, 0.5, 0.2),
               ControlPulse.table([0.0, 0.3, 0.6, 1.0], [0.0, 1.0, 0.0, 0.0]))
-    ground = tise_adaptive(spec, he_model.product,
+    ground = tise_adaptive(spec, product or he_model.product,
                            TiseConfig(zeta=1e-2, n_modes=1))
     return spec, pulses, ground
 
@@ -580,11 +580,15 @@ def test_handoff_matches_fresh_build(he_model, monkeypatch):
 
     monkeypatch.setattr(dynamics, "ReducedHamiltonian", no_rebuild)
     monkeypatch.setattr(dynamics.ReducedBasis, "create", no_rebuild)
+    ham = ground.hamiltonian
+    cells, blocks = ham.cells, [b.copy() for b in ham.blocks]
     handed = tdse_adaptive(*args, pulses=pulses, cfg=cfg,
-                           basis=ground.reduced_basis,
-                           hamiltonian=ground.hamiltonian)
-    assert handed.hamiltonian is ground.hamiltonian
-    assert ground.reduced_basis.cells == handed.final_cells
+                           basis=ground.reduced_basis, hamiltonian=ham)
+    assert ground.reduced_basis.cells == handed.final_cells != cells
+    # the basis adapts in place; the handed-over Hamiltonian is only read
+    assert ham.cells is cells
+    assert all(np.array_equal(b, before) for b, before in zip(ham.blocks,
+                                                             blocks))
     np.testing.assert_array_equal(handed.times, fresh.times)
     np.testing.assert_array_equal(handed.n_active, fresh.n_active)
     assert handed.final_cells == fresh.final_cells
@@ -614,11 +618,22 @@ def test_handoff_mismatch_rejected(dw_model):
 
 def test_generator_staged_once_and_carried_through_every_event(he_model,
                                                               monkeypatch):
+    _generator_staged_once(he_model, monkeypatch, folded=False)
+
+
+def test_generator_staged_once_and_carried_through_every_event_folded(
+        he_model, monkeypatch):
+    # two-axis adaptation on the exchange-symmetric sector
+    _generator_staged_once(he_model, monkeypatch, folded=True)
+
+
+def _generator_staged_once(he_model, monkeypatch, folded):
     # drift, the shared position block and the momentum block: staged at the
     # first read of Stilde, then carried through each basis change
     from vngrid.hamiltonian import ReducedHamiltonian
 
-    spec, pulses, ground = _driven_helium(he_model)
+    product = he_model.product.folded() if folded else he_model.product
+    spec, pulses, ground = _driven_helium(he_model, product)
     rb = ground.reduced_basis
     stagings, errors = [], []
     generator = ReducedHamiltonian.generator
@@ -628,24 +643,68 @@ def test_generator_staged_once_and_carried_through_every_event(he_model,
         stagings.append(len(self.cells))
         return generator(self, stilde)
 
-    def checked_with_blocks(self, blocks):
-        for g, h in zip(blocks, self.blocks):
+    def checked_with_blocks(self, blocks, cells):
+        # against a fresh assembly at the copy's cells
+        assert cells == rb.cells
+        for g, h in zip(blocks, self.rows(cells, cells)):
             ref = rb.Stilde @ h
             errors.append(np.abs(g - ref).max() / np.abs(ref).max())
-        return with_blocks(self, blocks)
+        return with_blocks(self, blocks, cells)
 
     monkeypatch.setattr(ReducedHamiltonian, "generator", logged_generator)
     monkeypatch.setattr(ReducedHamiltonian, "with_blocks", checked_with_blocks)
     cfg = PropagationConfig(zeta=1e-2, tau0=0.02, snapshot_every=0)
-    traj = tdse_adaptive(spec, he_model.product, ground.eigenvectors[:, 0],
+    traj = tdse_adaptive(spec, product, ground.eigenvectors[:, 0],
                          ground.final_cells, (0.0, 1.0), pulses=pulses,
                          cfg=cfg, basis=rb, hamiltonian=ground.hamiltonian)
     events = sum(k == "basis" for _, k, _ in traj.events)
     assert events > 0
     assert stagings == [len(ground.final_cells)]
+    assert traj.generator.cells == traj.final_cells
     # three blocks at the staging and after every event
     assert len(errors) == 3 * (1 + events)
     assert max(errors) <= 1e-12
+
+
+def test_propagation_assembles_only_added_rows(he_model, monkeypatch):
+    # after the staging, a basis change assembles the added cells' rows of
+    # each distinct block and carries no Hamiltonian block: the overlap is
+    # the one Hermitian matrix carried across it
+    import vngrid.dynamics as dynamics
+    import vngrid.hamiltonian as hamiltonian
+    import vngrid.reduced_space as reduced_space
+    from vngrid.hamiltonian import ReducedHamiltonian
+
+    spec, pulses, ground = _driven_helium(he_model)
+    changes, blocks, carried = [], [], []
+
+    def spy(owner, name, log):
+        real = getattr(owner, name)
+
+        def logged(*args, **kwargs):
+            out = real(*args, **kwargs)
+            log.append(out if owner is dynamics else args)
+            return out
+
+        monkeypatch.setattr(owner, name, logged)
+
+    spy(dynamics, "cell_change", changes)
+    spy(ReducedHamiltonian, "_block", blocks)
+    spy(hamiltonian, "carry_hermitian", carried)
+    spy(reduced_space, "carry_hermitian", carried)
+    cfg = PropagationConfig(zeta=1e-2, tau0=0.02, snapshot_every=0)
+    traj = tdse_adaptive(spec, he_model.product, ground.eigenvectors[:, 0],
+                         ground.final_cells, (0.0, 1.0), pulses=pulses,
+                         cfg=cfg, basis=ground.reduced_basis,
+                         hamiltonian=ground.hamiltonian)
+    events = sum(k == "basis" for _, k, _ in traj.events)
+    assert events > 0 and len(changes) == events
+    assert len(carried) == events
+    # three distinct blocks: drift, the shared position and the momentum one
+    assert len(blocks) == 3 * events
+    for i, (_, rows, cols, _) in enumerate(blocks):
+        change = changes[i // 3]
+        assert rows == change.added and cols == change.new
 
 
 def test_every_basis_change_is_one_block_update(ho_model, monkeypatch):

@@ -65,7 +65,8 @@ def test_taylor_hook_counts_the_terms_of_a_real_step(rng):
 def test_bookkeeping_layers_run_once_per_basis_change(ho_model, monkeypatch):
     # the benchmark splits a basis change's time by the functions that the
     # propagator calls through these names: each runs once per basis change,
-    # and the boundary also once at the start
+    # and the boundary also once at the start.  The propagator assembles
+    # the added rows and never carries the full blocks (update)
     import vngrid.dynamics as dynamics
 
     calls = collections.Counter()
@@ -89,6 +90,7 @@ def test_bookkeeping_layers_run_once_per_basis_change(ho_model, monkeypatch):
              "boundary_mask")
     for name in names:
         spy(dynamics, name)
+    spy(ReducedHamiltonian, "rows")
     spy(ReducedHamiltonian, "update")
     spy(ReducedBasis, "update")
     cfg = PropagationConfig(zeta=1e-6, tau0=0.05, snapshot_every=0)
@@ -98,5 +100,6 @@ def test_bookkeeping_layers_run_once_per_basis_change(ho_model, monkeypatch):
     assert events > 2
     expect = {f"vngrid.dynamics.{name}": events for name in names}
     expect["vngrid.dynamics.boundary_mask"] += 1
-    expect["ReducedHamiltonian.update"] = expect["ReducedBasis.update"] = events
+    expect["ReducedHamiltonian.rows"] = expect["ReducedBasis.update"] = events
+    assert calls["ReducedHamiltonian.update"] == 0
     assert dict(calls) == expect

@@ -432,22 +432,24 @@ def _random_change(rng, universe, n_old, d, a):
 
 def test_fused_update_against_dense_oracles(rng):
     # one call drops d and adds a interleaved cells, and carries two
-    # generators: the inverse is inv(S') and each G is inv(S') @ H'
+    # generators from the added rows of their H': the inverse is inv(S')
+    # and each G is inv(S') @ H'
     for _ in range(20):
         d, a = (int(v) for v in rng.integers(1, 9, size=2))
         big = _random_pd(rng, 50)
         hs = [_random_pd(rng, 50) for _ in range(2)]
         old, new, keep, fresh = _random_change(rng, 50, 36, d, a)
         w = np.linalg.inv(big[np.ix_(old, old)])
-        carry = [[w @ h[np.ix_(old, old)], h[np.ix_(new, new)]] for h in hs]
+        carry = [[w @ h[np.ix_(old, old)], h[np.ix_(new[fresh], new)]]
+                 for h in hs]
         s_new = big[np.ix_(new, new)]
         out = grow_inverse(w, s_new[np.ix_(~fresh, fresh)],
                            s_new[np.ix_(fresh, fresh)], fresh, carry, keep)
         ref = np.linalg.inv(s_new)
         np.testing.assert_allclose(out, ref, rtol=0,
                                    atol=1e-12 * np.abs(ref).max())
-        for (g, h_new) in carry:
-            g_ref = ref @ h_new
+        for (g, _), h in zip(carry, hs):
+            g_ref = ref @ h[np.ix_(new, new)]
             np.testing.assert_allclose(g, g_ref, rtol=0,
                                        atol=1e-12 * np.abs(g_ref).max())
 
@@ -669,9 +671,10 @@ def test_carried_generator_matches_stilde_times_block(ndof, pair48, pair60,
                                             replace=False)])
         new_cells = CellSet(np.concatenate(rows), ndof=ndof)
         change = cell_change(rb.cells, new_cells)
-        ham.update(change)
-        carry = [[g, h] for g, h in zip(generators, ham.blocks)]
+        carry = [[g, r] for g, r in zip(generators,
+                                        ham.rows(change.added, change.new))]
         rb.update(change, carry)
+        ham.update(change)              # the full blocks, for the reference
         generators = [g for g, _ in carry]
         for g, h in zip(generators, ham.blocks):
             ref = rb.Stilde @ h
@@ -693,15 +696,17 @@ def test_update_carries_generators_only_after_stilde_is_read(pair60):
 
 def test_drop_only_update_is_shrink_inverse(pair60, rng):
     # a change that only drops cells is the block update's case of nothing
-    # added: the bits of shrink_inverse, for the inverse and a generator
+    # added (no added rows): the bits of shrink_inverse, for the inverse
+    # and a generator
     rb = ReducedBasis.create(ProductBasis(pair60),
                              CellSet(np.arange(10, 30)[:, None]))
     h = _random_pd(rng, 20)
     keep = np.ones(20, dtype=bool)
     keep[[0, 7, 8, 19]] = False
-    expect = [[rb.Stilde @ h, h]]
+    no_rows = np.empty((0, 16), dtype=complex)
+    expect = [[rb.Stilde @ h, no_rows]]
     stilde = shrink_inverse(rb.Stilde, keep, expect)
-    carry = [[rb.Stilde @ h, h[np.ix_(keep, keep)]]]
+    carry = [[rb.Stilde @ h, no_rows]]
     rb.update(cell_change(rb.cells, rb.cells.subset(keep)), carry)
     assert np.array_equal(rb.Stilde, stilde)
     assert np.array_equal(carry[0][0], expect[0][0])
@@ -720,8 +725,8 @@ def test_failed_update_leaves_basis_and_pairs_untouched(failure, pair60,
     new_cells = CellSet(np.r_[5, 10:12, 13:20, 21:30, 31][:, None])
     change = cell_change(rb.cells, new_cells)
     assert len(change.removed) == 2 and len(change.added) == 2 and change.fresh[0]
-    carry = [[rb.Stilde @ _random_pd(rng, 20), _random_pd(rng, 20)]
-             for _ in range(2)]
+    carry = [[rb.Stilde @ _random_pd(rng, 20),
+              _random_pd(rng, 20)[change.fresh_rows]] for _ in range(2)]
     if failure == "schur":
         # the first added cell's overlap duplicates that of kept cell 15,
         # with its diagonal nudged below: the Schur complement is negative
