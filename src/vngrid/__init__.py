@@ -18,7 +18,7 @@ from .vn_basis import (BasisPair, VonNeumannLattice, analyze, balanced_sigma,
 from .reduced_space import (CellSet, ProductBasis, ReducedBasis, cell_change,
                             complementary_basis, embed_coefficients,
                             expand_cells, grow_inverse, prune_cells,
-                            reduced_gaussians, restrict_basis, shrink_inverse)
+                            reduced_gaussians, restrict_basis)
 from .hamiltonian import (ElementCache, OperatorSpec, ReducedHamiltonian,
                           SopFit, SopTerm, dense_grid_hamiltonian, potfit2)
 from .solvers import (EigenResult, TiseConfig, lattice_potential,

@@ -21,10 +21,13 @@ block update of the inverse, from the added cells' rows of each block
 dropped and ``a`` added: about 245 us per change of the seed-0 harmonic
 run (n ~ 55, one BLAS thread) for bookkeeping, assembly and update.
 :func:`taylor_step` runs each term as one BLAS ``zgemv`` on ``G(u)`` plus
-three vector calls.  With the exact inverse only the series tail moves the physical norm over a step (measured below 1 % of
-``taylor_eps``), and a drifted inverse moves it at first order: a step
-that moves it by more than ``taylor_eps`` drops the inverse
-(:meth:`ReducedBasis.refresh`) and re-stages ``G`` from a fresh ``Stilde``.
+three vector calls.
+
+With the exact inverse only the series tail moves the physical norm over a
+step (measured below 1 % of ``taylor_eps``), and a drifted inverse moves it
+at first order: a step that moves it by more than ``taylor_eps`` drops the
+inverse (:meth:`ReducedBasis.refresh`) and re-stages ``G`` from a fresh
+``Stilde``.
 
 The step controller combines three limits:
 

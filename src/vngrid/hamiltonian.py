@@ -518,9 +518,8 @@ class ReducedHamiltonian:
         self._group_of = tuple(group[id(c)] for c in spec.control_terms)
         self._controls = tuple(self._factors(c) for c in distinct.values())
         self.cells = cells
-        self.Hbb = self._block(cells, cells, self._drift)
-        self._control_blocks = tuple(self._block(cells, cells, f)
-                                     for f in self._controls)
+        self.Hbb, *controls = self.rows(cells, cells)
+        self._control_blocks = tuple(controls)
         self._buffer = None
 
     # -- rank expansion ------------------------------------------------------

@@ -27,12 +27,13 @@ across the change reads.
 
 The inverse ``Stilde = (Btilde^H Btilde)^-1`` is formed on first read and
 from then on updated incrementally when cells are added or removed: one
-block update per change (:func:`grow_inverse`, whose drop-only case is
-:func:`shrink_inverse`) factorizes only the dropped block of the inverse
-and the Schur complement of the added cells.  The same update carries
-generators ``Stilde @ H`` across the change from the added rows of ``H``
-alone, for a propagator that keeps them staged: the inverse and each
-generator take one gather into the new order and GEMMs of the change's rank.
+block update per change, :func:`grow_inverse`, reads the
+:class:`CellChange` and the added rows of the new overlap, and factorizes
+only the dropped block of the inverse and the Schur complement of the added
+cells.  The same update carries generators ``Stilde @ H`` across the change
+from the added rows of ``H`` alone, for a propagator that keeps them
+staged: the inverse and each generator take one gather into the new order
+and GEMMs of the change's rank.
 
 Conditioning
 ------------
@@ -342,9 +343,8 @@ class CellChange(NamedTuple):
     is several times faster than an ``np.ix_`` copy.  ``added`` and
     ``removed`` are the cells of the fresh and the dropped rows.  Everything
     carried across the change reads these fields, so no consumer derives an
-    index again; at n ~ 55 :func:`cell_change` takes about 18 us, against
-    37 us for the two occupancy arrays and the separate ``source`` pass it
-    replaced.  The arrays are read-only."""
+    index again; at n ~ 55 :func:`cell_change` takes about 18 us.  The
+    arrays are read-only."""
     new: CellSet
     kept: np.ndarray
     fresh: np.ndarray
@@ -413,88 +413,37 @@ def carry_hermitian(mat, change: CellChange, fresh_rows):
 # block-inverse updates
 # ---------------------------------------------------------------------------
 
-def grow_inverse(Ainv, C, D, fresh=None, carry=None, keep=None, change=None):
-    """Inverse of the overlap after a change that adds cells (and may drop
-    some), from the old inverse ``Ainv`` alone.
+def grow_inverse(W, change, s_a, carry=None):
+    """Inverse of the overlap after a change of cells, from the old inverse
+    ``W`` alone.
 
-    ``keep`` is a boolean mask over the rows of ``Ainv`` that stay (all by
-    default); the rest are dropped.  ``C`` is the overlap between the kept
-    and the added cells, kept rows in order, and ``D`` that among the added
-    cells, so the new overlap is ``[[S_kk, C], [C^H, D]]`` up to the order
-    of its rows.  ``fresh`` is a boolean mask over the rows of the result
-    that marks the added ones, which are last by default; the kept rows
-    fill the other entries in order.  ``change`` is the :class:`CellChange`
-    that ``keep`` and ``fresh`` belong to, when the caller has one: its row
-    indices are then read as they are, ``C`` spans every row of the result
-    (the new overlap's added columns, whose fresh rows do not enter the
-    result), and ``Ainv``, ``C`` and ``D`` must be complex arrays.
+    ``change`` is the :class:`CellChange` from the cells of ``W``, whose
+    ``source``, ``fresh_rows`` and ``dropped_rows`` are read as they are.
+    ``s_a`` holds the new overlap's added rows ``(a x n)`` over every new
+    row, the only part of it read (the layout of each carry pair's
+    ``H_A``).  ``W`` and ``s_a`` are complex arrays.
 
-    Only the dropped block of ``Ainv`` and the Schur complement of the added
+    Only the dropped block of ``W`` and the Schur complement of the added
     block (each the size of its part of the change) are factorized, both
     before anything is written; either one not positive definite raises
     :class:`DegenerateUpdateError`, the Schur complement signalling that
     the added columns are (nearly) linearly dependent on the kept basis.
 
-    ``carry`` is a list of ``[G, H_A]`` pairs, ``G = Ainv @ H_old`` over
-    the old rows and ``H_A`` the added rows ``(a x n)`` of the new
-    Hermitian ``H``, the only part of it read; each ``G`` is replaced by
-    the result times ``H``, in ``O(n^2 (d + a))`` for ``d`` cells dropped
-    and ``a`` added (:func:`_update_inverse`).  The inverse and each ``G``
-    take one gather into the new order, dropped rows included, and GEMMs
-    of the change's rank: at n ~ 55, with one ``G`` and one BLAS thread,
-    about 113 us.
-    """
-    if change is not None:
-        return _update_inverse(Ainv, change.source, change.fresh_rows,
-                               change.dropped_rows, C, D, carry)
-    Ainv = np.asarray(Ainv, dtype=complex)
-    kept = (np.ones(len(Ainv), dtype=bool) if keep is None
-            else np.asarray(keep, dtype=bool))
-    k = int(np.count_nonzero(kept))
-    C = np.asarray(C).reshape(k, -1)
-    m = C.shape[1]
-    fresh = np.arange(k + m) >= k if fresh is None else np.asarray(fresh)
-    if m:
-        cols = np.zeros((k + m, m), dtype=complex)
-        cols[~fresh] = C
-        C = cols
-    src = np.zeros(len(fresh), dtype=np.intp)
-    src[~fresh] = np.flatnonzero(kept)
-    return _update_inverse(Ainv, src, np.flatnonzero(fresh),
-                           np.flatnonzero(~kept), C,
-                           np.asarray(D).reshape(m, m), carry)
+    ``carry`` is a list of ``[G, H_A]`` pairs, ``G = W @ H_old`` over the
+    old rows and ``H_A`` the added rows ``(a x n)`` of the new Hermitian
+    ``H``, the only part of it read; each ``G`` is replaced by the result
+    times ``H``.  The inverse and each ``G`` take one gather into the new
+    order, dropped rows included, and GEMMs of the change's rank, in
+    ``O(n^2 (d + a))`` for ``d`` cells dropped and ``a`` added: at n ~ 55,
+    with one ``G`` and one BLAS thread, about 113 us.
 
-
-def shrink_inverse(Zinv, keep, carry=None):
-    """Inverse of the retained principal block, from the full inverse only:
-    the drop-only case of :func:`grow_inverse`.
-
-    ``keep`` is an integer count (keep the leading block), an ascending
-    index array or a boolean row mask.  ``carry`` is a list of ``[G, H_A]``
-    pairs with ``G = Zinv @ H`` (``H_A`` is not read); each ``G`` is
-    replaced by the retained inverse times the kept block of ``H``.
-    """
-    kept = np.zeros(len(Zinv), dtype=bool)
-    kept[np.arange(keep) if np.isscalar(keep) else keep] = True
-    k = int(np.count_nonzero(kept))
-    return grow_inverse(Zinv, np.empty((k, 0)), np.empty((0, 0)),
-                        np.zeros(k, dtype=bool), carry, kept)
-
-
-def _update_inverse(W, src, fi, di, cols, dm, carry):
-    """The block update behind :func:`grow_inverse`.
-
-    ``W`` is the old inverse, ``src`` the old row each new row carries,
-    ``fi`` the added rows of the new order and ``di`` the dropped rows of
-    the old (the :class:`CellChange` fields).  ``cols`` holds the new
-    overlap's added columns over every new row, ``C = S'_KA`` in the kept
-    rows (the fresh ones do not enter the result), and ``dm = S'_AA`` their
-    added block.  With ``K``, ``D`` and ``A`` the kept, dropped and added
-    cells and ``E`` the embedding of a kept block into the new order (zero
-    fresh rows and columns):
+    With ``K``, ``D`` and ``A`` the kept, dropped and added cells, ``C =
+    S'_KA`` the added columns in the kept rows (the fresh ones do not enter
+    the result) and ``E`` the embedding of a kept block into the new order
+    (zero fresh rows and columns):
 
         Y = W_DD^-1 W_DK,     P = W_KK - Y^H W_DK      (the kept inverse)
-        X = P C,              F1 = (dm - C^H X)^-1,    Xe = [X; -I]
+        X = P C,              F1 = (S'_AA - C^H X)^-1, Xe = [X; -I]
         L = [-Y^H | Xe F1],   R = [W_DK; Xe^H]
         new inverse  = E(W_KK) + (L R + R^H L^H) / 2
         new G        = P H + Xe F1 (Xe^H H)
@@ -506,9 +455,9 @@ def _update_inverse(W, src, fi, di, cols, dm, carry):
     inverse inside its update: one GEMM of rank ``2 (d + a)``, with no pass
     or temporary of the inverse's size.
 
-    ``G`` reads only the added rows ``H_A`` of ``H``: the drop gives
-    ``E(G_KK) - Y^H G_DK = P H_KK``, ``P H_KA`` comes with ``X``, and then
-    ``Xe^H H = C^H (P H) - H_A``, as the fresh rows of ``P H`` are zero.
+    ``G`` reads only ``H_A``: the drop gives ``E(G_KK) - Y^H G_DK = P
+    H_KK``, ``P H_KA`` comes with ``X``, and then ``Xe^H H = C^H (P H) -
+    H_A``, as the fresh rows of ``P H`` are zero.
 
     Each matrix is one gather, rows then columns (:func:`_gather`), into a
     block that holds it in the new order and below it the right factor of
@@ -517,9 +466,11 @@ def _update_inverse(W, src, fi, di, cols, dm, carry):
     Each update is an in-place ``zgemm`` that reads its left factor
     conjugate-transposed (:func:`_add_adjoint_product`).
     """
+    src, fi, di = change.source, change.fresh_rows, change.dropped_rows
     n, d, a = len(src), len(di), len(fi)
     k = d + a
     carry = carry or ()
+    cols = s_a.conj().T                     # the new overlap's added columns
     order = np.concatenate((src, di)) if d else src
     # rows: the new inverse, then R, L^H and R again
     blk, rows = _gather(W, order, src, fi, a + 2 * k)
@@ -539,7 +490,8 @@ def _update_inverse(W, src, fi, di, cols, dm, carry):
         if d:
             _add_adjoint_product(pb[:n], lh[:d], pb[n:])
         xe = pb[:n, :a]
-        schur = _zgemm(-1.0, cols, xe, 1.0, dm, trans_a=2)  # dm - C^H X
+        schur = _zgemm(-1.0, cols, xe, 1.0, cols.take(fi, axis=0),
+                       trans_a=2)                   # S'_AA - C^H X
         xe[fi, np.arange(a)] = -1.0              # Xe = [X; -I]
         xeh = right[d:]
         np.conjugate(xe.T, out=xeh)
@@ -565,6 +517,16 @@ def _update_inverse(W, src, fi, di, cols, dm, carry):
         blk[n + 2 * k:] = right
         _add_adjoint_product(new, blk[n + k:], blk[n:n + 2 * k], 0.5)
     return new
+
+
+def shrink_inverse(W, change, carry=None):
+    """The drop-only case of :func:`grow_inverse`: the inverse of the kept
+    principal block, from ``W`` alone, for a ``change`` that adds no cells.
+    ``carry`` pairs are ``[G, H_A]`` with ``H_A`` of no rows."""
+    if len(change.fresh_rows):
+        raise ValueError("shrink_inverse takes a change that adds no cells")
+    return grow_inverse(W, change, np.empty((0, len(change.new)),
+                                            dtype=complex), carry)
 
 
 def _gather(mat, order, src, fi, spare):
@@ -860,7 +822,8 @@ class ReducedBasis:
 
     Mutated only between solver phases (single writer).  The overlap
     entries are exact per-axis products, carried across each update by
-    :func:`carry_hermitian` (bit for bit a fresh overlap).  Their
+    :func:`carry_hermitian`: bit for bit a fresh overlap, or folded within
+    round-off of one, whose block is hermitized as a whole.  Their
     conditioning is bounded by the :class:`ProductBasis` (module docstring),
     so neither creation nor an update factors them.  ``Stilde``, which the
     eigenmode search never reads, is formed on first read
@@ -933,14 +896,13 @@ class ReducedBasis:
         from the current cells, carrying the overlap and its inverse.
 
         Returns the change's ``(added, removed)`` cell sets.  Only the added
-        overlap rows are computed.  The inverse takes one block update,
-        :func:`grow_inverse` (a drop-only change is its case of nothing
-        added), which reads the change's row indices as they are and
-        factorizes only the dropped block of the current inverse and the
-        Schur complement of the added block, read off the overlap.  Before
-        the first read of ``Stilde`` only the overlap is carried.  At n ~ 55
-        with one carried generator and one BLAS thread an update takes
-        about 150 us.
+        overlap rows are computed, and they are all the inverse's one block
+        update reads of the new overlap: ``grow_inverse(Stilde, change,
+        rows, carry)``, which factorizes only the dropped block of the
+        current inverse and the Schur complement of the added block (a
+        drop-only change has no added rows).  Before the first read of
+        ``Stilde`` only the overlap is carried.  At n ~ 55 with one carried
+        generator and one BLAS thread an update takes about 150 us.
 
         ``carry`` is a list of ``[G, H_A]`` pairs, ``G = Stilde @ H`` over
         the current cells and ``H_A`` the added rows of the new ``H``; each
@@ -960,11 +922,7 @@ class ReducedBasis:
         sinv = carry_hermitian(self.Sinv_tilde, change, rows)
 
         if self._stilde is not None:
-            # C and D are the new overlap's added columns
-            cols = rows.conj().T
-            self._stilde = grow_inverse(
-                self._stilde, cols, cols.take(change.fresh_rows, axis=0),
-                change.fresh, carry, change.kept, change)
+            self._stilde = grow_inverse(self._stilde, change, rows, carry)
         elif carry:
             raise ValueError("generators are carried only after Stilde is read")
         self._set_cells(new_cells)

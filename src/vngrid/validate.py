@@ -132,27 +132,38 @@ def check_sparsity_direction(rng):
 # -- reduced_space ----------------------------------------------------------
 
 def check_incremental_inverse(rng):
+    # 20 random drop-and-add changes on one axis, then 20 on helium's
+    # folded product (models.helium_1d's lattice on both axes), whose
+    # changes interleave cells of both axes
     pair = _healthy_pair()
-    product = ProductBasis(pair)
-    all_idx = np.arange(pair.n)
-    cells = CellSet(rng.choice(all_idx, size=24, replace=False)[:, None])
-    rb = ReducedBasis.create(product, cells)
     worst = 0.0
-    for _ in range(20):
-        current = set(map(tuple, rb.cells.indices))
-        others = [i for i in all_idx if (i,) not in current]
-        add = rng.choice(others, size=min(3, len(others)), replace=False)
-        keep = list(current)
-        rng.shuffle(keep)
-        drop = keep[:2] if len(keep) > 6 else []
-        new = (current - set(drop)) | {(int(i),) for i in add}
-        rb.update(cell_change(rb.cells, CellSet(np.array(sorted(new)))))
-        assert np.array_equal(rb.Sinv_tilde, product.overlap(rb.cells, rb.cells)), \
-            "carried overlap differs from a fresh one"
-        fresh = np.linalg.inv(rb.Sinv_tilde)
-        worst = max(worst, np.abs(rb.Stilde - fresh).max())
+    for product in (ProductBasis(pair), ProductBasis((pair, pair)).folded()):
+        universe = product.representatives(CellSet(np.array(list(
+            itertools.product(range(pair.n), repeat=product.ndof))))).indices
+        rows = rng.choice(len(universe), size=24, replace=False)
+        rb = ReducedBasis.create(product, CellSet(universe[rows]))
+        for _ in range(20):
+            current = set(map(tuple, rb.cells.indices))
+            others = [i for i, cell in enumerate(map(tuple, universe))
+                      if cell not in current]
+            add = rng.choice(others, size=min(3, len(others)), replace=False)
+            keep = list(current)
+            rng.shuffle(keep)
+            drop = keep[:2] if len(keep) > 6 else []
+            new = (current - set(drop)) | set(map(tuple, universe[add]))
+            rb.update(cell_change(rb.cells, CellSet(np.array(sorted(new)))))
+            s = product.overlap(rb.cells, rb.cells)
+            # a fresh folded block hermitizes sums that cancel, so the
+            # carried one matches it to round-off, and exactly unfolded
+            gap = np.abs(rb.Sinv_tilde - s).max()
+            assert gap <= (0.0 if product.fold is None
+                           else np.finfo(float).eps * np.abs(s).max()), \
+                f"carried overlap differs from a fresh one by {gap:.2e}"
+            fresh = np.linalg.inv(rb.Sinv_tilde)
+            worst = max(worst, np.abs(rb.Stilde - fresh).max())
     assert worst <= 1e-8, f"maintained inverse drifted by {worst:.2e}"
-    return f"overlap carried exactly, max drift over 20 updates {worst:.1e}"
+    return (f"overlap carried to round-off (unfolded exactly), max drift "
+            f"over 20 updates on one axis and 20 on folded helium {worst:.1e}")
 
 
 def check_projector(rng):

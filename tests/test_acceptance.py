@@ -15,8 +15,8 @@ from vngrid import models
 from vngrid.dynamics import PropagationConfig, taylor_step, tdse_adaptive
 from vngrid.errors import IllConditionedBasisError
 from vngrid.hamiltonian import ReducedHamiltonian, kinetic_matrix
-from vngrid.reduced_space import (CellSet, ReducedBasis, expand_cells,
-                                  grow_inverse, shrink_inverse)
+from vngrid.reduced_space import (CellSet, ReducedBasis, cell_change,
+                                  expand_cells, grow_inverse, shrink_inverse)
 from vngrid.solvers import TiseConfig, tise_adaptive
 from vngrid.validate import run_validation
 
@@ -82,11 +82,13 @@ def test_criterion_04_block_inverse_updates():
         a = rng.normal(size=(n_tot, n_tot)) + 1j * rng.normal(size=(n_tot, n_tot))
         big = a @ a.conj().T + n_tot * np.eye(n_tot)
         n = n_tot - m
-        grown = grow_inverse(np.linalg.inv(big[:n, :n]), big[:n, n:],
-                             big[n:, n:])
+        every = CellSet(np.arange(n_tot))
+        grown = grow_inverse(np.linalg.inv(big[:n, :n]),
+                             cell_change(CellSet(np.arange(n)), every), big[n:])
         worst = max(worst, np.abs(grown - np.linalg.inv(big)).max())
         keep = np.sort(rng.choice(n_tot, size=n, replace=False))
-        shrunk = shrink_inverse(np.linalg.inv(big), keep)
+        shrunk = shrink_inverse(np.linalg.inv(big),
+                                cell_change(every, CellSet(keep)))
         worst = max(worst,
                     np.abs(shrunk - np.linalg.inv(big[np.ix_(keep, keep)])).max())
         # one change that drops d old rows and adds a others, interleaved
@@ -97,12 +99,11 @@ def test_criterion_04_block_inverse_updates():
         kept[mixed.choice(len(old), size=d, replace=False)] = False
         new = np.sort(np.concatenate([old[kept], np.setdiff1d(np.arange(n_tot),
                                                               old)]))
-        fresh = ~np.isin(new, old)
-        s_new = big[np.ix_(new, new)]
-        changed = grow_inverse(np.linalg.inv(big[np.ix_(old, old)]),
-                               s_new[np.ix_(~fresh, fresh)],
-                               s_new[np.ix_(fresh, fresh)], fresh, keep=kept)
-        worst = max(worst, np.abs(changed - np.linalg.inv(s_new)).max())
+        change = cell_change(CellSet(old), CellSet(new))
+        changed = grow_inverse(np.linalg.inv(big[np.ix_(old, old)]), change,
+                               big[np.ix_(new[change.fresh_rows], new)])
+        worst = max(worst,
+                    np.abs(changed - np.linalg.inv(big[np.ix_(new, new)])).max())
     assert worst <= 1e-9
     _report(4, f"100 randomized grow/shrink sequences and 100 drop-and-add "
                f"changes, max deviation {worst:.2e} <= 1e-9 (sizes up to 128)")

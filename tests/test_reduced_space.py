@@ -336,19 +336,26 @@ def test_embed_coefficients():
 
 # -- block-inverse updates ----------------------------------------------------
 
+def _change(old, new):
+    """The :func:`cell_change` between two 1-D cell sets of row labels."""
+    return cell_change(CellSet(np.asarray(old)), CellSet(np.asarray(new)))
+
+
 def test_grow_inverse_trivial_cases(rng):
     a = _random_pd(rng, 6)
     ainv = np.linalg.inv(a)
-    out = grow_inverse(ainv, np.zeros((6, 0)), np.zeros((0, 0)))
+    out = grow_inverse(ainv, _change(range(6), range(6)),
+                       np.zeros((0, 6), dtype=complex))
     np.testing.assert_allclose(out, ainv)
-    z = grow_inverse(np.eye(4), np.zeros((4, 2)), np.eye(2))
+    z = grow_inverse(np.eye(4, dtype=complex), _change(range(4), range(6)),
+                     np.eye(6, dtype=complex)[4:])
     np.testing.assert_allclose(z, np.eye(6), atol=1e-14)
 
 
 def test_grow_inverse_against_dense_oracle(rng):
     big = _random_pd(rng, 40)
     ainv = np.linalg.inv(big[:36, :36])
-    z = grow_inverse(ainv, big[:36, 36:], big[36:, 36:])
+    z = grow_inverse(ainv, _change(range(36), range(40)), big[36:])
     np.testing.assert_allclose(z, np.linalg.inv(big), atol=1e-9)
 
 
@@ -361,23 +368,24 @@ def test_grow_inverse_writes_the_fresh_layout(rng):
     fresh[[0, 7, 8, 21, 29]] = True
     kept = ~fresh
     ainv = np.linalg.inv(big[np.ix_(kept, kept)])
-    c, d = big[np.ix_(kept, fresh)], big[np.ix_(fresh, fresh)]
     order = np.concatenate([np.flatnonzero(kept), np.flatnonzero(fresh)])
     last = np.empty_like(big)
-    last[np.ix_(order, order)] = grow_inverse(ainv, c, d)
+    last[np.ix_(order, order)] = grow_inverse(
+        ainv, _change(range(25), range(30)), big[np.ix_(order[25:], order)])
     eps = np.finfo(float).eps
-    assert (np.abs(grow_inverse(ainv, c, d, fresh) - last).max()
-            <= 2 * eps * np.abs(last).max())
+    interleaved = grow_inverse(ainv, _change(np.flatnonzero(kept), range(30)),
+                               big[fresh])
+    assert np.abs(interleaved - last).max() <= 2 * eps * np.abs(last).max()
     np.testing.assert_allclose(last, np.linalg.inv(big), atol=1e-9)
 
 
 def test_grow_inverse_rejects_degenerate(rng):
     a = _random_pd(rng, 5)
     ainv = np.linalg.inv(a)
-    c = a[:, :2]           # duplicated columns: Schur complement singular
-    d = a[:2, :2]
+    # the added rows duplicate kept rows 0 and 1: Schur complement singular
+    s_a = np.hstack([a[:2], a[:2, :2]])
     with pytest.raises(DegenerateUpdateError):
-        grow_inverse(ainv, c, d)
+        grow_inverse(ainv, _change(range(5), range(7)), s_a)
 
 
 def test_fresh_inverse_conditioning_check(rng):
@@ -402,50 +410,55 @@ def test_shrink_inverse_against_dense_oracle(rng):
     big = _random_pd(rng, 40)
     zinv = np.linalg.inv(big)
     keep = np.sort(rng.choice(40, size=32, replace=False))
-    out = shrink_inverse(zinv, keep)
+    out = shrink_inverse(zinv, _change(range(40), keep))
     np.testing.assert_allclose(out, np.linalg.inv(big[np.ix_(keep, keep)]),
                                atol=1e-9)
-    np.testing.assert_allclose(shrink_inverse(zinv, 40), zinv)
+    np.testing.assert_allclose(shrink_inverse(zinv, _change(range(40),
+                                                            range(40))), zinv)
+    # a change that adds cells is not the drop-only case
+    with pytest.raises(ValueError, match="adds no cells"):
+        shrink_inverse(zinv, _change(range(40), range(41)))
 
 
 def test_grow_then_shrink_round_trip(rng):
     big = _random_pd(rng, 30)
     ainv = np.linalg.inv(big[:24, :24])
-    z = grow_inverse(ainv, big[:24, 24:], big[24:, 24:])
-    back = shrink_inverse(z, 24)
+    z = grow_inverse(ainv, _change(range(24), range(30)), big[24:])
+    back = shrink_inverse(z, _change(range(30), range(24)))
     np.testing.assert_allclose(back, ainv, atol=1e-9)
 
 
 def _random_change(rng, universe, n_old, d, a):
     """A change inside ``universe`` rows: ``n_old`` old rows, ``d`` of them
     dropped and ``a`` others added, interleaved in the new order.  Returns
-    the old and new rows, the kept mask over the old and the fresh mask
-    over the new."""
+    the old and new rows and the :func:`cell_change` between them."""
     old = np.sort(rng.choice(universe, size=n_old, replace=False))
     keep = np.ones(n_old, dtype=bool)
     keep[rng.choice(n_old, size=d, replace=False)] = False
     others = np.setdiff1d(np.arange(universe), old)
     new = np.sort(np.concatenate([old[keep],
                                   rng.choice(others, size=a, replace=False)]))
-    return old, new, keep, ~np.isin(new, old)
+    return old, new, _change(old, new)
 
 
 def test_fused_update_against_dense_oracles(rng):
     # one call drops d and adds a interleaved cells, and carries two
     # generators from the added rows of their H': the inverse is inv(S')
-    # and each G is inv(S') @ H'
-    for _ in range(20):
-        d, a = (int(v) for v in rng.integers(1, 9, size=2))
+    # and each G is inv(S') @ H'; after 20 random changes, one that only
+    # drops cells and one that only adds them
+    sizes = itertools.chain((rng.integers(1, 9, size=2) for _ in range(20)),
+                            [(6, 0), (0, 6)])
+    for d, a in sizes:
         big = _random_pd(rng, 50)
         hs = [_random_pd(rng, 50) for _ in range(2)]
-        old, new, keep, fresh = _random_change(rng, 50, 36, d, a)
+        old, new, change = _random_change(rng, 50, 36, int(d), int(a))
+        added = new[change.fresh_rows]
+        assert len(change.dropped_rows) == d and len(added) == a
         w = np.linalg.inv(big[np.ix_(old, old)])
-        carry = [[w @ h[np.ix_(old, old)], h[np.ix_(new[fresh], new)]]
+        carry = [[w @ h[np.ix_(old, old)], h[np.ix_(added, new)]]
                  for h in hs]
-        s_new = big[np.ix_(new, new)]
-        out = grow_inverse(w, s_new[np.ix_(~fresh, fresh)],
-                           s_new[np.ix_(fresh, fresh)], fresh, carry, keep)
-        ref = np.linalg.inv(s_new)
+        out = grow_inverse(w, change, big[np.ix_(added, new)], carry)
+        ref = np.linalg.inv(big[np.ix_(new, new)])
         np.testing.assert_allclose(out, ref, rtol=0,
                                    atol=1e-12 * np.abs(ref).max())
         for (g, _), h in zip(carry, hs):
@@ -457,12 +470,13 @@ def test_fused_update_against_dense_oracles(rng):
 def test_update_rejects_a_singular_dropped_block(rng):
     w = np.linalg.inv(_random_pd(rng, 12))
     w[3, :] = w[:, 3] = 0.0           # dropped block [[0, 0], [0, w77]]
-    keep = np.ones(12, dtype=bool)
-    keep[[3, 7]] = False
+    kept = np.setdiff1d(np.arange(12), [3, 7])
     with pytest.raises(DegenerateUpdateError, match="dropped block"):
-        shrink_inverse(w, keep)
+        shrink_inverse(w, _change(range(12), kept))
+    s_a = np.ones((1, 11), dtype=complex)
+    s_a[0, -1] = 10.0
     with pytest.raises(DegenerateUpdateError, match="dropped block"):
-        grow_inverse(w, np.ones((10, 1)), 10.0 * np.ones((1, 1)), keep=keep)
+        grow_inverse(w, _change(range(12), np.r_[kept, 12]), s_a)
 
 
 # -- reduced basis -------------------------------------------------------------
@@ -692,24 +706,6 @@ def test_update_carries_generators_only_after_stilde_is_read(pair60):
     with pytest.raises(ValueError, match="after Stilde is read"):
         rb.update(cell_change(rb.cells, CellSet(np.arange(1, 9)[:, None])),
                   [[h, h]])
-
-
-def test_drop_only_update_is_shrink_inverse(pair60, rng):
-    # a change that only drops cells is the block update's case of nothing
-    # added (no added rows): the bits of shrink_inverse, for the inverse
-    # and a generator
-    rb = ReducedBasis.create(ProductBasis(pair60),
-                             CellSet(np.arange(10, 30)[:, None]))
-    h = _random_pd(rng, 20)
-    keep = np.ones(20, dtype=bool)
-    keep[[0, 7, 8, 19]] = False
-    no_rows = np.empty((0, 16), dtype=complex)
-    expect = [[rb.Stilde @ h, no_rows]]
-    stilde = shrink_inverse(rb.Stilde, keep, expect)
-    carry = [[rb.Stilde @ h, no_rows]]
-    rb.update(cell_change(rb.cells, rb.cells.subset(keep)), carry)
-    assert np.array_equal(rb.Stilde, stilde)
-    assert np.array_equal(carry[0][0], expect[0][0])
 
 
 @pytest.mark.parametrize("failure", ["schur", "dropped"])
