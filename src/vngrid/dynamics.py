@@ -12,22 +12,21 @@ number of terms, the step is declared too large and the caller halves it.
 
 With control signals ``u_g`` each term is one matrix-vector product with
 the staged generator ``G(u) = G_0 + sum_g u_g G_g``, ``G_0 = Stilde Hbb`` and
-``G_g = Stilde H_g`` (:meth:`ReducedHamiltonian.generator`).  It is formed
-at the first read of ``Stilde``.  A basis change then derives its row
-indices once (:func:`~vngrid.reduced_space.cell_change`), and ``Stilde``
-and each ``G`` take one gather and GEMMs of the change's rank in the one
-block update of the inverse, from the added cells' rows of each block
-(:meth:`ReducedHamiltonian.rows`), ``O(n^2 (d + a))`` for ``d`` cells
-dropped and ``a`` added: about 245 us per change of the seed-0 harmonic
-run (n ~ 55, one BLAS thread) for bookkeeping, assembly and update.
+``G_g = Stilde H_g``, staged once on the reduced basis
+(:meth:`~vngrid.reduced_space.ReducedBasis.stage`).  A basis change then
+derives its row indices once (:func:`~vngrid.reduced_space.cell_change`),
+and ``Stilde`` and each ``G`` take one gather and GEMMs of the change's
+rank in the basis's one block update, from the added cells' rows of each
+block (:meth:`ReducedHamiltonian.rows`), ``O(n^2 (d + a))`` for ``d``
+cells dropped and ``a`` added: about 245 us per change of the seed-0
+harmonic run (n ~ 55, one BLAS thread) for bookkeeping, assembly and update.
 :func:`taylor_step` runs each term as one BLAS ``zgemv`` on ``G(u)`` plus
 three vector calls.
 
 With the exact inverse only the series tail moves the physical norm over a
 step (measured below 1 % of ``taylor_eps``), and a drifted inverse moves it
-at first order: a step that moves it by more than ``taylor_eps`` drops the
-inverse (:meth:`ReducedBasis.refresh`) and re-stages ``G`` from a fresh
-``Stilde``.
+at first order: a step that moves it by more than ``taylor_eps`` stages
+``G`` again, from a fresh ``Stilde`` and freshly assembled blocks.
 
 The step controller combines three limits:
 
@@ -155,8 +154,8 @@ def taylor_step(g: np.ndarray, psi: np.ndarray, tau: float,
                 cfg: PropagationConfig) -> TaylorStep:
     """One Taylor step of ``exp(-i G tau) psi`` for the generator matrix ``g``.
 
-    ``g`` is the staged generator (:meth:`ReducedHamiltonian.combined` of the
-    staged copy), or any square matrix matching ``psi``.  It is made a
+    ``g`` is the staged generator (:meth:`ReducedHamiltonian.combined` of a
+    basis's generators), or any square matrix matching ``psi``.  It is made a
     C-contiguous complex array once per step, never per term.  Each term is
     then four BLAS calls: ``zgemv`` on the F-ordered view ``g.T`` (the
     product ``numpy`` forms for ``g @ v``), ``zscal`` by ``-i tau / k``,
@@ -435,7 +434,7 @@ class Trajectory:
     snapshots: list
     final_cells: CellSet
     final_coefficients: np.ndarray
-    generator: ReducedHamiltonian   # Stilde times each block, at final_cells
+    generator: list                 # Stilde @ each distinct block, at final_cells
     tau_cap: StepCap | None         # None when no signal moves
     norm_step_max: float            # largest norm move of a step, changes apart
 
@@ -457,11 +456,11 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
 
     ``basis`` and ``hamiltonian`` hand over a reduced basis and Hamiltonian
     that already cover ``cells0`` (for example those an eigenmode search
-    leaves behind), instead of building both from scratch.  The basis is
-    updated in place as it adapts; the Hamiltonian is only read, its full
-    blocks once, to stage the generator.  Both must cover exactly
-    ``cells0``, and the Hamiltonian must have been built for ``spec``;
-    otherwise :class:`ValueError` is raised.
+    leaves behind), instead of building both from scratch.  The basis
+    stages the generators from the Hamiltonian's blocks, once, and carries
+    them as it adapts in place; the blocks are only read.  Both must cover
+    exactly ``cells0``, and the Hamiltonian must have been built for
+    ``spec``; otherwise :class:`ValueError` is raised.
 
     On a folded product basis (:meth:`~vngrid.reduced_space.ProductBasis.folded`)
     ``cells0`` are orbit representatives and ``psi0`` is folded; so are the
@@ -505,13 +504,14 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
     accepted = 0
     # the boundary rows of the current cells
     edge = boundary_mask(rb.cells, lattices, cfg.radius, fold).nonzero()[0]
-    staged = ham.generator(rb.Stilde)     # carried across basis changes
+    rb.stage(ham.blocks)                  # carried across basis changes
 
     try:
         while t < t_end - 1e-12 and (max_steps is None or accepted < max_steps):
             tau_eff = min(tau, t_end - t)
             u_mid = tuple(p.value(t + 0.5 * tau_eff) for p in pulses)
-            step = taylor_step(staged.combined(u_mid), psi, tau_eff, cfg)
+            step = taylor_step(ham.combined(u_mid, rb.generators), psi,
+                               tau_eff, cfg)
             if step.too_large:
                 tau = _shrink(tau, events, t, "series")
                 quiet = 0
@@ -535,9 +535,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
             move, norm_in = abs(norms[-1] - norm_in), norms[-1]
             norm_step_max = max(norm_step_max, move)
             if move > cfg.taylor_eps:       # the inverse drifted: form it again
-                rb.refresh()
-                staged = ham.with_blocks(ham.rows(rb.cells, rb.cells),
-                                         rb.cells).generator(rb.Stilde)
+                rb.stage(ham.rows(rb.cells, rb.cells))
                 events.append((t, "refresh", f"norm moved {move:.2e}"))
 
             amp = rb.amplitudes(psi)
@@ -546,10 +544,8 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
                 change = cell_change(rb.cells, expand_cells(kept, lattices,
                                                             cfg.radius, fold))
                 psi = embed_coefficients(psi, change)
-                carry = [[g, r] for g, r in zip(
-                    staged.blocks, ham.rows(change.added, change.new))]
-                added, removed = rb.update(change, carry)
-                staged = staged.with_blocks([g for g, _ in carry], change.new)
+                added, removed = rb.update(
+                    change, ham.rows(change.added, change.new))
                 # norms[-1] is the norm before the change
                 norm_in = rb.physical_norm(psi)
                 lost += abs(norms[-1] ** 2 - norm_in ** 2)
@@ -574,12 +570,11 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
     if not snapshots or snapshots[-1].t != t:
         snapshots.append(Snapshot(t, rb.cells, psi.copy()))
     return Trajectory(times=np.asarray(times), n_active=np.asarray(n_active),
-                      n_basis=np.asarray(n_basis),
-                      norms=np.asarray(norms), taus=np.asarray(taus),
-                      discarded=np.asarray(discarded), events=events,
-                      snapshots=snapshots, final_cells=rb.cells,
-                      final_coefficients=psi, generator=staged, tau_cap=cap,
-                      norm_step_max=norm_step_max)
+                      n_basis=np.asarray(n_basis), norms=np.asarray(norms),
+                      taus=np.asarray(taus), discarded=np.asarray(discarded),
+                      events=events, snapshots=snapshots, final_cells=rb.cells,
+                      final_coefficients=psi, generator=rb.generators,
+                      tau_cap=cap, norm_step_max=norm_step_max)
 
 
 def _shrink(tau, events, t, reason):

@@ -482,13 +482,11 @@ class ReducedHamiltonian:
 
     Holds the drift matrix and one matrix per control coupling.  The
     reduced generator is ``Stilde (Hbb + sum_g u_g H_g)``, applied staged:
-    :meth:`generator` left-multiplies every distinct block by ``Stilde``
-    once, and :meth:`combined` of the staged copy then gives the generator
-    for one matrix-vector product per application.  Across a basis change
-    the staged blocks are carried through the one block update of the
-    inverse (:meth:`~vngrid.reduced_space.ReducedBasis.update`) from the
-    added cells' rows alone (:meth:`rows`), and put back with
-    :meth:`with_blocks`, so they are formed from scratch only once.
+    a reduced basis stages ``Stilde @ b`` for every distinct block ``b``
+    (:meth:`~vngrid.reduced_space.ReducedBasis.stage`) and carries them
+    through each basis change from the added cells' rows alone
+    (:meth:`rows`), and :meth:`combined` of those generators gives the
+    generator for one matrix-vector product per application.
 
     Every operator is held as a rank expansion ``sum_r prod_k F_r^(k)`` of
     per-axis element tables over the whole lattice: the one-axis terms of
@@ -518,8 +516,9 @@ class ReducedHamiltonian:
         self._group_of = tuple(group[id(c)] for c in spec.control_terms)
         self._controls = tuple(self._factors(c) for c in distinct.values())
         self.cells = cells
-        self.Hbb, *controls = self.rows(cells, cells)
-        self._control_blocks = tuple(controls)
+        # the distinct blocks, drift first: a block that several control
+        # terms share appears once
+        self.blocks = tuple(self.rows(cells, cells))
         self._buffer = None
 
     # -- rank expansion ------------------------------------------------------
@@ -613,72 +612,54 @@ class ReducedHamiltonian:
 
         Every distinct block is carried as the reduced overlap is
         (:func:`~vngrid.reduced_space.carry_hermitian`): only the rows of
-        added cells are assembled, and the result is identical to a
-        from-scratch assembly (the cache guarantees value equality).
+        added cells are assembled, and the result matches a from-scratch
+        assembly to round-off (helium: 5e-15 after one change; folded, where
+        a fresh block is hermitized as a whole, 1.8e-14 after 20).
         """
-        self.Hbb, *controls = [
-            carry_hermitian(mat, change, rows) for mat, rows in
-            zip(self.blocks, self.rows(change.added, change.new))]
-        self._control_blocks = tuple(controls)
+        self.blocks = tuple(carry_hermitian(mat, change, rows) for mat, rows
+                            in zip(self.blocks, self.rows(change.added, change.new)))
         self.cells = change.new
         return change.added
 
     # -- application ------------------------------------------------------------
 
     @property
+    def Hbb(self):
+        """The drift block."""
+        return self.blocks[0]
+
+    @property
     def Hbb_controls(self):
         """One block per control term; terms sharing a block share the array."""
-        return tuple(self._control_blocks[g] for g in self._group_of)
+        return tuple(self.blocks[1 + g] for g in self._group_of)
 
-    def combined(self, controls=()) -> np.ndarray:
+    def combined(self, controls=(), blocks=None) -> np.ndarray:
         """Drift plus signal-scaled control matrices, ``Hbb + sum_g u_g H_g``.
 
-        ``controls`` holds one signal per control term; the signals of terms
-        that share a block are summed first.  With every signal zero this
-        returns ``Hbb`` itself.  Otherwise the result is written into one
-        buffer owned by this object and reused: it is valid until the next
-        call, and must not be modified.
+        ``blocks``, laid out as :attr:`blocks`, are these by default, or a
+        basis's staged generators ``Stilde @ b``, which combine to ``Stilde
+        (Hbb + sum_g u_g H_g)``.  ``controls`` holds one signal per control
+        term; the signals of terms that share a block are summed first.
+        With every signal zero this returns the drift block itself.
+        Otherwise the result is written into one buffer owned by this object
+        and reused by every call, whichever blocks it combines: it is valid
+        until the next call, and must not be modified.
         """
-        weights = [0.0] * len(self._control_blocks)
+        drift, *shared = self.blocks if blocks is None else blocks
+        weights = [0.0] * len(shared)
         for u, g in zip(controls, self._group_of):
             weights[g] += u
-        terms = [(w, hc) for w, hc in zip(weights, self._control_blocks) if w]
+        terms = [(w, hc) for w, hc in zip(weights, shared) if w]
         if not terms:
-            return self.Hbb
-        if self._buffer is None or self._buffer.shape != self.Hbb.shape:
-            self._buffer = np.empty_like(self.Hbb)
-        h = self._buffer
+            return drift
+        if self._buffer is None or self._buffer.shape != drift.shape:
+            self._buffer = np.empty_like(drift)
         (w, hc), *rest = terms
-        np.multiply(hc, w, out=h)
-        h += self.Hbb
+        h = np.multiply(hc, w, out=self._buffer)
+        h += drift
         for w, hc in rest:
             h += w * hc
         return h
-
-    @property
-    def blocks(self):
-        """The distinct blocks, drift first: a block that several control
-        terms share appears once."""
-        return (self.Hbb, *self._control_blocks)
-
-    def with_blocks(self, blocks, cells: CellSet) -> "ReducedHamiltonian":
-        """Read-only copy over ``cells`` holding ``blocks`` (laid out as
-        :attr:`blocks`), with the same signal grouping."""
-        hbb, *controls = blocks
-        out = object.__new__(type(self))
-        # a shallow copy of the attributes, with the blocks replaced
-        out.__dict__ = dict(vars(self), Hbb=hbb, cells=cells,
-                            _control_blocks=tuple(controls), _buffer=None)
-        return out
-
-    def generator(self, stilde: np.ndarray) -> "ReducedHamiltonian":
-        """Read-only copy with every distinct block left-multiplied by ``stilde``.
-
-        Its :meth:`combined` gives ``stilde (Hbb + sum_g u_g H_g)``.  It holds
-        for the current cell set; a basis change carries its blocks, and the
-        propagator calls this again only at a refresh of ``Stilde``.
-        """
-        return self.with_blocks([stilde @ b for b in self.blocks], self.cells)
 
     def cache_stats(self):
         """Element-cache counters summed over the distinct caches in use."""

@@ -30,10 +30,10 @@ from then on updated incrementally when cells are added or removed: one
 block update per change, :func:`grow_inverse`, reads the
 :class:`CellChange` and the added rows of the new overlap, and factorizes
 only the dropped block of the inverse and the Schur complement of the added
-cells.  The same update carries generators ``Stilde @ H`` across the change
-from the added rows of ``H`` alone, for a propagator that keeps them
-staged: the inverse and each generator take one gather into the new order
-and GEMMs of the change's rank.
+cells.  The same update carries the generators ``Stilde @ H`` that a
+propagator stages on the basis (:meth:`ReducedBasis.stage`) from the added
+rows of ``H`` alone: the inverse and each generator take one gather into
+the new order and GEMMs of the change's rank.
 
 Conditioning
 ------------
@@ -413,7 +413,7 @@ def carry_hermitian(mat, change: CellChange, fresh_rows):
 # block-inverse updates
 # ---------------------------------------------------------------------------
 
-def grow_inverse(W, change, s_a, carry=None):
+def grow_inverse(W, change, s_a, carry=()):
     """Inverse of the overlap after a change of cells, from the old inverse
     ``W`` alone.
 
@@ -469,7 +469,6 @@ def grow_inverse(W, change, s_a, carry=None):
     src, fi, di = change.source, change.fresh_rows, change.dropped_rows
     n, d, a = len(src), len(di), len(fi)
     k = d + a
-    carry = carry or ()
     cols = s_a.conj().T                     # the new overlap's added columns
     order = np.concatenate((src, di)) if d else src
     # rows: the new inverse, then R, L^H and R again
@@ -519,14 +518,12 @@ def grow_inverse(W, change, s_a, carry=None):
     return new
 
 
-def shrink_inverse(W, change, carry=None):
+def shrink_inverse(W, change):
     """The drop-only case of :func:`grow_inverse`: the inverse of the kept
-    principal block, from ``W`` alone, for a ``change`` that adds no cells.
-    ``carry`` pairs are ``[G, H_A]`` with ``H_A`` of no rows."""
+    principal block, from ``W`` alone, for a ``change`` that adds no cells."""
     if len(change.fresh_rows):
         raise ValueError("shrink_inverse takes a change that adds no cells")
-    return grow_inverse(W, change, np.empty((0, len(change.new)),
-                                            dtype=complex), carry)
+    return grow_inverse(W, change, np.empty((0, len(change.new)), complex))
 
 
 def _gather(mat, order, src, fi, spare):
@@ -826,9 +823,10 @@ class ReducedBasis:
     round-off of one, whose block is hermitized as a whole.  Their
     conditioning is bounded by the :class:`ProductBasis` (module docstring),
     so neither creation nor an update factors them.  ``Stilde``, which the
-    eigenmode search never reads, is formed on first read
-    (:func:`_fresh_inverse`, with its exact checks) and then carried
-    through each :meth:`update` until :meth:`refresh` drops it.
+    eigenmode search never reads, is formed from scratch on first read or
+    by :meth:`stage` (:func:`_fresh_inverse`, with its exact checks).  Each
+    :meth:`update` carries it, and the :attr:`generators` staged with it,
+    to the new cells.
 
     On a folded product basis the cells are orbit representatives:
     ``n`` counts them, ``n_lattice`` the lattice cells they span, and
@@ -841,6 +839,7 @@ class ReducedBasis:
         self._set_cells(cells)
         self.Sinv_tilde = Sinv_tilde
         self._stilde = None
+        self.generators = []        # Stilde @ each staged block
 
     @classmethod
     def create(cls, product: ProductBasis, cells: CellSet) -> "ReducedBasis":
@@ -872,9 +871,12 @@ class ReducedBasis:
             self._stilde = _fresh_inverse(self.Sinv_tilde, self.n)
         return self._stilde
 
-    def refresh(self):
-        """Drop the maintained inverse: the next read forms it from scratch."""
-        self._stilde = None
+    def stage(self, blocks):
+        """Form ``Stilde`` from scratch and stage ``Stilde @ b`` for each
+        Hermitian block ``b`` over the current cells, one GEMM each, as
+        :attr:`generators` (replacing any staged before)."""
+        self._stilde = _fresh_inverse(self.Sinv_tilde, self.n)
+        self.generators = [self._stilde @ b for b in blocks]
 
     @property
     def Btilde(self) -> np.ndarray:
@@ -891,40 +893,42 @@ class ReducedBasis:
         sc = _zgemv(1.0, self.Sinv_tilde.T, coeffs, 0.0, None, 0, 1, 0, 1, 1)
         return math.sqrt(max(0.0, _zdotc(coeffs, sc).real))
 
-    def update(self, change: CellChange, carry=None):
+    def update(self, change: CellChange, rows=()):
         """Switch to the new cells of ``change``, the :func:`cell_change`
-        from the current cells, carrying the overlap and its inverse.
+        from the current cells, carrying the overlap, its inverse and the
+        staged generators.
 
         Returns the change's ``(added, removed)`` cell sets.  Only the added
         overlap rows are computed, and they are all the inverse's one block
         update reads of the new overlap: ``grow_inverse(Stilde, change,
-        rows, carry)``, which factorizes only the dropped block of the
+        s_a, carry)``, which factorizes only the dropped block of the
         current inverse and the Schur complement of the added block (a
         drop-only change has no added rows).  Before the first read of
-        ``Stilde`` only the overlap is carried.  At n ~ 55 with one carried
+        ``Stilde`` only the overlap is carried.  At n ~ 55 with one staged
         generator and one BLAS thread an update takes about 150 us.
 
-        ``carry`` is a list of ``[G, H_A]`` pairs, ``G = Stilde @ H`` over
-        the current cells and ``H_A`` the added rows of the new ``H``; each
-        ``G`` is replaced in place by the new ``Stilde @ H``, through the
-        same update as the inverse.  Carrying needs ``Stilde`` read.  An
+        ``rows`` holds each staged block's added rows over the new cells
+        (``ReducedHamiltonian.rows(change.added, change.new)``), one per
+        generator, or :class:`ValueError` is raised; each generator becomes
+        the new ``Stilde @ H`` through the same update as the inverse.  An
         update that raises leaves everything as it was: the cells,
-        ``Sinv_tilde``, ``Stilde`` and every carry pair, since both
+        ``Sinv_tilde``, ``Stilde`` and every generator, since both
         factorizations run before anything is written.
         """
+        if len(rows) != len(self.generators):
+            raise ValueError("one row block per staged generator required")
         new_cells, added, removed = change.new, change.added, change.removed
         if len(removed) == 0 and len(added) == 0:
             self._set_cells(new_cells)
             return added, removed
         if len(new_cells) == 0:
             raise DegenerateUpdateError("cannot reduce to an empty cell set")
-        rows = self.product.overlap(added, new_cells)
-        sinv = carry_hermitian(self.Sinv_tilde, change, rows)
-
+        s_a = self.product.overlap(added, new_cells)
+        sinv = carry_hermitian(self.Sinv_tilde, change, s_a)
         if self._stilde is not None:
-            self._stilde = grow_inverse(self._stilde, change, rows, carry)
-        elif carry:
-            raise ValueError("generators are carried only after Stilde is read")
+            carry = [[g, r] for g, r in zip(self.generators, rows)]
+            self._stilde = grow_inverse(self._stilde, change, s_a, carry)
+            self.generators = [g for g, _ in carry]
         self._set_cells(new_cells)
         self.Sinv_tilde = sinv
         return added, removed

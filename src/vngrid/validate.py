@@ -431,21 +431,16 @@ def _fixed_reduced_system(rng, n_cells=48):
         order = np.argsort(-np.abs(res.eigenvectors[:, 0]))
         cells = CellSet(cells.indices[np.sort(order[:n_cells])])
     rb = ReducedBasis.create(m.product, cells)
-    ham = ReducedHamiltonian(m.spec, m.product, cells)
+    # the generator Stilde Hbb, staged on the basis as the propagator's is
+    rb.stage([ReducedHamiltonian(m.spec, m.product, cells).Hbb])
     psi = rng.normal(size=len(cells)) + 1j * rng.normal(size=len(cells))
     psi /= rb.physical_norm(psi)
-    return rb, ham, psi
-
-
-def _staged_generator(rb, ham):
-    """``Stilde Hbb`` as the propagator applies it: the staged generator matrix."""
-    return ham.generator(rb.Stilde).combined()
+    return rb, rb.generators[0], psi
 
 
 def check_fixed_basis_unitarity(rng):
-    rb, ham, psi = _fixed_reduced_system(rng)
+    rb, h1, psi = _fixed_reduced_system(rng)
     cfg = PropagationConfig(tau0=0.02)
-    h1 = _staged_generator(rb, ham)
     for _ in range(200):
         psi = taylor_step(h1, psi, 0.02, cfg).psi
     drift = abs(rb.physical_norm(psi) - 1.0) / 200
@@ -454,9 +449,8 @@ def check_fixed_basis_unitarity(rng):
 
 
 def check_taylor_tail(rng):
-    rb, ham, psi = _fixed_reduced_system(rng)
+    _, h1, psi = _fixed_reduced_system(rng)
     cfg = PropagationConfig(tau0=0.02, max_taylor_terms=30)
-    h1 = _staged_generator(rb, ham)
     a = taylor_step(h1, psi, 0.02, cfg)
     cfg2 = PropagationConfig(tau0=0.02, max_taylor_terms=60)
     b = taylor_step(h1, psi, 0.02, cfg2)
@@ -466,9 +460,8 @@ def check_taylor_tail(rng):
 
 
 def check_oracle_agreement(rng):
-    rb, ham, psi = _fixed_reduced_system(rng, n_cells=48)
+    _, h1, psi = _fixed_reduced_system(rng, n_cells=48)
     cfg = PropagationConfig(tau0=0.02)
-    h1 = _staged_generator(rb, ham)
     step_op = scipy.linalg.expm(-1j * 0.02 * h1)
     psi_ref = psi.copy()
     worst = 0.0
@@ -480,7 +473,27 @@ def check_oracle_agreement(rng):
     return f"max deviation over 100 steps {worst:.1e}"
 
 
+def _carried_generator(name, spec, product, traj):
+    """One run of :func:`check_carried_generator`: no refresh, and every
+    carried generator within 1e-12 of a fresh ``Stilde @ H`` at the end."""
+    kinds = [kind for _, kind, _ in traj.events]
+    assert "basis" in kinds and "refresh" not in kinds, (
+        f"{name}: event kinds {sorted(set(kinds))}")
+    stilde = ReducedBasis.create(product, traj.final_cells).Stilde
+    fresh = [stilde @ h for h in ReducedHamiltonian(
+        spec, product, traj.final_cells).blocks]
+    assert [g.shape for g in traj.generator] == [stilde.shape] * len(fresh), (
+        f"{name}: not one n x n generator per block at the final cells")
+    err = max(np.abs(g - f).max() / np.abs(f).max()
+              for g, f in zip(traj.generator, fresh))
+    assert err <= 1e-12, f"{name}: carried generator deviates by {err:.2e}"
+    return (f"{name}: {kinds.count('basis')} changes, deviation {err:.1e}, "
+            f"step norm move {traj.norm_step_max:.1e}")
+
+
 def check_carried_generator(rng):
+    # a field-free harmonic run, then the tests' driven helium adapting on
+    # its folded product (three distinct blocks, two pulses sharing one)
     m = models.harmonic()
     x0 = 2.5 + 0.1 * rng.uniform(-1.0, 1.0)
     grid, pair = m.grids[0], m.pairs[0]
@@ -489,19 +502,22 @@ def check_carried_generator(rng):
         np.abs(analyze(pair, psi)) >= 1e-6)[:, None]), m.lattices[0])
     c0 = project_state(m.product, cells, psi * np.sqrt(grid.dx))
     c0 /= ReducedBasis.create(m.product, cells).physical_norm(c0)
-    traj = tdse_adaptive(m.spec, m.product, c0, cells, (0.0, 30.0),
-                         cfg=PropagationConfig(zeta=1e-6, snapshot_every=0))
-    kinds = [kind for _, kind, _ in traj.events]
-    assert "basis" in kinds, "no basis change to carry the generator through"
-    assert "refresh" not in kinds, f"{kinds.count('refresh')} refreshes"
-    assert traj.generator.cells == traj.final_cells, "generator cells are stale"
-    stilde = ReducedBasis.create(m.product, traj.final_cells).Stilde
-    fresh = ReducedHamiltonian(m.spec, m.product, traj.final_cells).blocks
-    err = max(np.abs(g - stilde @ h).max() / np.abs(stilde @ h).max()
-              for g, h in zip(traj.generator.blocks, fresh))
-    assert err <= 1e-12, f"carried generator deviates by {err:.2e}"
-    return (f"{kinds.count('basis')} basis changes, relative deviation "
-            f"{err:.1e}, largest step norm move {traj.norm_step_max:.1e}")
+    harmonic = _carried_generator("harmonic", m.spec, m.product, tdse_adaptive(
+        m.spec, m.product, c0, cells, (0.0, 30.0),
+        cfg=PropagationConfig(zeta=1e-6, snapshot_every=0)))
+    he = models.helium_1d()
+    x, folded = models.position_coupling(he.grids), he.product.folded()
+    spec = dataclasses.replace(he.spec, control_terms=(
+        x, x, models.momentum_coupling(he.grids)))
+    pulses = (ControlPulse.table([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]),
+              ControlPulse.xuv(0.5, 0.5, 0.2),
+              ControlPulse.table([0.0, 0.3, 0.6, 1.0], [0.0, 1.0, 0.0, 0.0]))
+    ground = tise_adaptive(spec, folded, TiseConfig(zeta=1e-2, n_modes=1))
+    return harmonic + "; " + _carried_generator(
+        "folded helium", spec, folded, tdse_adaptive(
+            spec, folded, ground.eigenvectors[:, 0], ground.final_cells,
+            (0.0, 1.0), pulses, PropagationConfig(zeta=1e-2, tau0=0.02),
+            basis=ground.reduced_basis, hamiltonian=ground.hamiltonian))
 
 
 # the fourth-order commutator-free Magnus step (Alvermann & Fehske, J. Comput.

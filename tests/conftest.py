@@ -48,14 +48,14 @@ def he_dense(he_eigh):
 @pytest.fixture
 def inverse_drift(monkeypatch):
     """``inverse_drift(k, eps)`` breaks the maintained inverse after the
-    ``k``-th update that carries generators (the propagator's updates).
+    ``k``-th update of a staged basis (the propagator's updates).
 
     A Hermitian defect ``D`` of relative size ``eps`` (max entry against
-    ``Stilde``'s) is added to ``Stilde`` and ``D @ H`` to each carried
-    ``G = Stilde @ H``, in place, as a drifted block update would leave
-    them.  A carry pair holds only the added rows of ``H``, so ``H`` is
-    read back as ``Sinv_tilde @ G``.  The returned list counts those
-    updates.
+    ``Stilde``'s) is added to ``Stilde`` and ``D @ H`` to each of
+    ``rb.generators``, ``G = Stilde @ H``, in place, as a drifted block
+    update would leave them.  The update reads only the added rows of
+    ``H``, so ``H`` is read back as ``Sinv_tilde @ G``.  The returned list
+    counts those updates.
     """
     from vngrid.reduced_space import ReducedBasis
 
@@ -64,9 +64,9 @@ def inverse_drift(monkeypatch):
     def arm(k, eps):
         updates = []
 
-        def drifting_update(self, change, carry=None):
-            out = update(self, change, carry)
-            if carry:
+        def drifting_update(self, change, rows=()):
+            out = update(self, change, rows)
+            if rows:
                 updates.append(change)
                 if len(updates) == k:
                     rng = np.random.default_rng(k)
@@ -74,8 +74,8 @@ def inverse_drift(monkeypatch):
                     d = r + r.conj().T
                     d *= eps * np.abs(self.Stilde).max() / np.abs(d).max()
                     self.Stilde[...] += d
-                    for pair in carry:
-                        pair[0] += d @ (self.Sinv_tilde @ pair[0])
+                    for g in self.generators:
+                        g += d @ (self.Sinv_tilde @ g)
             return out
 
         monkeypatch.setattr(ReducedBasis, "update", drifting_update)

@@ -471,14 +471,14 @@ def test_failed_refresh_exits_degenerate_basis(tmp_path, monkeypatch,
     def failing_fresh(sinv, n):
         raise IllConditionedBasisError("injected refresh failure", size=n)
 
-    refresh = reduced_space.ReducedBasis.refresh
+    stage = reduced_space.ReducedBasis.stage
 
-    def refresh_then_fail(self):
-        monkeypatch.setattr(reduced_space, "_fresh_inverse", failing_fresh)
-        refresh(self)
+    def refresh_then_fail(self, blocks):
+        if self.generators:                  # staged before: a refresh
+            monkeypatch.setattr(reduced_space, "_fresh_inverse", failing_fresh)
+        stage(self, blocks)
 
-    monkeypatch.setattr(reduced_space.ReducedBasis, "refresh",
-                        refresh_then_fail)
+    monkeypatch.setattr(reduced_space.ReducedBasis, "stage", refresh_then_fail)
     updates = inverse_drift(3, 1e-4)
     out = str(tmp_path / "run")
     cfg = _harmonic_cfg(out, tdse={"t_span": [0.0, 1.0], "tau0": 0.05,

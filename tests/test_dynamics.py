@@ -628,39 +628,41 @@ def test_generator_staged_once_and_carried_through_every_event_folded(
 
 
 def _generator_staged_once(he_model, monkeypatch, folded):
-    # drift, the shared position block and the momentum block: staged at the
-    # first read of Stilde, then carried through each basis change
-    from vngrid.hamiltonian import ReducedHamiltonian
-
+    # drift, the shared position block and the momentum block: staged once
+    # on the handed-over basis, then carried through each basis change
     product = he_model.product.folded() if folded else he_model.product
     spec, pulses, ground = _driven_helium(he_model, product)
-    rb = ground.reduced_basis
+    rb, ham = ground.reduced_basis, ground.hamiltonian
     stagings, errors = [], []
-    generator = ReducedHamiltonian.generator
-    with_blocks = ReducedHamiltonian.with_blocks
+    stage, update = ReducedBasis.stage, ReducedBasis.update
 
-    def logged_generator(self, stilde):
-        stagings.append(len(self.cells))
-        return generator(self, stilde)
-
-    def checked_with_blocks(self, blocks, cells):
-        # against a fresh assembly at the copy's cells
-        assert cells == rb.cells
-        for g, h in zip(blocks, self.rows(cells, cells)):
+    def check(basis):
+        # against a fresh assembly at the basis's cells
+        assert basis is rb and len(basis.generators) == 3
+        for g, h in zip(basis.generators, ham.rows(rb.cells, rb.cells)):
             ref = rb.Stilde @ h
             errors.append(np.abs(g - ref).max() / np.abs(ref).max())
-        return with_blocks(self, blocks, cells)
 
-    monkeypatch.setattr(ReducedHamiltonian, "generator", logged_generator)
-    monkeypatch.setattr(ReducedHamiltonian, "with_blocks", checked_with_blocks)
+    def logged_stage(self, blocks):
+        stagings.append(len(self.cells))
+        stage(self, blocks)
+        check(self)
+
+    def checked_update(self, change, rows=()):
+        out = update(self, change, rows)
+        check(self)
+        return out
+
+    monkeypatch.setattr(ReducedBasis, "stage", logged_stage)
+    monkeypatch.setattr(ReducedBasis, "update", checked_update)
     cfg = PropagationConfig(zeta=1e-2, tau0=0.02, snapshot_every=0)
     traj = tdse_adaptive(spec, product, ground.eigenvectors[:, 0],
                          ground.final_cells, (0.0, 1.0), pulses=pulses,
-                         cfg=cfg, basis=rb, hamiltonian=ground.hamiltonian)
+                         cfg=cfg, basis=rb, hamiltonian=ham)
     events = sum(k == "basis" for _, k, _ in traj.events)
     assert events > 0
     assert stagings == [len(ground.final_cells)]
-    assert traj.generator.cells == traj.final_cells
+    assert traj.generator is rb.generators and rb.cells == traj.final_cells
     # three blocks at the staging and after every event
     assert len(errors) == 3 * (1 + events)
     assert max(errors) <= 1e-12
@@ -763,7 +765,8 @@ def test_drifted_inverse_is_refreshed_once(ho_model, inverse_drift):
     stilde = ReducedBasis.create(ho_model.product, traj.final_cells).Stilde
     fresh = ReducedHamiltonian(ho_model.spec, ho_model.product,
                                traj.final_cells).blocks
-    for g, h in zip(traj.generator.blocks, fresh):
+    assert len(traj.generator) == len(fresh)
+    for g, h in zip(traj.generator, fresh):
         np.testing.assert_allclose(g, stilde @ h, rtol=0,
                                    atol=1e-12 * np.abs(stilde @ h).max())
 

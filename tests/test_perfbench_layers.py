@@ -9,6 +9,7 @@ count.
 """
 
 import collections
+import dataclasses
 import importlib
 import importlib.util
 import pathlib
@@ -62,6 +63,18 @@ def test_taylor_hook_counts_the_terms_of_a_real_step(rng):
     assert flop > 0 and flop % (out.terms * n * n) == 0
 
 
+def _coherent_initial(ho_model):
+    """The harmonic benchmark's seed-0 coherent state: its cells and its
+    normalized reduced coefficients."""
+    grid, lat, pair = ho_model.grids[0], ho_model.lattices[0], ho_model.pairs[0]
+    psi = models.coherent_state(grid, 2.5, 0.0, np.sqrt(0.5))
+    occupied = np.flatnonzero(np.abs(vngrid.analyze(pair, psi)) >= 1e-6)
+    cells = expand_cells(CellSet(occupied[:, None]), lat)
+    c0 = project_state(ho_model.product, cells, psi * np.sqrt(grid.dx))
+    c0 /= ReducedBasis.create(ho_model.product, cells).physical_norm(c0)
+    return cells, c0
+
+
 def test_bookkeeping_layers_run_once_per_basis_change(ho_model, monkeypatch):
     # the benchmark splits a basis change's time by the functions that the
     # propagator calls through these names: each runs once per basis change,
@@ -81,12 +94,7 @@ def test_bookkeeping_layers_run_once_per_basis_change(ho_model, monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    grid, lat, pair = ho_model.grids[0], ho_model.lattices[0], ho_model.pairs[0]
-    psi = models.coherent_state(grid, 2.5, 0.0, np.sqrt(0.5))
-    occupied = np.flatnonzero(np.abs(vngrid.analyze(pair, psi)) >= 1e-6)
-    cells = expand_cells(CellSet(occupied[:, None]), lat)
-    c0 = project_state(ho_model.product, cells, psi * np.sqrt(grid.dx))
-    c0 /= ReducedBasis.create(ho_model.product, cells).physical_norm(c0)
+    cells, c0 = _coherent_initial(ho_model)
     names = ("prune_cells", "expand_cells", "cell_change", "embed_coefficients",
              "boundary_mask")
     for name in names:
@@ -105,3 +113,52 @@ def test_bookkeeping_layers_run_once_per_basis_change(ho_model, monkeypatch):
     expect["ReducedBasis.update"] = events
     assert calls["ReducedHamiltonian.update"] == 0
     assert dict(calls) == expect
+
+
+def test_traced_runs_name_every_layer_and_break_no_hook(ho_model, he_model):
+    # the benchmark's wraps installed over a harmonic propagation with basis
+    # changes and a folded helium ground search followed by driven
+    # propagation (three pulses, two sharing a coupling): every name is
+    # found, every hook reads the arguments and results it is given, and the
+    # propagator's layers each record a span
+    import vngrid.dynamics as dynamics
+    import vngrid.solvers as solvers
+
+    spans = _load_spans()
+    tr = spans.Tracer()
+    tr.install(spans.LAYER_WRAPS)
+    try:
+        cells, c0 = _coherent_initial(ho_model)
+        cfg = PropagationConfig(zeta=1e-6, tau0=0.05, snapshot_every=0)
+        traj = dynamics.tdse_adaptive(ho_model.spec, ho_model.product, c0,
+                                      cells, (0.0, 5.0), cfg=cfg)
+        x = models.position_coupling(he_model.grids)
+        spec = dataclasses.replace(he_model.spec, control_terms=(
+            x, x, models.momentum_coupling(he_model.grids)))
+        pulses = (dynamics.ControlPulse.table([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]),
+                  dynamics.ControlPulse.xuv(0.5, 0.5, 0.2),
+                  dynamics.ControlPulse.table([0.0, 0.3, 0.6, 1.0],
+                                              [0.0, 1.0, 0.0, 0.0]))
+        folded = he_model.product.folded()
+        ground = solvers.tise_adaptive(spec, folded,
+                                       solvers.TiseConfig(zeta=1e-2, n_modes=1))
+        driven = dynamics.tdse_adaptive(
+            spec, folded, ground.eigenvectors[:, 0], ground.final_cells,
+            (0.0, 1.0), pulses=pulses,
+            cfg=PropagationConfig(zeta=1e-2, tau0=0.02, snapshot_every=0),
+            basis=ground.reduced_basis, hamiltonian=ground.hamiltonian)
+    finally:
+        tr.restore()
+    tr.read_results()
+    assert tr.absent == []
+    assert tr.hook_errors == []
+    changes = [sum(kind == "basis" for _, kind, _ in t.events)
+               for t in (traj, driven)]
+    assert changes[0] > 2 and changes[1] > 0
+    assert tr.counts["reduced_space.cells_added"] > 0
+    assert tr.facts["tdse"]["steps"] == driven.n_steps
+    recorded = {name for name, *_ in tr.spans}
+    assert {"dynamics.tdse", "solvers.tise", "hamiltonian.assemble",
+            "hamiltonian.combined", "reduced_space.inverse",
+            "reduced_space.grow", "reduced_space.norm", "dynamics.taylor",
+            "reduced_space.bookkeeping"} <= recorded

@@ -631,8 +631,9 @@ def test_update_noop_and_embedding(pair60):
 def test_carried_generator_matches_stilde_times_block(ndof, pair48, pair60,
                                                       monkeypatch):
     # drift, a position block that two control terms share and a momentum
-    # block, carried through 100 random updates (grow-only, shrink-only,
-    # mixed, one no-op), none of which forms the inverse from scratch
+    # block, staged on the basis and carried through 100 random updates
+    # (grow-only, shrink-only, mixed, one no-op), none of which forms the
+    # inverse from scratch
     import vngrid.reduced_space as reduced_space
     from vngrid import models
     from vngrid.hamiltonian import OperatorSpec, ReducedHamiltonian
@@ -653,7 +654,7 @@ def test_carried_generator_matches_stilde_times_block(ndof, pair48, pair60,
     rb = ReducedBasis.create(product, cells)
     ham = ReducedHamiltonian(spec, product, cells)
     assert len(ham.blocks) == 3
-    generators = [rb.Stilde @ h for h in ham.blocks]
+    rb.stage(ham.blocks)
     refreshes = []
     real_fresh = reduced_space._fresh_inverse
 
@@ -685,12 +686,10 @@ def test_carried_generator_matches_stilde_times_block(ndof, pair48, pair60,
                                             replace=False)])
         new_cells = CellSet(np.concatenate(rows), ndof=ndof)
         change = cell_change(rb.cells, new_cells)
-        carry = [[g, r] for g, r in zip(generators,
-                                        ham.rows(change.added, change.new))]
-        rb.update(change, carry)
+        rb.update(change, ham.rows(change.added, change.new))
         ham.update(change)              # the full blocks, for the reference
-        generators = [g for g, _ in carry]
-        for g, h in zip(generators, ham.blocks):
+        assert len(rb.generators) == 3
+        for g, h in zip(rb.generators, ham.blocks):
             ref = rb.Stilde @ h
             worst = max(worst, np.abs(g - ref).max() / np.abs(ref).max())
     # 99 changes, each one block update (the no-op makes none)
@@ -698,22 +697,39 @@ def test_carried_generator_matches_stilde_times_block(ndof, pair48, pair60,
     assert worst <= 1e-12
 
 
-def test_update_carries_generators_only_after_stilde_is_read(pair60):
-    # before the first read there is no inverse to carry a generator with
+def test_update_takes_one_row_block_per_staged_generator(pair60):
+    # rows passed to an unstaged basis, and a staged basis updated without
+    # rows or with the wrong number of row blocks, raise before anything
+    # changes; the right rows then carry each generator
     product = ProductBasis(pair60)
     rb = ReducedBasis.create(product, CellSet(np.arange(8)[:, None]))
-    h = product.overlap(rb.cells, rb.cells)
-    with pytest.raises(ValueError, match="after Stilde is read"):
-        rb.update(cell_change(rb.cells, CellSet(np.arange(1, 9)[:, None])),
-                  [[h, h]])
+    change = cell_change(rb.cells, CellSet(np.arange(1, 9)[:, None]))
+    h = product.overlap(rb.cells, rb.cells)        # a Hermitian block
+    h_a = product.overlap(change.added, change.new)
+    cells = rb.cells
+    with pytest.raises(ValueError, match="one row block per staged"):
+        rb.update(change, [h_a])
+    assert rb.generators == []
+    rb.stage([h, 2.0 * h])
+    generators = list(rb.generators)
+    for rows in ((), ([h_a],), ([h_a] * 3,)):     # none, too few, too many
+        with pytest.raises(ValueError, match="one row block per staged"):
+            rb.update(change, *rows)
+    assert rb.cells is cells
+    assert all(g is before for g, before in zip(rb.generators, generators))
+    rb.update(change, [h_a, 2.0 * h_a])
+    h_new = product.overlap(rb.cells, rb.cells)
+    for g, scale in zip(rb.generators, (1.0, 2.0)):
+        np.testing.assert_allclose(g, scale * rb.Stilde @ h_new, rtol=0,
+                                   atol=1e-12)
 
 
 @pytest.mark.parametrize("failure", ["schur", "dropped"])
 def test_failed_update_leaves_basis_and_pairs_untouched(failure, pair60,
                                                         monkeypatch, rng):
     # a change that drops and adds cells fails in one of its two
-    # factorizations: the cells, both overlaps and every carry pair stay
-    # the objects (and the values) they were
+    # factorizations: the cells, both overlaps and every staged generator
+    # stay the objects (and the values) they were
     import vngrid.reduced_space as reduced_space
 
     product = ProductBasis(pair60)
@@ -721,8 +737,9 @@ def test_failed_update_leaves_basis_and_pairs_untouched(failure, pair60,
     new_cells = CellSet(np.r_[5, 10:12, 13:20, 21:30, 31][:, None])
     change = cell_change(rb.cells, new_cells)
     assert len(change.removed) == 2 and len(change.added) == 2 and change.fresh[0]
-    carry = [[rb.Stilde @ _random_pd(rng, 20),
-              _random_pd(rng, 20)[change.fresh_rows]] for _ in range(2)]
+    blocks = [(_random_pd(rng, 20), _random_pd(rng, 20)) for _ in range(2)]
+    rb.stage([b for b, _ in blocks])
+    rows = [h[change.fresh_rows] for _, h in blocks]
     if failure == "schur":
         # the first added cell's overlap duplicates that of kept cell 15,
         # with its diagonal nudged below: the Schur complement is negative
@@ -749,15 +766,15 @@ def test_failed_update_leaves_basis_and_pairs_untouched(failure, pair60,
         match = "dropped"
     cells, sinv, stilde = rb.cells, rb.Sinv_tilde, rb.Stilde
     values = (sinv.copy(), stilde.copy())
-    pairs = [list(pair) for pair in carry]
-    generators = [g.copy() for g, _ in carry]
+    generators = list(rb.generators)
+    copies = [g.copy() for g in generators]
     with pytest.raises(DegenerateUpdateError, match=match):
-        rb.update(change, carry)
+        rb.update(change, rows)
     assert rb.cells is cells and rb.Sinv_tilde is sinv and rb.Stilde is stilde
     assert np.array_equal(sinv, values[0]) and np.array_equal(stilde, values[1])
-    for pair, before, g in zip(carry, pairs, generators):
-        assert pair[0] is before[0] and pair[1] is before[1]
-        assert np.array_equal(pair[0], g)
+    assert len(rb.generators) == 2
+    for g, before, copy in zip(rb.generators, generators, copies):
+        assert g is before and np.array_equal(g, copy)
 
 
 def test_selection_matrix(pair60):

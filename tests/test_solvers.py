@@ -328,8 +328,8 @@ def _visited_overlap_conds(monkeypatch):
         real_init(self, *args)
         conds.append(np.linalg.cond(self.Sinv_tilde))
 
-    def update(self, change, carry=None):
-        out = real_update(self, change, carry)
+    def update(self, change, rows=()):
+        out = real_update(self, change, rows)
         conds.append(np.linalg.cond(self.Sinv_tilde))
         return out
 
