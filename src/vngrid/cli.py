@@ -164,7 +164,7 @@ def _build_pulses(cfg_pulses, grids):
     from .dynamics import ControlPulse
 
     pulses, couplings, made = [], [], {}
-    for p in cfg_pulses:
+    for i, p in enumerate(cfg_pulses):
         if p["kind"] == "nir":
             pulses.append(ControlPulse.nir(p["amplitude"], p["period"],
                                            p.get("t_on", 0.0)))
@@ -172,7 +172,10 @@ def _build_pulses(cfg_pulses, grids):
             pulses.append(ControlPulse.xuv(p["amplitude"], p["period"],
                                            p["sigma"], p.get("t_on", 0.0)))
         else:
-            pulses.append(ControlPulse.table(p["times"], p["samples"]))
+            try:
+                pulses.append(ControlPulse.table(p["times"], p["samples"]))
+            except ValueError as exc:
+                raise ConfigError(f"at /solver/tdse/pulses/{i}: {exc}") from exc
         key = (p["coupling"], p.get("scale", 1.0))
         if key not in made:
             build = (models.position_coupling if key[0] == "position"

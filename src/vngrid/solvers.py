@@ -80,6 +80,8 @@ class TiseConfig:
             raise ValueError("zeta must be positive")
         if self.n_modes < 1:
             raise ValueError("n_modes must be at least 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclasses.dataclass

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import os
 
@@ -152,6 +153,19 @@ def test_empty_or_reversed_t_span_is_config_error(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "run")
 
 
+@pytest.mark.parametrize("pulse", [
+    {"kind": "nir"},
+    {"kind": "xuv", "amplitude": 0.02, "period": 2.0},
+    {"kind": "table", "samples": [0.0, 1.0]},
+    {"kind": "table", "times": [0.0, 0.0], "samples": [0.0, 1.0]},
+], ids=["nir-fields", "xuv-sigma", "table-times", "table-repeated-time"])
+def test_malformed_pulse_is_config_error(tmp_path, capsys, pulse):
+    cfg = _harmonic_cfg(str(tmp_path / "run"), tdse={
+        "t_span": [0.0, 1.0], "pulses": [dict(pulse, coupling="position")]})
+    assert main(["tdse", _write(tmp_path, "cfg.json", cfg)]) == EXIT_CONFIG
+    assert "/solver/tdse/pulses/0" in capsys.readouterr().err
+
+
 def test_nonfinite_table_potential_is_config_error(tmp_path, capsys):
     table = tmp_path / "v.csv"
     table.write_text("-10,50\n0,nan\n10,50\n")
@@ -231,8 +245,8 @@ def test_tise_double_well_config(tmp_path):
 
 
 def _assert_cache_and_sop(meta, n_grid):
-    # fill-time accounting: misses are canonical values computed by plane and
-    # pair fills
+    # fill-time accounting: misses are the values computed by the potential
+    # class fills and the direct kinetic fills
     cache = meta["cache"]
     assert cache["hits"] > 0 and cache["misses"] > 0
     sop = meta["sop"]
@@ -384,6 +398,26 @@ def test_tdse_propagates_in_the_ground_state_objects(tmp_path, monkeypatch):
     out = str(tmp_path / "run")
     cfg = _harmonic_cfg(out, tdse={"t_span": [0.0, 0.5], "zeta": 1e-6})
     assert main(["--debug", "tdse", _write(tmp_path, "cfg.json", cfg)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("tise", "vngrid.solvers", "tise_adaptive"),
+    ("tdse", "vngrid.dynamics", "tdse_adaptive")])
+def test_cli_looks_up_the_solvers_at_call_time(tmp_path, monkeypatch, command,
+                                               module, name):
+    # perfbench times CLI runs by wrapping these module attributes: a
+    # command that bound them at import would run unwrapped and untimed
+    class Reached(Exception):
+        pass
+
+    def stub(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(importlib.import_module(module), name, stub)
+    solver = {"t_span": [0.0, 0.5]} if command == "tdse" else {}
+    cfg = _harmonic_cfg(str(tmp_path / "run"), **{command: solver})
+    with pytest.raises(Reached):
+        main(["--debug", command, _write(tmp_path, "cfg.json", cfg)])
 
 
 def _meta_without_timings(path):

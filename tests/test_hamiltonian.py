@@ -139,7 +139,8 @@ def test_dense_grid_hamiltonian_size_guard():
 # -- element tables -----------------------------------------------------------------
 
 def _diagonals(spec):
-    """``(dof, kind, payload)`` of every diagonal an operator registers."""
+    """``(dof, kind, payload)`` of every diagonal an operator registers, its
+    control couplings' included."""
     for dof in range(spec.ndof):
         for kind, diag in (("kinetic", spec.kinetic[dof]),
                            ("potential", spec.potentials[dof])):
@@ -148,6 +149,8 @@ def _diagonals(spec):
     for t in spec.sop_terms:
         for dof, f in enumerate(t.factors):
             yield dof, "potential", f
+    for c in spec.control_terms:
+        yield from _diagonals(c)
 
 
 def _dense_elements(pair, kind, payload):
@@ -163,7 +166,12 @@ def _dense_elements(pair, kind, payload):
 @pytest.mark.parametrize("case", ["helium", "harmonic", "double_well"])
 def test_element_tables_hermitian_and_match_dense(case, he_model, dw_model):
     if case == "helium":
-        spec, pairs = he_model.spec, he_model.pairs
+        # the momentum coupling's kinetic-type diagonal is odd in k
+        grids = he_model.grids
+        spec = dataclasses.replace(he_model.spec, control_terms=(
+            models.position_coupling(grids),
+            models.momentum_coupling(grids, 0.5)))
+        pairs = he_model.pairs
     elif case == "double_well":
         spec, pairs = dw_model.spec, dw_model.pairs
     else:
@@ -340,8 +348,9 @@ def test_h1_eigenvalues_real_and_match_generalized(dw_reduced):
 
 
 def test_cache_hit_rate_positive_on_large_assembly(dw_model):
-    """Fill-time accounting: ``misses`` counts the canonical values computed
-    by plane and pair fills, ``hits`` the table entries served beyond them."""
+    """Fill-time accounting: ``misses`` counts the values computed by the
+    potential class fills and the direct kinetic fills, ``hits`` the table
+    entries served beyond them."""
     rng = np.random.default_rng(3)
     cells = CellSet(np.sort(rng.choice(dw_model.pairs[0].n, size=110,
                                        replace=False))[:, None])

@@ -145,6 +145,14 @@ def test_adaptive_history_and_nonconvergence(dw_model):
     assert err.value.history[-1][0] > err.value.history[0][0]
 
 
+@pytest.mark.parametrize("knob", [{"zeta": 0.0}, {"n_modes": 0},
+                                  {"max_iterations": 0}])
+def test_tise_config_rejects_out_of_range_knobs(knob):
+    # a search of no iterations would have no history to report
+    with pytest.raises(ValueError):
+        TiseConfig(**knob)
+
+
 def test_reference_full_eig_free_particle():
     g = build_grid(10.0, 32)
     spec = OperatorSpec.build((g,))
