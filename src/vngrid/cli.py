@@ -14,7 +14,9 @@ byte-identical tables.
 
 Exit codes: 0 success, 2 configuration error, 3 no convergence,
 4 time-step underflow, 5 degenerate basis, 1 anything else (``--debug``
-re-raises it with a traceback instead).
+re-raises it with a traceback instead).  The output directory is made when
+the first file is written: a configuration error leaves none, and exits 3-5
+write their partial ``run_meta.json`` into it.
 """
 
 from __future__ import annotations
@@ -256,6 +258,16 @@ def _write_meta(path, payload):
         fh.write("\n")
 
 
+def _solver_settings(cfg: dict, command: str) -> dict:
+    """The config's ``solver`` block for ``command``; a config written for
+    the other command is a configuration error."""
+    (block,) = cfg["solver"]
+    if block != command:
+        raise ConfigError(f"at /solver: 'vngrid {command}' needs a "
+                          f"{command!r} block, and this config has {block!r}")
+    return cfg["solver"][command]
+
+
 def _fail(out_dir, payload, exc, events=False) -> int:
     """Partial ``run_meta.json`` with the error text, then the exit code of
     ``exc`` (:data:`_EXIT_CODES`).  A failed eigenmode search adds its
@@ -265,6 +277,7 @@ def _fail(out_dir, payload, exc, events=False) -> int:
         payload = dict(payload, n_history=[list(h) for h in exc.history])
     elif events:
         payload = dict(payload, events=[list(e) for e in exc.events])
+    os.makedirs(out_dir, exist_ok=True)
     _write_meta(os.path.join(out_dir, "run_meta.json"),
                 dict(payload, error=str(exc)))
     print(f"error: {exc}", file=sys.stderr)
@@ -280,8 +293,7 @@ def cmd_tise(args) -> int:
 
     cfg = load_config(args.config)
     out_dir = args.out or cfg["output"]["directory"]
-    os.makedirs(out_dir, exist_ok=True)
-    tise_cfg = TiseConfig(**cfg["solver"]["tise"])
+    tise_cfg = TiseConfig(**_solver_settings(cfg, "tise"))
     failed = {"config": cfg, "converged": False}
     try:
         t_start = time.perf_counter()
@@ -293,6 +305,7 @@ def cmd_tise(args) -> int:
         return _fail(out_dir, failed, exc)
     t_solve = time.perf_counter() - t_start
 
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "eigenvalues.csv"), "w") as fh:
         fh.write("index,eigenvalue\n")
         for i, e in enumerate(res.eigenvalues):
@@ -328,8 +341,7 @@ def cmd_tdse(args) -> int:
 
     cfg = load_config(args.config)
     out_dir = args.out or cfg["output"]["directory"]
-    os.makedirs(out_dir, exist_ok=True)
-    sc = cfg["solver"]["tdse"]
+    sc = _solver_settings(cfg, "tdse")
     prop_cfg = PropagationConfig(
         snapshot_every=cfg["output"]["snapshot_every"],
         **{f.name: sc[f.name] for f in dataclasses.fields(PropagationConfig)
@@ -365,6 +377,7 @@ def cmd_tdse(args) -> int:
         return _fail(out_dir, failed, exc, events=True)
     t_prop = time.perf_counter() - t_start
 
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "trajectory.csv"), "w") as fh:
         fh.write("t,n_active,norm,discarded,tau\n")
         for i in range(traj.n_steps):

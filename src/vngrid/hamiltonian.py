@@ -33,14 +33,17 @@ tables deviate from the extended-precision sandwich ``B^H V B`` by at most
 
 Assembly
 --------
-Each registered diagonal is expanded once into a dense ``(n x n)`` element
-table over every cell of its axis.  An operator is then a rank expansion
-``sum_r prod_k F_r^(k)`` of such tables: the one-axis terms of axis ``d``
-summed into one table and lifted by the other axes' dual overlaps
-``Sinv``, plus one factor product per sum-of-products term.  A reduced
-block is one contraction over the rank: per row, a GEMM of the axis-0
-factors against the other axes' factors over the distinct column indices
-of each axis, from which the block's columns are gathered.
+An operator is a rank expansion ``sum_r prod_k F_r^(k)`` of dense
+``(n x n)`` per-axis element tables over every cell of an axis: the
+one-axis terms of axis ``d`` summed into one table and lifted by the other
+axes' dual overlaps ``Sinv``, plus one factor product per sum-of-products
+term.  The per-axis factor stacks of a :class:`ReducedHamiltonian` are the
+only copy of its element tables: each distinct registered diagonal is
+filled once per construction, written into every stack entry that reads
+it, and dropped.  A reduced block is one contraction over the rank: per
+row, a GEMM of the axis-0 factors against the other axes' factors over the
+distinct column indices of each axis, from which the block's columns are
+gathered.
 """
 
 from __future__ import annotations
@@ -322,9 +325,10 @@ def dense_grid_hamiltonian(spec: OperatorSpec) -> np.ndarray:
 class ElementCache:
     """Element tables of one-axis diagonals for one basis pair.
 
-    Each registered diagonal (a slot) is expanded once, by :meth:`table`,
-    into the dense element table over every pair of lattice cells; reduced
-    blocks are contracted from those tables.  Every table is filled in
+    Each registered diagonal (a slot) is expanded by :meth:`table` into the
+    dense element table over every pair of lattice cells.  The cache keeps
+    the slots and what the fills need, not the tables: its caller keeps
+    the one copy it reads.  Every table is filled in
     complex128 and is exactly Hermitian.  A potential table is filled over
     its symmetry classes: one ``(Nx x Nx)`` core per momentum offset, all
     offsets from one GEMM over the zero-momentum columns, each setting its
@@ -333,9 +337,9 @@ class ElementCache:
     hermitized sandwich ``U^H diag(t) U`` over the unitary spectral columns
     ``U`` of every cell, computed once when the cache is built.
 
-    ``stats`` counts per built table: ``misses`` the values computed (a
-    potential's canonical class values, every entry of a kinetic table),
-    ``hits`` the table entries served beyond them.
+    ``stats`` counts per slot filled at least once: ``misses`` the values
+    computed (a potential's canonical class values, every entry of a
+    kinetic table), ``hits`` the table entries served beyond them.
     """
 
     def __init__(self, pair: BasisPair):
@@ -366,7 +370,7 @@ class ElementCache:
         self._phase = np.exp(1j * (2.0 * np.pi * whole / grid.N))
         self._slots = []            # (kind, payload)
         self._by_content = {}
-        self._tables = {}           # slot -> (n_cells, n_cells)
+        self._filled = set()        # slots filled at least once
 
     def register(self, kind: str, payload) -> int:
         """Register a diagonal (dedup by content) and return its slot id."""
@@ -380,14 +384,13 @@ class ElementCache:
         return self._by_content[key]
 
     def table(self, slot: int) -> np.ndarray:
-        """Dense element table of ``slot`` over every lattice cell, built once."""
-        tab = self._tables.get(slot)
-        if tab is None:
-            kind, payload = self._slots[slot]
-            fill = (self.potential_values if kind == "potential"
-                    else self.kinetic_values)
-            tab = self._tables[slot] = fill(payload)
-        return tab
+        """Dense element table of ``slot`` over every lattice cell, filled
+        afresh by each call; the cache does not keep it."""
+        kind, payload = self._slots[slot]
+        fill = (self.potential_values if kind == "potential"
+                else self.kinetic_values)
+        self._filled.add(slot)
+        return fill(payload)
 
     # -- fills -------------------------------------------------------------
 
@@ -431,18 +434,23 @@ class ElementCache:
 
     def audit(self, rng, n_samples: int = 50) -> float:
         """Max |table - direct| over ``max(n_samples, slots)`` random elements
-        of the registered slots, at least one in each slot."""
+        of the registered slots, at least one in each slot; each slot's
+        table is filled once."""
         n_slots = len(self._slots)
         if not n_slots:
             return 0.0
         n_cells = self.lattice.n_cells
         extra = rng.integers(n_slots, size=max(0, n_samples - n_slots))
-        worst = 0.0
+        samples = [[] for _ in range(n_slots)]
         for slot in np.concatenate([np.arange(n_slots), extra]).tolist():
-            i = int(rng.integers(n_cells))
-            j = int(rng.integers(n_cells))
-            dev = abs(self.table(slot)[i, j] - self.direct_element(slot, i, j))
-            worst = max(worst, dev)
+            samples[slot].append((int(rng.integers(n_cells)),
+                                  int(rng.integers(n_cells))))
+        worst = 0.0
+        for slot, pairs in enumerate(samples):
+            tab = self.table(slot)
+            for i, j in pairs:
+                worst = max(worst, abs(tab[i, j]
+                                       - self.direct_element(slot, i, j)))
         return worst
 
     @property
@@ -451,8 +459,8 @@ class ElementCache:
         n_entries = self.lattice.n_cells ** 2
         computed = {"potential": np_ * nx * nx - nx * (nx - 1) // 2,
                     "kinetic": n_entries}
-        misses = sum(computed[self._slots[slot][0]] for slot in self._tables)
-        return {"hits": len(self._tables) * n_entries - misses,
+        misses = sum(computed[self._slots[slot][0]] for slot in self._filled)
+        return {"hits": len(self._filled) * n_entries - misses,
                 "misses": misses}
 
 
@@ -476,10 +484,12 @@ class ReducedHamiltonian:
     axis ``d`` summed into ``H_d`` and lifted by the other axes' ``Sinv``,
     plus one coefficient-scaled factor product per sum-of-products term.
     A block is then one contraction over the rank.  Axes backed by the same
-    :class:`~vngrid.vn_basis.BasisPair` object share one element cache, so
-    exchange-symmetric terms reuse each other's element tables.  Control
-    terms that are the same object (several pulses through one coupling)
-    share one block, assembled and updated once.
+    :class:`~vngrid.vn_basis.BasisPair` object share one element cache, and
+    each distinct slot of a cache is filled once per construction, for
+    every operator and axis that reads it; the factor stacks are the only
+    copy of the tables.  Control terms that are the same object (several
+    pulses through one coupling) share one block, assembled and updated
+    once.
     """
 
     def __init__(self, spec: OperatorSpec, product: ProductBasis,
@@ -493,11 +503,12 @@ class ReducedHamiltonian:
             if id(pair) not in by_pair:
                 by_pair[id(pair)] = ElementCache(pair)
         self.caches = tuple(by_pair[id(pair)] for pair in product.pairs)
-        self._drift = self._factors(spec)
         distinct = {id(c): c for c in spec.control_terms}
         group = {key: g for g, key in enumerate(distinct)}
         self._group_of = tuple(group[id(c)] for c in spec.control_terms)
-        self._controls = tuple(self._factors(c) for c in distinct.values())
+        self._drift, *controls = self._factor_stacks(
+            [self._terms(op) for op in (spec, *distinct.values())])
+        self._controls = tuple(controls)
         self.cells = cells
         # the distinct blocks, drift first: a block that several control
         # terms share appears once
@@ -506,38 +517,64 @@ class ReducedHamiltonian:
 
     # -- rank expansion ------------------------------------------------------
 
-    def _table(self, dof: int, kind: str, payload) -> np.ndarray:
-        cache = self.caches[dof]
-        return cache.table(cache.register(kind, payload))
-
-    def _factors(self, spec: OperatorSpec):
-        """Per-axis ``(n_k, n_k, rank)`` factor stacks of ``spec``.
-
-        With one axis the rank is summed out into a single ``(n, n)`` table;
-        an operator without terms gives None.
-        """
+    def _terms(self, spec: OperatorSpec):
+        """The rank terms of ``spec``, registered in the caches: per term and
+        axis, the ``(coefficient, slot)`` tables summed into its factor, or
+        None for the axis pair's ``Sinv``.  With one axis every table is
+        summed into a single term."""
         d = spec.ndof
-        factors = [[] for _ in range(d)]
+        terms = []
         for dof in range(d):
-            h_d = None
-            for kind, diag in (("kinetic", spec.kinetic[dof]),
-                               ("potential", spec.potentials[dof])):
-                if diag is not None and np.any(diag):
-                    tab = self._table(dof, kind, diag)
-                    h_d = tab if h_d is None else h_d + tab
-            if h_d is not None:
-                for k in range(d):
-                    factors[k].append(h_d if k == dof
-                                      else self.product.pairs[k].Sinv)
+            parts = [(1.0, self.caches[dof].register(kind, diag))
+                     for kind, diag in (("kinetic", spec.kinetic[dof]),
+                                        ("potential", spec.potentials[dof]))
+                     if diag is not None and np.any(diag)]
+            if parts:
+                terms.append([parts if k == dof else None for k in range(d)])
         for t in spec.sop_terms:
-            for k in range(d):
-                tab = self._table(k, "potential", t.factors[k])
-                factors[k].append(t.coefficient * tab if k == 0 else tab)
-        if not factors[0]:
-            return None
-        if d == 1:
-            return [sum(factors[0][1:], factors[0][0])]
-        return [np.stack(f, axis=-1) for f in factors]
+            terms.append([[(t.coefficient if k == 0 else 1.0,
+                            self.caches[k].register("potential", f))]
+                          for k, f in enumerate(t.factors)])
+        if d == 1 and terms:
+            return [[[part for (parts,) in terms for part in parts]]]
+        return terms
+
+    def _factor_stacks(self, operators):
+        """Per-axis ``(n_k, n_k, rank)`` factor stacks of each operator's
+        :meth:`_terms`: a single ``(n, n)`` table with one axis, and None for
+        an operator without terms.
+
+        Each distinct slot of each cache is filled once, written (times its
+        coefficient) into every stack entry that reads it, and dropped.
+        """
+        readers = {}        # (cache, slot) -> [(stack, term, coefficient)]
+        out = []
+        for terms in operators:
+            if not terms:
+                out.append(None)
+                continue
+            stacks = []
+            for k, pair in enumerate(self.product.pairs):
+                stack = np.empty((pair.n, pair.n, len(terms)), dtype=complex)
+                for r, term in enumerate(terms):
+                    if term[k] is None:
+                        stack[:, :, r] = pair.Sinv
+                    for c, slot in term[k] or ():
+                        readers.setdefault((self.caches[k], slot), []).append(
+                            (stack, r, c))
+                # with one axis the one term is the operator
+                stacks.append(stack if len(terms[0]) > 1 else stack[:, :, 0])
+            out.append(stacks)
+        written = set()
+        for (cache, slot), entries in readers.items():
+            tab = cache.table(slot)
+            for stack, r, c in entries:
+                if (id(stack), r) in written:
+                    stack[:, :, r] += c * tab
+                else:
+                    np.multiply(tab, c, out=stack[:, :, r])
+                    written.add((id(stack), r))
+        return out
 
     # -- block assembly -------------------------------------------------------
 

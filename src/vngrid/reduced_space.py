@@ -80,7 +80,8 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import (zdotc as _zdotc, zgemm as _zgemm,
                                zgemv as _zgemv)
-from scipy.linalg.lapack import zposv as _zposv
+from scipy.linalg.lapack import (zposv as _zposv, zpotrf as _zpotrf,
+                                 zpotri as _zpotri)
 
 from .errors import DegenerateUpdateError, IllConditionedBasisError
 from .vn_basis import (COND_LIMIT, BasisPair, VonNeumannLattice,
@@ -937,6 +938,12 @@ class ReducedBasis:
 def _fresh_inverse(sinv: np.ndarray, n: int) -> np.ndarray:
     """Inverse of the reduced overlap by Cholesky, with a conditioning check.
 
+    One copy of the overlap is factored (LAPACK ``zpotrf``) and inverted
+    (``zpotri``, which writes a real diagonal) in place, reading and
+    writing its upper triangle, and the other triangle is filled with the
+    conjugates: the result is exactly Hermitian, and the only matrix of its
+    size made.
+
     The check uses the 1-norm condition number ``||S||_1 ||S^-1||_1``, read
     off the overlap and its inverse in O(n^2).  For a Hermitian matrix the
     1-norm bounds the 2-norm from above, so this never passes a matrix
@@ -944,15 +951,24 @@ def _fresh_inverse(sinv: np.ndarray, n: int) -> np.ndarray:
     factorization (not positive definite) counts as infinitely
     ill-conditioned.
     """
-    try:
-        cho = scipy.linalg.cho_factor(sinv)
-    except np.linalg.LinAlgError:
+    inv = np.array(sinv, dtype=complex, order="C")
+    # the F-ordered view of a C-ordered Hermitian matrix is its transpose,
+    # whose lower triangle is the matrix's upper triangle
+    _, info = _zpotrf(inv.T, lower=1, clean=0, overwrite_a=1)
+    if info == 0:
+        _, info = _zpotri(inv.T, lower=1, overwrite_c=1)
+    if info != 0:
         raise IllConditionedBasisError(
             f"reduced overlap of {n} cells is not positive definite",
-            cond=math.inf, size=n) from None
-    # a column-major identity is solved in place (same arithmetic, no copy)
-    inv = _hermitize(scipy.linalg.cho_solve(
-        cho, np.eye(n, dtype=complex, order="F"), overwrite_b=True))
+            cond=math.inf, size=n)
+    # the strict lower triangle from the upper one, a panel of rows at a
+    # time: no temporary larger than a panel
+    for lo in range(0, len(inv), 64):
+        hi = lo + 64
+        inv[lo:hi, :lo] = inv[:lo, lo:hi].T.conj()
+        diag = inv[lo:hi, lo:hi]
+        lower = np.tri(len(diag), k=-1, dtype=bool)
+        diag[lower] = diag.T[lower].conj()
     cond = float(np.linalg.norm(sinv, 1) * np.linalg.norm(inv, 1))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditionedBasisError(

@@ -164,6 +164,7 @@ def test_malformed_pulse_is_config_error(tmp_path, capsys, pulse):
         "t_span": [0.0, 1.0], "pulses": [dict(pulse, coupling="position")]})
     assert main(["tdse", _write(tmp_path, "cfg.json", cfg)]) == EXIT_CONFIG
     assert "/solver/tdse/pulses/0" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
 
 
 def test_nonfinite_table_potential_is_config_error(tmp_path, capsys):
@@ -173,6 +174,19 @@ def test_nonfinite_table_potential_is_config_error(tmp_path, capsys):
     cfg["model"] = {"name": "table", "file": str(table)}
     assert main(["tise", _write(tmp_path, "cfg.json", cfg)]) == EXIT_CONFIG
     assert str(table) in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("command, solver", [
+    ("tdse", {"tise": {}}),
+    ("tise", {"tdse": {"t_span": [0.0, 1.0]}}),
+], ids=["tdse-on-tise-config", "tise-on-tdse-config"])
+def test_config_for_the_other_command_is_config_error(tmp_path, capsys,
+                                                      command, solver):
+    cfg = _harmonic_cfg(str(tmp_path / "run"), **solver)
+    assert main([command, _write(tmp_path, "cfg.json", cfg)]) == EXIT_CONFIG
+    assert "at /solver:" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
 
 
 @pytest.mark.parametrize("content", [None, "-10,50\n0,low\n10,50\n",

@@ -1,4 +1,7 @@
+import collections
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,9 +9,9 @@ import scipy.linalg
 
 from vngrid import models
 from vngrid.fourier_grid import build_grid
-from vngrid.hamiltonian import (OperatorSpec, ReducedHamiltonian, SopTerm,
-                                dense_grid_hamiltonian, grid_potential,
-                                kinetic_matrix, potfit2)
+from vngrid.hamiltonian import (ElementCache, OperatorSpec, ReducedHamiltonian,
+                                SopTerm, dense_grid_hamiltonian,
+                                grid_potential, kinetic_matrix, potfit2)
 from vngrid.reduced_space import CellSet, ProductBasis, ReducedBasis, cell_change
 from vngrid.solvers import solve_reduced_eig
 from vngrid.vn_basis import build_basis_pair, build_lattice
@@ -223,6 +226,34 @@ def test_audit_samples_every_slot(he_model, rng, monkeypatch):
     # fewer samples than the 62 slots (kinetic and sum-of-products factors)
     assert cache.audit(rng, 10) <= 1e-12
     assert seen == set(range(62))
+
+
+def test_each_element_table_is_held_once(he_model, monkeypatch):
+    # the factor stacks are the only copy of the tables: every fill is
+    # dropped once written, and each distinct slot is filled once per
+    # construction, although helium's two axes, its drift and its two
+    # (equal, but distinct) position couplings share slots
+    fills, tables = collections.Counter(), []
+    for name in ("potential_values", "kinetic_values"):
+        def counted(cache, payload, fill=getattr(ElementCache, name)):
+            fills[id(cache), payload.tobytes()] += 1
+            tab = fill(cache, payload)
+            tables.append(weakref.ref(tab))
+            return tab
+
+        monkeypatch.setattr(ElementCache, name, counted)
+    spec = dataclasses.replace(he_model.spec, control_terms=(
+        models.position_coupling(he_model.grids),
+        models.position_coupling(he_model.grids)))
+    ham = ReducedHamiltonian(spec, he_model.product, CellSet([[0, 0]], ndof=2))
+    gc.collect()
+    assert tables and not any(ref() is not None for ref in tables)
+    registered = {(id(c), payload.tobytes())
+                  for c in set(ham.caches) for _, payload in c._slots}
+    assert set(fills) == registered and set(fills.values()) == {1}
+    assert len(fills) == 63     # 62 potential diagonals and one kinetic
+    # the counters of he_tdse_driven's ground state, drift and position
+    assert ham.cache_stats() == {"hits": 205220, "misses": 21580}
 
 
 def test_element_constant_potential_diagonal(pair60):

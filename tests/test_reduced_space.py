@@ -388,6 +388,20 @@ def test_grow_inverse_rejects_degenerate(rng):
         grow_inverse(ainv, _change(range(5), range(7)), s_a)
 
 
+def test_fresh_inverse_is_exactly_hermitian_and_matches_cholesky(he_model):
+    # a helium reduced overlap: a 21 x 21 block of cells on each axis
+    block = np.arange(20, 41)
+    cells = CellSet(np.stack(np.meshgrid(block, block), -1).reshape(-1, 2))
+    sinv = ReducedBasis.create(he_model.product, cells).Sinv_tilde
+    inv = _fresh_inverse(sinv, len(cells))
+    assert inv.flags.c_contiguous
+    assert np.array_equal(inv, inv.conj().T)
+    assert not inv.diagonal().imag.any()
+    ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(sinv),
+                                 np.eye(len(cells)))
+    assert np.linalg.norm(inv - ref, 1) <= 1e-13 * np.linalg.norm(ref, 1)
+
+
 def test_fresh_inverse_conditioning_check(rng):
     a = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
     s = a @ a.conj().T + 30 * np.eye(30)

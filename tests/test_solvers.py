@@ -312,7 +312,8 @@ def test_tise_forms_no_inverse_overlap(he_model, monkeypatch):
         raise AssertionError("the eigenmode search factored or inverted the "
                              "reduced overlap")
 
-    for name in ("grow_inverse", "shrink_inverse", "_fresh_inverse", "_zposv"):
+    for name in ("grow_inverse", "shrink_inverse", "_fresh_inverse", "_zposv",
+                 "_zpotrf", "_zpotri"):
         monkeypatch.setattr(reduced_space, name, forbidden)
     monkeypatch.setattr(scipy.linalg, "cho_factor", forbidden)
     res = tise_adaptive(he_model.spec, he_model.product,
