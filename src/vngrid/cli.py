@@ -65,7 +65,9 @@ def load_config(path: str) -> dict:
 
     Solver defaults are the fields of :class:`~vngrid.solvers.TiseConfig`
     and :class:`~vngrid.dynamics.PropagationConfig`; the propagator's
-    ``snapshot_every`` is an output setting.
+    ``snapshot_every`` is an output setting.  A model takes the fields of
+    its :data:`_MODEL_DEFAULTS` entry (and ``table`` its ``file``); any
+    other is a configuration error.
     """
     import jsonschema
 
@@ -92,6 +94,11 @@ def load_config(path: str) -> dict:
         raise ConfigError("at /solver: exactly one of 'tise' or 'tdse' required")
     name = cfg["model"]["name"]
     model = dict(_MODEL_DEFAULTS[name])
+    known = {"name", *model} | ({"file"} if name == "table" else set())
+    foreign = sorted(set(cfg["model"]) - known)
+    if foreign:
+        raise ConfigError(f"at /model: model {name!r} has no parameter "
+                          f"{', '.join(map(repr, foreign))}")
     model.update(cfg["model"])
     if name == "table" and "file" not in model:
         raise ConfigError("at /model: table model requires 'file'")
@@ -126,14 +133,14 @@ def load_config(path: str) -> dict:
     return resolved
 
 
-def build_model(cfg: dict, controls=()):
+def build_model(cfg: dict):
     from . import models
 
     g0 = cfg["grid"][0]
     l0 = cfg["lattice"][0]
     m = cfg["model"]
     kw = dict(L=g0["L"], N=g0["N"], Nx=l0["Nx"], Np=l0["Np"],
-              sigma_x=l0.get("sigma_x"), controls=controls)
+              sigma_x=l0.get("sigma_x"))
     if m["name"] == "harmonic":
         return models.harmonic(mass=m["m"], omega=m["omega"], **kw)
     if m["name"] == "double_well":
@@ -362,8 +369,7 @@ def cmd_tdse(args) -> int:
         # the propagation
         t_start = time.perf_counter()
         ground = tise_adaptive(model.spec, product,
-                               TiseConfig(zeta=sc["initial_zeta"],
-                                          radius=sc["radius"], n_modes=1))
+                               TiseConfig(zeta=sc["initial_zeta"], n_modes=1))
         t_ground = time.perf_counter() - t_start
 
         t_start = time.perf_counter()

@@ -38,9 +38,10 @@ The step controller combines three limits:
 * gradual (20%) growth after a quiet stretch without basis changes.
 
 Basis changes prune sub-cutoff cells (their coefficient mass is discarded
-and logged, never renormalized away) and expand one neighborhood radius
-around the survivors; fresh cells start at zero amplitude.  Control signals
-are sampled at the step midpoint.
+and logged, never renormalized away) and expand by one ring of lattice
+neighbours around the survivors, every cell within Euclidean distance
+sqrt 2 in lattice steps (``DEFAULT_RADIUS``); fresh cells start at zero
+amplitude.  Control signals are sampled at the step midpoint.
 
 The slope cap
 -------------
@@ -123,7 +124,6 @@ class PropagationConfig:
     """
 
     zeta: float = 1e-6
-    radius: float = DEFAULT_RADIUS
     tau0: float = 0.05
     max_taylor_terms: int = 30
     taylor_eps: float = 1e-12
@@ -459,8 +459,9 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
     leaves behind), instead of building both from scratch.  The basis
     stages the generators from the Hamiltonian's blocks, once, and carries
     them as it adapts in place; the blocks are only read.  Both must cover
-    exactly ``cells0``, and the Hamiltonian must have been built for
-    ``spec``; otherwise :class:`ValueError` is raised.
+    exactly ``cells0`` on ``product``'s basis pairs, folded where it is
+    folded, and the Hamiltonian must have been built for ``spec``;
+    otherwise :class:`ValueError` is raised.
 
     On a folded product basis (:meth:`~vngrid.reduced_space.ProductBasis.folded`)
     ``cells0`` are orbit representatives and ``psi0`` is folded; so are the
@@ -479,6 +480,10 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
     if hamiltonian is not None and (hamiltonian.cells != cells0
                                     or hamiltonian.spec is not spec):
         raise ValueError("handed-over Hamiltonian does not match cells0 and spec")
+    for handed in (basis, hamiltonian):
+        if handed is not None and not _same_product(handed.product, product):
+            raise ValueError(f"handed-over {type(handed).__name__} lives on "
+                             f"another product basis")
     t0, t_end = float(t_span[0]), float(t_span[1])
     rb = basis if basis is not None else ReducedBasis.create(product, cells0)
     psi = np.asarray(psi0, dtype=complex).copy()
@@ -503,7 +508,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
     t = t0
     accepted = 0
     # the boundary rows of the current cells
-    edge = boundary_mask(rb.cells, lattices, cfg.radius, fold).nonzero()[0]
+    edge = boundary_mask(rb.cells, lattices, DEFAULT_RADIUS, fold).nonzero()[0]
     rb.stage(ham.blocks)                  # carried across basis changes
 
     try:
@@ -541,8 +546,8 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
             amp = rb.amplitudes(psi)
             if len(edge) and amp.take(edge).max() >= cfg.zeta:
                 kept = prune_cells(rb.cells, amp, cfg.zeta)
-                change = cell_change(rb.cells, expand_cells(kept, lattices,
-                                                            cfg.radius, fold))
+                new_cells = expand_cells(kept, lattices, DEFAULT_RADIUS, fold)
+                change = cell_change(rb.cells, new_cells)
                 psi = embed_coefficients(psi, change)
                 added, removed = rb.update(
                     change, ham.rows(change.added, change.new))
@@ -551,7 +556,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
                 lost += abs(norms[-1] ** 2 - norm_in ** 2)
                 events.append((t, "basis", f"+{len(added)} -{len(removed)} cells"))
                 watch_rows = change.fresh_rows
-                edge = boundary_mask(change.new, lattices, cfg.radius,
+                edge = boundary_mask(change.new, lattices, DEFAULT_RADIUS,
                                      fold).nonzero()[0]
                 quiet = 0
             elif quiet >= cfg.growth_patience:
@@ -575,6 +580,14 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
                       events=events, snapshots=snapshots, final_cells=rb.cells,
                       final_coefficients=psi, generator=rb.generators,
                       tau_cap=cap, norm_step_max=norm_step_max)
+
+
+def _same_product(a, b) -> bool:
+    """Whether two product bases hold the same basis pairs (the same
+    objects: pairs hold arrays) and are both folded or both unfolded."""
+    return (len(a.pairs) == len(b.pairs)
+            and all(p is q for p, q in zip(a.pairs, b.pairs))
+            and (a.fold is None) == (b.fold is None))
 
 
 def _shrink(tau, events, t, reason):

@@ -145,8 +145,10 @@ class OperatorSpec:
               sop_terms=(), control_terms=()):
         """Assemble a spec; kinetic defaults to ``k^2/(2m)`` per axis.
 
-        ``kinetic``/``potentials`` entries may be arrays, callables (of the
-        FFT-ordered wavenumbers resp. the sample points), or None.
+        ``kinetic`` entries are spectral diagonals in FFT order and
+        ``potentials`` entries sampling diagonals, each an array or None; a
+        None kinetic entry takes the default.  Sum-of-products factors are
+        normalized, their norms moved into the coefficients.
         """
         grids = tuple(grids)
         d = len(grids)
@@ -158,19 +160,10 @@ class OperatorSpec:
             if spec_k is None:
                 k = g.fft_wavenumbers()
                 kin.append((HBAR * k) ** 2 / (2.0 * masses[dof]))
-            elif callable(spec_k):
-                kin.append(np.asarray(spec_k(g.fft_wavenumbers()), dtype=float))
             else:
                 kin.append(np.asarray(spec_k, dtype=float))
-        pot = []
-        for dof, g in enumerate(grids):
-            spec_v = None if potentials is None else potentials[dof]
-            if spec_v is None:
-                pot.append(None)
-            elif callable(spec_v):
-                pot.append(np.asarray(spec_v(g.sample_points), dtype=float))
-            else:
-                pot.append(np.asarray(spec_v, dtype=float))
+        pot = [None if potentials is None or potentials[dof] is None
+               else np.asarray(potentials[dof], dtype=float) for dof in range(d)]
         norm_terms = []
         for t in sop_terms:
             coeff = t.coefficient
@@ -195,7 +188,6 @@ class SopFit:
 
     terms: tuple
     max_abs_error: float
-    spectral_residual: float
 
     @property
     def rank(self):
@@ -240,10 +232,8 @@ def potfit2(v_grid, tolerance: float) -> SopFit:
                 ur, vr = -ur, -vr
             terms.append(SopTerm(float(s[r]), (ur, vr)))
         rec = (u[:, :rank] * s[:rank]) @ vt[:rank]
-        sv = s
-    residual = float(sv[rank]) if rank < len(sv) else 0.0
     max_err = float(np.abs(v_grid - rec).max()) if rank else float(np.abs(v_grid).max())
-    return SopFit(terms=tuple(terms), max_abs_error=max_err, spectral_residual=residual)
+    return SopFit(terms=tuple(terms), max_abs_error=max_err)
 
 
 def _fix_sign(vec):

@@ -27,10 +27,8 @@ HELIUM_REGULARIZER = 0.739707902  # softening that matches the physical binding
 class ModelSystem:
     """A ready-to-solve model: grids, lattices, basis pairs, operator."""
 
-    name: str
     product: ProductBasis
     spec: OperatorSpec
-    params: dict
     sop_fit: SopFit | None = None
 
     @property
@@ -46,49 +44,41 @@ class ModelSystem:
         return self.product.pairs
 
 
-def harmonic(L=24.0, N=120, Nx=8, Np=15, mass=1.0, omega=1.0,
-             sigma_x=None, controls=()) -> ModelSystem:
-    """1D harmonic oscillator ``V = m omega^2 xc^2 / 2``."""
+def _axis(L, N, Nx, Np, sigma_x):
+    """The grid of one axis and the basis pair of its lattice."""
     grid = build_grid(L, N)
-    lattice = build_lattice(grid, Nx, Np, sigma_x)
-    pair = build_basis_pair(lattice)
+    return grid, build_basis_pair(build_lattice(grid, Nx, Np, sigma_x))
+
+
+def harmonic(L=24.0, N=120, Nx=8, Np=15, mass=1.0, omega=1.0,
+             sigma_x=None) -> ModelSystem:
+    """1D harmonic oscillator ``V = m omega^2 xc^2 / 2``."""
+    grid, pair = _axis(L, N, Nx, Np, sigma_x)
     xc = grid.centered_points
     spec = OperatorSpec.build(
         (grid,), masses=(mass,),
-        potentials=(0.5 * mass * omega ** 2 * xc ** 2,),
-        control_terms=tuple(controls))
-    return ModelSystem(name="harmonic", product=ProductBasis(pair), spec=spec,
-                       params={"L": L, "N": N, "Nx": Nx, "Np": Np,
-                               "sigma_x": lattice.sigma_x,
-                               "m": mass, "omega": omega})
+        potentials=(0.5 * mass * omega ** 2 * xc ** 2,))
+    return ModelSystem(ProductBasis(pair), spec)
 
 
 def double_well(L=80.0, N=160, Nx=5, Np=32, mass=1.0, omega=1.0,
-                barrier=20.0, half_separation=22.0, sigma_x=None,
-                controls=()) -> ModelSystem:
+                barrier=20.0, half_separation=22.0,
+                sigma_x=None) -> ModelSystem:
     """Symmetric quartic double well.
 
     ``V(xc) = m omega^2 b ((xc/d)^2 - 1)^2`` with barrier height ``b`` at
     the origin and degenerate minima ``V(+-d) = 0``.
     """
-    grid = build_grid(L, N)
-    lattice = build_lattice(grid, Nx, Np, sigma_x)
-    pair = build_basis_pair(lattice)
-    xc = grid.centered_points
-    u = (xc / half_separation) ** 2 - 1.0
+    grid, pair = _axis(L, N, Nx, Np, sigma_x)
+    u = (grid.centered_points / half_separation) ** 2 - 1.0
     spec = OperatorSpec.build(
         (grid,), masses=(mass,),
-        potentials=(mass * omega ** 2 * barrier * u ** 2,),
-        control_terms=tuple(controls))
-    return ModelSystem(name="double_well", product=ProductBasis(pair), spec=spec,
-                       params={"L": L, "N": N, "Nx": Nx, "Np": Np,
-                               "sigma_x": lattice.sigma_x, "m": mass,
-                               "omega": omega, "b": barrier,
-                               "d": half_separation})
+        potentials=(mass * omega ** 2 * barrier * u ** 2,))
+    return ModelSystem(ProductBasis(pair), spec)
 
 
 def helium_1d(L=15.0, N=60, Nx=5, Np=12, a0=HELIUM_REGULARIZER,
-              sop_tolerance=1e-6, sigma_x=None, controls=()) -> ModelSystem:
+              sop_tolerance=1e-6, sigma_x=None) -> ModelSystem:
     """Two electrons on a line with a softened Coulomb interaction.
 
     ``H = sum_i [p_i^2/2 - 2 / sqrt(xc_i^2 + a0^2)]
@@ -108,9 +98,7 @@ def helium_1d(L=15.0, N=60, Nx=5, Np=12, a0=HELIUM_REGULARIZER,
     off-diagonal orbit and for ``c`` on the diagonal.  ``vngrid tdse`` runs
     helium folded.
     """
-    grid = build_grid(L, N)
-    lattice = build_lattice(grid, Nx, Np, sigma_x)
-    pair = build_basis_pair(lattice)
+    grid, pair = _axis(L, N, Nx, Np, sigma_x)
     xc = grid.centered_points
     v_nuc = -2.0 / np.sqrt(xc ** 2 + a0 ** 2)
     v_int = 1.0 / np.sqrt((xc[:, None] - xc[None, :]) ** 2 + a0 ** 2)
@@ -118,30 +106,18 @@ def helium_1d(L=15.0, N=60, Nx=5, Np=12, a0=HELIUM_REGULARIZER,
     spec = OperatorSpec.build(
         (grid, grid), masses=(1.0, 1.0),
         potentials=(v_nuc, v_nuc),
-        sop_terms=fit.terms,
-        control_terms=tuple(controls))
-    return ModelSystem(name="helium1d",
-                       product=ProductBasis((pair, pair)), spec=spec,
-                       params={"L": L, "N": N, "Nx": Nx, "Np": Np,
-                               "sigma_x": lattice.sigma_x, "a0": a0,
-                               "sop_tolerance": sop_tolerance,
-                               "sop_rank": fit.rank},
-                       sop_fit=fit)
+        sop_terms=fit.terms)
+    return ModelSystem(ProductBasis((pair, pair)), spec, sop_fit=fit)
 
 
-def tabulated(x_table, v_table, L, N, Nx, Np, mass=1.0, sigma_x=None,
-              controls=()) -> ModelSystem:
+def tabulated(x_table, v_table, L, N, Nx, Np, mass=1.0,
+              sigma_x=None) -> ModelSystem:
     """1D model with a potential interpolated from a table in xc coordinates."""
-    grid = build_grid(L, N)
-    lattice = build_lattice(grid, Nx, Np, sigma_x)
-    pair = build_basis_pair(lattice)
+    grid, pair = _axis(L, N, Nx, Np, sigma_x)
     v = np.interp(grid.centered_points, np.asarray(x_table, float),
                   np.asarray(v_table, float))
-    spec = OperatorSpec.build((grid,), masses=(mass,), potentials=(v,),
-                              control_terms=tuple(controls))
-    return ModelSystem(name="table", product=ProductBasis(pair), spec=spec,
-                       params={"L": L, "N": N, "Nx": Nx, "Np": Np,
-                               "sigma_x": lattice.sigma_x, "m": mass})
+    spec = OperatorSpec.build((grid,), masses=(mass,), potentials=(v,))
+    return ModelSystem(ProductBasis(pair), spec)
 
 
 def position_coupling(grids, scale=1.0) -> OperatorSpec:

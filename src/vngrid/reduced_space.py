@@ -172,68 +172,39 @@ def _keys(rows, dims):
     return np.ravel_multi_index(tuple(rows.T), dims)
 
 
-def _shapes(lattices):
-    if isinstance(lattices, VonNeumannLattice):
-        lattices = (lattices,)
-    return tuple([(lat.Nx, lat.Np) for lat in lattices])
-
-
-@functools.lru_cache(maxsize=None)
-def _axis_neighbours(nx, np_, r):
-    """Neighbour table of one axis lattice (built once per shape, read-only).
-
-    Row ``i`` lists the neighbours of cell ``i = a * np_ + b`` under every
-    offset ``(da, db)`` in ``[-r, r]^2``, in column ``(da + r) * (2r + 1) +
-    (db + r)``: the cell ``((a + da) mod nx) * np_ + b + db``, or -1 where
-    ``b + db`` leaves the momentum band.
-    """
-    a, b = np.divmod(np.arange(nx * np_), np_)
-    d = np.arange(-r, r + 1)
-    na = np.mod(a[:, None, None] + d[:, None], nx)
-    nb = b[:, None, None] + d
-    table = np.where((nb >= 0) & (nb < np_), na * np_ + nb, -1).reshape(
-        nx * np_, -1)
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=None)
-def _stencil(ndof, radius):
-    """The offsets of Euclidean length <= radius in 2*ndof axes, as one
-    :func:`_axis_neighbours` column per axis (built once per argument pair,
-    read-only).  Rows run in lexicographic offset order, so the zero offset
-    is the middle row."""
-    r = int(math.floor(radius))
-    offs = np.array([off for off in itertools.product(range(-r, r + 1),
-                                                      repeat=2 * ndof)
-                     if sum(o * o for o in off) <= radius * radius], dtype=np.intp)
-    cols = (offs[:, 0::2] + r) * (2 * r + 1) + offs[:, 1::2] + r
-    cols.flags.writeable = False
-    return cols
-
-
 @functools.lru_cache(maxsize=None)
 def _stencil_tables(shapes, radius):
-    """One table per axis of ``shapes`` whose row ``i`` holds that axis's
-    part of every stencil offset (:func:`_stencil`) from cell ``i``: the
-    :func:`_axis_neighbours` table with its columns in stencil order (built
-    once per argument pair, read-only).  A cell set's neighbours on an axis
-    are then one row gather."""
+    """One neighbour table per axis of ``shapes`` (built once per argument
+    pair, read-only).
+
+    The stencil is every offset of Euclidean length <= ``radius`` in the
+    ``2 * len(shapes)`` lattice axes, in lexicographic order, so the zero
+    offset is the middle column.  Row ``i = a * Np + b`` of an axis's table
+    holds, per offset, the neighbour under that axis's part ``(da, db)``:
+    the cell ``((a + da) mod Nx) * Np + b + db``, or -1 where ``b + db``
+    leaves the momentum band.  A cell set's neighbours on an axis are then
+    one row gather.
+    """
     r = int(math.floor(radius))
-    cols = _stencil(len(shapes), radius)
-    tables = tuple(
-        np.ascontiguousarray(_axis_neighbours(nx, np_, r)[:, cols[:, k]])
-        for k, (nx, np_) in enumerate(shapes))
-    for table in tables:
+    offs = np.array([off for off in itertools.product(range(-r, r + 1),
+                                                      repeat=2 * len(shapes))
+                     if sum(o * o for o in off) <= radius * radius], dtype=np.intp)
+    tables = []
+    for (nx, np_), da, db in zip(shapes, offs[:, 0::2].T, offs[:, 1::2].T):
+        a, b = np.divmod(np.arange(nx * np_), np_)
+        nb = b[:, None] + db
+        table = np.where((nb >= 0) & (nb < np_),
+                         np.mod(a[:, None] + da, nx) * np_ + nb, -1)
         table.flags.writeable = False
-    return tables
+        tables.append(table)
+    return tuple(tables)
 
 
 def _neighbour_keys(cells: CellSet, lattices, radius, fold=None):
     """Occupancy keys ``(n, m)`` of every cell's neighbours within ``radius``
-    (stencil order of :func:`_stencil`), and the occupancy shape they index.
-    With an :class:`ExchangeFold` each key is that of the neighbour's orbit
-    representative (:meth:`ExchangeFold.ordered`).
+    (in the stencil order of :func:`_stencil_tables`), and the occupancy
+    shape they index.  With an :class:`ExchangeFold` each key is that of the
+    neighbour's orbit representative (:meth:`ExchangeFold.ordered`).
 
     The occupancy array has ``Nx * Np + 1`` slots per axis: the cells and,
     last, a sentinel slot that is never occupied.  Each axis contributes
@@ -246,7 +217,9 @@ def _neighbour_keys(cells: CellSet, lattices, radius, fold=None):
     wraps around the flat array as Python indices do.  Raises
     :class:`ValueError` for a cell outside the lattice.
     """
-    shapes = _shapes(lattices)
+    if isinstance(lattices, VonNeumannLattice):
+        lattices = (lattices,)
+    shapes = tuple((lat.Nx, lat.Np) for lat in lattices)
     if cells.ndof != len(shapes):
         raise ValueError("cell dimensionality does not match lattice count")
     gathers = []

@@ -6,8 +6,9 @@ The stationary solver grows the active cell set iteratively:
     20  solve the reduced generalized eigenproblem
     30  stop if every tracked mode is below the cutoff on the basis boundary
     40  prune cells below the cutoff (max over tracked modes)
-    50  expand to all cells within the neighborhood radius, extend the
-        reduced matrices incrementally
+    50  expand by one ring of lattice neighbours, every cell within
+        Euclidean distance sqrt 2 in lattice steps (``DEFAULT_RADIUS``),
+        and extend the reduced matrices incrementally
     60  repeat
 
 No classical trajectories or action estimates enter; the occupied region is
@@ -71,7 +72,6 @@ class TiseConfig:
     """Knobs of the adaptive eigenmode search."""
 
     zeta: float = 1e-6
-    radius: float = DEFAULT_RADIUS
     n_modes: int = 1
     max_iterations: int = 200
 
@@ -350,7 +350,7 @@ def tise_adaptive(spec: OperatorSpec, product, config: TiseConfig,
     for it in range(1, config.max_iterations + 1):
         n_solve = min(config.n_modes, rb.n)
         w, v = solve_reduced_eig(ham.Hbb, rb.Sinv_tilde, n_solve, warm)
-        bmask = boundary_mask(rb.cells, lattices, config.radius, fold)
+        bmask = boundary_mask(rb.cells, lattices, DEFAULT_RADIUS, fold)
         amp = rb.amplitudes(v)
         b_amp = float(amp[bmask].max()) if bmask.any() else 0.0
         history.append((rb.n_lattice, b_amp))
@@ -360,7 +360,7 @@ def tise_adaptive(spec: OperatorSpec, product, config: TiseConfig,
                                reduced_basis=rb, hamiltonian=ham)
         kept = prune_cells(rb.cells, amp, config.zeta)
         change = cell_change(rb.cells, expand_cells(kept, lattices,
-                                                    config.radius, fold))
+                                                    DEFAULT_RADIUS, fold))
         warm = (w[0], embed_coefficients(v, change))
         rb.update(change)
         ham.update(change)

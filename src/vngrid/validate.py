@@ -406,7 +406,7 @@ def check_shift_invert_certificate(rng):
         if it == res.iterations:
             break
         new_cells = expand_cells(prune_cells(cells, np.abs(v), cfg.zeta),
-                                 m.lattices, cfg.radius)
+                                 m.lattices, DEFAULT_RADIUS)
         warm = (w[0], embed_coefficients(v, cell_change(cells, new_cells)))
         cells = new_cells
     assert cells == res.final_cells, "the replay left the search's path"

@@ -223,7 +223,7 @@ def test_criterion_09_helium_desk_scale(he_model, he_dense):
                                                  nx, npp))
     g = he_model.grids[0]
     xc = g.centered_points
-    a0 = he_model.params["a0"]
+    a0 = models.HELIUM_REGULARIZER
     exact = 1.0 / np.sqrt((xc[:, None] - xc[None, :]) ** 2 + a0 ** 2)
     sop = sum(t.coefficient * np.outer(*t.factors)
               for t in he_model.spec.sop_terms)
@@ -240,7 +240,7 @@ def test_criterion_09_helium_desk_scale(he_model, he_dense):
     _report(9, f"helium desk run ({g.N} points/axis; 64 is unusable: even-"
                f"by-even critical lattices are singular and rejected): SOP "
                f"max error {sop_err:.2e} <= 1e-6 (rank "
-               f"{he_model.params['sop_rank']}), ground energy "
+               f"{he_model.sop_fit.rank}), ground energy "
                f"{res.eigenvalues[0]:.6f} vs oracle dev {dev:.2e} <= 1e-5, "
                f"basis {n}/{n_full}, {dt:.0f}s")
 

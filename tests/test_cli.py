@@ -108,6 +108,32 @@ def test_schema_violations_are_config_errors(tmp_path):
     assert main(["tise", _write(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
     # missing config file
     assert main(["tise", str(tmp_path / "none.json")]) == EXIT_CONFIG
+    # the neighbour stencil is fixed: no solver block takes a radius
+    for command, block in (("tise", {"radius": 2.0}),
+                           ("tdse", {"t_span": [0, 1], "radius": 2.0})):
+        cfg = _harmonic_cfg(str(tmp_path / "x"), **{command: block})
+        path = _write(tmp_path, f"{command}.json", cfg)
+        assert main([command, path]) == EXIT_CONFIG
+
+
+def test_schema_solver_blocks_are_the_config_fields():
+    # each solver setting the schema admits is a config field, and each
+    # config field is settable; the propagator's snapshot_every is an output
+    # setting, and t_span, max_steps, initial_zeta and pulses are read by
+    # the tdse command itself
+    from vngrid import cli
+    from vngrid.dynamics import PropagationConfig
+    from vngrid.solvers import TiseConfig
+
+    with open(os.path.join(os.path.dirname(cli.__file__),
+                           "config_schema.json")) as fh:
+        solver = json.load(fh)["properties"]["solver"]["properties"]
+    fields = {f.name for f in dataclasses.fields(TiseConfig)}
+    assert set(solver["tise"]["properties"]) == fields
+    fields = {f.name for f in dataclasses.fields(PropagationConfig)}
+    assert set(solver["tdse"]["properties"]) == (
+        fields - {"snapshot_every"}
+        | {"t_span", "max_steps", "initial_zeta", "pulses"})
 
 
 def test_grid_offset_is_a_config_error(tmp_path):
@@ -117,6 +143,28 @@ def test_grid_offset_is_a_config_error(tmp_path):
     cfg = _harmonic_cfg(out, tise={})
     cfg["grid"][0]["x0"] = 0.1
     assert main(["tise", _write(tmp_path, "cfg.json", cfg)]) == EXIT_CONFIG
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("model, named", [
+    ({"name": "helium1d", "m": 7.0, "omega": 3.0, "b": 1.0},
+     "'b', 'm', 'omega'"),
+    ({"name": "harmonic", "a0": 1.0}, "'a0'"),
+    ({"name": "double_well", "file": "v.csv"}, "'file'"),
+    ({"name": "table", "file": "v.csv", "omega": 2.0}, "'omega'"),
+], ids=["helium-mass", "harmonic-a0", "double-well-file", "table-omega"])
+def test_field_of_another_model_is_a_config_error(tmp_path, capsys, model,
+                                                  named):
+    # a model is built from its own fields only: any other would be ignored
+    # while run_meta.json recorded it
+    out = str(tmp_path / "run")
+    cfg = _harmonic_cfg(out, tise={"zeta": 1e-2})
+    cfg["model"] = model
+    if model["name"] == "helium1d":
+        cfg["grid"], cfg["lattice"] = cfg["grid"] * 2, cfg["lattice"] * 2
+    assert main(["tise", _write(tmp_path, "cfg.json", cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "at /model:" in err and named in err
     assert not os.path.exists(out)
 
 

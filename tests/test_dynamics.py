@@ -597,7 +597,7 @@ def test_handoff_matches_fresh_build(he_model, monkeypatch):
                   - fresh.final_coefficients).max() <= 1e-12
 
 
-def test_handoff_mismatch_rejected(dw_model):
+def test_handoff_mismatch_rejected(dw_model, he_model):
     res = tise_adaptive(dw_model.spec, dw_model.product,
                         TiseConfig(zeta=1e-6, n_modes=1))
     psi = res.eigenvectors[:, 0]
@@ -614,6 +614,16 @@ def test_handoff_mismatch_rejected(dw_model):
         tdse_adaptive(driven, dw_model.product, psi, res.final_cells,
                       (0.0, 0.1), pulses=(ControlPulse.nir(0.1, 1.0),),
                       hamiltonian=res.hamiltonian)
+    # the same basis pairs, folded on one side only, in both directions
+    unfolded, folded = he_model.product, he_model.product.folded()
+    for own, target in ((unfolded, folded), (folded, unfolded)):
+        ground = tise_adaptive(he_model.spec, own,
+                               TiseConfig(zeta=1e-2, n_modes=1))
+        for handed in ({"basis": ground.reduced_basis},
+                       {"hamiltonian": ground.hamiltonian}):
+            with pytest.raises(ValueError, match="another product basis"):
+                tdse_adaptive(he_model.spec, target, ground.eigenvectors[:, 0],
+                              ground.final_cells, (0.0, 0.1), **handed)
 
 
 def test_generator_staged_once_and_carried_through_every_event(he_model,

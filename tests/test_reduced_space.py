@@ -8,7 +8,7 @@ import scipy.linalg
 from vngrid.errors import DegenerateUpdateError, IllConditionedBasisError
 from vngrid.fourier_grid import build_grid
 from vngrid.reduced_space import (CellSet, ExchangeFold, ProductBasis,
-                                  ReducedBasis, _axis_neighbours, _fresh_inverse,
+                                  ReducedBasis, _fresh_inverse,
                                   _stencil_tables, boundary_mask, cell_change,
                                   complementary_basis, embed_coefficients,
                                   expand_cells, grow_inverse, prune_cells,
@@ -283,7 +283,6 @@ def test_edge_lattices_match_brute_force():
 
 
 def test_axis_tables_are_built_once_and_read_only(he_model):
-    _axis_neighbours.cache_clear()
     _stencil_tables.cache_clear()
     lat = he_model.lattices
     cells = CellSet([[7, 30], [8, 30], [40, 2]], ndof=2)
@@ -291,18 +290,10 @@ def test_axis_tables_are_built_once_and_read_only(he_model):
         grown = expand_cells(cells, lat)
         boundary_mask(grown, lat)
         cell_change(cells, grown)
-    # both helium axes share one (5, 12) shape, and radius sqrt(2) has r = 1:
-    # one axis table, read once per axis into the stencil's tables
-    info = _axis_neighbours.cache_info()
-    assert info.misses == 1 and info.currsize == 1 and info.hits == 1
+    # both helium axes share one (5, 12) shape: the stencil's tables are
+    # built on the first call and read by every later one
     info = _stencil_tables.cache_info()
     assert info.misses == 1 and info.currsize == 1 and info.hits == 5
-    expand_cells(cells, lat, 2.3)
-    assert _axis_neighbours.cache_info().misses == 2
-    table = _axis_neighbours(5, 12, 1)
-    assert table.shape == (60, 9) and not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[0, 0] = 0
     # the 33 offsets of length <= sqrt(2) in four axes, per axis
     for table in _stencil_tables(((5, 12), (5, 12)), np.sqrt(2.0) + 1e-9):
         assert table.shape == (60, 33) and not table.flags.writeable

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -37,7 +38,8 @@ def test_seed_cells_double_well(dw_model):
     v_lat = lattice_potential(dw_model.spec, dw_model.lattices)
     seeds = seed_cells(v_lat, dw_model.lattices)
     assert len(seeds) == 2
-    d = dw_model.params["d"]
+    d = inspect.signature(models.double_well).parameters[
+        "half_separation"].default
     for (i,) in seeds:
         a, b = lat.cell_coords(i)
         assert lat.p_centers[b] == 0.0
