@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import itertools
 import json
 import os
+import resource
 import sys
 import time
 
@@ -44,16 +46,35 @@ _EXIT_CODES = {ConvergenceError: EXIT_NO_CONVERGENCE,
                DegenerateUpdateError: EXIT_DEGENERATE_BASIS,
                IllConditionedBasisError: EXIT_DEGENERATE_BASIS}
 
-_MODEL_DEFAULTS = {
-    "harmonic": {"m": 1.0, "omega": 1.0},
-    "double_well": {"m": 1.0, "omega": 1.0, "b": 20.0, "d": 22.0},
-    "helium1d": {"a0": 0.739707902, "sop_tolerance": 1e-6},
-    "table": {"m": 1.0},
+# each config model: its function in ``vngrid.models``, and the keyword
+# argument each of its config fields sets
+_MODELS = {
+    "harmonic": ("harmonic", {"m": "mass", "omega": "omega"}),
+    "double_well": ("double_well", {"m": "mass", "omega": "omega",
+                                    "b": "barrier", "d": "half_separation"}),
+    "helium1d": ("helium_1d", {"a0": "a0", "sop_tolerance": "sop_tolerance"}),
+    "table": ("tabulated", {"m": "mass"}),
 }
+
+
+def _model_defaults(name: str) -> dict:
+    """The config fields of model ``name`` with their defaults, read off
+    the signature of its function in ``vngrid.models``."""
+    from . import models
+
+    function, fields = _MODELS[name]
+    params = inspect.signature(getattr(models, function)).parameters
+    return {field: params[kw].default for field, kw in fields.items()}
 
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB (Linux reports
+    ``ru_maxrss`` in KB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +87,9 @@ def load_config(path: str) -> dict:
     Solver defaults are the fields of :class:`~vngrid.solvers.TiseConfig`
     and :class:`~vngrid.dynamics.PropagationConfig`; the propagator's
     ``snapshot_every`` is an output setting.  A model takes the fields of
-    its :data:`_MODEL_DEFAULTS` entry (and ``table`` its ``file``); any
-    other is a configuration error.
+    its :data:`_MODELS` entry, defaulted as its function in
+    ``vngrid.models`` defaults them (and ``table`` its ``file``); any other
+    is a configuration error.
     """
     import jsonschema
 
@@ -93,7 +115,7 @@ def load_config(path: str) -> dict:
     if ("tise" in solver) == ("tdse" in solver):
         raise ConfigError("at /solver: exactly one of 'tise' or 'tdse' required")
     name = cfg["model"]["name"]
-    model = dict(_MODEL_DEFAULTS[name])
+    model = _model_defaults(name)
     known = {"name", *model} | ({"file"} if name == "table" else set())
     foreign = sorted(set(cfg["model"]) - known)
     if foreign:
@@ -139,15 +161,12 @@ def build_model(cfg: dict):
     g0 = cfg["grid"][0]
     l0 = cfg["lattice"][0]
     m = cfg["model"]
+    function, fields = _MODELS[m["name"]]
     kw = dict(L=g0["L"], N=g0["N"], Nx=l0["Nx"], Np=l0["Np"],
-              sigma_x=l0.get("sigma_x"))
-    if m["name"] == "harmonic":
-        return models.harmonic(mass=m["m"], omega=m["omega"], **kw)
-    if m["name"] == "double_well":
-        return models.double_well(mass=m["m"], omega=m["omega"],
-                                  barrier=m["b"], half_separation=m["d"], **kw)
-    if m["name"] == "helium1d":
-        return models.helium_1d(a0=m["a0"], sop_tolerance=m["sop_tolerance"], **kw)
+              sigma_x=l0.get("sigma_x"),
+              **{arg: m[field] for field, arg in fields.items()})
+    if m["name"] != "table":
+        return getattr(models, function)(**kw)
     import numpy as np
 
     try:
@@ -160,7 +179,7 @@ def build_model(cfg: dict):
     if not np.all(np.isfinite(table)):
         raise ConfigError(f"table potential file {m['file']} contains "
                           f"non-finite values")
-    return models.tabulated(table[:, 0], table[:, 1], mass=m["m"], **kw)
+    return models.tabulated(table[:, 0], table[:, 1], **kw)
 
 
 def _build_pulses(cfg_pulses, grids):
@@ -331,7 +350,8 @@ def cmd_tise(args) -> int:
         "n_final": len(res.final_cells),
         "eigenvalues": [float(e) for e in res.eigenvalues],
         "cache": res.hamiltonian.cache_stats(),
-        "timings": {"build_s": t_build, "solve_s": t_solve},
+        "timings": {"build_s": t_build, "solve_s": t_solve,
+                    "peak_rss_mb": _peak_rss_mb()},
     }
     _add_sop_meta(meta, model)
     _write_meta(os.path.join(out_dir, "run_meta.json"), meta)
@@ -427,7 +447,8 @@ def cmd_tdse(args) -> int:
                          "n_folded": len(ground.final_cells) if folded else None,
                          "iterations": ground.iterations},
         "cache": ground.hamiltonian.cache_stats(),
-        "timings": {"build_s": t_build, "ground_s": t_ground, "prop_s": t_prop},
+        "timings": {"build_s": t_build, "ground_s": t_ground, "prop_s": t_prop,
+                    "peak_rss_mb": _peak_rss_mb()},
     }
     _add_sop_meta(meta, model)
     _write_meta(os.path.join(out_dir, "run_meta.json"), meta)

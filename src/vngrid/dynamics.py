@@ -458,7 +458,12 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
     that already cover ``cells0`` (for example those an eigenmode search
     leaves behind), instead of building both from scratch.  The basis
     stages the generators from the Hamiltonian's blocks, once, and carries
-    them as it adapts in place; the blocks are only read.  Both must cover
+    them as it adapts in place.  Staging consumes the blocks: they are
+    taken out of the Hamiltonian
+    (:meth:`~vngrid.hamiltonian.ReducedHamiltonian.take_blocks`) and each
+    is freed as soon as its generator exists, so a handed-over Hamiltonian
+    ends the run without blocks, while its factor stacks, cells and caches
+    stay (a refresh assembles from the stacks).  Both must cover
     exactly ``cells0`` on ``product``'s basis pairs, folded where it is
     folded, and the Hamiltonian must have been built for ``spec``;
     otherwise :class:`ValueError` is raised.
@@ -509,7 +514,9 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
     accepted = 0
     # the boundary rows of the current cells
     edge = boundary_mask(rb.cells, lattices, DEFAULT_RADIUS, fold).nonzero()[0]
-    rb.stage(ham.blocks)                  # carried across basis changes
+    # the blocks are consumed: each is freed once its generator exists, and
+    # the generators are carried across basis changes
+    rb.stage(ham.take_blocks())
 
     try:
         while t < t_end - 1e-12 and (max_steps is None or accepted < max_steps):

@@ -44,11 +44,24 @@ it, and dropped.  A reduced block is one contraction over the rank: per
 row, a GEMM of the axis-0 factors against the other axes' factors over the
 distinct column indices of each axis, from which the block's columns are
 gathered.
+
+Two axes on one basis pair share one stack wherever the second axis's
+columns are the first's in another order.  A sum-of-products term with one
+factor on both axes puts ``sqrt(lambda_r)`` on each factor (``i
+sqrt(-lambda_r)`` for a negative coefficient), so its column is the same on
+both axes; the one-axis terms then only swap places.  Helium's drift and
+its ``x_1 + x_2`` and ``p_1 + p_2`` couplings hold one stack for both
+axes, and the second axis moves its swapped columns in each per-chunk slab
+of the contraction, never in the stack: one ``(60, 60, 62)`` stack of
+3.6 MB at the desk-scale lattice, 61.5 MB at the paper-scale one
+(``(156, 156, 158)``).  A coupling on one axis keeps a stack per axis.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -458,6 +471,32 @@ class ElementCache:
 # reduced Hamiltonian
 # ---------------------------------------------------------------------------
 
+class _Factors(NamedTuple):
+    """One operator's rank expansion (:meth:`ReducedHamiltonian._factor_stacks`)."""
+
+    stacks: list    # per axis: (n, n, rank), or one (n, n) table with one axis
+    moves: tuple    # per axis: None, or (columns, sources) of a shared stack
+
+
+def _column_order(own, keys):
+    """Indices ``src`` with ``keys[r] == own[src[r]]``, and ``src[r] = r``
+    wherever the two already agree; None if ``keys`` does not reorder
+    ``own``."""
+    if len(own) != len(keys):
+        return None
+    src = [r if a == b else None for r, (a, b) in enumerate(zip(own, keys))]
+    free = {}
+    for r, key in enumerate(own):
+        if src[r] is None:
+            free.setdefault(key, []).append(r)
+    for r, key in enumerate(keys):
+        if src[r] is None:
+            if not free.get(key):
+                return None
+            src[r] = free[key].pop(0)
+    return np.array(src)
+
+
 class ReducedHamiltonian:
     """Hermitian ``Btilde^H H Btilde`` blocks, maintained incrementally.
 
@@ -477,9 +516,17 @@ class ReducedHamiltonian:
     :class:`~vngrid.vn_basis.BasisPair` object share one element cache, and
     each distinct slot of a cache is filled once per construction, for
     every operator and axis that reads it; the factor stacks are the only
-    copy of the tables.  Control terms that are the same object (several
-    pulses through one coupling) share one block, assembled and updated
-    once.
+    copy of the tables.  An operator whose second axis reads the first
+    axis's columns in another order holds one stack for both (module
+    docstring): a symmetric sum-of-products term carries ``sqrt(lambda_r)``
+    on each factor, and the contraction applies the second axis's column
+    permutation to its small per-chunk slab.  Control terms that are the
+    same object (several pulses through one coupling) share one block,
+    assembled and updated once.
+
+    :attr:`blocks` are the reduced matrices themselves.  A propagation
+    takes them out (:meth:`take_blocks`) and its staging consumes them;
+    the stacks, cells and caches stay.
     """
 
     def __init__(self, spec: OperatorSpec, product: ProductBasis,
@@ -522,20 +569,33 @@ class ReducedHamiltonian:
             if parts:
                 terms.append([parts if k == dof else None for k in range(d)])
         for t in spec.sop_terms:
-            terms.append([[(t.coefficient if k == 0 else 1.0,
-                            self.caches[k].register("potential", f))]
-                          for k, f in enumerate(t.factors)])
+            slots = [self.caches[k].register("potential", f)
+                     for k, f in enumerate(t.factors)]
+            c = t.coefficient
+            if d == 2 and self.caches[0] is self.caches[1] and slots[0] == slots[1]:
+                # a symmetric term splits its coefficient over both factors,
+                # imaginary for a negative one, so both axes read one column
+                root = math.sqrt(c) if c >= 0 else 1j * math.sqrt(-c)
+                coefficients = (root, root)
+            else:
+                coefficients = (c,) + (1.0,) * (d - 1)
+            terms.append([[(coefficient, slot)] for coefficient, slot
+                          in zip(coefficients, slots)])
         if d == 1 and terms:
             return [[[part for (parts,) in terms for part in parts]]]
         return terms
 
     def _factor_stacks(self, operators):
-        """Per-axis ``(n_k, n_k, rank)`` factor stacks of each operator's
-        :meth:`_terms`: a single ``(n, n)`` table with one axis, and None for
-        an operator without terms.
+        """Per-axis :class:`_Factors` of each operator's :meth:`_terms`: a
+        single ``(n, n)`` table with one axis, and None for an operator
+        without terms.
 
-        Each distinct slot of each cache is filled once, written (times its
-        coefficient) into every stack entry that reads it, and dropped.
+        An axis whose term columns are an earlier axis's on the same cache,
+        in another order, reads that axis's stack with its moved columns
+        (helium's drift and ``x_1 + x_2`` / ``p_1 + p_2`` couplings: the two
+        one-axis terms swap places), not a stack of its own.  Each distinct
+        slot of each cache is filled once, written (times its coefficient)
+        into every stack entry that reads it, and dropped.
         """
         readers = {}        # (cache, slot) -> [(stack, term, coefficient)]
         out = []
@@ -543,8 +603,21 @@ class ReducedHamiltonian:
             if not terms:
                 out.append(None)
                 continue
-            stacks = []
+            stacks, moves, owners = [], [], {}   # owners: axis -> column keys
             for k, pair in enumerate(self.product.pairs):
+                keys = [None if term[k] is None else tuple(term[k])
+                        for term in terms]
+                shared = next(((j, src) for j, own in owners.items()
+                               if self.caches[j] is self.caches[k]
+                               and (src := _column_order(own, keys)) is not None),
+                              None)
+                if shared is not None:
+                    j, src = shared
+                    moved = np.flatnonzero(src != np.arange(len(src)))
+                    stacks.append(stacks[j])
+                    moves.append((moved, src[moved]) if len(moved) else None)
+                    continue
+                owners[k] = keys
                 stack = np.empty((pair.n, pair.n, len(terms)), dtype=complex)
                 for r, term in enumerate(terms):
                     if term[k] is None:
@@ -554,7 +627,8 @@ class ReducedHamiltonian:
                             (stack, r, c))
                 # with one axis the one term is the operator
                 stacks.append(stack if len(terms[0]) > 1 else stack[:, :, 0])
-            out.append(stacks)
+                moves.append(None)
+            out.append(_Factors(stacks, tuple(moves)))
         written = set()
         for (cache, slot), entries in readers.items():
             tab = cache.table(slot)
@@ -579,18 +653,22 @@ class ReducedHamiltonian:
 
     @staticmethod
     def _contract(ri, ci, factors) -> np.ndarray:
-        """``out[i, j] = sum_r prod_k F_r^(k)[ri[i, k], ci[j, k]]``.
+        """``out[i, j] = sum_r prod_k F_r^(k)[ri[i, k], ci[j, k]]`` for the
+        :class:`_Factors` ``factors``.
 
         Rows are taken in chunks; per row, the axis-0 factor over the
         distinct axis-0 columns multiplies (one batched GEMM over the rank)
         the product of the other axes' factors over their distinct columns,
         and the block's columns are gathered from that small product table.
+        An axis that reads a shared stack moves its columns in its per-chunk
+        slab, never in the stack.
         """
-        if len(factors) == 1:
-            return factors[0].take(ri[:, 0], axis=0).take(ci[:, 0], axis=1)
+        stacks, moves = factors
+        if len(stacks) == 1:
+            return stacks[0].take(ri[:, 0], axis=0).take(ci[:, 0], axis=1)
         out = np.empty((len(ri), len(ci)), dtype=complex)
         distinct, inverse = zip(*(np.unique(ci[:, k], return_inverse=True)
-                                  for k in range(len(factors))))
+                                  for k in range(len(stacks))))
         widths = [len(u) for u in distinct]
         n_rest = int(np.prod(widths[1:]))
         gather = inverse[0] * n_rest + np.ravel_multi_index(inverse[1:],
@@ -598,9 +676,14 @@ class ReducedHamiltonian:
         step = max(1, _CHUNK_ENTRIES // (widths[0] * n_rest))
         for lo in range(0, len(ri), step):
             chunk = ri[lo:lo + step]
-            left, right, *more = (f[chunk[:, k, None], u]
-                                  for k, (f, u) in enumerate(zip(factors,
-                                                                 distinct)))
+            slabs = []
+            for k, (f, u, move) in enumerate(zip(stacks, distinct, moves)):
+                slab = f[chunk[:, k, None], u]
+                if move is not None:
+                    cols, src = move
+                    slab[:, :, cols] = slab[:, :, src]
+                slabs.append(slab)
+            left, right, *more = slabs
             for g in more:
                 right = (right[:, :, None, :] * g[:, None, :, :]).reshape(
                     len(chunk), -1, g.shape[-1])
@@ -624,12 +707,30 @@ class ReducedHamiltonian:
         (:func:`~vngrid.reduced_space.carry_hermitian`): only the rows of
         added cells are assembled, and the result matches a from-scratch
         assembly to round-off (helium: 5e-15 after one change; folded, where
-        a fresh block is hermitized as a whole, 1.8e-14 after 20).
+        a fresh block is hermitized as a whole, 1.8e-14 after 20).  Each old
+        block is freed as its successor is built, so the carry holds one
+        block more than it keeps, not twice as many.
         """
-        self.blocks = tuple(carry_hermitian(mat, change, rows) for mat, rows
-                            in zip(self.blocks, self.rows(change.added, change.new)))
+        rows = self.rows(change.added, change.new)
+        blocks, self.blocks = list(self.blocks), ()
+        for i, fresh in enumerate(rows):
+            blocks[i] = carry_hermitian(blocks[i], change, fresh)
+        self.blocks = tuple(blocks)
         self.cells = change.new
         return change.added
+
+    def take_blocks(self) -> list:
+        """Hand :attr:`blocks` over as a list and keep none of them.
+
+        Staging consumes the list
+        (:meth:`~vngrid.reduced_space.ReducedBasis.stage`), freeing each
+        block as soon as its generator exists.  The factor stacks, cells and
+        caches stay, so :meth:`rows` still assembles any part of a block;
+        :attr:`Hbb`, :attr:`Hbb_controls`, :meth:`update` and
+        :meth:`combined` of its own blocks need blocks, and find none.
+        """
+        blocks, self.blocks = list(self.blocks), ()
+        return blocks
 
     # -- application ------------------------------------------------------------
 

@@ -80,8 +80,8 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import (zdotc as _zdotc, zgemm as _zgemm,
                                zgemv as _zgemv)
-from scipy.linalg.lapack import (zposv as _zposv, zpotrf as _zpotrf,
-                                 zpotri as _zpotri)
+from scipy.linalg.lapack import (zlange as _zlange, zposv as _zposv,
+                                 zpotrf as _zpotrf, zpotri as _zpotri)
 
 from .errors import DegenerateUpdateError, IllConditionedBasisError
 from .vn_basis import (COND_LIMIT, BasisPair, VonNeumannLattice,
@@ -845,12 +845,23 @@ class ReducedBasis:
             self._stilde = _fresh_inverse(self.Sinv_tilde, self.n)
         return self._stilde
 
-    def stage(self, blocks):
+    def stage(self, blocks: list):
         """Form ``Stilde`` from scratch and stage ``Stilde @ b`` for each
         Hermitian block ``b`` over the current cells, one GEMM each, as
-        :attr:`generators` (replacing any staged before)."""
+        :attr:`generators`.
+
+        The blocks are consumed: the list is emptied, each block leaving it
+        as soon as its generator exists, so that a caller holding no other
+        reference (a propagation's handed-over Hamiltonian, after
+        :meth:`~vngrid.hamiltonian.ReducedHamiltonian.take_blocks`) frees it
+        then.  Generators staged before are dropped once the new ``Stilde``
+        exists, before the first new one is formed.
+        """
         self._stilde = _fresh_inverse(self.Sinv_tilde, self.n)
-        self.generators = [self._stilde @ b for b in blocks]
+        self.generators = []
+        blocks.reverse()
+        while blocks:
+            self.generators.append(self._stilde @ blocks.pop())
 
     @property
     def Btilde(self) -> np.ndarray:
@@ -918,10 +929,11 @@ def _fresh_inverse(sinv: np.ndarray, n: int) -> np.ndarray:
     size made.
 
     The check uses the 1-norm condition number ``||S||_1 ||S^-1||_1``, read
-    off the overlap and its inverse in O(n^2).  For a Hermitian matrix the
-    1-norm bounds the 2-norm from above, so this never passes a matrix
-    whose 2-norm condition number exceeds the limit.  A failed
-    factorization (not positive definite) counts as infinitely
+    off the overlap and its inverse in O(n^2) by LAPACK ``zlange``, which
+    makes no temporary (``np.linalg.norm`` makes an n x n one per call).
+    For a Hermitian matrix the 1-norm bounds the 2-norm from above, so this
+    never passes a matrix whose 2-norm condition number exceeds the limit.
+    A failed factorization (not positive definite) counts as infinitely
     ill-conditioned.
     """
     inv = np.array(sinv, dtype=complex, order="C")
@@ -942,7 +954,9 @@ def _fresh_inverse(sinv: np.ndarray, n: int) -> np.ndarray:
         diag = inv[lo:hi, lo:hi]
         lower = np.tri(len(diag), k=-1, dtype=bool)
         diag[lower] = diag.T[lower].conj()
-    cond = float(np.linalg.norm(sinv, 1) * np.linalg.norm(inv, 1))
+    # ``zlange`` reads each F-ordered view, the transpose, whose 1-norm is
+    # the matrix's infinity norm: its 1-norm, since the matrix is Hermitian
+    cond = float(_zlange("1", sinv.T) * _zlange("1", inv.T))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditionedBasisError(
             f"reduced overlap of {n} cells is ill-conditioned (cond ~ {cond:.2e})",

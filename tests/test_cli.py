@@ -73,6 +73,35 @@ def test_run_meta_embeds_resolved_config(tmp_path):
     assert meta["config"]["grid"] == [{"L": 20.0, "N": 60}]
     assert meta["converged"] is True
     assert meta["cache"]["hits"] > 0
+    assert meta["timings"]["peak_rss_mb"] > 0
+
+
+@pytest.mark.parametrize("name, function, fields", [
+    ("harmonic", "harmonic", {"m": "mass", "omega": "omega"}),
+    ("double_well", "double_well", {"m": "mass", "omega": "omega",
+                                    "b": "barrier", "d": "half_separation"}),
+    ("helium1d", "helium_1d", {"a0": "a0", "sop_tolerance": "sop_tolerance"}),
+    ("table", "tabulated", {"m": "mass"}),
+])
+def test_model_defaults_are_the_model_functions(tmp_path, name, function,
+                                                fields):
+    # a model field left out of the config resolves to its function's
+    # default, so a default changed in vngrid.models reaches run_meta.json
+    import inspect
+
+    from vngrid import models
+
+    cfg = _harmonic_cfg(str(tmp_path / "run"), tise={})
+    cfg["model"] = {"name": name, **({"file": "v.csv"} if name == "table"
+                                     else {})}
+    if name == "helium1d":
+        cfg["grid"], cfg["lattice"] = cfg["grid"] * 2, cfg["lattice"] * 2
+    resolved = load_config(_write(tmp_path, "cfg.json", cfg))["model"]
+    params = inspect.signature(getattr(models, function)).parameters
+    assert resolved.pop("name") == name
+    resolved.pop("file", None)
+    assert resolved == {field: params[kw].default
+                        for field, kw in fields.items()}
 
 
 def test_solver_defaults_are_the_config_dataclasses(tmp_path):
@@ -264,6 +293,7 @@ def test_tdse_run_and_norm_column(tmp_path):
     assert os.path.exists(os.path.join(out, "snapshot_000.csv"))
     meta = json.load(open(os.path.join(out, "run_meta.json")))
     assert meta["completed"] is True
+    assert meta["timings"]["peak_rss_mb"] > 0
     assert meta["ground_state"]["energy"] == pytest.approx(0.5, abs=1e-6)
     # one axis never folds
     assert meta["exchange"] is None and meta["n_folded_max"] is None

@@ -15,6 +15,7 @@ from vngrid.solvers import TiseConfig, tise_adaptive
 
 import dataclasses
 import math
+import weakref
 
 
 def _coherent_initial(model, x0=2.5, p0=0.0, zeta=1e-6):
@@ -581,20 +582,53 @@ def test_handoff_matches_fresh_build(he_model, monkeypatch):
     monkeypatch.setattr(dynamics, "ReducedHamiltonian", no_rebuild)
     monkeypatch.setattr(dynamics.ReducedBasis, "create", no_rebuild)
     ham = ground.hamiltonian
-    cells, blocks = ham.cells, [b.copy() for b in ham.blocks]
+    cells, blocks = ham.cells, [weakref.ref(b) for b in ham.blocks]
+    assert len(blocks) == 3
     handed = tdse_adaptive(*args, pulses=pulses, cfg=cfg,
                            basis=ground.reduced_basis, hamiltonian=ham)
     assert ground.reduced_basis.cells == handed.final_cells != cells
-    # the basis adapts in place; the handed-over Hamiltonian is only read
+    # the basis adapts in place; the handed-over Hamiltonian keeps its cells
+    # and gives its blocks up to staging
     assert ham.cells is cells
-    assert all(np.array_equal(b, before) for b, before in zip(ham.blocks,
-                                                             blocks))
+    assert ham.blocks == () and all(ref() is None for ref in blocks)
     np.testing.assert_array_equal(handed.times, fresh.times)
     np.testing.assert_array_equal(handed.n_active, fresh.n_active)
     assert handed.final_cells == fresh.final_cells
     assert np.abs(handed.norms - fresh.norms).max() <= 1e-12
     assert np.abs(handed.final_coefficients
                   - fresh.final_coefficients).max() <= 1e-12
+
+
+def test_handoff_frees_the_blocks_as_it_stages(he_model, monkeypatch):
+    # a folded ground search hands over to a driven run: staging frees
+    # every block, and what stays is the overlap, its inverse and one
+    # generator per distinct block (the drift, x_1 + x_2 for two pulses,
+    # p_1 + p_2)
+    folded = he_model.product.folded()
+    spec, pulses, ground = _driven_helium(he_model, folded)
+    ham, rb = ground.hamiltonian, ground.reduced_basis
+    blocks = [weakref.ref(b) for b in ham.blocks]
+    assert len(blocks) == 3
+    alive, stage = [], ReducedBasis.stage
+
+    def watched(basis, staged):
+        stage(basis, staged)
+        alive.append(sum(ref() is not None for ref in blocks))
+
+    monkeypatch.setattr(ReducedBasis, "stage", watched)
+    traj = tdse_adaptive(spec, folded, ground.eigenvectors[:, 0],
+                         ground.final_cells, (0.0, 0.3), pulses=pulses,
+                         cfg=PropagationConfig(zeta=1e-2, tau0=0.02,
+                                               snapshot_every=0),
+                         basis=rb, hamiltonian=ham)
+    assert alive == [0]                 # one staging, no refresh
+    assert ham.blocks == ()
+    n = rb.n
+    square = sorted(name for name, value in vars(rb).items()
+                    if isinstance(value, np.ndarray) and value.shape == (n, n))
+    assert square == ["Sinv_tilde", "_stilde"]
+    assert traj.generator is rb.generators and len(rb.generators) == 3
+    assert all(g.shape == (n, n) for g in rb.generators)
 
 
 def test_handoff_mismatch_rejected(dw_model, he_model):

@@ -307,9 +307,9 @@ def test_one_axis_contract_equals_its_ix_form(model, rng):
     n = m.pairs[0].n
     ri, ci = (rng.integers(n, size=(size, 1)) for size in (30, 45))
     factors = ham._drift
-    assert len(factors) == 1
+    assert len(factors.stacks) == 1 and factors.moves == (None,)
     assert np.array_equal(ReducedHamiltonian._contract(ri, ci, factors),
-                          factors[0][np.ix_(ri[:, 0], ci[:, 0])])
+                          factors.stacks[0][np.ix_(ri[:, 0], ci[:, 0])])
 
 
 def test_element_api_and_hermiticity(dw_reduced):
@@ -422,9 +422,22 @@ def _helium_with_position(he_model):
         control_terms=(models.position_coupling(he_model.grids),))
 
 
+def _helium_with_three_couplings(he_model):
+    """Helium with ``x_1 + x_2``, ``p_1 + p_2`` and ``x_1`` alone, which
+    breaks the exchange symmetry."""
+    grids = he_model.grids
+    one_axis = OperatorSpec(grids=grids, kinetic=(None, None),
+                            potentials=(grids[0].centered_points, None))
+    return dataclasses.replace(he_model.spec, control_terms=(
+        models.position_coupling(grids), models.momentum_coupling(grids),
+        one_axis))
+
+
 def test_helium_blocks_match_dense_sandwich(he_model):
-    # desk-scale helium (3600 points): drift and position control over a few
-    # hundred cells, exchange-swapped pairs included
+    # desk-scale helium (3600 points): drift, position, momentum and
+    # one-axis controls over a few hundred cells, exchange-swapped pairs
+    # included; the drift and the symmetric couplings read one factor stack
+    # for both axes
     rng = np.random.default_rng(11)
     n = he_model.pairs[0].n
     pairs = rng.choice(n, size=(130, 2))
@@ -433,12 +446,62 @@ def test_helium_blocks_match_dense_sandwich(he_model):
     cells = CellSet(np.vstack([pairs, pairs[:, ::-1],
                                np.column_stack([diag, diag])]), ndof=2)
     assert len(cells) >= 250
-    spec = _helium_with_position(he_model)
+    spec = _helium_with_three_couplings(he_model)
     ham = ReducedHamiltonian(spec, he_model.product, cells)
     ref = _dense_block(spec, he_model.pairs, cells)
     assert np.abs(ham.Hbb - ref).max() <= 1e-11
-    ref_c = _dense_block(spec.control_terms[0], he_model.pairs, cells)
-    assert np.abs(ham.Hbb_controls[0] - ref_c).max() <= 1e-11
+    for block, coupling in zip(ham.Hbb_controls, spec.control_terms):
+        ref_c = _dense_block(coupling, he_model.pairs, cells)
+        assert np.abs(block - ref_c).max() <= 1e-11
+
+
+def test_symmetric_operators_hold_one_stack(he_model):
+    # the drift (one-axis terms swapped, each symmetric sum-of-products
+    # term split as sqrt(coefficient) on both factors), x_1 + x_2 and
+    # p_1 + p_2 hold one stack for both axes; x_1 alone keeps one per axis
+    spec = _helium_with_three_couplings(he_model)
+    ham = ReducedHamiltonian(spec, he_model.product, CellSet([[0, 1]], ndof=2))
+    drift, position, momentum, one_axis = (ham._drift, *ham._controls)
+    for factors in (drift, position, momentum):
+        first, second = factors.stacks
+        assert second is first and np.shares_memory(first, second)
+        assert factors.moves[0] is None
+        cols, src = factors.moves[1]
+        assert cols.tolist() == [0, 1] and src.tolist() == [1, 0]
+    assert drift.stacks[0].shape == (60, 60, 62)
+    first, second = one_axis.stacks
+    assert not np.shares_memory(first, second) and one_axis.moves == (None, None)
+    # after the two one-axis columns, each term's column is its factor's
+    # table times the root of its coefficient
+    cache = ham.caches[0]
+    for r, t in enumerate(he_model.spec.sop_terms):
+        tab = cache.table(cache.register("potential", t.factors[0]))
+        assert np.array_equal(drift.stacks[0][:, :, 2 + r],
+                              np.sqrt(t.coefficient) * tab)
+
+
+def test_negative_symmetric_terms_split_into_imaginary_roots():
+    # an indefinite symmetric interaction: its negative terms read
+    # imaginary roots on both axes, and the block is still the sandwich
+    pair = build_basis_pair(build_lattice(build_grid(6.0, 12), 3, 4))
+    grid = pair.grid
+    xc = grid.centered_points
+    fit = potfit2(np.cos(xc[:, None] - 2.0 * xc[None, :])
+                  + np.cos(2.0 * xc[:, None] - xc[None, :]), 1e-10)
+    assert {t.coefficient > 0 for t in fit.terms} == {True, False}
+    spec = OperatorSpec.build((grid, grid), potentials=(0.4 * xc ** 2,) * 2,
+                              sop_terms=fit.terms)
+    product = ProductBasis((pair, pair))
+    cells = CellSet(np.array(list(np.ndindex(pair.n, pair.n))), ndof=2)
+    ham = ReducedHamiltonian(spec, product, cells)
+    assert ham._drift.stacks[0] is ham._drift.stacks[1]
+    cache = ham.caches[0]
+    for r, t in enumerate(spec.sop_terms):
+        c = t.coefficient
+        root = np.sqrt(c) if c > 0 else 1j * np.sqrt(-c)
+        tab = cache.table(cache.register("potential", t.factors[0]))
+        assert np.array_equal(ham._drift.stacks[0][:, :, 2 + r], root * tab)
+    assert np.abs(ham.Hbb - _dense_block(spec, (pair, pair), cells)).max() <= 1e-11
 
 
 def test_two_axis_update_equals_scratch(he_model):
@@ -547,7 +610,7 @@ def test_staged_generator_matches_factored_product(dw_model):
     rb = ReducedBasis.create(dw_model.product, cells)
     ham = ReducedHamiltonian(spec, dw_model.product, cells)
     hbb = ham.Hbb.copy()
-    rb.stage(ham.blocks)
+    rb.stage(list(ham.blocks))
     # the first two pulses share one coupling, so one block and one staged
     # generator: the drift's, the shared one and the third pulse's
     assert len(ham.blocks) == len(rb.generators) == 3
@@ -561,8 +624,8 @@ def test_staged_generator_matches_factored_product(dw_model):
     assert ham.combined((0.1, 0.0, 0.2), rb.generators) is h  # buffer reused
     assert ham.combined((0.0, 0.0, 0.0), rb.generators) is g0
     assert ham.combined((), rb.generators) is g0
-    # staging leaves the Hamiltonian's blocks as they were; the Hermitian
-    # and the staged combinations share the one buffer
+    # staging a list of the blocks leaves the Hamiltonian's as they were;
+    # the Hermitian and the staged combinations share the one buffer
     assert np.array_equal(ham.Hbb, hbb)
     assert ham.combined((0.37, 0.0, 0.0)) is h
 

@@ -659,7 +659,7 @@ def test_carried_generator_matches_stilde_times_block(ndof, pair48, pair60,
     rb = ReducedBasis.create(product, cells)
     ham = ReducedHamiltonian(spec, product, cells)
     assert len(ham.blocks) == 3
-    rb.stage(ham.blocks)
+    rb.stage(list(ham.blocks))
     refreshes = []
     real_fresh = reduced_space._fresh_inverse
 
