@@ -45,16 +45,19 @@ row, a GEMM of the axis-0 factors against the other axes' factors over the
 distinct column indices of each axis, from which the block's columns are
 gathered.
 
-Two axes on one basis pair share one stack wherever the second axis's
-columns are the first's in another order.  A sum-of-products term with one
-factor on both axes puts ``sqrt(lambda_r)`` on each factor (``i
-sqrt(-lambda_r)`` for a negative coefficient), so its column is the same on
-both axes; the one-axis terms then only swap places.  Helium's drift and
-its ``x_1 + x_2`` and ``p_1 + p_2`` couplings hold one stack for both
-axes, and the second axis moves its swapped columns in each per-chunk slab
-of the contraction, never in the stack: one ``(60, 60, 62)`` stack of
-3.6 MB at the desk-scale lattice, 61.5 MB at the paper-scale one
-(``(156, 156, 158)``).  A coupling on one axis keeps a stack per axis.
+An operator whose own terms are exchange symmetric
+(:attr:`OperatorSpec.exchange_symmetric`, its couplings left out), on two
+axes that read one element cache, holds one stack for both axes.  Each
+of its sum-of-products terms puts ``sqrt(lambda_r)`` on both factors
+(``i sqrt(-lambda_r)`` for a negative coefficient), so its column is the
+same on both axes, and its one-axis terms, when it has them, are its
+first two columns, which the second axis reads swapped: the contraction
+swaps them in each per-chunk slab, never in the stack.  Helium's drift
+and its ``x_1 + x_2`` and ``p_1 + p_2`` couplings hold one ``(60, 60,
+62)`` stack of 3.6 MB at the desk-scale lattice, 61.5 MB at the
+paper-scale one (``(156, 156, 158)``).  Every other operator, a coupling
+on one axis among them, keeps a stack per axis and its coefficients on
+the first axis's factors.
 """
 
 from __future__ import annotations
@@ -475,26 +478,7 @@ class _Factors(NamedTuple):
     """One operator's rank expansion (:meth:`ReducedHamiltonian._factor_stacks`)."""
 
     stacks: list    # per axis: (n, n, rank), or one (n, n) table with one axis
-    moves: tuple    # per axis: None, or (columns, sources) of a shared stack
-
-
-def _column_order(own, keys):
-    """Indices ``src`` with ``keys[r] == own[src[r]]``, and ``src[r] = r``
-    wherever the two already agree; None if ``keys`` does not reorder
-    ``own``."""
-    if len(own) != len(keys):
-        return None
-    src = [r if a == b else None for r, (a, b) in enumerate(zip(own, keys))]
-    free = {}
-    for r, key in enumerate(own):
-        if src[r] is None:
-            free.setdefault(key, []).append(r)
-    for r, key in enumerate(keys):
-        if src[r] is None:
-            if not free.get(key):
-                return None
-            src[r] = free[key].pop(0)
-    return np.array(src)
+    swap: bool      # the second axis reads the first's stack, columns 0, 1 swapped
 
 
 class ReducedHamiltonian:
@@ -516,13 +500,18 @@ class ReducedHamiltonian:
     :class:`~vngrid.vn_basis.BasisPair` object share one element cache, and
     each distinct slot of a cache is filled once per construction, for
     every operator and axis that reads it; the factor stacks are the only
-    copy of the tables.  An operator whose second axis reads the first
-    axis's columns in another order holds one stack for both (module
-    docstring): a symmetric sum-of-products term carries ``sqrt(lambda_r)``
-    on each factor, and the contraction applies the second axis's column
-    permutation to its small per-chunk slab.  Control terms that are the
-    same object (several pulses through one coupling) share one block,
-    assembled and updated once.
+    copy of the tables.  An operator whose own terms are exchange
+    symmetric, on two axes that share one cache, holds one stack for both
+    (module docstring): each sum-of-products term carries
+    ``sqrt(lambda_r)`` on each factor, and the contraction swaps the two
+    one-axis columns in the second axis's small per-chunk slab.  Control
+    terms that are the same object (several pulses through one coupling)
+    share one block, assembled and updated once.
+
+    A folded basis (:meth:`~vngrid.reduced_space.ProductBasis.folded`)
+    holds only the exchange-symmetric sector, so it takes only an operator
+    whose terms and couplings are all exchange symmetric; any other is a
+    ``ValueError``.
 
     :attr:`blocks` are the reduced matrices themselves.  A propagation
     takes them out (:meth:`take_blocks`) and its staging consumes them;
@@ -533,6 +522,9 @@ class ReducedHamiltonian:
                  cells: CellSet):
         if spec.ndof != product.ndof:
             raise ValueError("operator and basis dimensionality differ")
+        if product.fold is not None and not spec.exchange_symmetric:
+            raise ValueError("a folded basis holds only the exchange-symmetric "
+                             "sector: the operator or a coupling breaks the swap")
         self.spec = spec
         self.product = product
         by_pair = {}
@@ -543,8 +535,9 @@ class ReducedHamiltonian:
         distinct = {id(c): c for c in spec.control_terms}
         group = {key: g for g, key in enumerate(distinct)}
         self._group_of = tuple(group[id(c)] for c in spec.control_terms)
+        drift = dataclasses.replace(spec, control_terms=())
         self._drift, *controls = self._factor_stacks(
-            [self._terms(op) for op in (spec, *distinct.values())])
+            [self._terms(op) for op in (drift, *distinct.values())])
         self._controls = tuple(controls)
         self.cells = cells
         # the distinct blocks, drift first: a block that several control
@@ -555,11 +548,20 @@ class ReducedHamiltonian:
     # -- rank expansion ------------------------------------------------------
 
     def _terms(self, spec: OperatorSpec):
-        """The rank terms of ``spec``, registered in the caches: per term and
-        axis, the ``(coefficient, slot)`` tables summed into its factor, or
-        None for the axis pair's ``Sinv``.  With one axis every table is
-        summed into a single term."""
+        """The rank terms of ``spec``, registered in the caches, and whether
+        both axes read one stack.
+
+        A term holds per axis the ``(coefficient, slot)`` tables summed into
+        its factor, or None for the axis pair's ``Sinv``; the one-axis terms
+        come first, in axis order.  With one axis every table is summed into
+        a single term.  Both axes read one stack exactly when ``spec``, which
+        carries no couplings here, is exchange symmetric and they share a
+        cache; each sum-of-products coefficient is then split over both
+        factors, imaginary for a negative one, and otherwise it stays on the
+        first.
+        """
         d = spec.ndof
+        shared = spec.exchange_symmetric and self.caches[0] is self.caches[1]
         terms = []
         for dof in range(d):
             parts = [(1.0, self.caches[dof].register(kind, diag))
@@ -569,55 +571,39 @@ class ReducedHamiltonian:
             if parts:
                 terms.append([parts if k == dof else None for k in range(d)])
         for t in spec.sop_terms:
-            slots = [self.caches[k].register("potential", f)
-                     for k, f in enumerate(t.factors)]
             c = t.coefficient
-            if d == 2 and self.caches[0] is self.caches[1] and slots[0] == slots[1]:
-                # a symmetric term splits its coefficient over both factors,
-                # imaginary for a negative one, so both axes read one column
+            if shared:
                 root = math.sqrt(c) if c >= 0 else 1j * math.sqrt(-c)
                 coefficients = (root, root)
             else:
                 coefficients = (c,) + (1.0,) * (d - 1)
-            terms.append([[(coefficient, slot)] for coefficient, slot
-                          in zip(coefficients, slots)])
+            terms.append([[(coefficient, self.caches[k].register("potential", f))]
+                          for k, (coefficient, f)
+                          in enumerate(zip(coefficients, t.factors))])
         if d == 1 and terms:
-            return [[[part for (parts,) in terms for part in parts]]]
-        return terms
+            return [[[part for (parts,) in terms for part in parts]]], False
+        return terms, shared
 
     def _factor_stacks(self, operators):
         """Per-axis :class:`_Factors` of each operator's :meth:`_terms`: a
         single ``(n, n)`` table with one axis, and None for an operator
         without terms.
 
-        An axis whose term columns are an earlier axis's on the same cache,
-        in another order, reads that axis's stack with its moved columns
-        (helium's drift and ``x_1 + x_2`` / ``p_1 + p_2`` couplings: the two
-        one-axis terms swap places), not a stack of its own.  Each distinct
-        slot of each cache is filled once, written (times its coefficient)
-        into every stack entry that reads it, and dropped.
+        An operator whose axes read one stack (exchange symmetric on a
+        shared cache) holds the first axis's stack for both, and the second
+        axis reads its one-axis columns, the first two when it has them,
+        swapped.  Each distinct slot of each cache is filled once, written
+        (times its coefficient) into every stack entry that reads it, and
+        dropped.
         """
         readers = {}        # (cache, slot) -> [(stack, term, coefficient)]
         out = []
-        for terms in operators:
+        for terms, shared in operators:
             if not terms:
                 out.append(None)
                 continue
-            stacks, moves, owners = [], [], {}   # owners: axis -> column keys
-            for k, pair in enumerate(self.product.pairs):
-                keys = [None if term[k] is None else tuple(term[k])
-                        for term in terms]
-                shared = next(((j, src) for j, own in owners.items()
-                               if self.caches[j] is self.caches[k]
-                               and (src := _column_order(own, keys)) is not None),
-                              None)
-                if shared is not None:
-                    j, src = shared
-                    moved = np.flatnonzero(src != np.arange(len(src)))
-                    stacks.append(stacks[j])
-                    moves.append((moved, src[moved]) if len(moved) else None)
-                    continue
-                owners[k] = keys
+            stacks = []
+            for k, pair in enumerate(self.product.pairs[:1 if shared else None]):
                 stack = np.empty((pair.n, pair.n, len(terms)), dtype=complex)
                 for r, term in enumerate(terms):
                     if term[k] is None:
@@ -627,8 +613,9 @@ class ReducedHamiltonian:
                             (stack, r, c))
                 # with one axis the one term is the operator
                 stacks.append(stack if len(terms[0]) > 1 else stack[:, :, 0])
-                moves.append(None)
-            out.append(_Factors(stacks, tuple(moves)))
+            if shared:
+                stacks.append(stacks[0])
+            out.append(_Factors(stacks, shared and terms[0][1] is None))
         written = set()
         for (cache, slot), entries in readers.items():
             tab = cache.table(slot)
@@ -660,10 +647,10 @@ class ReducedHamiltonian:
         distinct axis-0 columns multiplies (one batched GEMM over the rank)
         the product of the other axes' factors over their distinct columns,
         and the block's columns are gathered from that small product table.
-        An axis that reads a shared stack moves its columns in its per-chunk
-        slab, never in the stack.
+        With ``swap`` the second axis's slab has its first two columns
+        swapped; the shared stack is never written.
         """
-        stacks, moves = factors
+        stacks, swap = factors
         if len(stacks) == 1:
             return stacks[0].take(ri[:, 0], axis=0).take(ci[:, 0], axis=1)
         out = np.empty((len(ri), len(ci)), dtype=complex)
@@ -676,14 +663,10 @@ class ReducedHamiltonian:
         step = max(1, _CHUNK_ENTRIES // (widths[0] * n_rest))
         for lo in range(0, len(ri), step):
             chunk = ri[lo:lo + step]
-            slabs = []
-            for k, (f, u, move) in enumerate(zip(stacks, distinct, moves)):
-                slab = f[chunk[:, k, None], u]
-                if move is not None:
-                    cols, src = move
-                    slab[:, :, cols] = slab[:, :, src]
-                slabs.append(slab)
-            left, right, *more = slabs
+            left, right, *more = (f[chunk[:, k, None], u] for k, (f, u)
+                                  in enumerate(zip(stacks, distinct)))
+            if swap:
+                right[:, :, [0, 1]] = right[:, :, [1, 0]]
             for g in more:
                 right = (right[:, :, None, :] * g[:, None, :, :]).reshape(
                     len(chunk), -1, g.shape[-1])

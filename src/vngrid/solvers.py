@@ -144,30 +144,9 @@ def seed_cells(v_lattice: np.ndarray, lattices) -> CellSet:
         if (d == 2 and v.shape[0] == v.shape[1]
                 and np.abs(v - v.T).max() <= _SWAP_TOL * np.abs(v).max()):
             sites = np.unique(np.vstack([sites, sites[:, ::-1]]), axis=0)
-    cells = []
-    for site in sites:
-        per_axis = []
-        for dof, lat in enumerate(lattices):
-            rows = _zero_momentum_rows(lat)
-            per_axis.append([int(site[dof]) * lat.Np + b for b in rows])
-        cells.extend(itertools.product(*per_axis))
+    cells = [[int(a) * lat.Np + lat.p_zero_index
+              for a, lat in zip(site, lattices)] for site in sites]
     return CellSet(np.array(cells, dtype=np.intp), ndof=d)
-
-
-def _zero_momentum_rows(lat):
-    """Momentum row(s) at p = 0, or the two rows straddling zero."""
-    n = lat.momentum_indices
-    hit = np.where(n == 0)[0]
-    if hit.size:
-        return [int(hit[0])]
-    below = np.where(n < 0)[0]
-    above = np.where(n > 0)[0]
-    rows = []
-    if below.size:
-        rows.append(int(below[-1]))
-    if above.size:
-        rows.append(int(above[0]))
-    return rows
 
 
 def solve_reduced_eig(hbb: np.ndarray, sinv_tilde: np.ndarray, n_modes: int,

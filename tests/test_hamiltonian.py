@@ -307,7 +307,7 @@ def test_one_axis_contract_equals_its_ix_form(model, rng):
     n = m.pairs[0].n
     ri, ci = (rng.integers(n, size=(size, 1)) for size in (30, 45))
     factors = ham._drift
-    assert len(factors.stacks) == 1 and factors.moves == (None,)
+    assert len(factors.stacks) == 1 and not factors.swap
     assert np.array_equal(ReducedHamiltonian._contract(ri, ci, factors),
                           factors.stacks[0][np.ix_(ri[:, 0], ci[:, 0])])
 
@@ -465,12 +465,10 @@ def test_symmetric_operators_hold_one_stack(he_model):
     for factors in (drift, position, momentum):
         first, second = factors.stacks
         assert second is first and np.shares_memory(first, second)
-        assert factors.moves[0] is None
-        cols, src = factors.moves[1]
-        assert cols.tolist() == [0, 1] and src.tolist() == [1, 0]
+        assert factors.swap
     assert drift.stacks[0].shape == (60, 60, 62)
     first, second = one_axis.stacks
-    assert not np.shares_memory(first, second) and one_axis.moves == (None, None)
+    assert not np.shares_memory(first, second) and not one_axis.swap
     # after the two one-axis columns, each term's column is its factor's
     # table times the root of its coefficient
     cache = ham.caches[0]
@@ -478,6 +476,65 @@ def test_symmetric_operators_hold_one_stack(he_model):
         tab = cache.table(cache.register("potential", t.factors[0]))
         assert np.array_equal(drift.stacks[0][:, :, 2 + r],
                               np.sqrt(t.coefficient) * tab)
+
+
+def _swapped_cells(he_model, seed):
+    rng = np.random.default_rng(seed)
+    pairs = rng.choice(he_model.pairs[0].n, size=(60, 2))
+    return CellSet(np.vstack([pairs, pairs[:, ::-1]]), ndof=2)
+
+
+def test_pure_sum_of_products_operator_shares_one_unswapped_stack(he_model):
+    # helium's interaction alone: exchange symmetric with no one-axis
+    # terms, so both axes read one stack and no column is swapped
+    spec = OperatorSpec(grids=he_model.grids, kinetic=(None, None),
+                        potentials=(None, None),
+                        sop_terms=he_model.spec.sop_terms)
+    assert spec.exchange_symmetric
+    cells = _swapped_cells(he_model, 3)
+    ham = ReducedHamiltonian(spec, he_model.product, cells)
+    first, second = ham._drift.stacks
+    assert second is first and not ham._drift.swap
+    assert first.shape[-1] == len(spec.sop_terms)
+    assert np.abs(ham.Hbb - _dense_block(spec, he_model.pairs, cells)).max() <= 1e-11
+
+
+def test_tilted_nucleus_keeps_a_stack_per_axis(he_model):
+    # one nucleus shifted: the operator breaks the swap, so each axis holds
+    # its own stack and every coefficient stays on the first axis's factor
+    spec = he_model.spec
+    spec = dataclasses.replace(
+        spec, potentials=(spec.potentials[0], spec.potentials[1] + 0.1))
+    assert not spec.exchange_symmetric
+    cells = _swapped_cells(he_model, 4)
+    ham = ReducedHamiltonian(spec, he_model.product, cells)
+    first, second = ham._drift.stacks
+    assert not np.shares_memory(first, second) and not ham._drift.swap
+    cache = ham.caches[0]
+    for r, t in enumerate(spec.sop_terms):
+        tab = cache.table(cache.register("potential", t.factors[0]))
+        assert np.array_equal(first[:, :, 2 + r], t.coefficient * tab)
+        assert np.array_equal(second[:, :, 2 + r], tab)
+    assert np.abs(ham.Hbb - _dense_block(spec, he_model.pairs, cells)).max() <= 1e-11
+
+
+def test_folded_basis_refuses_an_operator_that_breaks_the_swap(he_model):
+    # a coupling on one electron drives the state out of the symmetric
+    # sector that a folded basis holds; the symmetric couplings are taken
+    grids = he_model.grids
+    one_axis = OperatorSpec(grids=grids, kinetic=(None, None),
+                            potentials=(grids[0].centered_points, None))
+    folded = he_model.product.folded()
+    cells = CellSet([[0, 1]], ndof=2)
+    with pytest.raises(ValueError, match="exchange-symmetric"):
+        ReducedHamiltonian(dataclasses.replace(
+            he_model.spec, control_terms=(one_axis,)), folded, cells)
+    with pytest.raises(ValueError, match="exchange-symmetric"):
+        ReducedHamiltonian(dataclasses.replace(
+            he_model.spec, potentials=(he_model.spec.potentials[0], None)),
+            folded, cells)
+    ReducedHamiltonian(_helium_with_position(he_model), folded, cells)
+    ReducedHamiltonian(one_axis, he_model.product, cells)
 
 
 def test_negative_symmetric_terms_split_into_imaginary_roots():
