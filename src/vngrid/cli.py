@@ -421,7 +421,7 @@ def cmd_tdse(args) -> int:
                       *product.unfold(snap.cells, snap.coefficients))
     n_total = product.n_cells
     n_ground = product.lattice_count(ground.final_cells)
-    folded = product.fold is not None
+    folded = product.fold
     meta = {
         "config": cfg,
         "completed": True,
@@ -458,19 +458,19 @@ def cmd_tdse(args) -> int:
 
 
 def _exchange_sector(model):
-    """The model's basis, folded onto its exchange-symmetric sector when two
-    axes share one basis pair and the operator and every coupling commute
-    with their swap (:attr:`~vngrid.hamiltonian.OperatorSpec.exchange_symmetric`).
+    """The model's basis, folded onto its exchange-symmetric sector when the
+    operator and every coupling commute with the swap of two axes on one
+    grid (:attr:`~vngrid.hamiltonian.OperatorSpec.exchange_symmetric`);
+    :meth:`~vngrid.reduced_space.ProductBasis.folded` refuses axes that do
+    not share one basis pair.
 
     The dynamics from a symmetric ground state then never leaves the
     sector.  The eigenmode command does not fold: with several modes it
     would drop the antisymmetric ones.
     """
-    product = model.product
-    if (product.ndof == 2 and product.pairs[0] is product.pairs[1]
-            and model.spec.exchange_symmetric):
-        return product.folded()
-    return product
+    if model.spec.exchange_symmetric:
+        return model.product.folded()
+    return model.product
 
 
 def cmd_validate(args) -> int:

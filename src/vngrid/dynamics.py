@@ -594,7 +594,7 @@ def _same_product(a, b) -> bool:
     objects: pairs hold arrays) and are both folded or both unfolded."""
     return (len(a.pairs) == len(b.pairs)
             and all(p is q for p, q in zip(a.pairs, b.pairs))
-            and (a.fold is None) == (b.fold is None))
+            and a.fold == b.fold)
 
 
 def _shrink(tau, events, t, reason):

@@ -522,7 +522,7 @@ class ReducedHamiltonian:
                  cells: CellSet):
         if spec.ndof != product.ndof:
             raise ValueError("operator and basis dimensionality differ")
-        if product.fold is not None and not spec.exchange_symmetric:
+        if product.fold and not spec.exchange_symmetric:
             raise ValueError("a folded basis holds only the exchange-symmetric "
                              "sector: the operator or a coupling breaks the swap")
         self.spec = spec

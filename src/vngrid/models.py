@@ -92,8 +92,8 @@ def helium_1d(L=15.0, N=60, Nx=5, Np=12, a0=HELIUM_REGULARIZER,
     factors on both axes, and the Hamiltonian (with ``position_coupling`` or
     ``momentum_coupling`` pulses) commutes with the swap of the electrons
     (:attr:`~vngrid.hamiltonian.OperatorSpec.exchange_symmetric`).
-    ``product.folded()`` then carries the exchange-symmetric sector on one
-    row per swap orbit (:class:`~vngrid.reduced_space.ExchangeFold`): a
+    ``product.folded()`` (:meth:`~vngrid.reduced_space.ProductBasis.folded`)
+    then carries the exchange-symmetric sector on one row per swap orbit: a
     folded coefficient ``c`` stands for ``c / sqrt 2`` at both cells of an
     off-diagonal orbit and for ``c`` on the diagonal.  ``vngrid tdse`` runs
     helium folded.

@@ -50,11 +50,12 @@ Exchange fold
 -------------
 Two axes that share one basis pair describe identical particles when the
 operator commutes with their swap ``(c1, c2) -> (c2, c1)``; a symmetric
-state then stays in the symmetric sector.  :class:`ExchangeFold` carries
-that sector on one row per swap orbit, its representative ``r = (c1, c2)``
-with ``c1 <= c2``: the basis vector is ``(e_(c1 c2) + e_(c2 c1)) / sqrt 2``
-off the diagonal and ``e_(cc)`` on it.  With the weight ``w = sqrt 2`` off
-the diagonal and 1 on it, a folded reduced matrix has the entries
+state then stays in the symmetric sector.  A folded :class:`ProductBasis`
+(:meth:`ProductBasis.folded`) carries that sector on one row per swap
+orbit, its representative ``r = (c1, c2)`` with ``c1 <= c2``: the basis
+vector is ``(e_(c1 c2) + e_(c2 c1)) / sqrt 2`` off the diagonal and
+``e_(cc)`` on it.  With the weight ``w = sqrt 2`` off the diagonal and 1 on
+it, a folded reduced matrix has the entries
 
     M_f[i, j] = (w_i w_j / 2) (M[r_i, r_j] + M[r_i, swap r_j]),
 
@@ -62,11 +63,11 @@ which is ``P^T M P`` for a swap-symmetric ``M`` and the orthonormal
 embedding ``P`` of the sector, and a folded coefficient ``c_f`` stands for
 the amplitude ``c_f / w`` at both cells of its orbit.  Cutoffs compare that
 unfolded amplitude, so they mean what they mean on the unfolded lattice.
-Cell bookkeeping maps every neighbour to its representative before it
-reads occupancy, so it runs on representative sets as it runs on closed
-sets.  A :class:`ProductBasis` made by :meth:`ProductBasis.folded` holds
-the fold; everything downstream of its entries (inverse updates, staged
-generators, eigensolves) runs unchanged at about half the size.
+Cell bookkeeping with ``fold`` set maps every neighbour to its
+representative before it reads occupancy, so it runs on representative
+sets as it runs on closed sets.  Everything downstream of a folded basis's
+entries (inverse updates, staged generators, eigensolves) runs unchanged at
+about half the size.
 """
 
 from __future__ import annotations
@@ -200,11 +201,14 @@ def _stencil_tables(shapes, radius):
     return tuple(tables)
 
 
-def _neighbour_keys(cells: CellSet, lattices, radius, fold=None):
+def _neighbour_keys(cells: CellSet, lattices, radius, fold=False):
     """Occupancy keys ``(n, m)`` of every cell's neighbours within ``radius``
     (in the stencil order of :func:`_stencil_tables`), and the occupancy
-    shape they index.  With an :class:`ExchangeFold` each key is that of the
-    neighbour's orbit representative (:meth:`ExchangeFold.ordered`).
+    shape they index.  With ``fold`` (two axes, the cells exchange-orbit
+    representatives) each key is that of the neighbour's representative:
+    the smaller of its two indices first.  A neighbour beyond a momentum
+    band (-1) is then the first index, so its key still lands on a
+    sentinel slot.
 
     The occupancy array has ``Nx * Np + 1`` slots per axis: the cells and,
     last, a sentinel slot that is never occupied.  Each axis contributes
@@ -230,8 +234,8 @@ def _neighbour_keys(cells: CellSet, lattices, radius, fold=None):
         except IndexError:
             raise ValueError(f"cell index {rows.max()} on axis {k} is outside "
                              f"the lattice of {len(table)} cells") from None
-    if fold is not None:
-        gathers = fold.ordered(*gathers)
+    if fold:
+        gathers = [np.minimum(*gathers), np.maximum(*gathers)]
     keys = gathers[0]
     for nbr, (nx, np_) in zip(gathers[1:], shapes[1:]):
         keys = keys * (nx * np_ + 1) + nbr
@@ -239,7 +243,7 @@ def _neighbour_keys(cells: CellSet, lattices, radius, fold=None):
 
 
 def expand_cells(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS,
-                 fold=None) -> CellSet:
+                 fold: bool = False) -> CellSet:
     """Union of ``cells`` with every lattice cell within ``radius``.
 
     Distances are Euclidean in integer lattice coordinates over all
@@ -253,8 +257,9 @@ def expand_cells(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS,
     plus a sentinel slot per axis that catches the out-of-band ones
     (:func:`_neighbour_keys`); its occupied cells are the result, already
     unique and in canonical order.
-    With an :class:`ExchangeFold`, ``cells`` are orbit representatives and
-    so is the result: the representatives of the expanded swap closure.
+    With ``fold`` (a folded basis's :attr:`ProductBasis.fold`), ``cells``
+    are exchange-orbit representatives and so is the result: the
+    representatives of the expanded swap closure.
     Raises :class:`ValueError` for a cell outside the lattice.
     """
     if radius <= 0:
@@ -267,7 +272,7 @@ def expand_cells(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS,
 
 
 def boundary_mask(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS,
-                  fold=None) -> np.ndarray:
+                  fold: bool = False) -> np.ndarray:
     """Boolean mask over ``cells`` marking boundary members.
 
     A cell is boundary if some position within ``radius`` (x wrapped, p
@@ -278,9 +283,10 @@ def boundary_mask(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS,
     The members' own keys (the zero offset of :func:`_neighbour_keys`) mark
     an occupancy array of one byte per product-lattice cell, whose sentinel
     slots stay empty for the out-of-band neighbours; a cell is interior
-    when every neighbour key reads occupied.  With an :class:`ExchangeFold`,
-    ``cells`` are orbit representatives, marked as their swap closure's
-    members are.  Raises :class:`ValueError` for a cell outside the lattice.
+    when every neighbour key reads occupied.  With ``fold`` (a folded
+    basis's :attr:`ProductBasis.fold`), ``cells`` are exchange-orbit
+    representatives, marked as their swap closure's members are.  Raises
+    :class:`ValueError` for a cell outside the lattice.
     """
     keys, shape = _neighbour_keys(cells, lattices, radius, fold)
     occupied = np.zeros(math.prod(shape), dtype=bool)
@@ -539,101 +545,6 @@ def _add_adjoint_product(c, ah, b, alpha=1.0):
 
 
 # ---------------------------------------------------------------------------
-# exchange-symmetric sector of two identical axes
-# ---------------------------------------------------------------------------
-
-class ExchangeFold:
-    """One row per swap orbit ``{(c1, c2), (c2, c1)}`` of a two-axis lattice.
-
-    The rows are the representatives ``c1 <= c2`` in canonical order.  Their
-    weights are ``w = sqrt 2`` off the diagonal and 1 on it; a folded
-    coefficient ``c_f`` stands for ``c_f / w`` at each cell of its orbit
-    (module docstring).  The methods map cell sets, coefficients and
-    reduced-matrix entries between the folded rows and the lattice cells.
-    """
-
-    def representatives(self, cells: CellSet) -> CellSet:
-        """One representative per orbit that meets ``cells``."""
-        return CellSet(np.sort(cells.indices, axis=1), ndof=2)
-
-    def weights(self, reps: CellSet) -> np.ndarray:
-        """``w`` per row; raises :class:`ValueError` for a row that is not a
-        representative."""
-        ri = reps.indices
-        if ri.shape[1] != 2 or np.any(ri[:, 0] > ri[:, 1]):
-            raise ValueError("cells are not exchange-orbit representatives")
-        return np.where(ri[:, 0] == ri[:, 1], 1.0, math.sqrt(2.0))
-
-    def count(self, reps: CellSet) -> int:
-        """Lattice cells in the orbits of ``reps``."""
-        ri = reps.indices
-        return 2 * len(ri) - int(np.count_nonzero(ri[:, 0] == ri[:, 1]))
-
-    def _orbits(self, reps: CellSet):
-        """The swap closure of ``reps`` and, per row, the closure rows of the
-        representative and of its mirror (equal on the diagonal)."""
-        ri = reps.indices
-        off = ri[:, 0] != ri[:, 1]
-        cells = CellSet(np.concatenate([ri, ri[off, ::-1]]), ndof=2)
-        dims = _dims(cells.indices)
-        keys = _keys(cells.indices, dims)
-        return (cells, np.searchsorted(keys, _keys(ri, dims)),
-                np.searchsorted(keys, _keys(ri[:, ::-1], dims)))
-
-    def lattice_cells(self, reps: CellSet) -> CellSet:
-        """The swap closure of ``reps``."""
-        return self._orbits(reps)[0]
-
-    def unfold(self, reps: CellSet, coeffs):
-        """``(cells, P c)``: the closure and the coefficients over it, ``c / w``
-        at both cells of each orbit.  A 2-D ``coeffs`` unfolds its columns."""
-        coeffs = np.asarray(coeffs)
-        cells, at, mirror = self._orbits(reps)
-        w = self.weights(reps).reshape((-1,) + (1,) * (coeffs.ndim - 1))
-        out = np.empty((len(cells),) + coeffs.shape[1:], dtype=coeffs.dtype)
-        out[at] = out[mirror] = coeffs / w
-        return cells, out
-
-    def restrict(self, reps: CellSet, values):
-        """``P^T v`` for ``v`` over the closure of ``reps``: the folded
-        coefficients of a symmetric vector, and the inverse of :meth:`unfold`
-        on it.  A 2-D ``values`` restricts its columns."""
-        values = np.asarray(values)
-        _, at, mirror = self._orbits(reps)
-        half = (0.5 * self.weights(reps)).reshape(
-            (-1,) + (1,) * (values.ndim - 1))
-        return half * (values[at] + values[mirror])
-
-    def entries(self, contract, rows: CellSet, cols: CellSet) -> np.ndarray:
-        """Folded entries between two representative sets.
-
-        ``contract(ri, ci)`` gives the lattice-cell entries ``M[ri, ci]``
-        between two arrays of index rows; it is called once, for the columns
-        followed by their mirrors, and the two halves are summed and scaled
-        by ``w_i w_j / 2``.  The block over the rows that are also columns is
-        hermitized: a sum-of-products operator commutes with the swap only to
-        round-off.
-        """
-        ri, ci = rows.indices, cols.indices
-        both = contract(ri, np.concatenate([ci, ci[:, ::-1]]))
-        out = both[:, :len(ci)] + both[:, len(ci):]
-        out *= (self.weights(rows) / math.sqrt(2.0))[:, None]
-        out *= self.weights(cols) / math.sqrt(2.0)
-        shared = cell_change(rows, cols)
-        block = np.ix_(shared.kept, ~shared.fresh)
-        out[block] = _hermitize(out[block])
-        return out
-
-    @staticmethod
-    def ordered(first, second):
-        """Per-axis neighbour indices ``(first, second)`` of cells in
-        ``(n, m)`` arrays, swapped where needed so each pair names its orbit
-        representative.  A neighbour beyond a momentum band (-1) comes
-        first, so its key still lands on a sentinel slot."""
-        return np.minimum(first, second), np.maximum(first, second)
-
-
-# ---------------------------------------------------------------------------
 # product basis over several degrees of freedom
 # ---------------------------------------------------------------------------
 
@@ -646,10 +557,13 @@ class ProductBasis:
     axes shares its element cache downstream, so symmetric interactions reuse
     each other's matrix elements.
 
-    ``fold`` is None, or the :class:`ExchangeFold` of a basis made by
-    :meth:`folded`, whose rows are swap-orbit representatives.  The
-    cell-set methods below map between those rows and lattice cells; on an
-    unfolded basis they return their arguments.
+    ``fold`` is True on a basis made by :meth:`folded`, whose rows are one
+    representative ``c1 <= c2`` per swap orbit ``{(c1, c2), (c2, c1)}``, in
+    canonical order, with weights ``w = sqrt 2`` off the diagonal and 1 on
+    it: a folded coefficient ``c_f`` stands for ``c_f / w`` at each cell of
+    its orbit (module docstring).  The cell-set methods below map between
+    those rows and lattice cells; on an unfolded basis they return their
+    arguments.
 
     Raises :class:`IllConditionedBasisError` if the product of the axes'
     ``cond_S``, the bound on every reduced overlap (module docstring),
@@ -664,7 +578,7 @@ class ProductBasis:
             raise ValueError("at least one basis pair required")
         self.lattices = tuple(p.lattice for p in self.pairs)
         self.grids = tuple(p.grid for p in self.pairs)
-        self.fold = None
+        self.fold = False
         cond = math.prod(p.cond_S for p in self.pairs)
         if cond > COND_LIMIT:
             raise IllConditionedBasisError(
@@ -674,7 +588,7 @@ class ProductBasis:
                 cond=cond, size=self.n_cells)
 
     def folded(self) -> "ProductBasis":
-        """The same basis on its exchange-symmetric sector (:class:`ExchangeFold`).
+        """The same basis on its exchange-symmetric sector (module docstring).
 
         Needs two axes backed by one :class:`~vngrid.vn_basis.BasisPair`
         object; whether the operator commutes with the swap is the caller's
@@ -684,38 +598,74 @@ class ProductBasis:
             raise ValueError("an exchange fold needs two axes sharing one "
                              "basis pair")
         out = ProductBasis(self.pairs)
-        out.fold = ExchangeFold()
+        out.fold = True
         return out
 
     def representatives(self, cells: CellSet) -> CellSet:
         """The rows that carry a set of lattice cells: itself, or one orbit
         representative per orbit that meets it."""
-        return cells if self.fold is None else self.fold.representatives(cells)
+        if not self.fold:
+            return cells
+        return CellSet(np.sort(cells.indices, axis=1), ndof=2)
 
     def weights(self, cells: CellSet):
-        """The fold's weights of the rows ``cells``, or None unfolded."""
-        return None if self.fold is None else self.fold.weights(cells)
+        """``w`` per row ``cells``, or None unfolded; raises
+        :class:`ValueError` for a row that is not a representative."""
+        if not self.fold:
+            return None
+        ri = cells.indices
+        if ri.shape[1] != 2 or np.any(ri[:, 0] > ri[:, 1]):
+            raise ValueError("cells are not exchange-orbit representatives")
+        return np.where(ri[:, 0] == ri[:, 1], 1.0, math.sqrt(2.0))
 
     def lattice_count(self, cells: CellSet) -> int:
         """Lattice cells the rows ``cells`` span."""
-        return len(cells) if self.fold is None else self.fold.count(cells)
+        if not self.fold:
+            return len(cells)
+        ri = cells.indices
+        return 2 * len(ri) - int(np.count_nonzero(ri[:, 0] == ri[:, 1]))
+
+    def _orbits(self, cells: CellSet):
+        """The swap closure of the rows ``cells`` and, per row, the closure
+        rows of the representative and of its mirror (equal on the
+        diagonal)."""
+        ri = cells.indices
+        off = ri[:, 0] != ri[:, 1]
+        closure = CellSet(np.concatenate([ri, ri[off, ::-1]]), ndof=2)
+        dims = _dims(closure.indices)
+        keys = _keys(closure.indices, dims)
+        return (closure, np.searchsorted(keys, _keys(ri, dims)),
+                np.searchsorted(keys, _keys(ri[:, ::-1], dims)))
 
     def lattice_cells(self, cells: CellSet) -> CellSet:
         """The lattice cells the rows ``cells`` span."""
-        return cells if self.fold is None else self.fold.lattice_cells(cells)
+        return self._orbits(cells)[0] if self.fold else cells
 
     def unfold(self, cells: CellSet, coeffs):
-        """Lattice cells and coefficients of a state over the rows ``cells``."""
-        if self.fold is None:
-            return cells, np.asarray(coeffs)
-        return self.fold.unfold(cells, coeffs)
+        """Lattice cells and coefficients of a state over the rows ``cells``:
+        folded, the swap closure and ``c / w`` at both cells of each orbit
+        (``P c``).  A 2-D ``coeffs`` unfolds its columns."""
+        coeffs = np.asarray(coeffs)
+        if not self.fold:
+            return cells, coeffs
+        closure, at, mirror = self._orbits(cells)
+        w = self.weights(cells).reshape((-1,) + (1,) * (coeffs.ndim - 1))
+        out = np.empty((len(closure),) + coeffs.shape[1:], dtype=coeffs.dtype)
+        out[at] = out[mirror] = coeffs / w
+        return closure, out
 
     def restrict(self, cells: CellSet, values):
-        """Row values from values over the lattice cells the rows span
-        (:meth:`ExchangeFold.restrict`)."""
-        if self.fold is None:
-            return np.asarray(values)
-        return self.fold.restrict(cells, values)
+        """Row values from values ``v`` over the lattice cells the rows span:
+        folded, ``P^T v``, the folded coefficients of a symmetric vector and
+        the inverse of :meth:`unfold` on it.  A 2-D ``values`` restricts its
+        columns."""
+        values = np.asarray(values)
+        if not self.fold:
+            return values
+        _, at, mirror = self._orbits(cells)
+        half = (0.5 * self.weights(cells)).reshape(
+            (-1,) + (1,) * (values.ndim - 1))
+        return half * (values[at] + values[mirror])
 
     @property
     def ndof(self):
@@ -728,20 +678,28 @@ class ProductBasis:
             n *= p.n
         return n
 
-    @property
-    def grid_size(self):
-        n = 1
-        for g in self.grids:
-            n *= g.N
-        return n
-
     def entries(self, contract, rows: CellSet, cols: CellSet) -> np.ndarray:
         """Reduced-matrix entries between two row sets, from ``contract(ri,
-        ci)``, the lattice-cell entries between two arrays of index rows:
-        passed through, or folded (:meth:`ExchangeFold.entries`)."""
-        if self.fold is None:
-            return contract(rows.indices, cols.indices)
-        return self.fold.entries(contract, rows, cols)
+        ci)``, the lattice-cell entries between two arrays of index rows.
+
+        Unfolded, they are passed through.  Folded, ``contract`` is called
+        once, for the columns followed by their mirrors, and the two halves
+        are summed and scaled by ``w_i w_j / 2``.  The block over the rows
+        that are also columns is hermitized: a sum-of-products operator
+        commutes with the swap only to round-off.
+        """
+        ri, ci = rows.indices, cols.indices
+        if not self.fold:
+            return contract(ri, ci)
+        both = contract(ri, np.concatenate([ci, ci[:, ::-1]]))
+        out = both[:, :len(ci)] + both[:, len(ci):]
+        del both
+        out *= (self.weights(rows) / math.sqrt(2.0))[:, None]
+        out *= self.weights(cols) / math.sqrt(2.0)
+        shared = cell_change(rows, cols)
+        block = np.ix_(shared.kept, ~shared.fresh)
+        out[block] = _hermitize(out[block])
+        return out
 
     def overlap(self, rows: CellSet, cols: CellSet) -> np.ndarray:
         """Entries of ``Btilde^H Btilde`` between two cell lists."""
@@ -754,33 +712,32 @@ class ProductBasis:
             out *= pair.Sinv[ri[:, k, None], ci[:, k]]
         return out
 
-    def dual_column(self, cell) -> np.ndarray:
-        """Weighted dual-basis vector of one cell (Kronecker product)."""
-        col = self.pairs[0].B[:, cell[0]]
-        for k in range(1, self.ndof):
-            col = np.kron(col, self.pairs[k].B[:, cell[k]])
-        return col
-
     def dual_columns(self, cells: CellSet) -> np.ndarray:
-        """Weighted ``Btilde`` matrix (grid_size x rows); test-scale only.
-        On a folded basis its columns are the orbits' combinations."""
-        lattice_cells = self.lattice_cells(cells)
-        out = np.empty((self.grid_size, len(lattice_cells)), dtype=complex)
-        for j, cell in enumerate(lattice_cells):
-            out[:, j] = self.dual_column(cell)
+        """Weighted ``Btilde`` matrix (grid points x rows); test-scale only.
+
+        Each lattice cell's column is the Kronecker product of its axes'
+        columns, built by one broadcast product per axis.  On a folded basis
+        the columns are the orbits' combinations."""
+        lattice = self.lattice_cells(cells).indices
+        out = self.pairs[0].B[:, lattice[:, 0]]
+        for k, pair in enumerate(self.pairs[1:], 1):
+            out = (out[:, None] * pair.B[:, lattice[:, k]]).reshape(
+                -1, len(lattice))
         return self.restrict(cells, out.T).T
 
     def reconstruct(self, cells: CellSet, coeffs) -> np.ndarray:
         """Weighted grid vector ``sum_j c_j b_cell_j`` (flattened) of
-        coefficients over the rows ``cells``."""
+        coefficients over the rows ``cells``.
+
+        The unfolded coefficients are scattered into an array over every
+        lattice cell, which one contraction per axis takes to the grid (each
+        moves its axis last, so the axes end in their own order), as
+        :func:`~vngrid.dynamics.project_state` does the other way."""
         cells, coeffs = self.unfold(cells, coeffs)
-        coeffs = np.asarray(coeffs, dtype=complex)
-        psi = np.zeros([g.N for g in self.grids], dtype=complex)
-        for j, cell in enumerate(cells):
-            term = self.pairs[0].B[:, cell[0]] * coeffs[j]
-            for k in range(1, self.ndof):
-                term = np.multiply.outer(term, self.pairs[k].B[:, cell[k]])
-            psi += term
+        psi = np.zeros([p.n for p in self.pairs], dtype=complex)
+        psi[tuple(cells.indices.T)] = coeffs
+        for pair in self.pairs:
+            psi = np.tensordot(psi, pair.B, axes=(0, 1))
         return psi.ravel()
 
 

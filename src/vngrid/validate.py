@@ -156,7 +156,7 @@ def check_incremental_inverse(rng):
             # a fresh folded block hermitizes sums that cancel, so the
             # carried one matches it to round-off, and exactly unfolded
             gap = np.abs(rb.Sinv_tilde - s).max()
-            assert gap <= (0.0 if product.fold is None
+            assert gap <= (0.0 if not product.fold
                            else np.finfo(float).eps * np.abs(s).max()), \
                 f"carried overlap differs from a fresh one by {gap:.2e}"
             fresh = np.linalg.inv(rb.Sinv_tilde)
@@ -252,16 +252,15 @@ def check_lattice_neighbours(rng):
 def check_exchange_fold(rng):
     model = models.helium_1d()
     lattices, folded = model.lattices, model.product.folded()
-    fold = folded.fold
     reps = folded.representatives(CellSet(np.column_stack(
         [rng.integers(lat.n_cells, size=40) for lat in lattices]), ndof=2))
     cells = folded.lattice_cells(reps)
     # bookkeeping on representatives against the swap closure
-    grown = expand_cells(reps, lattices, fold=fold)
+    grown = expand_cells(reps, lattices, fold=True)
     assert grown == folded.representatives(expand_cells(cells, lattices)), (
         "folded expansion differs from the expanded closure")
     at = cell_change(cells, reps).kept
-    assert np.array_equal(boundary_mask(reps, lattices, fold=fold),
+    assert np.array_equal(boundary_mask(reps, lattices, fold=True),
                           boundary_mask(cells, lattices)[at]), (
         "folded boundary differs from the closure's")
     # carried rows of the overlap and the Hamiltonian against P^T M P

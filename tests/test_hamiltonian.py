@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,7 +14,7 @@ from vngrid.hamiltonian import (ElementCache, OperatorSpec, ReducedHamiltonian,
                                 SopTerm, dense_grid_hamiltonian,
                                 grid_potential, kinetic_matrix, potfit2)
 from vngrid.reduced_space import CellSet, ProductBasis, ReducedBasis, cell_change
-from vngrid.solvers import solve_reduced_eig
+from vngrid.solvers import TiseConfig, solve_reduced_eig, tise_adaptive
 from vngrid.vn_basis import build_basis_pair, build_lattice
 
 HELIUM_A0 = 0.739707902
@@ -582,6 +583,29 @@ def test_two_axis_update_equals_scratch(he_model):
         assert np.abs(ham.Hbb - scratch.Hbb).max() <= 1e-12
         assert np.abs(ham.Hbb_controls[0]
                       - scratch.Hbb_controls[0]).max() <= 1e-12
+
+
+def test_folded_full_blocks_assemble_within_four_blocks_of_memory(he_model):
+    # a refresh assembles every full block while the old inverse and
+    # generators are held: on the driven helium search's 499 folded rows,
+    # the fresh allocations of assembling the drift and position blocks
+    # peak at four n x n matrices (with the mirrored half of a folded
+    # block held to the end, six)
+    spec = _helium_with_position(he_model)
+    res = tise_adaptive(spec, he_model.product.folded(),
+                        TiseConfig(zeta=1e-4, n_modes=1))
+    cells = res.final_cells
+    n = len(cells)
+    assert n == 499
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        blocks = res.hamiltonian.rows(cells, cells)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) == 2
+    assert peak <= 4.5 * n * n * 16, peak / (n * n * 16)
 
 
 def test_three_axis_assembly_matches_dense():

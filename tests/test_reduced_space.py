@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -7,9 +8,9 @@ import scipy.linalg
 
 from vngrid.errors import DegenerateUpdateError, IllConditionedBasisError
 from vngrid.fourier_grid import build_grid
-from vngrid.reduced_space import (CellSet, ExchangeFold, ProductBasis,
-                                  ReducedBasis, _fresh_inverse,
-                                  _stencil_tables, boundary_mask, cell_change,
+from vngrid.reduced_space import (CellSet, ProductBasis, ReducedBasis,
+                                  _fresh_inverse, _stencil_tables,
+                                  boundary_mask, cell_change,
                                   complementary_basis, embed_coefficients,
                                   expand_cells, grow_inverse, prune_cells,
                                   reduced_gaussians, restrict_basis,
@@ -60,7 +61,7 @@ def test_cell_change_against_set_oracle(ndof, folded, rng):
         raw = rng.integers(0, hi, size=(n, ndof))
         cs = CellSet(raw, ndof=ndof)
         assert list(cs) == sorted(set(map(tuple, raw.tolist())))
-        return ExchangeFold().representatives(cs) if folded else cs
+        return CellSet(np.sort(cs.indices, axis=1), ndof=2) if folded else cs
 
     a = random_set(30, 5)
     empty = CellSet(np.zeros((0, ndof)), ndof=ndof)
@@ -821,9 +822,29 @@ def _ix_overlap(product, rows, cols):
     return product.entries(contract, rows, cols)
 
 
-@pytest.mark.parametrize("model", ["harmonic", "helium", "helium-folded"])
+def _loop_reconstruct(product, cells, coeffs):
+    """``ProductBasis.reconstruct`` as a sum over the lattice cells of each
+    coefficient times the cell's Kronecker-product column."""
+    cells, coeffs = product.unfold(cells, coeffs)
+    psi = np.zeros([g.N for g in product.grids], dtype=complex)
+    for j, cell in enumerate(cells):
+        term = product.pairs[0].B[:, cell[0]] * coeffs[j]
+        for k in range(1, product.ndof):
+            term = np.multiply.outer(term, product.pairs[k].B[:, cell[k]])
+        psi += term
+    return psi.ravel()
+
+
+@pytest.mark.parametrize("model", ["harmonic", "helium", "helium-folded",
+                                   "three-axis"])
 def test_overlap_equals_its_ix_form(model, ho_model, he_model, rng):
-    product = ho_model.product if model == "harmonic" else he_model.product
+    # and the grid maps equal their per-cell forms: the dual columns form
+    # np.kron's products, so their bits; reconstruct sums in another order
+    if model == "three-axis":
+        small = build_basis_pair(build_lattice(build_grid(6.0, 12), 3, 4))
+        product = ProductBasis((small,) * 3)
+    else:
+        product = ho_model.product if model == "harmonic" else he_model.product
     if model == "helium-folded":
         product = product.folded()
     n = product.pairs[0].n
@@ -831,6 +852,15 @@ def test_overlap_equals_its_ix_form(model, ho_model, he_model, rng):
         rng.integers(n, size=(size, product.ndof)))) for size in (40, 70))
     assert np.array_equal(product.overlap(rows, cols),
                           _ix_overlap(product, rows, cols))
+    kron = np.array([functools.reduce(np.kron, [p.B[:, c] for p, c in
+                                                zip(product.pairs, cell)])
+                     for cell in product.lattice_cells(rows)])
+    assert np.array_equal(product.dual_columns(rows),
+                          product.restrict(rows, kron).T)
+    c = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+    ref = _loop_reconstruct(product, rows, c)
+    assert (np.abs(product.reconstruct(rows, c) - ref).max()
+            <= 1e-13 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("n", [55, 499])
