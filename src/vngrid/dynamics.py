@@ -26,7 +26,9 @@ three vector calls.
 With the exact inverse only the series tail moves the physical norm over a
 step (measured below 1 % of ``taylor_eps``), and a drifted inverse moves it
 at first order: a step that moves it by more than ``taylor_eps`` stages
-``G`` again, from a fresh ``Stilde`` and freshly assembled blocks.
+``G`` again, from a fresh ``Stilde`` and freshly assembled blocks, having
+dropped the drifted ones before it assembles
+(:meth:`~vngrid.reduced_space.ReducedBasis.unstage`).
 
 The step controller combines three limits:
 
@@ -547,6 +549,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
             move, norm_in = abs(norms[-1] - norm_in), norms[-1]
             norm_step_max = max(norm_step_max, move)
             if move > cfg.taylor_eps:       # the inverse drifted: form it again
+                rb.unstage()
                 rb.stage(ham.rows(rb.cells, rb.cells))
                 events.append((t, "refresh", f"norm moved {move:.2e}"))
 
@@ -575,11 +578,12 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
             discarded.append(lost)
             if cfg.snapshot_every and accepted % cfg.snapshot_every == 0:
                 snapshots.append(Snapshot(t, rb.cells, psi.copy()))
-    except (DegenerateUpdateError, IllConditionedBasisError) as exc:
-        exc.events = events      # a basis change or a refresh broke the inverse
+    except (DegenerateUpdateError, IllConditionedBasisError,
+            TimestepUnderflowError) as exc:
+        exc.events = events
         raise
 
-    if not snapshots or snapshots[-1].t != t:
+    if snapshots[-1].t != t:
         snapshots.append(Snapshot(t, rb.cells, psi.copy()))
     return Trajectory(times=np.asarray(times), n_active=np.asarray(n_active),
                       n_basis=np.asarray(n_basis), norms=np.asarray(norms),
@@ -602,7 +606,7 @@ def _shrink(tau, events, t, reason):
     events.append((t, "shrink", f"{reason}: tau -> {new_tau:.3e}"))
     if new_tau < _TAU_FLOOR:
         raise TimestepUnderflowError(
-            f"time step fell below {_TAU_FLOOR} ({reason})", events=events)
+            f"time step fell below {_TAU_FLOOR} ({reason})")
     return new_tau
 
 

@@ -1,8 +1,17 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine.
+
+Every engine error has ``events``, empty by default.  An error that ends
+a propagation, a :class:`TimestepUnderflowError`,
+:class:`DegenerateUpdateError` or :class:`IllConditionedBasisError`,
+carries the propagator's events so far instead: the one ``except`` of
+:func:`~vngrid.dynamics.tdse_adaptive` attaches them.
+"""
 
 
 class VngridError(Exception):
     """Base class for engine errors."""
+
+    events = ()
 
 
 class IllConditionedBasisError(VngridError):
@@ -13,11 +22,8 @@ class IllConditionedBasisError(VngridError):
     dimensions are both even; when the product of a product lattice's
     per-axis condition numbers, which bounds every reduced overlap's
     (:mod:`vngrid.reduced_space`), exceeds the limit; or when a reduced
-    overlap fails the exact check of a from-scratch inverse.  Raised
-    mid-propagation, it carries the propagator's ``events`` so far.
+    overlap fails the exact check of a from-scratch inverse.
     """
-
-    events = ()
 
     def __init__(self, message, cond=None, size=None):
         super().__init__(message)
@@ -26,12 +32,7 @@ class IllConditionedBasisError(VngridError):
 
 
 class DegenerateUpdateError(VngridError):
-    """Schur complement of a block-inverse update is not positive definite.
-
-    Raised mid-propagation, it carries the propagator's ``events`` so far.
-    """
-
-    events = ()
+    """Schur complement of a block-inverse update is not positive definite."""
 
 
 class ConvergenceError(VngridError):
@@ -48,10 +49,6 @@ class ConvergenceError(VngridError):
 
 class TimestepUnderflowError(VngridError):
     """Adaptive propagation halved the step below the hard floor."""
-
-    def __init__(self, message, events=None):
-        super().__init__(message)
-        self.events = events or []
 
 
 class ConfigError(VngridError):

@@ -709,8 +709,8 @@ class ReducedHamiltonian:
         (:meth:`~vngrid.reduced_space.ReducedBasis.stage`), freeing each
         block as soon as its generator exists.  The factor stacks, cells and
         caches stay, so :meth:`rows` still assembles any part of a block;
-        :attr:`Hbb`, :attr:`Hbb_controls`, :meth:`update` and
-        :meth:`combined` of its own blocks need blocks, and find none.
+        :attr:`Hbb`, :attr:`Hbb_controls` and :meth:`update` need
+        blocks, and find none.
         """
         blocks, self.blocks = list(self.blocks), ()
         return blocks
@@ -727,19 +727,20 @@ class ReducedHamiltonian:
         """One block per control term; terms sharing a block share the array."""
         return tuple(self.blocks[1 + g] for g in self._group_of)
 
-    def combined(self, controls=(), blocks=None) -> np.ndarray:
-        """Drift plus signal-scaled control matrices, ``Hbb + sum_g u_g H_g``.
+    def combined(self, controls, blocks) -> np.ndarray:
+        """Drift plus signal-scaled control matrices, ``b_0 + sum_g u_g b_g``,
+        of ``blocks`` laid out as :attr:`blocks`.
 
-        ``blocks``, laid out as :attr:`blocks`, are these by default, or a
-        basis's staged generators ``Stilde @ b``, which combine to ``Stilde
-        (Hbb + sum_g u_g H_g)``.  ``controls`` holds one signal per control
-        term; the signals of terms that share a block are summed first.
-        With every signal zero this returns the drift block itself.
-        Otherwise the result is written into one buffer owned by this object
-        and reused by every call, whichever blocks it combines: it is valid
-        until the next call, and must not be modified.
+        ``blocks`` are this object's :attr:`blocks`, which combine to ``Hbb
+        + sum_g u_g H_g``, or a basis's staged generators ``Stilde @ b``,
+        which combine to ``Stilde (Hbb + sum_g u_g H_g)``.  ``controls``
+        holds one signal per control term; the signals of terms that share a
+        block are summed first.  With every signal zero this returns the
+        drift block itself.  Otherwise the result is written into one buffer
+        owned by this object and reused by every call, whichever blocks it
+        combines: it is valid until the next call, and must not be modified.
         """
-        drift, *shared = self.blocks if blocks is None else blocks
+        drift, *shared = blocks
         weights = [0.0] * len(shared)
         for u, g in zip(controls, self._group_of):
             weights[g] += u

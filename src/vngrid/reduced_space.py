@@ -812,13 +812,20 @@ class ReducedBasis:
         reference (a propagation's handed-over Hamiltonian, after
         :meth:`~vngrid.hamiltonian.ReducedHamiltonian.take_blocks`) frees it
         then.  Generators staged before are dropped once the new ``Stilde``
-        exists, before the first new one is formed.
+        exists, before the first new one is formed; a caller that assembles
+        the blocks afresh (a propagation's refresh) calls :meth:`unstage`
+        first, so that neither the old ``Stilde`` nor the old generators are
+        held while it assembles.
         """
         self._stilde = _fresh_inverse(self.Sinv_tilde, self.n)
         self.generators = []
         blocks.reverse()
         while blocks:
             self.generators.append(self._stilde @ blocks.pop())
+
+    def unstage(self):
+        """Drop ``Stilde`` and the staged generators; the overlap stays."""
+        self._stilde, self.generators = None, []
 
     @property
     def Btilde(self) -> np.ndarray:

@@ -105,8 +105,6 @@ class EigenResult:
 def lattice_potential(spec: OperatorSpec, lattices) -> np.ndarray:
     """Potential sampled on the product of lattice position sublattices: the
     :func:`~vngrid.hamiltonian.grid_potential` table at the lattice sites."""
-    if not isinstance(lattices, (list, tuple)):
-        lattices = (lattices,)
     # lattice site a sits at grid sample a*Np (= every (N/Nx)-th point)
     return grid_potential(spec)[np.ix_(*(np.arange(lat.Nx) * lat.Np
                                          for lat in lattices))]
@@ -122,8 +120,6 @@ def seed_cells(v_lattice: np.ndarray, lattices) -> CellSet:
     site's mirror joins it, so an exchange-symmetric model gets an
     exchange-symmetric seed.
     """
-    if not isinstance(lattices, (list, tuple)):
-        lattices = (lattices,)
     v = np.asarray(v_lattice, dtype=float)
     if v.shape != tuple(lat.Nx for lat in lattices):
         raise ValueError("lattice potential shape mismatch")
@@ -182,16 +178,15 @@ class ShiftInvertResult:
     """Certified lowest eigenpairs and the evidence for them.
 
     ``below_sigma`` and ``below_mu`` are the inertia counts (eigenvalues
-    below the shift) at the accepted ``sigma`` and at ``mu``, the midpoint
-    between the last wanted and the first unwanted Ritz value; a certified
-    result has 0 and ``n_modes``.
+    below the shift) at the accepted ``sigma`` and at the midpoint between
+    the last wanted and the first unwanted Ritz value; a certified result
+    has 0 and ``n_modes``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     sigma: float
     below_sigma: int
-    mu: float
     below_mu: int
     factorizations: int
     sweeps: int
@@ -258,7 +253,7 @@ def shift_invert_eig(hbb, sinv_tilde, n_modes: int, e0: float,
         raise ShiftInvertError(f"{below_mu} eigenvalues below {mu:.6g}, "
                                f"{k} wanted")
     return ShiftInvertResult(eigenvalues=w[:k], eigenvectors=x[:, :k],
-                             sigma=sigma, below_sigma=below_sigma, mu=mu,
+                             sigma=sigma, below_sigma=below_sigma,
                              below_mu=below_mu, factorizations=attempt + 2,
                              sweeps=sweep)
 

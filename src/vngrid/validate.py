@@ -422,13 +422,10 @@ def check_shift_invert_certificate(rng):
 
 # -- dynamics ---------------------------------------------------------------
 
-def _fixed_reduced_system(rng, n_cells=48):
+def _fixed_reduced_system(rng):
     m = models.harmonic()
-    res = tise_adaptive(m.spec, m.product, TiseConfig(zeta=1e-4, n_modes=1))
-    cells = res.final_cells
-    if len(cells) > n_cells:
-        order = np.argsort(-np.abs(res.eigenvectors[:, 0]))
-        cells = CellSet(cells.indices[np.sort(order[:n_cells])])
+    cells = tise_adaptive(m.spec, m.product,
+                          TiseConfig(zeta=1e-4, n_modes=1)).final_cells
     rb = ReducedBasis.create(m.product, cells)
     # the generator Stilde Hbb, staged on the basis as the propagator's is
     rb.stage([ReducedHamiltonian(m.spec, m.product, cells).Hbb])
@@ -459,7 +456,7 @@ def check_taylor_tail(rng):
 
 
 def check_oracle_agreement(rng):
-    _, h1, psi = _fixed_reduced_system(rng, n_cells=48)
+    _, h1, psi = _fixed_reduced_system(rng)
     cfg = PropagationConfig(tau0=0.02)
     step_op = scipy.linalg.expm(-1j * 0.02 * h1)
     psi_ref = psi.copy()

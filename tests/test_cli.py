@@ -175,26 +175,86 @@ def test_grid_offset_is_a_config_error(tmp_path):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("model, named", [
-    ({"name": "helium1d", "m": 7.0, "omega": 3.0, "b": 1.0},
-     "'b', 'm', 'omega'"),
-    ({"name": "harmonic", "a0": 1.0}, "'a0'"),
-    ({"name": "double_well", "file": "v.csv"}, "'file'"),
-    ({"name": "table", "file": "v.csv", "omega": 2.0}, "'omega'"),
-], ids=["helium-mass", "harmonic-a0", "double-well-file", "table-omega"])
+@pytest.mark.parametrize("model, grids, named", [
+    ({"name": "helium1d", "m": 7.0, "omega": 3.0, "b": 1.0}, None,
+     "at /model: model 'helium1d' has no parameter 'b', 'm', 'omega'"),
+    ({"name": "harmonic", "a0": 1.0}, None,
+     "at /model: model 'harmonic' has no parameter 'a0'"),
+    ({"name": "double_well", "file": "v.csv"}, None,
+     "at /model: model 'double_well' has no parameter 'file'"),
+    ({"name": "table", "file": "v.csv", "omega": 2.0}, None,
+     "at /model: model 'table' has no parameter 'omega'"),
+    ({"name": "table"}, None, "at /model: table model requires 'file'"),
+    ({"name": "helium1d"}, [{"L": 20.0, "N": 60}],
+     "at /grid: model 'helium1d' needs 2 grid and lattice entries"),
+    ({"name": "helium1d"}, [{"L": 20.0, "N": 60}, {"L": 20.0, "N": 64}],
+     "at /grid: helium1d axes must share one grid/lattice"),
+], ids=["helium-mass", "harmonic-a0", "double-well-file", "table-omega",
+        "table-no-file", "helium-one-grid", "helium-two-grids"])
 def test_field_of_another_model_is_a_config_error(tmp_path, capsys, model,
-                                                  named):
-    # a model is built from its own fields only: any other would be ignored
-    # while run_meta.json recorded it
+                                                  grids, named):
+    # a model is built from its own fields only, on one grid and lattice per
+    # axis: any other field would be ignored while run_meta.json recorded
+    # it, and so would a second helium grid.  ``grids`` None gives each
+    # axis the harmonic config's grid
     out = str(tmp_path / "run")
     cfg = _harmonic_cfg(out, tise={"zeta": 1e-2})
     cfg["model"] = model
-    if model["name"] == "helium1d":
-        cfg["grid"], cfg["lattice"] = cfg["grid"] * 2, cfg["lattice"] * 2
+    if grids is None:
+        grids = cfg["grid"] * (2 if model["name"] == "helium1d" else 1)
+    cfg["grid"], cfg["lattice"] = grids, cfg["lattice"] * len(grids)
     assert main(["tise", _write(tmp_path, "cfg.json", cfg)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "at /model:" in err and named in err
+    assert named in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_table_model_of_the_harmonic_potential_gives_its_bytes(tmp_path):
+    # a table of the harmonic potential at the grid's centred points, as
+    # repr floats, reads back to the same samples: the same run, byte for
+    # byte
+    from vngrid import models
+
+    m = models.harmonic(L=20.0, N=60, Nx=4, Np=15)
+    table = tmp_path / "v.csv"
+    table.write_text("".join(
+        f"{float(x)!r},{float(v)!r}\n"
+        for x, v in zip(m.grids[0].centered_points, m.spec.potentials[0])))
+    for name, model in (("harmonic", {"name": "harmonic"}),
+                        ("table", {"name": "table", "file": str(table)})):
+        cfg = _harmonic_cfg(str(tmp_path / name),
+                            tise={"zeta": 1e-6, "n_modes": 2})
+        cfg["model"] = model
+        assert main(["tise", _write(tmp_path, f"{name}.json", cfg)]) == EXIT_OK
+    names = ["cells.csv", "eigenvalues.csv", "mode_000.csv", "mode_001.csv"]
+    assert sorted(os.listdir(tmp_path / "table")) == names + ["run_meta.json"]
+    for name in names:
+        assert ((tmp_path / "table" / name).read_bytes()
+                == (tmp_path / "harmonic" / name).read_bytes())
+
+
+def test_validate_prints_each_check_and_fails_on_any(monkeypatch, capsys):
+    # a failed assertion and a crash are both failed checks
+    from vngrid import validate
+
+    def passes(rng):
+        return "fine"
+
+    def fails(rng):
+        raise AssertionError("off by one")
+
+    def crashes(rng):
+        raise ValueError("bad input")
+
+    monkeypatch.setattr(validate, "CHECKS", [
+        ("a/passes", passes), ("b/fails", fails), ("c/crashes", crashes)])
+    assert main(["validate"]) == EXIT_OTHER
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert [line.split()[:2] for line in lines[:3]] == [
+        ["PASS", "a/passes"], ["FAIL", "b/fails"], ["FAIL", "c/crashes"]]
+    assert lines[0].endswith("fine") and lines[1].endswith("off by one")
+    assert lines[2].endswith("ValueError: bad input")
+    assert lines[3] == "1/3 checks passed"
 
 
 def test_nonconvergence_exit_code(tmp_path):
@@ -597,14 +657,14 @@ def test_failed_refresh_exits_degenerate_basis(tmp_path, monkeypatch,
     def failing_fresh(sinv, n):
         raise IllConditionedBasisError("injected refresh failure", size=n)
 
-    stage = reduced_space.ReducedBasis.stage
+    unstage = reduced_space.ReducedBasis.unstage
 
-    def refresh_then_fail(self, blocks):
-        if self.generators:                  # staged before: a refresh
-            monkeypatch.setattr(reduced_space, "_fresh_inverse", failing_fresh)
-        stage(self, blocks)
+    def refresh_then_fail(self):             # only a refresh unstages
+        monkeypatch.setattr(reduced_space, "_fresh_inverse", failing_fresh)
+        unstage(self)
 
-    monkeypatch.setattr(reduced_space.ReducedBasis, "stage", refresh_then_fail)
+    monkeypatch.setattr(reduced_space.ReducedBasis, "unstage",
+                        refresh_then_fail)
     updates = inverse_drift(3, 1e-4)
     out = str(tmp_path / "run")
     cfg = _harmonic_cfg(out, tdse={"t_span": [0.0, 1.0], "tau0": 0.05,

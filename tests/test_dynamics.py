@@ -276,7 +276,8 @@ def test_zero_amplitude_pulses_set_no_cap(ho_model):
     spec = _coupled(ho_model)
     for pulse in (ControlPulse.nir(0.0, 11.0), ControlPulse.xuv(0.0, 2.07, 1.5),
                   ControlPulse.table([0.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
-                  ControlPulse.table([0.0, 1.0], [0.5, 0.5])):
+                  ControlPulse.table([0.0, 1.0], [0.5, 0.5]),
+                  ControlPulse.table([1.0], [0.5])):     # no support
         assert step_cap(spec, (pulse,), cfg) is None
     assert step_cap(ho_model.spec, (), cfg) is None
 
@@ -402,6 +403,26 @@ def test_zero_amplitude_pulse_matches_field_free_run(dw_model):
                   - free.final_coefficients).max() <= 1e-12
 
 
+def test_zero_scale_coupling_has_a_zero_block_and_keeps_the_norm(ho_model):
+    # a coupling scaled by 0 has no terms, so no factor stack: its block is
+    # exactly zero, and a pulse through it drives nothing
+    spec = dataclasses.replace(
+        ho_model.spec,
+        control_terms=(position_coupling(ho_model.grids, scale=0.0),))
+    res = tise_adaptive(spec, ho_model.product,
+                        TiseConfig(zeta=1e-6, n_modes=1))
+    ham = res.hamiltonian
+    assert ham._controls == (None,)
+    assert not ham.Hbb_controls[0].any()
+    traj = tdse_adaptive(spec, ho_model.product, res.eigenvectors[:, 0],
+                         res.final_cells, (0.0, 0.3),
+                         pulses=(ControlPulse.nir(0.1, 2.0),),
+                         cfg=PropagationConfig(zeta=1e-6, tau0=0.05,
+                                               snapshot_every=0))
+    assert traj.n_steps > 0
+    assert np.abs(traj.norms - 1.0).max() <= 1e-10
+
+
 def _driven_run(model, pulses, **cfg):
     """A short run from the ground state, every pulse on one position coupling."""
     spec = _coupled(model, n=len(pulses))
@@ -515,16 +536,19 @@ def test_growth_after_quiet_stretch(dw_model):
     assert traj.taus[-1] > 1e-3
 
 
-def test_underflow_aborts_with_event_log():
-    # a propagation that must halve forever: degenerate single-cell basis
-    # with an enormous generator and a tiny floor is simplest to emulate
-    from vngrid.dynamics import _shrink
-    events = []
-    tau = 1e-11
-    with pytest.raises(TimestepUnderflowError) as err:
-        for _ in range(10):
-            tau = _shrink(tau, events, 0.0, "test")
-    assert err.value.events
+def test_underflow_aborts_with_event_log(ho_model):
+    # a series cut at two terms never meets a tail cutoff of 1e-300, so
+    # every step halves; 0.05 halves below 1e-12 on the 36th rejection, and
+    # the run's shrink events ride on the exception
+    cells, c0 = _coherent_initial(ho_model)
+    cfg = PropagationConfig(max_taylor_terms=2, taylor_eps=1e-300)
+    with pytest.raises(TimestepUnderflowError, match="series") as err:
+        tdse_adaptive(ho_model.spec, ho_model.product, c0, cells, (0.0, 1.0),
+                      cfg=cfg)
+    events = err.value.events
+    assert len(events) == 36
+    assert all(t == 0.0 and kind == "shrink" for t, kind, _ in events)
+    assert events[-1][2].startswith("series: tau -> ")
 
 
 def test_initial_norm_validated(ho_model):

@@ -229,6 +229,10 @@ def test_audit_samples_every_slot(he_model, rng, monkeypatch):
     assert seen == set(range(62))
 
 
+def test_audit_of_a_cache_without_slots_is_zero(pair60, rng):
+    assert ElementCache(pair60).audit(rng) == 0.0
+
+
 def test_each_element_table_is_held_once(he_model, monkeypatch):
     # the factor stacks are the only copy of the tables: every fill is
     # dropped once written, and each distinct slot is filled once per
@@ -608,6 +612,35 @@ def test_folded_full_blocks_assemble_within_four_blocks_of_memory(he_model):
     assert peak <= 4.5 * n * n * 16, peak / (n * n * 16)
 
 
+def test_refresh_frees_the_staged_state_before_it_assembles(he_model):
+    # a propagation's refresh on the driven helium search's 499 folded rows,
+    # two blocks: unstaged first, it peaks at about one n x n matrix above
+    # what was resident before it (the old inverse and generators held
+    # while it assembles: four).  Traced from before the search, so that
+    # the arrays it frees count
+    spec = _helium_with_position(he_model)
+    tracemalloc.start()
+    try:
+        res = tise_adaptive(spec, he_model.product.folded(),
+                            TiseConfig(zeta=1e-4, n_modes=1))
+        rb, ham = res.reduced_basis, res.hamiltonian
+        rb.stage(ham.take_blocks())
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        rb.unstage()
+        rb.stage(ham.rows(rb.cells, rb.cells))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    n = rb.n
+    assert n == 499 and len(rb.generators) == 2
+    assert peak <= 1.5 * n * n * 16, peak / (n * n * 16)
+    scratch = ReducedBasis(rb.product, rb.cells, rb.Sinv_tilde.copy())
+    scratch.stage(ham.rows(rb.cells, rb.cells))
+    for got, ref in zip(rb.generators, scratch.generators, strict=True):
+        assert np.array_equal(got, ref)
+
+
 def test_three_axis_assembly_matches_dense():
     # two axes share one basis pair (and cache), the third has its own shape
     shared = build_basis_pair(build_lattice(build_grid(6.0, 12), 3, 4))
@@ -671,16 +704,16 @@ def test_combined_sums_shared_signals_in_a_reused_buffer(dw_model):
     hbb = ham.Hbb.copy()
     hc = ham.Hbb_controls[0]
     u1, u2 = 0.37, -0.81
-    h = ham.combined((u1, u2))
+    h = ham.combined((u1, u2), ham.blocks)
     # equal up to the rounding of entries as large as Hbb's
     ref = hbb + u1 * hc + u2 * hc
     assert np.abs(h - ref).max() <= 1e-14 * np.abs(hbb).max()
     assert np.array_equal(ham.Hbb, hbb)
     # one signal: exactly the drift plus the scaled block
-    assert np.array_equal(ham.combined((u1, 0.0)), hbb + u1 * hc)
-    assert ham.combined((u2, 0.0)) is h            # the buffer is reused
-    assert ham.combined((0.0, 0.0)) is ham.Hbb
-    assert ham.combined() is ham.Hbb
+    assert np.array_equal(ham.combined((u1, 0.0), ham.blocks), hbb + u1 * hc)
+    assert ham.combined((u2, 0.0), ham.blocks) is h    # the buffer is reused
+    assert ham.combined((0.0, 0.0), ham.blocks) is ham.Hbb
+    assert ham.combined((), ham.blocks) is ham.Hbb
 
 
 def test_staged_generator_matches_factored_product(dw_model):
@@ -699,7 +732,7 @@ def test_staged_generator_matches_factored_product(dw_model):
     scale = np.abs(g0).max()
     for u in ((), (0.0, 0.0, 0.0), (0.37, 0.0, 0.0), (0.37, -0.81, 0.0),
               (0.37, -0.81, 0.52)):
-        ref = rb.Stilde @ ham.combined(u)
+        ref = rb.Stilde @ ham.combined(u, ham.blocks)
         assert np.abs(ham.combined(u, rb.generators) - ref).max() <= 1e-13 * scale
     h = ham.combined((0.37, -0.81, 0.0), rb.generators)
     assert ham.combined((0.1, 0.0, 0.2), rb.generators) is h  # buffer reused
@@ -708,7 +741,7 @@ def test_staged_generator_matches_factored_product(dw_model):
     # staging a list of the blocks leaves the Hamiltonian's as they were;
     # the Hermitian and the staged combinations share the one buffer
     assert np.array_equal(ham.Hbb, hbb)
-    assert ham.combined((0.37, 0.0, 0.0)) is h
+    assert ham.combined((0.37, 0.0, 0.0), ham.blocks) is h
 
 
 def test_exchange_symmetry_of_operators(he_model):

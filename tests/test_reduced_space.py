@@ -51,6 +51,11 @@ def test_cellset_canonical_order_and_dedup():
     assert [tuple(r) for r in cs2.indices] == [(1, 2), (1, 9), (2, 1)]
 
 
+def test_cellset_repr():
+    cells = CellSet([[2, 1], [1, 9], [2, 1]])
+    assert repr(cells) == "CellSet(2 cells, ndof=2)"
+
+
 @pytest.mark.parametrize("ndof, folded", [
     pytest.param(1, False, id="1"), pytest.param(2, False, id="2"),
     pytest.param(3, False, id="3"), pytest.param(2, True, id="2-folded")])

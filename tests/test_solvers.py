@@ -305,6 +305,33 @@ def test_small_or_cold_solves_stay_dense(ho_model, monkeypatch):
     np.testing.assert_array_equal(w, w2)
 
 
+@pytest.mark.parametrize("knob, failure", [
+    ("_SHIFT_TRIES", "no shift below the spectrum"),
+    ("_MAX_SWEEPS", "did not converge in 0 sweeps")],
+    ids=["no-shift", "no-sweeps"])
+def test_failed_shift_invert_falls_back_to_dense_eigh(knob, failure, ho_model,
+                                                      monkeypatch):
+    cells = CellSet(np.arange(ho_model.pairs[0].n)[:, None])
+    h, s = _reduced_problem(ho_model, cells)
+    w_ref, v_ref = scipy.linalg.eigh(h, s, subset_by_index=[0, 1])
+    warm = (w_ref[0], v_ref)
+    monkeypatch.setattr(solvers, knob, 0)
+    with pytest.raises(ShiftInvertError, match=failure):
+        shift_invert_eig(h, s, 2, *warm)
+    monkeypatch.setattr(solvers, "_SHIFT_INVERT_MIN", 1)
+    w, v = solve_reduced_eig(h, s, 2, warm)
+    np.testing.assert_array_equal(w, w_ref)
+    np.testing.assert_array_equal(v, v_ref)
+
+
+def test_exactly_singular_shift_has_no_inertia_count():
+    # h - 2 s is diag(-1, 0, 1): D has an exact zero pivot
+    h = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    s, buf = np.eye(3, dtype=complex), np.empty((3, 3), dtype=complex)
+    assert solvers._factor_shifted(h, s, 2.0, buf)[2] is None
+    assert solvers._factor_shifted(h, s, 1.5, buf)[2] == 1
+
+
 # -- the search never forms Stilde ----------------------------------------------
 
 def test_tise_forms_no_inverse_overlap(he_model, monkeypatch):
