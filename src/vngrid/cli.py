@@ -67,6 +67,15 @@ def _model_defaults(name: str) -> dict:
     return {field: params[kw].default for field, kw in fields.items()}
 
 
+def _pulse_fields(kind: str) -> set:
+    """The config fields that a pulse of ``kind`` reads besides its
+    coupling: the parameters of its :class:`~vngrid.dynamics.ControlPulse`
+    constructor."""
+    from .dynamics import ControlPulse
+
+    return set(inspect.signature(getattr(ControlPulse, kind)).parameters)
+
+
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
@@ -89,7 +98,8 @@ def load_config(path: str) -> dict:
     ``snapshot_every`` is an output setting.  A model takes the fields of
     its :data:`_MODELS` entry, defaulted as its function in
     ``vngrid.models`` defaults them (and ``table`` its ``file``); any other
-    is a configuration error.
+    is a configuration error, as is a pulse field that its kind does not
+    read (:func:`_pulse_fields`).
     """
     import jsonschema
 
@@ -149,6 +159,13 @@ def load_config(path: str) -> dict:
                 **solver["tdse"]}
         if not tdse["t_span"][0] < tdse["t_span"][1]:
             raise ConfigError("at /solver/tdse/t_span: end must be after start")
+        for i, pulse in enumerate(tdse["pulses"]):
+            unread = sorted(set(pulse) - _pulse_fields(pulse["kind"])
+                            - {"kind", "coupling", "scale"})
+            if unread:
+                raise ConfigError(
+                    f"at /solver/tdse/pulses/{i}: a {pulse['kind']!r} pulse "
+                    f"reads no {', '.join(map(repr, unread))}")
         if tdse["initial_zeta"] is None:
             tdse["initial_zeta"] = tdse["zeta"]
         resolved["solver"]["tdse"] = tdse
@@ -193,17 +210,12 @@ def _build_pulses(cfg_pulses, grids):
 
     pulses, couplings, made = [], [], {}
     for i, p in enumerate(cfg_pulses):
-        if p["kind"] == "nir":
-            pulses.append(ControlPulse.nir(p["amplitude"], p["period"],
-                                           p.get("t_on", 0.0)))
-        elif p["kind"] == "xuv":
-            pulses.append(ControlPulse.xuv(p["amplitude"], p["period"],
-                                           p["sigma"], p.get("t_on", 0.0)))
-        else:
-            try:
-                pulses.append(ControlPulse.table(p["times"], p["samples"]))
-            except ValueError as exc:
-                raise ConfigError(f"at /solver/tdse/pulses/{i}: {exc}") from exc
+        fields = _pulse_fields(p["kind"]) & set(p)
+        try:
+            pulses.append(getattr(ControlPulse, p["kind"])(
+                **{f: p[f] for f in fields}))
+        except ValueError as exc:
+            raise ConfigError(f"at /solver/tdse/pulses/{i}: {exc}") from exc
         key = (p["coupling"], p.get("scale", 1.0))
         if key not in made:
             build = (models.position_coupling if key[0] == "position"
@@ -224,35 +236,26 @@ def _axis_names(ndof):
     return cols
 
 
-def _cell_position(lattices, cell):
-    out = []
-    for lat, idx in zip(lattices, cell):
-        a, b = lat.cell_coords(idx)
-        out += [lat.x_centers[a] - 0.5 * lat.grid.L, lat.p_centers[b]]
-    return out
-
-
-def write_cells_csv(path, lattices, cells):
-    with open(path, "w") as fh:
-        fh.write("cell," + ",".join(_axis_names(len(lattices))) + "\n")
-        for j, cell in enumerate(cells):
-            pos = _cell_position(lattices, cell)
-            fh.write(",".join([str(j)] + [_fmt(v) for v in pos]) + "\n")
+def _cell_position(lat, i):
+    """Centre ``(x, p)`` of cell ``i`` of one axis's lattice, x centred."""
+    a, b = lat.cell_coords(i)
+    return lat.x_centers[a] - 0.5 * lat.grid.L, lat.p_centers[b]
 
 
 class HeatmapWriter:
     """Amplitude rasters over every cell of a product lattice (inactive
-    cells at zero).
+    cells at zero), and the cell list of an active set.
 
-    Each row's position columns are formatted once, when the writer is
+    Each axis's position columns are formatted once, when the writer is
     made; a raster then formats only its active amplitudes.
     """
 
     def __init__(self, lattices):
-        axes = [[",".join(_fmt(v) for v in _cell_position((lat,), (i,)))
-                 for i in range(lat.n_cells)] for lat in lattices]
-        self._header = ",".join(_axis_names(len(lattices))) + ",amplitude\n"
-        self._prefixes = [",".join(parts) for parts in itertools.product(*axes)]
+        self._axes = [[",".join(_fmt(v) for v in _cell_position(lat, i))
+                       for i in range(lat.n_cells)] for lat in lattices]
+        self._names = ",".join(_axis_names(len(lattices)))
+        self._prefixes = [",".join(parts)
+                          for parts in itertools.product(*self._axes)]
         zero = "," + _fmt(0.0) + "\n"
         self._zero_rows = [p + zero for p in self._prefixes]
         self._shape = [lat.n_cells for lat in lattices]
@@ -267,8 +270,16 @@ class HeatmapWriter:
         for k, c in zip(flat.tolist(), np.asarray(coeffs)):
             rows[k] = self._prefixes[k] + "," + _fmt(abs(c)) + "\n"
         with open(path, "w") as fh:
-            fh.write(self._header)
+            fh.write(self._names + ",amplitude\n")
             fh.write("".join(rows))
+
+    def write_cells_csv(self, path, cells):
+        """One row per cell of ``cells``: its row number and position."""
+        with open(path, "w") as fh:
+            fh.write("cell," + self._names + "\n")
+            for j, cell in enumerate(cells):
+                pos = [axis[i] for axis, i in zip(self._axes, cell)]
+                fh.write(",".join([str(j), *pos]) + "\n")
 
 
 def _add_sop_meta(meta, model):
@@ -336,9 +347,9 @@ def cmd_tise(args) -> int:
         fh.write("index,eigenvalue\n")
         for i, e in enumerate(res.eigenvalues):
             fh.write(f"{i},{_fmt(e)}\n")
-    write_cells_csv(os.path.join(out_dir, "cells.csv"), model.lattices,
-                    res.final_cells)
     heatmap = HeatmapWriter(model.lattices)
+    heatmap.write_cells_csv(os.path.join(out_dir, "cells.csv"),
+                            res.final_cells)
     for mode in range(res.eigenvectors.shape[1]):
         heatmap.write(os.path.join(out_dir, f"mode_{mode:03d}.csv"),
                       res.final_cells, res.eigenvectors[:, mode])

@@ -42,8 +42,8 @@ The step controller combines three limits:
 Basis changes prune sub-cutoff cells (their coefficient mass is discarded
 and logged, never renormalized away) and expand by one ring of lattice
 neighbours around the survivors, every cell within Euclidean distance
-sqrt 2 in lattice steps (``DEFAULT_RADIUS``); fresh cells start at zero
-amplitude.  Control signals are sampled at the step midpoint.
+sqrt 2 in lattice steps; fresh cells start at zero amplitude.  Control
+signals are sampled at the step midpoint.
 
 The slope cap
 -------------
@@ -107,9 +107,9 @@ from .errors import (DegenerateUpdateError, IllConditionedBasisError,
                      TimestepUnderflowError)
 from .hamiltonian import (DENSE_LIMIT, OperatorSpec, ReducedHamiltonian,
                           grid_potential)
-from .reduced_space import (CellSet, DEFAULT_RADIUS, ReducedBasis,
-                            boundary_mask, cell_change, embed_coefficients,
-                            expand_cells, prune_cells)
+from .reduced_space import (CellSet, ReducedBasis, boundary_mask,
+                            cell_change, embed_coefficients, expand_cells,
+                            prune_cells)
 
 _TAU_FLOOR = 1e-12
 _SHRINK = 0.5    # step factor after a rejected step
@@ -515,7 +515,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
     t = t0
     accepted = 0
     # the boundary rows of the current cells
-    edge = boundary_mask(rb.cells, lattices, DEFAULT_RADIUS, fold).nonzero()[0]
+    edge = boundary_mask(rb.cells, lattices, fold=fold).nonzero()[0]
     # the blocks are consumed: each is freed once its generator exists, and
     # the generators are carried across basis changes
     rb.stage(ham.take_blocks())
@@ -556,7 +556,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
             amp = rb.amplitudes(psi)
             if len(edge) and amp.take(edge).max() >= cfg.zeta:
                 kept = prune_cells(rb.cells, amp, cfg.zeta)
-                new_cells = expand_cells(kept, lattices, DEFAULT_RADIUS, fold)
+                new_cells = expand_cells(kept, lattices, fold=fold)
                 change = cell_change(rb.cells, new_cells)
                 psi = embed_coefficients(psi, change)
                 added, removed = rb.update(
@@ -566,8 +566,7 @@ def tdse_adaptive(spec: OperatorSpec, product, psi0: np.ndarray,
                 lost += abs(norms[-1] ** 2 - norm_in ** 2)
                 events.append((t, "basis", f"+{len(added)} -{len(removed)} cells"))
                 watch_rows = change.fresh_rows
-                edge = boundary_mask(change.new, lattices, DEFAULT_RADIUS,
-                                     fold).nonzero()[0]
+                edge = boundary_mask(change.new, lattices, fold=fold).nonzero()[0]
                 quiet = 0
             elif quiet >= cfg.growth_patience:
                 grown = min(tau * _GROWTH, tau_cap)

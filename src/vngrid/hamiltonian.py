@@ -157,27 +157,20 @@ class OperatorSpec:
                 and all(c.exchange_symmetric for c in self.control_terms))
 
     @classmethod
-    def build(cls, grids, masses=None, kinetic=None, potentials=None,
-              sop_terms=(), control_terms=()):
-        """Assemble a spec; kinetic defaults to ``k^2/(2m)`` per axis.
+    def build(cls, grids, masses=None, potentials=None, sop_terms=()):
+        """Assemble a spec with the kinetic energy ``k^2/(2m)`` on each axis
+        and no control couplings (:func:`dataclasses.replace` adds them).
 
-        ``kinetic`` entries are spectral diagonals in FFT order and
-        ``potentials`` entries sampling diagonals, each an array or None; a
-        None kinetic entry takes the default.  Sum-of-products factors are
-        normalized, their norms moved into the coefficients.
+        ``potentials`` entries are sampling diagonals, each an array or
+        None.  Sum-of-products factors are normalized, their norms moved
+        into the coefficients.
         """
         grids = tuple(grids)
         d = len(grids)
         if masses is None:
             masses = (1.0,) * d
-        kin = []
-        for dof, g in enumerate(grids):
-            spec_k = None if kinetic is None else kinetic[dof]
-            if spec_k is None:
-                k = g.fft_wavenumbers()
-                kin.append((HBAR * k) ** 2 / (2.0 * masses[dof]))
-            else:
-                kin.append(np.asarray(spec_k, dtype=float))
+        kin = [(HBAR * g.fft_wavenumbers()) ** 2 / (2.0 * m)
+               for g, m in zip(grids, masses)]
         pot = [None if potentials is None or potentials[dof] is None
                else np.asarray(potentials[dof], dtype=float) for dof in range(d)]
         norm_terms = []
@@ -191,11 +184,11 @@ class OperatorSpec:
                 facs.append(f / nrm if nrm else f)
             norm_terms.append(SopTerm(coeff, tuple(facs)))
         return cls(grids=grids, kinetic=tuple(kin), potentials=tuple(pot),
-                   sop_terms=tuple(norm_terms), control_terms=tuple(control_terms))
+                   sop_terms=tuple(norm_terms))
 
 
 # ---------------------------------------------------------------------------
-# sum-of-products fitting (two axes, singular value decomposition)
+# sum-of-products fitting (two axes, symmetric eigendecomposition)
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
@@ -211,13 +204,16 @@ class SopFit:
 
 
 def potfit2(v_grid, tolerance: float) -> SopFit:
-    """Decompose a two-axis potential table into a sum of products.
+    """Decompose an exactly symmetric two-axis potential table into a sum
+    of products with equal factors on both axes.
 
-    The singular value decomposition is optimal for two axes; the expansion
-    is truncated at the smallest rank whose residual spectral norm is at or
-    below ``tolerance`` (entrywise error is bounded by the spectral norm).
-    A symmetric table is decomposed with matching left/right factors, so
-    exchange-symmetric interactions share one factor family per term.
+    The table's eigendecomposition is its optimal expansion (the singular
+    values are the eigenvalues' magnitudes); it is truncated at the smallest
+    rank whose residual spectral norm is at or below ``tolerance`` (entrywise
+    error is bounded by the spectral norm).  Each term's coefficient is its
+    eigenvalue, sign included, so an exchange-symmetric interaction shares
+    one factor per term.  Raises :class:`ValueError` for a table that is not
+    exactly symmetric.
     """
     v_grid = np.asarray(v_grid, dtype=float)
     if v_grid.ndim != 2:
@@ -226,28 +222,19 @@ def potfit2(v_grid, tolerance: float) -> SopFit:
         raise ValueError("tolerance must be positive")
     if not np.all(np.isfinite(v_grid)):
         raise ValueError("potential table contains non-finite entries")
+    if not np.array_equal(v_grid, v_grid.T):
+        raise ValueError("sum-of-products fitting needs an exactly symmetric "
+                         "table")
 
-    if np.array_equal(v_grid, v_grid.T):
-        lam, w = np.linalg.eigh(v_grid)
-        order = np.argsort(-np.abs(lam))
-        lam, w = lam[order], w[:, order]
-        sv = np.abs(lam)
-        rank = int(np.sum(sv > tolerance))
-        terms = []
-        for r in range(rank):
-            f = _fix_sign(w[:, r].copy())
-            terms.append(SopTerm(float(lam[r]), (f, f)))
-        rec = (w[:, :rank] * lam[:rank]) @ w[:, :rank].T
-    else:
-        u, s, vt = np.linalg.svd(v_grid, full_matrices=False)
-        rank = int(np.sum(s > tolerance))
-        terms = []
-        for r in range(rank):
-            ur, vr = u[:, r].copy(), vt[r].copy()
-            if ur[int(np.argmax(np.abs(ur)))] < 0:
-                ur, vr = -ur, -vr
-            terms.append(SopTerm(float(s[r]), (ur, vr)))
-        rec = (u[:, :rank] * s[:rank]) @ vt[:rank]
+    lam, w = np.linalg.eigh(v_grid)
+    order = np.argsort(-np.abs(lam))
+    lam, w = lam[order], w[:, order]
+    rank = int(np.sum(np.abs(lam) > tolerance))
+    terms = []
+    for r in range(rank):
+        f = _fix_sign(w[:, r].copy())
+        terms.append(SopTerm(float(lam[r]), (f, f)))
+    rec = (w[:, :rank] * lam[:rank]) @ w[:, :rank].T
     max_err = float(np.abs(v_grid - rec).max()) if rank else float(np.abs(v_grid).max())
     return SopFit(terms=tuple(terms), max_abs_error=max_err)
 

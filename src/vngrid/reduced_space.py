@@ -13,11 +13,11 @@ reduced overlap ``Btilde^H Btilde`` factorizes into per-axis entries, which
 is how all reduced matrices are built here (no full-dimension basis matrix
 is ever materialized outside small dense cross-checks).
 
-Cell-set geometry (expansion by a stencil radius, the boundary, the rows a
-change keeps and adds) runs on flat product-lattice keys.  Each axis shape
-has one neighbour table per stencil, built on first use and shared
-read-only, of ``Nx * Np * m`` entries for a stencil of ``m`` offsets: its
-memory grows with the sum over axes, never with the product lattice.  A
+Cell-set geometry (expansion by one ring of neighbours, the boundary, the
+rows a change keeps and adds) runs on flat product-lattice keys.  Each axis
+shape has one neighbour table, built on first use and shared read-only, of
+``Nx * Np * m`` entries for the stencil's ``m`` offsets: its memory
+grows with the sum over axes, never with the product lattice.  A
 set's neighbour keys are one row gather per axis; membership is read from a
 boolean occupancy array over the product lattice, with one extra sentinel
 slot per axis that stands for every position beyond a momentum band.  The
@@ -88,9 +88,6 @@ from .errors import DegenerateUpdateError, IllConditionedBasisError
 from .vn_basis import (COND_LIMIT, BasisPair, VonNeumannLattice,
                        hermitize as _hermitize)
 
-DEFAULT_RADIUS = math.sqrt(2.0) + 1e-9
-
-
 # ---------------------------------------------------------------------------
 # cell sets and lattice geometry
 # ---------------------------------------------------------------------------
@@ -132,9 +129,6 @@ class CellSet:
     def __iter__(self):
         return (tuple(row) for row in self.indices)
 
-    def __contains__(self, cell):
-        return bool(cell_change(CellSet([cell], ndof=self.ndof), self).kept[0])
-
     def __eq__(self, other):
         return isinstance(other, CellSet) and np.array_equal(self.indices, other.indices)
 
@@ -174,22 +168,22 @@ def _keys(rows, dims):
 
 
 @functools.lru_cache(maxsize=None)
-def _stencil_tables(shapes, radius):
-    """One neighbour table per axis of ``shapes`` (built once per argument
-    pair, read-only).
+def _stencil_tables(shapes):
+    """One neighbour table per axis of ``shapes`` (built once per ``shapes``,
+    read-only).
 
-    The stencil is every offset of Euclidean length <= ``radius`` in the
-    ``2 * len(shapes)`` lattice axes, in lexicographic order, so the zero
-    offset is the middle column.  Row ``i = a * Np + b`` of an axis's table
-    holds, per offset, the neighbour under that axis's part ``(da, db)``:
-    the cell ``((a + da) mod Nx) * Np + b + db``, or -1 where ``b + db``
-    leaves the momentum band.  A cell set's neighbours on an axis are then
-    one row gather.
+    The stencil is every offset of Euclidean length <= sqrt 2 in the
+    ``2 * len(shapes)`` lattice axes (the paper's one ring of neighbours),
+    in lexicographic order, so the zero offset is the middle column.  Row
+    ``i = a * Np + b`` of an axis's table holds, per offset, the neighbour
+    under that axis's part ``(da, db)``: the cell
+    ``((a + da) mod Nx) * Np + b + db``, or -1 where ``b + db`` leaves the
+    momentum band.  A cell set's neighbours on an axis are then one row
+    gather.
     """
-    r = int(math.floor(radius))
-    offs = np.array([off for off in itertools.product(range(-r, r + 1),
+    offs = np.array([off for off in itertools.product((-1, 0, 1),
                                                       repeat=2 * len(shapes))
-                     if sum(o * o for o in off) <= radius * radius], dtype=np.intp)
+                     if sum(o * o for o in off) <= 2], dtype=np.intp)
     tables = []
     for (nx, np_), da, db in zip(shapes, offs[:, 0::2].T, offs[:, 1::2].T):
         a, b = np.divmod(np.arange(nx * np_), np_)
@@ -201,14 +195,13 @@ def _stencil_tables(shapes, radius):
     return tuple(tables)
 
 
-def _neighbour_keys(cells: CellSet, lattices, radius, fold=False):
-    """Occupancy keys ``(n, m)`` of every cell's neighbours within ``radius``
-    (in the stencil order of :func:`_stencil_tables`), and the occupancy
-    shape they index.  With ``fold`` (two axes, the cells exchange-orbit
-    representatives) each key is that of the neighbour's representative:
-    the smaller of its two indices first.  A neighbour beyond a momentum
-    band (-1) is then the first index, so its key still lands on a
-    sentinel slot.
+def _neighbour_keys(cells: CellSet, lattices, fold=False):
+    """Occupancy keys ``(n, m)`` of every cell's neighbours (in the stencil
+    order of :func:`_stencil_tables`), and the occupancy shape they index.
+    With ``fold`` (two axes, the cells exchange-orbit representatives) each
+    key is that of the neighbour's representative: the smaller of its two
+    indices first.  A neighbour beyond a momentum band (-1) is then the
+    first index, so its key still lands on a sentinel slot.
 
     The occupancy array has ``Nx * Np + 1`` slots per axis: the cells and,
     last, a sentinel slot that is never occupied.  Each axis contributes
@@ -227,7 +220,7 @@ def _neighbour_keys(cells: CellSet, lattices, radius, fold=False):
     if cells.ndof != len(shapes):
         raise ValueError("cell dimensionality does not match lattice count")
     gathers = []
-    for k, table in enumerate(_stencil_tables(shapes, radius)):
+    for k, table in enumerate(_stencil_tables(shapes)):
         rows = cells.indices[:, k]
         try:
             gathers.append(table.take(rows, axis=0))
@@ -242,9 +235,9 @@ def _neighbour_keys(cells: CellSet, lattices, radius, fold=False):
     return keys, tuple(nx * np_ + 1 for nx, np_ in shapes)
 
 
-def expand_cells(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS,
-                 fold: bool = False) -> CellSet:
-    """Union of ``cells`` with every lattice cell within ``radius``.
+def expand_cells(cells: CellSet, lattices, *, fold: bool = False) -> CellSet:
+    """Union of ``cells`` with every lattice cell within Euclidean distance
+    sqrt 2, one ring of neighbours.
 
     Distances are Euclidean in integer lattice coordinates over all
     position/momentum axes; position axes wrap periodically, momentum axes
@@ -252,7 +245,7 @@ def expand_cells(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS,
 
     The neighbours come from per-axis stencil tables
     (:func:`_stencil_tables`), of ``Nx * Np * m`` entries per axis shape for
-    a stencil of ``m`` offsets, built once per process.  Their keys are
+    the stencil's ``m`` offsets, built once per process.  Their keys are
     scattered into an occupancy array of one byte per product-lattice cell,
     plus a sentinel slot per axis that catches the out-of-band ones
     (:func:`_neighbour_keys`); its occupied cells are the result, already
@@ -262,20 +255,18 @@ def expand_cells(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS,
     representatives of the expanded swap closure.
     Raises :class:`ValueError` for a cell outside the lattice.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    keys, shape = _neighbour_keys(cells, lattices, radius, fold)
+    keys, shape = _neighbour_keys(cells, lattices, fold)
     occupied = np.zeros(shape, dtype=bool)
     occupied.reshape(-1)[keys] = True
     inside = occupied[(slice(-1),) * len(shape)]
     return CellSet._canonical(np.column_stack(inside.nonzero()))
 
 
-def boundary_mask(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS,
+def boundary_mask(cells: CellSet, lattices, *,
                   fold: bool = False) -> np.ndarray:
     """Boolean mask over ``cells`` marking boundary members.
 
-    A cell is boundary if some position within ``radius`` (x wrapped, p
+    A cell is boundary if some position within sqrt 2 (x wrapped, p
     clamped) is not a member; positions beyond the momentum band count as
     non-members, so cells on the bandwidth edge are always boundary cells
     and convergence there certifies that the band contains the state.
@@ -288,7 +279,7 @@ def boundary_mask(cells: CellSet, lattices, radius: float = DEFAULT_RADIUS,
     representatives, marked as their swap closure's members are.  Raises
     :class:`ValueError` for a cell outside the lattice.
     """
-    keys, shape = _neighbour_keys(cells, lattices, radius, fold)
+    keys, shape = _neighbour_keys(cells, lattices, fold)
     occupied = np.zeros(math.prod(shape), dtype=bool)
     occupied[keys[:, keys.shape[1] // 2]] = True
     return ~occupied[keys].all(axis=1)

@@ -7,8 +7,8 @@ The stationary solver grows the active cell set iteratively:
     30  stop if every tracked mode is below the cutoff on the basis boundary
     40  prune cells below the cutoff (max over tracked modes)
     50  expand by one ring of lattice neighbours, every cell within
-        Euclidean distance sqrt 2 in lattice steps (``DEFAULT_RADIUS``),
-        and extend the reduced matrices incrementally
+        Euclidean distance sqrt 2 in lattice steps, and extend the reduced
+        matrices incrementally
     60  repeat
 
 No classical trajectories or action estimates enter; the occupied region is
@@ -46,9 +46,9 @@ import scipy.linalg
 from .errors import ConvergenceError
 from .hamiltonian import (OperatorSpec, ReducedHamiltonian,
                           dense_grid_hamiltonian, grid_potential)
-from .reduced_space import (CellSet, DEFAULT_RADIUS, ReducedBasis,
-                            boundary_mask, cell_change, embed_coefficients,
-                            expand_cells, prune_cells)
+from .reduced_space import (CellSet, ReducedBasis, boundary_mask,
+                            cell_change, embed_coefficients, expand_cells,
+                            prune_cells)
 
 # Warm solves use shift-invert from this basis size on.  Measured per warm
 # solve (best of 5, one BLAS thread), shift-invert took 1.3-82x eigh's time
@@ -324,7 +324,7 @@ def tise_adaptive(spec: OperatorSpec, product, config: TiseConfig,
     for it in range(1, config.max_iterations + 1):
         n_solve = min(config.n_modes, rb.n)
         w, v = solve_reduced_eig(ham.Hbb, rb.Sinv_tilde, n_solve, warm)
-        bmask = boundary_mask(rb.cells, lattices, DEFAULT_RADIUS, fold)
+        bmask = boundary_mask(rb.cells, lattices, fold=fold)
         amp = rb.amplitudes(v)
         b_amp = float(amp[bmask].max()) if bmask.any() else 0.0
         history.append((rb.n_lattice, b_amp))
@@ -333,8 +333,7 @@ def tise_adaptive(spec: OperatorSpec, product, config: TiseConfig,
                                iterations=it, history=history,
                                reduced_basis=rb, hamiltonian=ham)
         kept = prune_cells(rb.cells, amp, config.zeta)
-        change = cell_change(rb.cells, expand_cells(kept, lattices,
-                                                    DEFAULT_RADIUS, fold))
+        change = cell_change(rb.cells, expand_cells(kept, lattices, fold=fold))
         warm = (w[0], embed_coefficients(v, change))
         rb.update(change)
         ham.update(change)

@@ -18,8 +18,8 @@ import scipy.linalg
 from . import models
 from .fourier_grid import build_grid, cardinal, synthesize_spectral
 from .vn_basis import analyze, build_basis_pair, build_lattice, transform_operator
-from .reduced_space import (DEFAULT_RADIUS, CellSet, ProductBasis,
-                            ReducedBasis, boundary_mask, cell_change,
+from .reduced_space import (CellSet, ProductBasis, ReducedBasis,
+                            boundary_mask, cell_change,
                             complementary_basis, embed_coefficients,
                             expand_cells, prune_cells, reduced_gaussians,
                             restrict_basis)
@@ -209,13 +209,12 @@ def check_orthogonal_decomposition(rng):
     return f"max cross term {worst:.1e}"
 
 
-def _enumerated_neighbourhood(cells, lattices, radius):
+def _enumerated_neighbourhood(cells, lattices):
     """Expansion and boundary flags of ``cells``, by visiting every offset
-    of every cell in per-axis (a, b) coordinates."""
-    r = int(np.floor(radius))
-    offsets = [off for off in itertools.product(range(-r, r + 1),
+    of length <= sqrt 2 of every cell in per-axis (a, b) coordinates."""
+    offsets = [off for off in itertools.product((-1, 0, 1),
                                                 repeat=2 * len(lattices))
-               if sum(o * o for o in off) <= radius * radius]
+               if sum(o * o for o in off) <= 2]
     members = set(cells)
     grown, boundary = set(), []
     for cell in cells:
@@ -240,7 +239,7 @@ def check_lattice_neighbours(rng):
                                      for lat in lattices]), ndof=2)
     sizes = []
     for cs in (cells, expand_cells(cells, lattices)):
-        grown, boundary = _enumerated_neighbourhood(cs, lattices, DEFAULT_RADIUS)
+        grown, boundary = _enumerated_neighbourhood(cs, lattices)
         assert list(expand_cells(cs, lattices)) == grown, (
             f"expansion of {len(cs)} cells differs from the enumeration")
         assert boundary_mask(cs, lattices).tolist() == boundary, (
@@ -405,7 +404,7 @@ def check_shift_invert_certificate(rng):
         if it == res.iterations:
             break
         new_cells = expand_cells(prune_cells(cells, np.abs(v), cfg.zeta),
-                                 m.lattices, DEFAULT_RADIUS)
+                                 m.lattices)
         warm = (w[0], embed_coefficients(v, cell_change(cells, new_cells)))
         cells = new_cells
     assert cells == res.final_cells, "the replay left the search's path"

@@ -304,6 +304,29 @@ def test_malformed_pulse_is_config_error(tmp_path, capsys, pulse):
     assert not os.path.exists(tmp_path / "run")
 
 
+@pytest.mark.parametrize("pulse, unread", [
+    ({"kind": "table", "times": [0.0, 1.0], "samples": [0.0, 1.0],
+      "t_on": 5.0, "amplitude": 0.1, "sigma": 1.0},
+     "'amplitude', 'sigma', 't_on'"),
+    ({"kind": "nir", "amplitude": 0.1, "period": 2.0, "sigma": 1.0,
+      "times": [0.0, 1.0], "samples": [0.0, 1.0]},
+     "'samples', 'sigma', 'times'"),
+    ({"kind": "xuv", "amplitude": 0.1, "period": 2.0, "sigma": 1.0,
+      "samples": [0.0, 1.0]}, "'samples'"),
+], ids=["table", "nir", "xuv"])
+def test_pulse_field_its_kind_does_not_read_is_config_error(tmp_path, capsys,
+                                                            pulse, unread):
+    cfg = _harmonic_cfg(str(tmp_path / "run"), tdse={
+        "t_span": [0.0, 1.0],
+        "pulses": [{"kind": "nir", "amplitude": 0.1, "period": 2.0,
+                    "coupling": "position"}, dict(pulse, coupling="position")]})
+    assert main(["tdse", _write(tmp_path, "cfg.json", cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: at /solver/tdse/pulses/1: a {pulse['kind']!r} pulse "
+        f"reads no {unread}\n")
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_nonfinite_table_potential_is_config_error(tmp_path, capsys):
     table = tmp_path / "v.csv"
     table.write_text("-10,50\n0,nan\n10,50\n")
@@ -511,7 +534,8 @@ def _reference_heatmap(path, lattices, cells, coeffs):
     with open(path, "w") as fh:
         fh.write(",".join(_axis_names(len(lattices))) + ",amplitude\n")
         for combo in itertools.product(*ranges):
-            pos = _cell_position(lattices, combo)
+            pos = [v for lat, i in zip(lattices, combo)
+                   for v in _cell_position(lat, i)]
             fh.write(",".join(_fmt(v) for v in pos)
                      + "," + _fmt(amp[combo]) + "\n")
 

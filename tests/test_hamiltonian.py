@@ -39,15 +39,24 @@ def dw_reduced(dw_model):
 
 def test_potfit2_rank_one_product(rng):
     f = rng.normal(size=24)
-    g = rng.normal(size=30)
-    fit = potfit2(np.outer(f, g), 1e-10)
+    fit = potfit2(np.outer(f, f), 1e-10)
     assert fit.rank == 1
     assert fit.max_abs_error <= 1e-12
     t = fit.terms[0]
     assert np.linalg.norm(t.factors[0]) == pytest.approx(1.0)
     assert np.linalg.norm(t.factors[1]) == pytest.approx(1.0)
     np.testing.assert_allclose(t.coefficient * np.outer(*t.factors),
-                               np.outer(f, g), atol=1e-12)
+                               np.outer(f, f), atol=1e-12)
+
+
+def test_potfit2_refuses_a_table_that_is_not_symmetric(rng):
+    f = rng.normal(size=24)
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        potfit2(np.outer(f, rng.normal(size=24)), 1e-10)
+    table = np.outer(f, f)
+    table[3, 5] = np.nextafter(table[3, 5], np.inf)
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        potfit2(table, 1e-10)
 
 
 def test_potfit2_zero_and_validation():
@@ -110,7 +119,7 @@ def test_apply_H_grid_plane_wave_eigenvector():
 def test_apply_H_grid_pure_potential(rng):
     g = build_grid(10.0, 32)
     v = rng.normal(size=g.N)
-    spec = OperatorSpec.build((g,), kinetic=(np.zeros(g.N),), potentials=(v,))
+    spec = OperatorSpec(grids=(g,), kinetic=(None,), potentials=(v,))
     psi = rng.normal(size=g.N) + 1j * rng.normal(size=g.N)
     np.testing.assert_allclose(apply_H_grid(spec, psi), v * psi, atol=1e-12)
 
@@ -263,8 +272,7 @@ def test_each_element_table_is_held_once(he_model, monkeypatch):
 
 def test_element_constant_potential_diagonal(pair60):
     g = pair60.grid
-    spec = OperatorSpec.build((g,), kinetic=(np.zeros(g.N),),
-                              potentials=(np.ones(g.N),))
+    spec = OperatorSpec(grids=(g,), kinetic=(None,), potentials=(np.ones(g.N),))
     ham = ReducedHamiltonian(spec, ProductBasis(pair60),
                              CellSet(np.arange(6)[:, None]))
     for j in range(6):
@@ -365,8 +373,8 @@ def test_full_set_reduction_is_similarity(dw_model, dw_dense):
     w, _ = solve_reduced_eig(ham.Hbb, rb.Sinv_tilde, pair.n)
     assert np.abs(w - dw_dense).max() <= 1e-8
     # zero Hamiltonian edge case of the Gaussian-side route
-    zspec = OperatorSpec.build((pair.grid,), kinetic=(np.zeros(pair.grid.N),),
-                               potentials=(np.zeros(pair.grid.N),))
+    zspec = OperatorSpec(grids=(pair.grid,), kinetic=(None,),
+                         potentials=(np.zeros(pair.grid.N),))
     z = reduced_via_gaussians(zspec, dw_model.product, rb)
     assert np.abs(z).max() < 1e-10
 

@@ -46,7 +46,7 @@ def _random_pd(rng, n):
 def test_cellset_canonical_order_and_dedup():
     cs = CellSet([[3], [1], [3], [2]])
     assert cs.indices[:, 0].tolist() == [1, 2, 3]
-    assert (2,) in cs and (5,) not in cs
+    assert (2,) in set(cs) and (5,) not in set(cs)
     cs2 = CellSet([[2, 1], [1, 9], [1, 2]], ndof=2)
     assert [tuple(r) for r in cs2.indices] == [(1, 2), (1, 9), (2, 1)]
 
@@ -123,18 +123,20 @@ def test_expand_cells_moore_neighborhood():
     g = build_grid(10.0, 40)
     lat = build_lattice(g, 5, 8)
     seed = CellSet([[lat.cell_index(2, 4)]])
-    grown = expand_cells(seed, lat, np.sqrt(2.0) + 1e-9)
+    grown = expand_cells(seed, lat)
     assert len(grown) == 9
     coords = {lat.cell_coords(i) for (i,) in grown}
     assert coords == {(a, b) for a in (1, 2, 3) for b in (3, 4, 5)}
 
 
-def test_expand_cells_von_neumann_neighborhood():
-    g = build_grid(10.0, 40)
-    lat = build_lattice(g, 5, 8)
+def test_the_stencil_takes_no_radius():
+    # the one ring is fixed: a positional radius is not read as ``fold``
+    lat = build_lattice(build_grid(10.0, 40), 5, 8)
     seed = CellSet([[lat.cell_index(2, 4)]])
-    grown = expand_cells(seed, lat, 1.0 + 1e-9)
-    assert len(grown) == 5
+    with pytest.raises(TypeError):
+        expand_cells(seed, lat, 1.5)
+    with pytest.raises(TypeError):
+        boundary_mask(seed, lat, 1.5)
 
 
 def test_expand_cells_wraps_x_clamps_p():
@@ -142,7 +144,7 @@ def test_expand_cells_wraps_x_clamps_p():
     lat = build_lattice(g, 5, 8)
     # corner cell: x wraps around, p clamps at the band edge
     seed = CellSet([[lat.cell_index(0, 0)]])
-    grown = expand_cells(seed, lat, np.sqrt(2.0) + 1e-9)
+    grown = expand_cells(seed, lat)
     coords = {lat.cell_coords(i) for (i,) in grown}
     assert len(grown) == 6
     assert coords == {(a % 5, b) for a in (-1, 0, 1) for b in (0, 1)}
@@ -154,7 +156,7 @@ def test_boundary_cells_geometry():
     # 3x3 interior block: the 8 perimeter cells are the boundary
     block = CellSet([[lat.cell_index(a, b)] for a in (1, 2, 3)
                      for b in (3, 4, 5)])
-    bnd = block.subset(boundary_mask(block, lat, np.sqrt(2.0) + 1e-9))
+    bnd = block.subset(boundary_mask(block, lat))
     assert len(bnd) == 8
     assert (lat.cell_index(2, 4),) not in bnd
     # singleton is its own boundary
@@ -219,18 +221,31 @@ def _oracle_neighbours(cell, lattices, offsets):
     return out
 
 
-def _check_against_oracle(cells, lattices, radius):
+def _offsets(lattices, radius):
     r = int(np.floor(radius))
-    offsets = [off for off in itertools.product(range(-r, r + 1),
-                                                repeat=2 * len(lattices))
-               if sum(o * o for o in off) <= radius * radius]
+    return [off for off in itertools.product(range(-r, r + 1),
+                                             repeat=2 * len(lattices))
+            if sum(o * o for o in off) <= radius * radius]
+
+
+def _grown(cells, lattices, radius):
+    """The oracle's expansion of ``cells`` by every offset within
+    ``radius``."""
+    offsets = _offsets(lattices, radius)
+    return {n for cell in cells
+            for n in _oracle_neighbours(cell, lattices, offsets) if n is not None}
+
+
+def _check_against_oracle(cells, lattices):
+    """Expansion and boundary of ``cells`` against the oracle's one ring
+    (every offset of length <= sqrt 2)."""
+    offsets = _offsets(lattices, np.sqrt(2.0))
     members = set(cells)
     nbrs = [_oracle_neighbours(cell, lattices, offsets) for cell in cells]
     grown = {n for row in nbrs for n in row if n is not None}
-    assert list(expand_cells(cells, lattices, radius)) == sorted(grown)
+    assert list(expand_cells(cells, lattices)) == sorted(grown)
     bnd = [any(n not in members for n in row) for row in nbrs]
-    assert boundary_mask(cells, lattices, radius).tolist() == bnd
-    return grown
+    assert boundary_mask(cells, lattices).tolist() == bnd
 
 
 def _check_change(old, new):
@@ -243,6 +258,8 @@ def _check_change(old, new):
 _SHAPES = [(5, 8), (3, 16), (4, 6), (1, 2), (2, 1), (2, 2), (1, 1)]
 
 
+# ``radius`` shapes the second set only: the oracle grows it by that radius,
+# and the one-ring stencil is checked on both sets
 @pytest.mark.parametrize("radius", [1.0, np.sqrt(2.0) + 1e-9, 2.3])
 @pytest.mark.parametrize("ndof", [1, 2, 3])
 def test_neighbour_tables_match_brute_force(ndof, radius, rng):
@@ -257,10 +274,9 @@ def test_neighbour_tables_match_brute_force(ndof, radius, rng):
                                  [0, lat.Np - 1][int(rng.integers(2))])
                   for lat in lattices]
         cells = CellSet(raw, ndof=ndof)
-        grown = CellSet(sorted(_check_against_oracle(cells, lattices, radius)),
-                        ndof=ndof)
-        if ndof < 3 or radius < 2:
-            _check_against_oracle(grown, lattices, radius)
+        _check_against_oracle(cells, lattices)
+        grown = CellSet(sorted(_grown(cells, lattices, radius)), ndof=ndof)
+        _check_against_oracle(grown, lattices)
         other = CellSet(np.column_stack([rng.integers(nx * np_, size=n)
                                          for nx, np_ in shapes]), ndof=ndof)
         empty = CellSet(np.zeros((0, ndof)), ndof=ndof)
@@ -279,10 +295,9 @@ def test_edge_lattices_match_brute_force():
     for nx, np_ in itertools.product((1, 2), repeat=2):
         lat = (_lattice(nx, np_),)
         every = CellSet(np.arange(nx * np_)[:, None])
-        for radius in (1.0, np.sqrt(2.0) + 1e-9, 2.3):
-            for cell in range(nx * np_):
-                _check_against_oracle(CellSet([[cell]]), lat, radius)
-            _check_against_oracle(every, lat, radius)
+        for cell in range(nx * np_):
+            _check_against_oracle(CellSet([[cell]]), lat)
+        _check_against_oracle(every, lat)
         # the whole lattice: only momentum-edge cells are boundary, and with
         # one or two momentum rows every cell is on an edge
         assert boundary_mask(every, lat).all()
@@ -301,7 +316,7 @@ def test_axis_tables_are_built_once_and_read_only(he_model):
     info = _stencil_tables.cache_info()
     assert info.misses == 1 and info.currsize == 1 and info.hits == 5
     # the 33 offsets of length <= sqrt(2) in four axes, per axis
-    for table in _stencil_tables(((5, 12), (5, 12)), np.sqrt(2.0) + 1e-9):
+    for table in _stencil_tables(((5, 12), (5, 12))):
         assert table.shape == (60, 33) and not table.flags.writeable
 
 
@@ -654,8 +669,8 @@ def test_carried_generator_matches_stilde_times_block(ndof, pair48, pair60,
                             3: (small,) * 3}[ndof])
     grids = product.grids
     pos = models.position_coupling(grids)
-    spec = OperatorSpec.build(
-        grids, potentials=tuple(0.5 * g.centered_points ** 2 for g in grids),
+    spec = dataclasses.replace(OperatorSpec.build(
+        grids, potentials=tuple(0.5 * g.centered_points ** 2 for g in grids)),
         control_terms=(pos, pos, models.momentum_coupling(grids)))
     rng = np.random.default_rng(ndof)
     universe = np.array(list(itertools.product(*(range(p.n)
@@ -920,20 +935,18 @@ def test_fold_unfold_and_restrict_round_trip(pair60, rng):
     np.testing.assert_allclose(folded.restrict(reps, u), c, rtol=1e-14)
 
 
-@pytest.mark.parametrize("radius", [np.sqrt(2.0) + 1e-9, 2.0])
-def test_folded_bookkeeping_matches_the_swap_closure(pair60, rng, radius):
+def test_folded_bookkeeping_matches_the_swap_closure(pair60, rng):
     folded = ProductBasis((pair60, pair60)).folded()
     lattices, fold = folded.lattices, folded.fold
     reps = _random_orbits(rng, folded, size=60)
     for _ in range(2):
         cells = folded.lattice_cells(reps)
-        grown = expand_cells(reps, lattices, radius, fold)
-        assert grown == folded.representatives(
-            expand_cells(cells, lattices, radius))
+        grown = expand_cells(reps, lattices, fold=fold)
+        assert grown == folded.representatives(expand_cells(cells, lattices))
         at = cell_change(cells, reps).kept
         np.testing.assert_array_equal(
-            boundary_mask(reps, lattices, radius, fold),
-            boundary_mask(cells, lattices, radius)[at])
+            boundary_mask(reps, lattices, fold=fold),
+            boundary_mask(cells, lattices)[at])
         reps = grown
 
 

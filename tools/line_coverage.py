@@ -14,6 +14,9 @@ library only, besides pytest itself.
 
 Prints, per module, each statement that never ran (line number and source
 line), then the count per module and the total.  The exit code is pytest's.
+``tools/reach.py`` runs its callers under the same tracer (:func:`trace`)
+and counts and prints statements the same way (:func:`statements`,
+:func:`report`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ _TRIES = tuple(getattr(ast, name) for name in ("Try", "TryStar")
 
 
 def statements(source: str):
-    """``(line, lines that show it ran)`` of each counted statement."""
+    """``(line, lines that show it ran, AST node)`` of each counted
+    statement, in line order."""
     tree = ast.parse(source)
     docstrings = set()
     for node in ast.walk(tree):
@@ -55,17 +59,14 @@ def statements(source: str):
             shown = set(range(node.lineno, body[0].lineno))
         else:
             shown = set(range(node.lineno, node.end_lineno + 1))
-        out.append((node.lineno, shown or {node.lineno}))
-    return sorted(out)
+        out.append((node.lineno, shown or {node.lineno}, node))
+    return sorted(out, key=lambda s: s[0])
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if args and args[0] == "--":
-        args = args[1:]
-    sys.path.insert(0, os.path.join(_ROOT, "src"))
-    import pytest
-
+def trace(run):
+    """Call ``run()`` under ``sys.settrace`` (and ``threading.settrace``),
+    following only frames whose code lives in the package; return its
+    result and the lines run, per module path."""
     ran = {}                       # module path -> line numbers run
     lines_of = {}                  # code file name -> its set in ran, or None
 
@@ -88,12 +89,26 @@ def main(argv=None) -> int:
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider",
-                            os.path.join(_ROOT, "tests"), *args])
+        result = run()
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    return result, ran
 
+
+def run_tests(args=()):
+    """The pytest suite under :func:`trace`: its exit code and lines run."""
+    sys.path.insert(0, os.path.join(_ROOT, "src"))
+    import pytest
+
+    return trace(lambda: pytest.main(["-q", "-p", "no:cacheprovider",
+                                      os.path.join(_ROOT, "tests"), *args]))
+
+
+def report(pick):
+    """Print each statement of the package for which ``pick(path, shown,
+    node)`` is true (``shown`` and ``node`` as :func:`statements` gives
+    them), then the count per module and the total."""
     total, counts = 0, []
     for name in sorted(os.listdir(_PACKAGE)):
         if not name.endswith(".py"):
@@ -101,16 +116,24 @@ def main(argv=None) -> int:
         path = os.path.join(_PACKAGE, name)
         with open(path, encoding="utf-8") as fh:
             source = fh.read()
-        lines, hit = source.splitlines(), ran.get(path, set())
-        missed = [line for line, shown in statements(source)
-                  if not shown & hit]
-        for line in missed:
+        lines = source.splitlines()
+        picked = [line for line, shown, node in statements(source)
+                  if pick(path, shown, node)]
+        for line in picked:
             print(f"{name}:{line}: {lines[line - 1].strip()}")
-        counts.append((name, len(missed)))
-        total += len(missed)
+        counts.append((name, len(picked)))
+        total += len(picked)
     for name, n in counts:
         print(f"{name:24s} {n:6d}")
     print(f"{'total':24s} {total:6d}")
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if args and args[0] == "--":
+        args = args[1:]
+    code, ran = run_tests(args)
+    report(lambda path, shown, node: not shown & ran.get(path, set()))
     return int(code)
 
 
