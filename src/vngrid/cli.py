@@ -413,6 +413,10 @@ def cmd_tdse(args) -> int:
     except tuple(_EXIT_CODES) as exc:
         return _fail(out_dir, failed, exc, events=True)
     t_prop = time.perf_counter() - t_start
+    cache = ground.hamiltonian.cache_stats()
+    # the outputs read no n x n matrix: drop the staged basis with its
+    # generators, and the Hamiltonian with its combined buffer, first
+    ground.reduced_basis = ground.hamiltonian = traj.generator = None
 
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "trajectory.csv"), "w") as fh:
@@ -457,7 +461,7 @@ def cmd_tdse(args) -> int:
                          "n_cells": n_ground,
                          "n_folded": len(ground.final_cells) if folded else None,
                          "iterations": ground.iterations},
-        "cache": ground.hamiltonian.cache_stats(),
+        "cache": cache,
         "timings": {"build_s": t_build, "ground_s": t_ground, "prop_s": t_prop,
                     "peak_rss_mb": _peak_rss_mb()},
     }

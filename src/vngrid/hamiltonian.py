@@ -63,6 +63,7 @@ the first axis's factors.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import NamedTuple
 
@@ -73,7 +74,7 @@ from .reduced_space import CellChange, CellSet, ProductBasis, carry_hermitian
 from .vn_basis import BasisPair, hermitize as _hermitize
 
 DENSE_LIMIT = 4096  # dense full-grid constructions refuse beyond this
-_CHUNK_ENTRIES = 1 << 16  # per-chunk pair-table entries in block contraction
+_CHUNK_ENTRIES = 1 << 15  # per-chunk temporary entries in block contraction
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +634,13 @@ class ReducedHamiltonian:
         Rows are taken in chunks; per row, the axis-0 factor over the
         distinct axis-0 columns multiplies (one batched GEMM over the rank)
         the product of the other axes' factors over their distinct columns,
-        and the block's columns are gathered from that small product table.
-        With ``swap`` the second axis's slab has its first two columns
-        swapped; the shared stack is never written.
+        and the block's columns are gathered from that small product table
+        straight into the result.  A chunk's temporaries are its gathered
+        factor slabs (the rank times the distinct columns of each axis, and
+        with three or more axes their product over the other axes) and its
+        product table; together they stay within ``_CHUNK_ENTRIES`` entries,
+        or one row.  With ``swap`` the second axis's slab has its first two
+        columns swapped; the shared stack is never written.
         """
         stacks, swap = factors
         if len(stacks) == 1:
@@ -647,7 +652,9 @@ class ReducedHamiltonian:
         n_rest = int(np.prod(widths[1:]))
         gather = inverse[0] * n_rest + np.ravel_multi_index(inverse[1:],
                                                             widths[1:])
-        step = max(1, _CHUNK_ENTRIES // (widths[0] * n_rest))
+        slabs = stacks[0].shape[-1] * (sum(widths)
+                                       + (n_rest if len(widths) > 2 else 0))
+        step = max(1, _CHUNK_ENTRIES // (widths[0] * n_rest + slabs))
         for lo in range(0, len(ri), step):
             chunk = ri[lo:lo + step]
             left, right, *more = (f[chunk[:, k, None], u] for k, (f, u)
@@ -658,7 +665,10 @@ class ReducedHamiltonian:
                 right = (right[:, :, None, :] * g[:, None, :, :]).reshape(
                     len(chunk), -1, g.shape[-1])
             pairs = left @ right.transpose(0, 2, 1)
-            out[lo:lo + step] = pairs.reshape(len(chunk), -1)[:, gather]
+            # the indices are in range: "clip" only lets take write unbuffered
+            pairs.reshape(len(chunk), -1).take(gather, axis=1, mode="clip",
+                                               out=out[lo:lo + step])
+            del left, right, pairs      # before the next chunk's are made
         return out
 
     # -- incremental maintenance ----------------------------------------------
@@ -668,23 +678,34 @@ class ReducedHamiltonian:
         return [self._block(added, cells, factors)
                 for factors in (self._drift, *self._controls)]
 
+    def block_rows(self, cells: CellSet) -> list:
+        """One function per distinct block, laid out as :attr:`blocks`, that
+        assembles the block's rows of a panel of ``cells`` over all of
+        ``cells``: what a refresh stages from
+        (:meth:`~vngrid.reduced_space.ReducedBasis.stage`), so that no full
+        block is held."""
+        return [functools.partial(self._block, cols=cells, factors=factors)
+                for factors in (self._drift, *self._controls)]
+
     def update(self, change: CellChange):
         """Re-target to the new cells of ``change`` (the
         :func:`~vngrid.reduced_space.cell_change` from the current cells)
         and return the added cells.
 
-        Every distinct block is carried as the reduced overlap is
-        (:func:`~vngrid.reduced_space.carry_hermitian`): only the rows of
-        added cells are assembled, and the result matches a from-scratch
-        assembly to round-off (helium: 5e-15 after one change; folded, where
-        a fresh block is hermitized as a whole, 1.8e-14 after 20).  Each old
-        block is freed as its successor is built, so the carry holds one
-        block more than it keeps, not twice as many.
+        Every distinct block is carried as the search's reduced overlap is
+        (:func:`~vngrid.reduced_space.carry_hermitian`, a panel of rows at
+        a time): only the rows of added cells are assembled, and the result
+        matches a from-scratch assembly to round-off (helium: 5e-15 after
+        one change; folded, where a fresh block is hermitized as a whole,
+        1.8e-14 after 20).  Each old block, and its added rows, are freed
+        as its successor is built, so the carry holds one block more than it
+        keeps, not twice as many.
         """
         rows = self.rows(change.added, change.new)
         blocks, self.blocks = list(self.blocks), ()
-        for i, fresh in enumerate(rows):
-            blocks[i] = carry_hermitian(blocks[i], change, fresh)
+        for i in range(len(blocks)):
+            blocks[i] = carry_hermitian(blocks[i], change, rows[i])
+            rows[i] = None          # freed once its block is carried
         self.blocks = tuple(blocks)
         self.cells = change.new
         return change.added

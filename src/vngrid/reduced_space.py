@@ -33,7 +33,10 @@ only the dropped block of the inverse and the Schur complement of the added
 cells.  The same update carries the generators ``Stilde @ H`` that a
 propagator stages on the basis (:meth:`ReducedBasis.stage`) from the added
 rows of ``H`` alone: the inverse and each generator take one gather into
-the new order and GEMMs of the change's rank.
+the new order and GEMMs of the change's rank.  Staging inverts the overlap
+in place and drops it: a propagator's basis holds the inverse and the
+generators, and its norm is read off the per-axis overlaps
+(:meth:`ProductBasis.norm`).
 
 Conditioning
 ------------
@@ -87,6 +90,10 @@ from scipy.linalg.lapack import (zlange as _zlange, zposv as _zposv,
 from .errors import DegenerateUpdateError, IllConditionedBasisError
 from .vn_basis import (COND_LIMIT, BasisPair, VonNeumannLattice,
                        hermitize as _hermitize)
+
+# rows per panel wherever an n x n matrix is formed or moved a panel at a
+# time, so that no temporary of its size is made
+_PANEL = 64
 
 # ---------------------------------------------------------------------------
 # cell sets and lattice geometry
@@ -373,8 +380,18 @@ def carry_hermitian(mat, change: CellChange, fresh_rows):
     """Move a Hermitian reduced matrix across a change: the kept block
     ``mat[kept, kept]`` is gathered into the new order, the rows of the
     added cells over every new cell are written, and their conjugates fill
-    the fresh columns."""
-    out = mat.take(change.source, axis=0).take(change.source, axis=1)
+    the fresh columns.
+
+    The gather runs a panel of rows at a time, straight into the result, so
+    the only other matrix made is one panel of ``mat``'s rows.  The eigenmode
+    search carries its overlap and blocks this way; a staged basis carries
+    no Hermitian matrix."""
+    src = change.source
+    out = np.empty((len(src), len(src)), dtype=mat.dtype)
+    for lo in range(0, len(src), _PANEL):
+        # the indices are in range: "clip" only lets take write unbuffered
+        mat.take(src[lo:lo + _PANEL], axis=0).take(
+            src, axis=1, out=out[lo:lo + _PANEL], mode="clip")
     out[change.fresh_rows] = fresh_rows
     out.T[change.fresh_rows] = fresh_rows.conj()
     return out
@@ -509,6 +526,30 @@ def _gather(mat, order, src, fi, spare):
     # the indices are in range: "clip" only lets take write unbuffered
     rows.take(src, axis=1, out=out[:len(order)], mode="clip")
     return out, rows
+
+
+def _hermitize_in_place(m, rows, cols):
+    """Replace the square block ``m[rows][:, cols]`` by its Hermitian part,
+    in place; ``rows[i]`` and ``cols[i]`` index the same cell.
+
+    It runs over pairs of panels, ``(I, J)`` with ``I <= J``: both mirrored
+    sub-blocks are read before either is written, so each entry is ``(m_ij
+    + conj m_ji) / 2``, the bits of :func:`~vngrid.vn_basis.hermitize`, with
+    no temporary larger than a panel's square."""
+    for i in range(0, len(rows), _PANEL):
+        ri, ci = rows[i:i + _PANEL], cols[i:i + _PANEL]
+        for j in range(i, len(rows), _PANEL):
+            rj, cj = rows[j:j + _PANEL], cols[j:j + _PANEL]
+            upper = m[np.ix_(ri, cj)]
+            upper += m[np.ix_(rj, ci)].T.conj()
+            upper *= 0.5
+            m[np.ix_(ri, cj)] = upper
+            m[np.ix_(rj, ci)] = upper.T.conj()
+
+
+def _restrict(mat, index):
+    """``mat[index][:, index]``, by two gathers."""
+    return mat.take(index, axis=0).take(index, axis=1)
 
 
 def _pd_solve(a, b, failure):
@@ -674,23 +715,81 @@ class ProductBasis:
         ci)``, the lattice-cell entries between two arrays of index rows.
 
         Unfolded, they are passed through.  Folded, ``contract`` is called
-        once, for the columns followed by their mirrors, and the two halves
-        are summed and scaled by ``w_i w_j / 2``.  The block over the rows
-        that are also columns is hermitized: a sum-of-products operator
-        commutes with the swap only to round-off.
+        once per panel of rows, for the columns followed by their mirrors,
+        and the two halves are summed into the result and scaled by
+        ``w_i w_j / 2``.  The block over the rows that are also columns is
+        then hermitized in place (:func:`_hermitize_in_place`): a
+        sum-of-products operator commutes with the swap only to round-off.
+        Besides the result, no matrix larger than a panel's two halves is
+        made.
         """
         ri, ci = rows.indices, cols.indices
         if not self.fold:
             return contract(ri, ci)
-        both = contract(ri, np.concatenate([ci, ci[:, ::-1]]))
-        out = both[:, :len(ci)] + both[:, len(ci):]
-        del both
-        out *= (self.weights(rows) / math.sqrt(2.0))[:, None]
-        out *= self.weights(cols) / math.sqrt(2.0)
+        both, nc = np.concatenate([ci, ci[:, ::-1]]), len(ci)
+        w_rows = self.weights(rows) / math.sqrt(2.0)
+        w_cols = self.weights(cols) / math.sqrt(2.0)
+        out = np.empty((len(ri), nc), dtype=complex)
+        for lo in range(0, len(ri), _PANEL):
+            halves = contract(ri[lo:lo + _PANEL], both)
+            panel = np.add(halves[:, :nc], halves[:, nc:],
+                           out=out[lo:lo + _PANEL])
+            panel *= w_rows[lo:lo + _PANEL, None]
+            panel *= w_cols
+            del halves          # before the next panel's are made
         shared = cell_change(rows, cols)
-        block = np.ix_(shared.kept, ~shared.fresh)
-        out[block] = _hermitize(out[block])
+        _hermitize_in_place(out, shared.kept.nonzero()[0],
+                            (~shared.fresh).nonzero()[0])
         return out
+
+    def norm(self, cells: CellSet, coeffs) -> float:
+        """``sqrt(c^H S c)`` for the reduced overlap ``S`` of the rows
+        ``cells``, from the per-axis overlaps alone.
+
+        ``S`` restricted to the rows is ``kron_axis S_axis`` restricted to
+        their lattice cells.  So the unfolded coefficients (``c / w`` at both
+        cells of an orbit, on a folded basis) are scattered into an array
+        ``z``, and the norm is ``z^H (kron_axis S_axis) z``: one contraction
+        per axis and one inner product, at the cost of the per-axis index
+        sets, not of ``n^2``.  On several axes ``z`` spans the occupied
+        indices of each axis (one set for both axes of a fold), and each
+        axis overlap is restricted to them: at the paper-scale lattice about
+        80 of 156 per axis.  On one axis the occupied indices are the rows,
+        whose gather from the axis overlap costs more than a product with
+        all of it (9 us against 5 us, 55 of 120 cells), so ``z`` spans the
+        axis: one bound BLAS ``zgemv`` and one ``zdotc``.  The norm agrees
+        with ``sqrt(c^H S c)`` from an assembled ``S`` to round-off
+        (``reduced_space/factored-norm``), not bit for bit.
+        """
+        coeffs = np.asarray(coeffs, dtype=complex)
+        at = cells.indices
+        if len(self.pairs) == 1:
+            sinv = self.pairs[0].Sinv
+            z = np.zeros(len(sinv), dtype=complex)
+            z[at[:, 0]] = coeffs
+            # every argument positional up to trans = 1, as in
+            # dynamics.taylor_step: parsing keywords costs a microsecond
+            sz = _zgemv(1.0, sinv.T, z, 0.0, None, 0, 1, 0, 1, 1)
+            return math.sqrt(max(0.0, _zdotc(z, sz).real))
+        if self.fold:
+            occupied, where = np.unique(at, return_inverse=True)
+            sub = _restrict(self.pairs[0].Sinv, occupied)
+            occupied, subs = (occupied,) * 2, (sub,) * 2
+            where = where.reshape(at.shape)
+            coeffs = coeffs / self.weights(cells)
+        else:
+            occupied, where = zip(*(np.unique(at[:, k], return_inverse=True)
+                                    for k in range(at.shape[1])))
+            subs = [_restrict(p.Sinv, u) for p, u in zip(self.pairs, occupied)]
+            where = np.column_stack(where)
+        z = np.zeros([len(u) for u in occupied], dtype=complex)
+        if self.fold:
+            z[where[:, 1], where[:, 0]] = coeffs
+        z[tuple(where.T)] = coeffs
+        sz = z
+        for sub in subs:                # each moves its axis last
+            sz = np.tensordot(sz, sub, axes=(0, 1))
+        return math.sqrt(max(0.0, np.vdot(z, sz).real))
 
     def overlap(self, rows: CellSet, cols: CellSet) -> np.ndarray:
         """Entries of ``Btilde^H Btilde`` between two cell lists."""
@@ -739,16 +838,26 @@ class ProductBasis:
 class ReducedBasis:
     """Active cells with ``Sinv_tilde = Btilde^H Btilde`` and its inverse.
 
-    Mutated only between solver phases (single writer).  The overlap
-    entries are exact per-axis products, carried across each update by
-    :func:`carry_hermitian`: bit for bit a fresh overlap, or folded within
-    round-off of one, whose block is hermitized as a whole.  Their
-    conditioning is bounded by the :class:`ProductBasis` (module docstring),
-    so neither creation nor an update factors them.  ``Stilde``, which the
-    eigenmode search never reads, is formed from scratch on first read or
-    by :meth:`stage` (:func:`_fresh_inverse`, with its exact checks).  Each
-    :meth:`update` carries it, and the :attr:`generators` staged with it,
-    to the new cells.
+    Mutated only between solver phases (single writer).  A basis is in one
+    of two states:
+
+    * **unstaged** (as :meth:`create` makes it, and as the eigenmode search
+      keeps it): it holds the overlap ``Sinv_tilde``, whose eigensolves read
+      it.  The overlap entries are exact per-axis products, carried across
+      each update by :func:`carry_hermitian`: bit for bit a fresh overlap,
+      or folded within round-off of one, whose block is hermitized as a
+      whole.  ``Stilde`` is formed from a copy of it on first read, and from
+      then on carried too;
+    * **staged** (:meth:`stage`, by a propagator): the overlap has been
+      inverted in place and dropped.  The basis holds ``Stilde`` and the
+      :attr:`generators`, and each :meth:`update` carries those alone, from
+      the change's added overlap rows; ``Sinv_tilde`` is None.
+
+    The overlap's conditioning is bounded by the :class:`ProductBasis`
+    (module docstring), so neither creation nor an update factors it; a
+    from-scratch inverse (:func:`_fresh_inverse`) makes exact checks of its
+    own.  The norm is read off the per-axis overlaps in either state
+    (:meth:`physical_norm`).
 
     On a folded product basis the cells are orbit representatives:
     ``n`` counts them, ``n_lattice`` the lattice cells they span, and
@@ -788,34 +897,67 @@ class ReducedBasis:
 
     @property
     def Stilde(self) -> np.ndarray:
-        """``(Btilde^H Btilde)^-1``, inverted from scratch on first read."""
+        """``(Btilde^H Btilde)^-1``, inverted from scratch on first read: from
+        a copy of the held overlap, which stays, or, on a basis that holds
+        none (unstaged after staging), by :meth:`stage` with no blocks."""
         if self._stilde is None:
-            self._stilde = _fresh_inverse(self.Sinv_tilde, self.n)
+            if self.Sinv_tilde is None:
+                self.stage([])
+            else:
+                self._stilde = _fresh_inverse(self.Sinv_tilde, self.n)
         return self._stilde
 
     def stage(self, blocks: list):
-        """Form ``Stilde`` from scratch and stage ``Stilde @ b`` for each
-        Hermitian block ``b`` over the current cells, one GEMM each, as
-        :attr:`generators`.
+        """Form ``Stilde`` from scratch, drop the overlap, and stage
+        ``Stilde @ b`` for each Hermitian block ``b`` over the current cells
+        as :attr:`generators`.
 
-        The blocks are consumed: the list is emptied, each block leaving it
-        as soon as its generator exists, so that a caller holding no other
+        The overlap is the held one, or on a basis that holds none (a
+        refresh, after :meth:`unstage`) one assembled into a new buffer;
+        either way :func:`_fresh_inverse` inverts it in place, so the
+        inverse is the only matrix of its size that staging adds.  Staged
+        generators are dropped before it, and the basis keeps no overlap
+        from then on, even if the inversion fails.
+
+        Each entry of ``blocks`` is either a block, or a function that
+        assembles the block's rows over a panel of the cells (a
+        :class:`CellSet`), as
+        :meth:`~vngrid.hamiltonian.ReducedHamiltonian.block_rows` gives
+        them.  One path forms every generator a panel of columns at a
+        time, ``G[:, p] = Stilde @ b[:, p]``, from the block's columns or
+        from the conjugate of its assembled rows, one GEMM each (bit for bit
+        the GEMM over all columns), so that a refresh holds no full block.
+        The list is consumed: the entries leave it one at a time, each as
+        soon as its generator exists, so that a caller holding no other
         reference (a propagation's handed-over Hamiltonian, after
-        :meth:`~vngrid.hamiltonian.ReducedHamiltonian.take_blocks`) frees it
-        then.  Generators staged before are dropped once the new ``Stilde``
-        exists, before the first new one is formed; a caller that assembles
-        the blocks afresh (a propagation's refresh) calls :meth:`unstage`
-        first, so that neither the old ``Stilde`` nor the old generators are
-        held while it assembles.
+        :meth:`~vngrid.hamiltonian.ReducedHamiltonian.take_blocks`) frees
+        each block then.
         """
-        self._stilde = _fresh_inverse(self.Sinv_tilde, self.n)
-        self.generators = []
+        overlap = self.Sinv_tilde
+        self.Sinv_tilde, self._stilde, self.generators = None, None, []
+        if overlap is None:
+            overlap = self.product.overlap(self.cells, self.cells)
+        self._stilde = _fresh_inverse(overlap, self.n, overwrite=True)
+        del overlap
+        n = self.n
         blocks.reverse()
         while blocks:
-            self.generators.append(self._stilde @ blocks.pop())
+            block = blocks.pop()
+            g = np.empty((n, n), dtype=complex)
+            for lo in range(0, n, _PANEL):
+                if isinstance(block, np.ndarray):
+                    cols = block[:, lo:lo + _PANEL]
+                else:
+                    rows = block(CellSet._canonical(
+                        self.cells.indices[lo:lo + _PANEL]))
+                    cols = np.conjugate(rows, out=rows).T
+                np.matmul(self._stilde, cols, out=g[:, lo:lo + _PANEL])
+            del block, cols     # the panel view would keep a block alive
+            self.generators.append(g)
 
     def unstage(self):
-        """Drop ``Stilde`` and the staged generators; the overlap stays."""
+        """Drop ``Stilde`` and the staged generators.  A staged basis then
+        holds no n x n matrix; :meth:`stage` assembles the overlap again."""
         self._stilde, self.generators = None, []
 
     @property
@@ -824,36 +966,32 @@ class ReducedBasis:
         return self.product.dual_columns(self.cells)
 
     def physical_norm(self, coeffs) -> float:
-        """Norm of the represented state: sqrt(c^H (Btilde^H Btilde) c).
-
-        One bound BLAS ``zgemv`` on the F-ordered view of the overlap and one
-        ``zdotc``: the bits of ``np.vdot(c, Sinv_tilde @ c)``, without the
-        per-call overhead of the ``numpy`` forms at a propagator's sizes."""
-        coeffs = np.asarray(coeffs, dtype=complex)
-        sc = _zgemv(1.0, self.Sinv_tilde.T, coeffs, 0.0, None, 0, 1, 0, 1, 1)
-        return math.sqrt(max(0.0, _zdotc(coeffs, sc).real))
+        """Norm of the represented state, ``sqrt(c^H (Btilde^H Btilde) c)``,
+        from the per-axis overlaps (:meth:`ProductBasis.norm`): it reads no
+        reduced overlap, so a staged basis needs none."""
+        return self.product.norm(self.cells, coeffs)
 
     def update(self, change: CellChange, rows=()):
         """Switch to the new cells of ``change``, the :func:`cell_change`
-        from the current cells, carrying the overlap, its inverse and the
-        staged generators.
+        from the current cells, carrying what the basis holds: the overlap
+        (unstaged), the inverse once formed, and the staged generators.
 
         Returns the change's ``(added, removed)`` cell sets.  Only the added
         overlap rows are computed, and they are all the inverse's one block
         update reads of the new overlap: ``grow_inverse(Stilde, change,
         s_a, carry)``, which factorizes only the dropped block of the
         current inverse and the Schur complement of the added block (a
-        drop-only change has no added rows).  Before the first read of
-        ``Stilde`` only the overlap is carried.  At n ~ 55 with one staged
-        generator and one BLAS thread an update takes about 150 us.
+        drop-only change has no added rows).  A staged basis carries no
+        overlap (no :func:`carry_hermitian`); an unstaged one whose
+        ``Stilde`` was never read carries only the overlap.
 
         ``rows`` holds each staged block's added rows over the new cells
         (``ReducedHamiltonian.rows(change.added, change.new)``), one per
         generator, or :class:`ValueError` is raised; each generator becomes
         the new ``Stilde @ H`` through the same update as the inverse.  An
-        update that raises leaves everything as it was: the cells,
-        ``Sinv_tilde``, ``Stilde`` and every generator, since both
-        factorizations run before anything is written.
+        update that raises leaves everything as it was: the cells, the
+        overlap, ``Stilde`` and every generator, since both factorizations
+        run before anything is written.
         """
         if len(rows) != len(self.generators):
             raise ValueError("one row block per staged generator required")
@@ -864,7 +1002,9 @@ class ReducedBasis:
         if len(new_cells) == 0:
             raise DegenerateUpdateError("cannot reduce to an empty cell set")
         s_a = self.product.overlap(added, new_cells)
-        sinv = carry_hermitian(self.Sinv_tilde, change, s_a)
+        sinv = self.Sinv_tilde
+        if sinv is not None:
+            sinv = carry_hermitian(sinv, change, s_a)
         if self._stilde is not None:
             carry = [[g, r] for g, r in zip(self.generators, rows)]
             self._stilde = grow_inverse(self._stilde, change, s_a, carry)
@@ -874,24 +1014,33 @@ class ReducedBasis:
         return added, removed
 
 
-def _fresh_inverse(sinv: np.ndarray, n: int) -> np.ndarray:
+def _fresh_inverse(sinv: np.ndarray, n: int, overwrite: bool = False
+                   ) -> np.ndarray:
     """Inverse of the reduced overlap by Cholesky, with a conditioning check.
 
-    One copy of the overlap is factored (LAPACK ``zpotrf``) and inverted
-    (``zpotri``, which writes a real diagonal) in place, reading and
-    writing its upper triangle, and the other triangle is filled with the
-    conjugates: the result is exactly Hermitian, and the only matrix of its
-    size made.
+    With ``overwrite`` (staging, which drops the overlap) ``sinv``, which
+    must be a C-contiguous complex array, is itself factored and inverted
+    and no copy is made; otherwise one copy of it is.  The factorization
+    (LAPACK ``zpotrf``) and inversion (``zpotri``, which writes a real
+    diagonal) run in place, reading and writing the upper triangle, and the
+    other triangle is filled with the conjugates: the result is exactly
+    Hermitian.
 
     The check uses the 1-norm condition number ``||S||_1 ||S^-1||_1``, read
-    off the overlap and its inverse in O(n^2) by LAPACK ``zlange``, which
-    makes no temporary (``np.linalg.norm`` makes an n x n one per call).
-    For a Hermitian matrix the 1-norm bounds the 2-norm from above, so this
-    never passes a matrix whose 2-norm condition number exceeds the limit.
-    A failed factorization (not positive definite) counts as infinitely
-    ill-conditioned.
+    off the overlap before it is overwritten and off its inverse, in O(n^2)
+    each by LAPACK ``zlange``, which makes no temporary
+    (``np.linalg.norm`` makes an n x n one per call).  For a Hermitian
+    matrix the 1-norm bounds the 2-norm from above, so this never passes a
+    matrix whose 2-norm condition number exceeds the limit.  A failed
+    factorization (not positive definite) counts as infinitely
+    ill-conditioned; with ``overwrite`` the buffer then holds neither
+    matrix.
     """
-    inv = np.array(sinv, dtype=complex, order="C")
+    # with overwrite, a ValueError if ``sinv`` would need a copy
+    inv = np.array(sinv, dtype=complex, order="C", copy=not overwrite)
+    # ``zlange`` reads each F-ordered view, the transpose, whose 1-norm is
+    # the matrix's infinity norm: its 1-norm, since the matrix is Hermitian
+    norm = float(_zlange("1", inv.T))
     # the F-ordered view of a C-ordered Hermitian matrix is its transpose,
     # whose lower triangle is the matrix's upper triangle
     _, info = _zpotrf(inv.T, lower=1, clean=0, overwrite_a=1)
@@ -903,15 +1052,13 @@ def _fresh_inverse(sinv: np.ndarray, n: int) -> np.ndarray:
             cond=math.inf, size=n)
     # the strict lower triangle from the upper one, a panel of rows at a
     # time: no temporary larger than a panel
-    for lo in range(0, len(inv), 64):
-        hi = lo + 64
+    for lo in range(0, len(inv), _PANEL):
+        hi = lo + _PANEL
         inv[lo:hi, :lo] = inv[:lo, lo:hi].T.conj()
         diag = inv[lo:hi, lo:hi]
         lower = np.tri(len(diag), k=-1, dtype=bool)
         diag[lower] = diag.T[lower].conj()
-    # ``zlange`` reads each F-ordered view, the transpose, whose 1-norm is
-    # the matrix's infinity norm: its 1-norm, since the matrix is Hermitian
-    cond = float(_zlange("1", sinv.T) * _zlange("1", inv.T))
+    cond = norm * float(_zlange("1", inv.T))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditionedBasisError(
             f"reduced overlap of {n} cells is ill-conditioned (cond ~ {cond:.2e})",

@@ -281,6 +281,27 @@ def check_exchange_fold(rng):
             f"the closure, blocks within {worst:.1e} of P^T M P")
 
 
+def check_factored_norm(rng):
+    # the physical norm, read off the per-axis overlaps, against sqrt(c^H S
+    # c) on the assembled reduced overlap, for random rows and coefficients
+    ho, he = models.harmonic(), models.helium_1d()
+    worst = 0.0
+    for product, size in ((ho.product, 55), (he.product, 400),
+                          (he.product.folded(), 400)):
+        universe = product.representatives(CellSet(np.array(list(
+            itertools.product(*(range(p.n) for p in product.pairs)))))).indices
+        for _ in range(5):
+            rb = ReducedBasis.create(product, CellSet(
+                universe[rng.choice(len(universe), size, replace=False)]))
+            c = rng.normal(size=size) + 1j * rng.normal(size=size)
+            ref = math.sqrt(np.vdot(c, rb.Sinv_tilde @ c).real)
+            worst = max(worst, abs(rb.physical_norm(c) - ref) / ref)
+    assert worst <= 1e-14, (
+        f"factored norm deviates from the assembled overlap's by {worst:.2e}")
+    return (f"harmonic, helium and folded helium, 5 random states each: "
+            f"relative deviation {worst:.1e}")
+
+
 # -- hamiltonian ------------------------------------------------------------
 
 def _dw_reduced(rng, n_cells=60):
@@ -623,6 +644,7 @@ CHECKS = [
     ("reduced_space/orthogonal-decomposition", check_orthogonal_decomposition),
     ("reduced_space/lattice-neighbours", check_lattice_neighbours),
     ("reduced_space/exchange-fold", check_exchange_fold),
+    ("reduced_space/factored-norm", check_factored_norm),
     ("hamiltonian/similarity-real-spectrum", check_h1_similarity),
     ("hamiltonian/generalized-equivalence", check_generalized_equivalence),
     ("hamiltonian/cache-audit", check_cache_audit),

@@ -54,8 +54,9 @@ def inverse_drift(monkeypatch):
     ``Stilde``'s) is added to ``Stilde`` and ``D @ H`` to each of
     ``rb.generators``, ``G = Stilde @ H``, in place, as a drifted block
     update would leave them.  The update reads only the added rows of
-    ``H``, so ``H`` is read back as ``Sinv_tilde @ G``.  The returned list
-    counts those updates.
+    ``H``, so ``H`` is read back as ``S @ G``, with the overlap ``S``
+    assembled from the product basis (a staged basis holds none).  The
+    returned list counts those updates.
     """
     from vngrid.reduced_space import ReducedBasis
 
@@ -74,8 +75,9 @@ def inverse_drift(monkeypatch):
                     d = r + r.conj().T
                     d *= eps * np.abs(self.Stilde).max() / np.abs(d).max()
                     self.Stilde[...] += d
+                    s = self.product.overlap(self.cells, self.cells)
                     for g in self.generators:
-                        g += d @ (self.Sinv_tilde @ g)
+                        g += d @ (s @ g)
             return out
 
         monkeypatch.setattr(ReducedBasis, "update", drifting_update)

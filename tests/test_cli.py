@@ -678,7 +678,7 @@ def test_failed_refresh_exits_degenerate_basis(tmp_path, monkeypatch,
     import vngrid.reduced_space as reduced_space
     from vngrid.errors import IllConditionedBasisError
 
-    def failing_fresh(sinv, n):
+    def failing_fresh(sinv, n, **kwargs):
         raise IllConditionedBasisError("injected refresh failure", size=n)
 
     unstage = reduced_space.ReducedBasis.unstage

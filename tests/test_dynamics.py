@@ -625,7 +625,7 @@ def test_handoff_matches_fresh_build(he_model, monkeypatch):
 
 def test_handoff_frees_the_blocks_as_it_stages(he_model, monkeypatch):
     # a folded ground search hands over to a driven run: staging frees
-    # every block, and what stays is the overlap, its inverse and one
+    # every block and the overlap, and what stays is the inverse and one
     # generator per distinct block (the drift, x_1 + x_2 for two pulses,
     # p_1 + p_2)
     folded = he_model.product.folded()
@@ -650,9 +650,42 @@ def test_handoff_frees_the_blocks_as_it_stages(he_model, monkeypatch):
     n = rb.n
     square = sorted(name for name, value in vars(rb).items()
                     if isinstance(value, np.ndarray) and value.shape == (n, n))
-    assert square == ["Sinv_tilde", "_stilde"]
+    assert square == ["_stilde"] and rb.Sinv_tilde is None
     assert traj.generator is rb.generators and len(rb.generators) == 3
     assert all(g.shape == (n, n) for g in rb.generators)
+
+
+def test_driven_helium_peaks_near_its_propagation_matrices(he_model):
+    # vngrid tdse's helium run in small: a folded ground search at zeta
+    # 1e-4 (499 rows) hands over to 0.3 time units of x_1 + x_2 driven by
+    # two pulses.  Propagation holds Stilde, two generators and the
+    # combined buffer; the search's assembly and carries and the staging
+    # are bounded to panels, so nothing peaks far above those four n x n
+    # matrices (holding the overlap too, and full temporaries, read 6.0).
+    # Traced from before the search, so that what it frees counts
+    import tracemalloc
+
+    pos = position_coupling(he_model.grids)
+    spec = dataclasses.replace(he_model.spec, control_terms=(pos, pos))
+    folded = he_model.product.folded()
+    pulses = (ControlPulse.nir(0.066, 11.0),
+              ControlPulse.xuv(0.02, 2.07, 1.5, t_on=0.25))
+    tracemalloc.start()
+    try:
+        ground = tise_adaptive(spec, folded, TiseConfig(zeta=1e-4, n_modes=1))
+        traj = tdse_adaptive(spec, folded, ground.eigenvectors[:, 0],
+                             ground.final_cells, (0.0, 0.3), pulses=pulses,
+                             cfg=PropagationConfig(zeta=1e-4, tau0=0.02,
+                                                   snapshot_every=0),
+                             basis=ground.reduced_basis,
+                             hamiltonian=ground.hamiltonian)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(ground.final_cells)
+    assert n == 499 and traj.times[-1] == pytest.approx(0.3)
+    assert len(traj.generator) == 2
+    assert peak <= 5.5 * n * n * 16, peak / (n * n * 16)
 
 
 def test_handoff_mismatch_rejected(dw_model, he_model):
@@ -738,8 +771,8 @@ def _generator_staged_once(he_model, monkeypatch, folded):
 
 def test_propagation_assembles_only_added_rows(he_model, monkeypatch):
     # after the staging, a basis change assembles the added cells' rows of
-    # each distinct block and carries no Hamiltonian block: the overlap is
-    # the one Hermitian matrix carried across it
+    # each distinct block and carries no Hermitian matrix: neither a
+    # Hamiltonian block nor the overlap, which staging dropped
     import vngrid.dynamics as dynamics
     import vngrid.hamiltonian as hamiltonian
     import vngrid.reduced_space as reduced_space
@@ -769,7 +802,7 @@ def test_propagation_assembles_only_added_rows(he_model, monkeypatch):
                          hamiltonian=ground.hamiltonian)
     events = sum(k == "basis" for _, k, _ in traj.events)
     assert events > 0 and len(changes) == events
-    assert len(carried) == events
+    assert carried == []
     # three distinct blocks: drift, the shared position and the momentum one
     assert len(blocks) == 3 * events
     for i, (_, rows, cols, _) in enumerate(blocks):

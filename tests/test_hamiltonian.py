@@ -598,11 +598,11 @@ def test_two_axis_update_equals_scratch(he_model):
 
 
 def test_folded_full_blocks_assemble_within_four_blocks_of_memory(he_model):
-    # a refresh assembles every full block while the old inverse and
-    # generators are held: on the driven helium search's 499 folded rows,
-    # the fresh allocations of assembling the drift and position blocks
-    # peak at four n x n matrices (with the mirrored half of a folded
-    # block held to the end, six)
+    # on the driven helium search's 499 folded rows, the fresh allocations
+    # of assembling the drift and position blocks peak at the two blocks
+    # and panels: the mirrored halves are summed and the shared block
+    # hermitized a panel at a time (holding a block's mirrored half and
+    # hermitizing it whole took it to four)
     spec = _helium_with_position(he_model)
     res = tise_adaptive(spec, he_model.product.folded(),
                         TiseConfig(zeta=1e-4, n_modes=1))
@@ -617,15 +617,16 @@ def test_folded_full_blocks_assemble_within_four_blocks_of_memory(he_model):
     finally:
         tracemalloc.stop()
     assert len(blocks) == 2
-    assert peak <= 4.5 * n * n * 16, peak / (n * n * 16)
+    assert peak <= 2.5 * n * n * 16, peak / (n * n * 16)
 
 
 def test_refresh_frees_the_staged_state_before_it_assembles(he_model):
     # a propagation's refresh on the driven helium search's 499 folded rows,
-    # two blocks: unstaged first, it peaks at about one n x n matrix above
-    # what was resident before it (the old inverse and generators held
-    # while it assembles: four).  Traced from before the search, so that
-    # the arrays it frees count
+    # two blocks: unstaged first, it assembles the overlap into the buffer
+    # it inverts and forms each generator from panels of its block's rows,
+    # so it peaks a few panels above what was resident before it (the old
+    # inverse and generators), the path a handoff stages through.  Traced
+    # from before the search, so that the arrays it frees count
     spec = _helium_with_position(he_model)
     tracemalloc.start()
     try:
@@ -636,15 +637,16 @@ def test_refresh_frees_the_staged_state_before_it_assembles(he_model):
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         rb.unstage()
-        rb.stage(ham.rows(rb.cells, rb.cells))
+        rb.stage(ham.block_rows(rb.cells))
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     n = rb.n
     assert n == 499 and len(rb.generators) == 2
     assert peak <= 1.5 * n * n * 16, peak / (n * n * 16)
-    scratch = ReducedBasis(rb.product, rb.cells, rb.Sinv_tilde.copy())
-    scratch.stage(ham.rows(rb.cells, rb.cells))
+    scratch = ReducedBasis(rb.product, rb.cells,
+                           rb.product.overlap(rb.cells, rb.cells))
+    scratch.stage(ham.block_rows(rb.cells))
     for got, ref in zip(rb.generators, scratch.generators, strict=True):
         assert np.array_equal(got, ref)
 

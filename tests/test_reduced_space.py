@@ -754,8 +754,9 @@ def test_update_takes_one_row_block_per_staged_generator(pair60):
 def test_failed_update_leaves_basis_and_pairs_untouched(failure, pair60,
                                                         monkeypatch, rng):
     # a change that drops and adds cells fails in one of its two
-    # factorizations: the cells, both overlaps and every staged generator
-    # stay the objects (and the values) they were
+    # factorizations: the cells, the inverse and every staged generator
+    # stay the objects (and the values) they were; staging dropped the
+    # overlap
     import vngrid.reduced_space as reduced_space
 
     product = ProductBasis(pair60)
@@ -790,14 +791,14 @@ def test_failed_update_leaves_basis_and_pairs_untouched(failure, pair60,
 
         monkeypatch.setattr(reduced_space, "_pd_solve", failing)
         match = "dropped"
-    cells, sinv, stilde = rb.cells, rb.Sinv_tilde, rb.Stilde
-    values = (sinv.copy(), stilde.copy())
+    cells, stilde = rb.cells, rb.Stilde
+    value = stilde.copy()
     generators = list(rb.generators)
     copies = [g.copy() for g in generators]
     with pytest.raises(DegenerateUpdateError, match=match):
         rb.update(change, rows)
-    assert rb.cells is cells and rb.Sinv_tilde is sinv and rb.Stilde is stilde
-    assert np.array_equal(sinv, values[0]) and np.array_equal(stilde, values[1])
+    assert rb.cells is cells and rb.Sinv_tilde is None and rb.Stilde is stilde
+    assert np.array_equal(stilde, value)
     assert len(rb.generators) == 2
     for g, before, copy in zip(rb.generators, generators, copies):
         assert g is before and np.array_equal(g, copy)
@@ -883,20 +884,32 @@ def test_overlap_equals_its_ix_form(model, ho_model, he_model, rng):
             <= 1e-13 * np.abs(ref).max())
 
 
-@pytest.mark.parametrize("n", [55, 499])
-def test_physical_norm_has_the_bits_of_the_numpy_form(n, ho_model, he_model,
-                                                      rng):
+@pytest.mark.parametrize("n,folded", [(55, False), (499, False),
+                                      (499, True)],
+                         ids=["55", "499", "499-folded"])
+def test_physical_norm_matches_the_assembled_overlap(n, folded, ho_model,
+                                                     he_model, rng):
+    # the norm comes from the per-axis overlaps, in another summation order
+    # than sqrt(c^H S c) on the assembled reduced overlap: equal to
+    # round-off, on a basis that holds its overlap and on a staged one
     product = ho_model.product if n == 55 else he_model.product
-    universe = np.array(list(itertools.product(*(range(p.n)
-                                                 for p in product.pairs))))
-    cells = CellSet(universe[rng.choice(len(universe), n, replace=False)],
-                    ndof=product.ndof)
+    if folded:
+        product = product.folded()
+    universe = product.representatives(CellSet(np.array(list(
+        itertools.product(*(range(p.n) for p in product.pairs))))))
+    cells = CellSet(universe.indices[rng.choice(len(universe), n,
+                                                replace=False)])
     rb = ReducedBasis.create(product, cells)
+    s = rb.Sinv_tilde.copy()
     assert rb.n == n
-    for _ in range(5):
-        c = rng.normal(size=n) + 1j * rng.normal(size=n)
-        assert rb.physical_norm(c) == float(np.sqrt(max(0.0, np.real(
-            np.vdot(c, rb.Sinv_tilde @ c)))))
+    for staged in (False, True):
+        if staged:
+            rb.stage([])
+            assert rb.Sinv_tilde is None
+        for _ in range(5):
+            c = rng.normal(size=n) + 1j * rng.normal(size=n)
+            ref = float(np.sqrt(np.vdot(c, s @ c).real))
+            assert abs(rb.physical_norm(c) - ref) <= 1e-14 * ref
 
 
 # -- exchange fold ------------------------------------------------------------------
