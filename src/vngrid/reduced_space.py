@@ -547,11 +547,6 @@ def _hermitize_in_place(m, rows, cols):
             m[np.ix_(rj, ci)] = upper.T.conj()
 
 
-def _restrict(mat, index):
-    """``mat[index][:, index]``, by two gathers."""
-    return mat.take(index, axis=0).take(index, axis=1)
-
-
 def _pd_solve(a, b, failure):
     """``a^-1 b`` by Cholesky for a Hermitian complex ``a``; raises
     :class:`DegenerateUpdateError` with ``failure`` if ``a`` is not positive
@@ -773,22 +768,20 @@ class ProductBasis:
             return math.sqrt(max(0.0, _zdotc(z, sz).real))
         if self.fold:
             occupied, where = np.unique(at, return_inverse=True)
-            sub = _restrict(self.pairs[0].Sinv, occupied)
-            occupied, subs = (occupied,) * 2, (sub,) * 2
-            where = where.reshape(at.shape)
+            occupied, where = (occupied,) * 2, where.reshape(at.shape)
             coeffs = coeffs / self.weights(cells)
         else:
             occupied, where = zip(*(np.unique(at[:, k], return_inverse=True)
                                     for k in range(at.shape[1])))
-            subs = [_restrict(p.Sinv, u) for p, u in zip(self.pairs, occupied)]
             where = np.column_stack(where)
         z = np.zeros([len(u) for u in occupied], dtype=complex)
         if self.fold:
             z[where[:, 1], where[:, 0]] = coeffs
         z[tuple(where.T)] = coeffs
         sz = z
-        for sub in subs:                # each moves its axis last
-            sz = np.tensordot(sz, sub, axes=(0, 1))
+        for pair, u in zip(self.pairs, occupied):   # each moves its axis last
+            sz = np.tensordot(sz, pair.Sinv.take(u, axis=0).take(u, axis=1),
+                              axes=(0, 1))
         return math.sqrt(max(0.0, np.vdot(z, sz).real))
 
     def overlap(self, rows: CellSet, cols: CellSet) -> np.ndarray:
