@@ -657,12 +657,14 @@ class ProductBasis:
         rows of the representative and of its mirror (equal on the
         diagonal)."""
         ri = cells.indices
-        off = ri[:, 0] != ri[:, 1]
-        closure = CellSet(np.concatenate([ri, ri[off, ::-1]]), ndof=2)
-        dims = _dims(closure.indices)
-        keys = _keys(closure.indices, dims)
-        return (closure, np.searchsorted(keys, _keys(ri, dims)),
-                np.searchsorted(keys, _keys(ri[:, ::-1], dims)))
+        dims = (ri.max(initial=0) + 1,) * 2     # the closure's, on both axes
+        at, mirror = _keys(ri, dims), _keys(ri[:, ::-1], dims)
+        keys = np.sort(np.concatenate([at, mirror]))
+        keys = keys[np.diff(keys, prepend=-1) > 0]  # diagonal cells once
+        closure = CellSet._canonical(np.column_stack(np.unravel_index(keys,
+                                                                      dims)))
+        return (closure, np.searchsorted(keys, at),
+                np.searchsorted(keys, mirror))
 
     def lattice_cells(self, cells: CellSet) -> CellSet:
         """The lattice cells the rows ``cells`` span."""
@@ -742,12 +744,12 @@ class ProductBasis:
         ``cells``, from the per-axis overlaps alone.
 
         ``S`` restricted to the rows is ``kron_axis S_axis`` restricted to
-        their lattice cells.  So the unfolded coefficients (``c / w`` at both
-        cells of an orbit, on a folded basis) are scattered into an array
-        ``z``, and the norm is ``z^H (kron_axis S_axis) z``: one contraction
-        per axis and one inner product, at the cost of the per-axis index
-        sets, not of ``n^2``.  On several axes ``z`` spans the occupied
-        indices of each axis (one set for both axes of a fold), and each
+        their lattice cells.  So the unfolded coefficients (:meth:`unfold`:
+        ``c / w`` at both cells of an orbit, on a folded basis) are
+        scattered into an array ``z``, and the norm is
+        ``z^H (kron_axis S_axis) z``: one contraction per axis and one inner
+        product, at the cost of the per-axis index sets, not of ``n^2``.  On
+        several axes ``z`` spans the occupied indices of each axis, and each
         axis overlap is restricted to them: at the paper-scale lattice about
         80 of 156 per axis.  On one axis the occupied indices are the rows,
         whose gather from the axis overlap costs more than a product with
@@ -757,27 +759,23 @@ class ProductBasis:
         (``reduced_space/factored-norm``), not bit for bit.
         """
         coeffs = np.asarray(coeffs, dtype=complex)
-        at = cells.indices
         if len(self.pairs) == 1:
             sinv = self.pairs[0].Sinv
             z = np.zeros(len(sinv), dtype=complex)
-            z[at[:, 0]] = coeffs
+            z[cells.indices[:, 0]] = coeffs
             # every argument positional up to trans = 1, as in
             # dynamics.taylor_step: parsing keywords costs a microsecond
             sz = _zgemv(1.0, sinv.T, z, 0.0, None, 0, 1, 0, 1, 1)
             return math.sqrt(max(0.0, _zdotc(z, sz).real))
-        if self.fold:
-            occupied, where = np.unique(at, return_inverse=True)
-            occupied, where = (occupied,) * 2, where.reshape(at.shape)
-            coeffs = coeffs / self.weights(cells)
-        else:
-            occupied, where = zip(*(np.unique(at[:, k], return_inverse=True)
-                                    for k in range(at.shape[1])))
-            where = np.column_stack(where)
+        cells, coeffs = self.unfold(cells, coeffs)
+        occupied, where = [], []
+        for pair, idx in zip(self.pairs, cells.indices.T):
+            seen = np.zeros(pair.n, dtype=bool)
+            seen[idx] = True
+            occupied.append(seen.nonzero()[0])
+            where.append(np.cumsum(seen)[idx] - 1)
         z = np.zeros([len(u) for u in occupied], dtype=complex)
-        if self.fold:
-            z[where[:, 1], where[:, 0]] = coeffs
-        z[tuple(where.T)] = coeffs
+        z[tuple(where)] = coeffs
         sz = z
         for pair, u in zip(self.pairs, occupied):   # each moves its axis last
             sz = np.tensordot(sz, pair.Sinv.take(u, axis=0).take(u, axis=1),
@@ -890,14 +888,11 @@ class ReducedBasis:
 
     @property
     def Stilde(self) -> np.ndarray:
-        """``(Btilde^H Btilde)^-1``, inverted from scratch on first read: from
-        a copy of the held overlap, which stays, or, on a basis that holds
-        none (unstaged after staging), by :meth:`stage` with no blocks."""
+        """``(Btilde^H Btilde)^-1``, inverted from scratch on first read from
+        a copy of the held overlap, which stays.  A basis that holds neither
+        (unstaged after staging) forms it only by :meth:`stage`."""
         if self._stilde is None:
-            if self.Sinv_tilde is None:
-                self.stage([])
-            else:
-                self._stilde = _fresh_inverse(self.Sinv_tilde, self.n)
+            self._stilde = _fresh_inverse(self.Sinv_tilde, self.n)
         return self._stilde
 
     def stage(self, blocks: list):
@@ -916,10 +911,14 @@ class ReducedBasis:
         assembles the block's rows over a panel of the cells (a
         :class:`CellSet`), as
         :meth:`~vngrid.hamiltonian.ReducedHamiltonian.block_rows` gives
-        them.  One path forms every generator a panel of columns at a
-        time, ``G[:, p] = Stilde @ b[:, p]``, from the block's columns or
-        from the conjugate of its assembled rows, one GEMM each (bit for bit
-        the GEMM over all columns), so that a refresh holds no full block.
+        them.  A block gives its generator in one GEMM into a new buffer
+        (a handoff).  A function gives it a panel of columns at a time,
+        ``G[:, p] = Stilde @ b[:, p]`` from the conjugate of the block's
+        assembled rows, so that a refresh holds no full block; folded,
+        those rows are Hermitian only on each panel's own diagonal
+        sub-block, so the generator matches that of the fully Hermitian
+        block to round-off, not bit for bit.
+
         The list is consumed: the entries leave it one at a time, each as
         soon as its generator exists, so that a caller holding no other
         reference (a propagation's handed-over Hamiltonian, after
@@ -937,15 +936,15 @@ class ReducedBasis:
         while blocks:
             block = blocks.pop()
             g = np.empty((n, n), dtype=complex)
-            for lo in range(0, n, _PANEL):
-                if isinstance(block, np.ndarray):
-                    cols = block[:, lo:lo + _PANEL]
-                else:
+            if isinstance(block, np.ndarray):
+                np.matmul(self._stilde, block, out=g)
+            else:
+                for lo in range(0, n, _PANEL):
                     rows = block(CellSet._canonical(
                         self.cells.indices[lo:lo + _PANEL]))
-                    cols = np.conjugate(rows, out=rows).T
-                np.matmul(self._stilde, cols, out=g[:, lo:lo + _PANEL])
-            del block, cols     # the panel view would keep a block alive
+                    np.matmul(self._stilde, np.conjugate(rows, out=rows).T,
+                              out=g[:, lo:lo + _PANEL])
+            del block           # freed before the next buffer is made
             self.generators.append(g)
 
     def unstage(self):

@@ -659,9 +659,10 @@ def test_driven_helium_peaks_near_its_propagation_matrices(he_model):
     # vngrid tdse's helium run in small: a folded ground search at zeta
     # 1e-4 (499 rows) hands over to 0.3 time units of x_1 + x_2 driven by
     # two pulses.  Propagation holds Stilde, two generators and the
-    # combined buffer; the search's assembly and carries and the staging
-    # are bounded to panels, so nothing peaks far above those four n x n
-    # matrices (holding the overlap too, and full temporaries, read 6.0).
+    # combined buffer; the search's assembly and carries are bounded to
+    # panels and staging adds one matrix at a time, so nothing peaks far
+    # above those four n x n matrices (holding the overlap too, and full
+    # temporaries, read 6.0).
     # Traced from before the search, so that what it frees counts
     import tracemalloc
 

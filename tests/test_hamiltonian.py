@@ -625,8 +625,8 @@ def test_refresh_frees_the_staged_state_before_it_assembles(he_model):
     # two blocks: unstaged first, it assembles the overlap into the buffer
     # it inverts and forms each generator from panels of its block's rows,
     # so it peaks a few panels above what was resident before it (the old
-    # inverse and generators), the path a handoff stages through.  Traced
-    # from before the search, so that the arrays it frees count
+    # inverse and generators).  Traced from before the search, so that the
+    # arrays it frees count
     spec = _helium_with_position(he_model)
     tracemalloc.start()
     try:
@@ -649,6 +649,12 @@ def test_refresh_frees_the_staged_state_before_it_assembles(he_model):
     scratch.stage(ham.block_rows(rb.cells))
     for got, ref in zip(rb.generators, scratch.generators, strict=True):
         assert np.array_equal(got, ref)
+    # and to round-off the generators of the fully Hermitian blocks, which
+    # the handoff stages from
+    for got, block in zip(rb.generators, ham.rows(rb.cells, rb.cells),
+                          strict=True):
+        full = rb.Stilde @ block
+        assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
 
 
 def test_three_axis_assembly_matches_dense():
